@@ -16,7 +16,7 @@ from repro.workflow.metrics import ComparisonTable
 VARIANTS = {
     "full (prior+grid+median)": dict(prior=True, families=None),
     "ipl-grid only, no prior": dict(prior=False, families=("ipl_grid",)),
-    "curve_fit ipl only": dict(prior=False, families=("inverse_power_law",)),
+    "variable-projection ipl only": dict(prior=False, families=("inverse_power_law",)),
     "exponential only": dict(prior=False, families=("exponential",)),
     "hyperbolic only": dict(prior=False, families=("hyperbolic",)),
 }

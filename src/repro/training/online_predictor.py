@@ -8,15 +8,20 @@ decaying to ~5% as state accumulates; the fit families follow Optimus [16]:
 * inverse power law  l(e) = l_inf + a * (e+1)^(-alpha)
 * exponential decay  l(e) = l_inf + a * exp(-beta * e)
 * hyperbolic         l(e) = 1 / (a*e + b) + l_inf
+
+plus ``ipl_grid``, the inverse power law fitted by a grid over its floor.
+All four are closed-form / variable-projection fits. No optimiser is
+needed: once one parameter is fixed — the floor for ``ipl_grid`` (then
+linear in log space), the rate alpha, beta or k = a/b for the others —
+each family is linear in its remaining two, so every refit is a few
+batched least-squares passes over a grid of that one parameter.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from repro.common.errors import PredictionError
 from repro.ml.curves import exponential_decay, hyperbolic, inverse_power_law
@@ -68,6 +73,9 @@ _FAMILIES = {
 }
 
 
+_GRID_FRACS = np.linspace(0.0, 0.98, 25)
+
+
 def _fit_ipl_grid(
     e: np.ndarray,
     y: np.ndarray,
@@ -78,9 +86,10 @@ def _fit_ipl_grid(
 
     For each candidate floor l_inf the model becomes linear in log space:
     ``log(y - l_inf) = log(a) - alpha * log(e + 1)``, solved by least
-    squares. The floor minimizing the (original-space) SSE wins. This
-    avoids curve_fit's local minima, which matters when the scheduler acts
-    on every mid-run fit.
+    squares — all 25 floors at once, as one batched simple regression. The
+    floor minimizing the (original-space) SSE wins; the first one on a tie.
+    A grid rather than a descent keeps the fit out of local minima, which
+    matters when the scheduler acts on every mid-run fit.
 
     Early in training the (floor, alpha) pair is not identifiable from the
     observations — wildly different curves fit the first epochs equally
@@ -93,36 +102,149 @@ def _fit_ipl_grid(
     y_min = float(y.min())
     if y_min <= 0:
         return None
-    best: CurveFit | None = None
-    best_score = float("inf")
-    log_e = np.log(e + 1.0)
-    y_var = float(np.var(y)) + 1e-12
     n = len(y)
-    for frac in np.linspace(0.0, 0.98, 25):
-        floor = frac * y_min
-        gap = y - floor
-        if (gap <= 0).any():
-            continue
-        log_gap = np.log(gap)
-        slope, intercept = np.polyfit(log_e, log_gap, 1)
-        alpha = -slope
-        if alpha <= 0:
-            continue
-        a = float(np.exp(intercept))
-        resid = y - inverse_power_law(e, floor, a, alpha)
-        sse = float(resid @ resid)
-        score = sse / (n * y_var)
-        if prior is not None:
-            floor0, a0, alpha0 = prior
-            amp0 = max(a0, 1e-12)
-            penalty = (np.log(alpha / max(alpha0, 1e-12))) ** 2 + (
-                (floor - floor0) / amp0
-            ) ** 2
-            score += (prior_weight / n) * float(penalty)
-        if score < best_score:
-            best_score = score
-            best = CurveFit(family="ipl_grid", params=(floor, a, alpha), sse=sse)
-    return best
+    log_e = np.log(e + 1.0)
+    x = log_e - log_e.mean()
+    floors = _GRID_FRACS * y_min
+    log_gap = np.log(y - floors[:, None])
+    slope = (log_gap @ x) / (x @ x)
+    alpha = -slope
+    a = np.exp(log_gap.mean(axis=1) - slope * log_e.mean())
+    resid = y - inverse_power_law(e, floors[:, None], a[:, None], alpha[:, None])
+    sse = np.einsum("ij,ij->i", resid, resid)
+    score = sse / (n * (float(np.var(y)) + 1e-12))
+    if prior is not None:
+        floor0, a0, alpha0 = prior
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio = np.log(alpha / max(alpha0, 1e-12))
+        penalty = log_ratio**2 + ((floors - floor0) / max(a0, 1e-12)) ** 2
+        score = score + (prior_weight / n) * penalty
+    score = np.where(alpha > 0, score, np.inf)
+    best = int(np.argmin(score))
+    if not np.isfinite(score[best]):
+        return None
+    return CurveFit(
+        family="ipl_grid",
+        params=(float(floors[best]), float(a[best]), float(alpha[best])),
+        sse=float(sse[best]),
+    )
+
+
+# Variable projection. Each raw family is linear in (floor, amplitude) once
+# its rate is fixed: l(e) = floor + amplitude * phi(e; rate), with the
+# hyperbolic curve rewritten as c / (k*e + 1) + l_inf (k = a/b, c = 1/b).
+# For a grid of rates the box-bounded two-parameter least squares has a
+# closed form, so the fit is a 1-D search over the rate: a log-spaced grid,
+# then repeated zooms onto the best point's neighbours.
+#
+# family -> log10 rate range: alpha in [1e-3, 10] and beta in [1e-6, 10],
+# the bounds the raw forms have always been fitted within. k has no bound
+# of its own; [1e-12, 1e12] spans its whole useful range, from the flat
+# (linear) limit to the pure 1/e shape.
+_RATE_RANGES = {
+    "inverse_power_law": (-3.0, 1.0),
+    "exponential": (-6.0, 1.0),
+    "hyperbolic": (-12.0, 12.0),
+}
+_AMP_MIN = 1e-12
+_HYP_PARAM_MIN = 1e-9  # lower bound on the raw hyperbolic a and b
+_GRID = np.linspace(0.0, 1.0, 33)  # first pass, over the whole log10 range
+_ZOOM = np.linspace(-1.0, 1.0, 33)  # each zoom, between the best's neighbours
+_ZOOM_ROUNDS = 6
+
+
+def _bounded_linear_fit(
+    phi: np.ndarray,
+    y: np.ndarray,
+    floor_hi: float,
+    amp_lo: float,
+    amp_hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares ``y ~ floor + amp * phi`` for every row of 2-D *phi*.
+
+    ``floor`` is boxed in ``[0, floor_hi]`` and ``amp`` in
+    ``[amp_lo, amp_hi]`` (per row). The SSE is a convex quadratic, so its
+    box minimum is the unconstrained minimum when that is feasible, else
+    the best of the four edges, each minimized in 1-D and clipped. Returns
+    ``(sse, floor, amp)``, one entry per row.
+    """
+    n = y.size
+    y_mean = y.mean()
+    yc = y - y_mean
+    p_mean = phi.mean(axis=1)
+    pc = phi - p_mean[:, None]
+    spp = np.maximum(np.einsum("ij,ij->i", pc, pc), 1e-300)
+    spy = pc @ yc
+    amp0 = spy / spp
+    floor0 = y_mean - amp0 * p_mean
+    resid = yc - amp0[:, None] * pc
+    sse0 = np.einsum("ij,ij->i", resid, resid)
+    # Candidates, one row each: interior, floor = 0, floor = floor_hi,
+    # amp = amp_lo, amp = amp_hi.
+    edge_floor = np.array([[0.0], [floor_hi]])
+    edge_amp = np.stack([np.full_like(amp0, amp_lo), amp_hi])
+    floors = np.vstack(
+        [floor0, np.broadcast_to(edge_floor, (2, amp0.size)),
+         np.clip(y_mean - edge_amp * p_mean, 0.0, floor_hi)]
+    )
+    amps = np.vstack(
+        [amp0,
+         np.clip((spy + n * p_mean * (y_mean - edge_floor)) / (spp + n * p_mean**2),
+                 amp_lo, amp_hi),
+         edge_amp]
+    )
+    # SSE(floor, amp) = sse0 + n*(d_floor + d_amp*p_mean)^2 + spp*d_amp^2
+    d_amp = amps - amp0
+    extra = n * (floors - floor0 + d_amp * p_mean) ** 2 + spp * d_amp**2
+    feasible = (floor0 >= 0.0) & (floor0 <= floor_hi) & (amp0 >= amp_lo) & (amp0 <= amp_hi)
+    extra[0] = np.where(feasible, 0.0, np.inf)
+    pick = np.argmin(extra, axis=0)
+    cols = np.arange(amp0.size)
+    return sse0 + extra[pick, cols], floors[pick, cols], amps[pick, cols]
+
+
+def _fit_rate_families(
+    e: np.ndarray, y: np.ndarray, families: list[str]
+) -> dict[str, CurveFit]:
+    """Fit the raw families by variable projection, all in one stacked pass."""
+    y_min = float(y.min())
+    if not families or y_min <= 0:
+        return {}
+    lo, hi = (col[:, None] for col in np.array([_RATE_RANGES[f] for f in families]).T)
+    # Every basis is a function of z = rate * x: exp(-z) with x = log(e+1)
+    # (power law) or x = e (exponential), and 1 / (1 + z) with x = e.
+    x = np.stack([np.log(e + 1.0) if f == "inverse_power_law" else e for f in families])
+    hyp = families.index("hyperbolic") if "hyperbolic" in families else None
+    rows = np.arange(len(families))
+    log_rate = lo + (hi - lo) * _GRID
+    step = (hi - lo) / (_GRID.size - 1)
+    for round_ in range(_ZOOM_ROUNDS + 1):
+        if round_:
+            centre = log_rate[rows, best][:, None]
+            log_rate = np.clip(centre + step * _ZOOM, lo, hi)
+            step = step / ((_ZOOM.size - 1) // 2)
+        rate = 10.0**log_rate
+        z = rate[:, :, None] * x[:, None, :]
+        phi = np.exp(-z)
+        amp_hi = np.full(rate.shape, np.inf)
+        if hyp is not None:
+            phi[hyp] = 1.0 / (1.0 + z[hyp])
+            # b = 1/c >= 1e-9 and a = k/c >= 1e-9 bound c from above.
+            amp_hi[hyp] = np.minimum(rate[hyp], 1.0) / _HYP_PARAM_MIN
+        sse, floor, amp = (
+            v.reshape(rate.shape)
+            for v in _bounded_linear_fit(
+                phi.reshape(-1, y.size), y, y_min, _AMP_MIN, amp_hi.ravel()
+            )
+        )
+        best = np.argmin(sse, axis=1)
+    fits = {}
+    for i, family in enumerate(families):
+        r, l_inf, c = (float(v[i, best[i]]) for v in (rate, floor, amp))
+        params = (r / c, 1.0 / c, l_inf) if family == "hyperbolic" else (l_inf, c, r)
+        resid = y - _FAMILIES[family][0](e, *params)
+        fits[family] = CurveFit(family=family, params=params, sse=float(resid @ resid))
+    return fits
 
 
 class OnlinePredictor:
@@ -176,49 +298,6 @@ class OnlinePredictor:
         self._epochs.append(float(len(self._epochs) + 1))
         self._losses.append(float(loss))
 
-    def _fit_family(self, family: str, e: np.ndarray, y: np.ndarray) -> CurveFit | None:
-        if family == "ipl_grid":
-            return _fit_ipl_grid(e, y, prior=self._prior, prior_weight=self.prior_weight)
-        fn, _ = _FAMILIES[family]
-        y_min, y_max = float(y.min()), float(y.max())
-        span = max(y_max - y_min, 1e-9)
-        if family == "inverse_power_law":
-            p0 = [max(y_min * 0.8, 1e-9), span, 0.5]
-            bounds = ([0.0, 1e-12, 1e-3], [y_min, np.inf, 10.0])
-        elif family == "exponential":
-            p0 = [max(y_min * 0.8, 1e-9), span, 0.1]
-            bounds = ([0.0, 1e-12, 1e-6], [y_min, np.inf, 10.0])
-        else:  # hyperbolic
-            p0 = [0.1, 1.0 / max(y_max, 1e-9), max(y_min * 0.5, 0.0)]
-            bounds = ([1e-9, 1e-9, 0.0], [np.inf, np.inf, y_min])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OptimizeWarning)
-                warnings.simplefilter("ignore", RuntimeWarning)
-                params, _ = curve_fit(
-                    fn, e, y, p0=p0, bounds=bounds, maxfev=2000
-                )
-        except (RuntimeError, ValueError):
-            return None
-        resid = y - fn(e, *params)
-        return CurveFit(family=family, params=tuple(params), sse=float(resid @ resid))
-
-    def fit(self) -> CurveFit:
-        """Fit all families to the observations; return the best by SSE."""
-        if self.n_observations < self.min_points:
-            raise PredictionError(
-                f"need >= {self.min_points} observations, have {self.n_observations}"
-            )
-        e = np.asarray(self._epochs)
-        y = np.asarray(self._losses)
-        fits = [self._fit_family(f, e, y) for f in self.families]
-        fits = [f for f in fits if f is not None]
-        if not fits:
-            raise PredictionError("no curve family converged on the observations")
-        best = min(fits, key=lambda f: f.sse)
-        self.last_fit = best
-        return best
-
     def predict_total_epochs(self) -> float:
         """Predicted total epochs (from epoch 1) to reach the target loss.
 
@@ -238,10 +317,17 @@ class OnlinePredictor:
             )
         e = np.asarray(self._epochs)
         y = np.asarray(self._losses)
+        fitted = _fit_rate_families(
+            e, y, [f for f in dict.fromkeys(self.families) if f != "ipl_grid"]
+        )
+        if "ipl_grid" in self.families:
+            fitted["ipl_grid"] = _fit_ipl_grid(
+                e, y, prior=self._prior, prior_weight=self.prior_weight
+            )
         predictions: dict[str, float] = {}
         fits: dict[str, CurveFit] = {}
         for family in self.families:
-            fit = self._fit_family(family, e, y)
+            fit = fitted.get(family)
             if fit is None:
                 continue
             _, solver = _FAMILIES[family]

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from repro.common.errors import ValidationError
 from repro.common.rng import stream_for
@@ -79,6 +78,10 @@ class TPESampler:
         good, bad = data[order[:n_good]], data[order[n_good:]]
         if len(bad) < 2:
             return self._prior_sample()
+        # Imported here: scipy.stats costs about a second at import time,
+        # and only a BOHB run with enough observations needs it.
+        from scipy.stats import gaussian_kde
+
         try:
             kde_good = gaussian_kde(good.T)
             kde_bad = gaussian_kde(bad.T)

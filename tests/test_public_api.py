@@ -1,6 +1,9 @@
 """Smoke tests for the package's public API surface."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +45,18 @@ class TestPublicAPI:
             obj = getattr(repro, name)
             if callable(obj) or isinstance(obj, type):
                 assert obj.__doc__, f"{name} lacks a docstring"
+
+    def test_import_loads_no_scipy(self):
+        """``import repro`` and the CLI load no scipy: only BOHB's density
+        model needs it, and imports it where it runs."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, repro, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
