@@ -22,8 +22,15 @@ dimension S (cost resp. time):
 3. **Spend the remainder** (lines 15-25) — keep applying the best
    O-improving moves (either ladder direction — concurrency waves make
    stage time non-monotone along 𝒫) until the constraint binds or
-   improvements fall below δ; moves that violate the constraint enter a
-   tabu set (A2') and are skipped.
+   improvements fall below δ; each round masks out the moves that would
+   violate the constraint (the paper's A2') before taking the best one.
+
+A plan is held as a vector of ladder indices and the stage contributions
+as a (stage × candidate) array, so each round scores all of its candidate
+moves in one array pass. Candidate totals are added stage by stage in the
+order :func:`~repro.tuning.plan.stage_sum` adds a plan's own total, which
+keeps every comparison — and so every chosen plan — bit-identical to
+evaluating the candidate plans one by one.
 
 Planner instrumentation (candidates evaluated, wall time) feeds the
 scheduling-overhead experiment (Fig. 21a).
@@ -31,7 +38,10 @@ scheduling-overhead experiment (Fig. 21a).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.common.errors import ConstraintError
 from repro.analytical.pareto import ProfiledAllocation
@@ -42,11 +52,11 @@ from repro.tuning.plan import (
     Objective,
     PartitionPlan,
     PlanEvaluation,
-    evaluate_plan,
-    stage_waves,
+    stage_sum,
+    stage_terms,
 )
-from repro.tuning.sha import SHASpec, StageShape
-from repro.tuning.static_planner import optimal_static_plan, static_plan
+from repro.tuning.sha import SHASpec
+from repro.tuning.static_planner import optimal_static_plan
 from repro.telemetry import get_registry
 from repro.slo.events import get_event_bus
 
@@ -89,126 +99,88 @@ class GreedyHeuristicPlanner:
         """Precompute each (stage, candidate)'s JCT/cost contribution.
 
         A stage's contribution depends only on its own allocation, so plan
-        evaluation reduces to a sum of lookups — the difference between a
-        sub-second and a 15-second planning pass at the paper's 16384-trial
-        scale.
+        evaluation reduces to a sum of lookups. ``self._terms[0]`` is the
+        (n_stages × L) JCT array J and ``self._terms[1]`` the cost array C;
+        stacking them lets one array operation update both totals.
         """
-        self._index = {p.allocation: j for j, p in enumerate(ladder)}
-        self._stage_jct = []
-        self._stage_cost = []
+        terms = np.empty((2, spec.n_stages, len(ladder)))
         for i in range(spec.n_stages):
-            q = spec.trials_in_stage(i)
-            r = spec.epochs_in_stage(i)
-            jct_row = []
-            cost_row = []
-            for p in ladder:
-                waves = stage_waves(q, p.allocation.n_functions, self.platform)
-                jct_row.append(r * p.time_s * waves)
-                cost_row.append(q * r * p.cost_usd)
-            self._stage_jct.append(jct_row)
-            self._stage_cost.append(cost_row)
+            q, r = spec.trials_in_stage(i), spec.epochs_in_stage(i)
+            for j, point in enumerate(ladder):
+                terms[:, i, j] = stage_terms(q, r, point, self.platform)
+        self._terms = terms
+        self._stages = np.arange(spec.n_stages)
+        # [k, 0, i]: stage k of the plan that moves stage i is the moved one.
+        self._diagonal = np.eye(spec.n_stages, dtype=bool)[:, None, :]
 
-    def _eval(self, plan: PartitionPlan, spec: SHASpec, stats: PlannerStats):
-        stats.candidates_evaluated += 1
-        jct = []
-        cost = []
-        for i, point in enumerate(plan.stages):
-            j = self._index[point.allocation]
-            jct.append(self._stage_jct[i][j])
-            cost.append(self._stage_cost[i][j])
+    def _totals(self, x: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """(JCT, cost) totals of plan ``x`` with stage i replaced by ``cand[:, i]``.
+
+        ``cand`` is (2, n) for one move per stage or (2, n, L) for every
+        move. The candidate plans' stage terms are laid out stage-first and
+        added by :func:`stage_sum`, so each total is
+        ((a_0 + a_1) + … + cand_i) + … + a_{n-1}, bit-identical to the
+        candidate plan's own total (``np.sum``'s pairwise order is not).
+        """
+        pad = (1,) * (cand.ndim - 2)
+        own = self._terms[:, self._stages, x].T[:, :, None]
+        moved = self._diagonal.reshape(self._diagonal.shape + pad)
+        return stage_sum(np.where(moved, cand, own.reshape(own.shape + pad)))
+
+    def _total(self, x: np.ndarray) -> np.ndarray:
+        """(JCT, cost) totals of plan ``x``."""
+        return stage_sum(self._terms[:, self._stages, x].T)
+
+    def _feasible(self, tot: np.ndarray) -> np.ndarray:
+        """The constraint on (JCT, cost) totals of any shape."""
+        return (tot[0] <= self._qos_s) & (tot[1] <= self._budget_usd)
+
+    def _evaluation(self, x: np.ndarray) -> PlanEvaluation:
+        jct, cost = self._terms[:, self._stages, x].tolist()
         return PlanEvaluation(
-            jct_s=sum(jct),
-            cost_usd=sum(cost),
+            jct_s=stage_sum(jct),
+            cost_usd=stage_sum(cost),
             stage_jct_s=tuple(jct),
             stage_cost_usd=tuple(cost),
         )
 
-    @staticmethod
-    def _index_of(ladder: list[ProfiledAllocation], point: ProfiledAllocation) -> int:
-        for i, p in enumerate(ladder):
-            if p.allocation == point.allocation:
-                return i
-        raise ConstraintError("plan references an allocation outside the candidate set")
-
-    def _neighbors(
-        self,
-        plan: PartitionPlan,
-        ladder: list[ProfiledAllocation],
-        direction: int,
-        exclude: set[int] = frozenset(),
-    ) -> list[tuple[int, PartitionPlan]]:
-        """One-step single-stage moves along the cost-sorted ladder.
-
-        ``direction=+1`` moves a stage to the next more expensive (faster)
-        point, ``-1`` to the next cheaper one.
-        """
-        moves = []
-        for i, point in enumerate(plan.stages):
-            if i in exclude:
-                continue
-            j = self._index_of(ladder, point) + direction
-            if 0 <= j < len(ladder):
-                moves.append((i, plan.replace_stage(i, ladder[j])))
-        return moves
-
-    # -- objective / constraint plumbing -------------------------------------
-    @staticmethod
-    def _objective_value(ev: PlanEvaluation, objective: Objective) -> float:
-        return ev.jct_s if objective is Objective.MIN_JCT_GIVEN_BUDGET else ev.cost_usd
-
-    @staticmethod
-    def _spend_value(ev: PlanEvaluation, objective: Objective) -> float:
-        """The traded-away dimension S (cost for JCT-min, time for cost-min)."""
-        return ev.cost_usd if objective is Objective.MIN_JCT_GIVEN_BUDGET else ev.jct_s
-
-    @staticmethod
-    def _within_constraint(
-        ev: PlanEvaluation,
-        objective: Objective,
-        budget_usd: float | None,
-        qos_s: float | None,
-    ) -> bool:
-        ok = True
-        if budget_usd is not None:
-            ok = ok and ev.cost_usd <= budget_usd
-        if qos_s is not None:
-            ok = ok and ev.jct_s <= qos_s
-        if objective is Objective.MIN_JCT_GIVEN_BUDGET and budget_usd is None:
-            raise ConstraintError("JCT minimization needs budget_usd")
-        if objective is Objective.MIN_COST_GIVEN_QOS and qos_s is None:
-            raise ConstraintError("cost minimization needs qos_s")
-        return ok
-
-    def _marginal_benefit(
-        self, cur: PlanEvaluation, cand: PlanEvaluation, objective: Objective
-    ) -> float:
+    def _benefit(
+        self, cur: np.ndarray, tot: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Eq. (10)/(12): objective improvement per unit of extra spend.
 
-        Moves that improve the objective *and* reduce spend (possible via
-        concurrency-wave effects) get an infinite benefit — always take
-        them first.
+        Returns the benefit and the mask of moves that improve the
+        objective with a positive benefit. Moves that improve the
+        objective *and* reduce spend (possible via concurrency-wave
+        effects) get an infinite benefit — always take them first.
         """
-        gain = self._objective_value(cur, objective) - self._objective_value(
-            cand, objective
-        )
-        spend = self._spend_value(cand, objective) - self._spend_value(cur, objective)
-        if gain <= 0:
-            return -float("inf")
-        if spend <= 0:
-            return float("inf")
-        return gain / spend
+        o, s = self._obj, 1 - self._obj
+        gain = cur[o] - tot[o]
+        spend = tot[s] - cur[s]
+        benefit = np.divide(gain, spend, out=np.full_like(gain, math.inf), where=spend > 0)
+        return benefit, (gain > 0) & (benefit > 0)
 
-    def _recycle_benefit(
-        self, cur: PlanEvaluation, cand: PlanEvaluation, objective: Objective
-    ) -> float:
-        """Spend freed per unit of objective damage (the recycling metric)."""
-        freed = self._spend_value(cur, objective) - self._spend_value(cand, objective)
-        damage = self._objective_value(cand, objective) - self._objective_value(
-            cur, objective
-        )
-        if freed <= 0:
-            return -float("inf")
-        return freed / max(damage, 1e-12)
+    @staticmethod
+    def _first_best(benefit: np.ndarray, ok: np.ndarray) -> int | None:
+        """Flat index of the first maximum benefit among ``ok`` moves."""
+        k = int(np.argmax(np.where(ok, benefit, -math.inf)))
+        return k if ok.flat[k] else None
+
+    def _step(self, x: np.ndarray, direction: int, skip: int | None = None):
+        """Totals of the one-step ladder moves x_i → x_i + direction.
+
+        ``direction=+1`` moves a stage to the next more expensive (faster)
+        point, ``-1`` to the next cheaper one. Returns the totals and the
+        mask of the moves that exist (stage ``skip`` excluded).
+        """
+        n_points = self._terms.shape[2]
+        to = x + direction
+        moves = (to >= 0) & (to < n_points)
+        if skip is not None:
+            moves[skip] = False
+        # Off-ladder moves wrap to a valid index; the mask drops them.
+        cand = self._terms[:, self._stages, to % n_points]
+        return self._totals(x, cand), moves
 
     # ------------------------------------------------------------------ planning
     def plan(
@@ -224,6 +196,14 @@ class GreedyHeuristicPlanner:
         When no static plan satisfies the constraint, the closest-to-
         feasible static plan is returned with ``feasible=False``.
         """
+        if objective is Objective.MIN_JCT_GIVEN_BUDGET and budget_usd is None:
+            raise ConstraintError("JCT minimization needs budget_usd")
+        if objective is Objective.MIN_COST_GIVEN_QOS and qos_s is None:
+            raise ConstraintError("cost minimization needs qos_s")
+        # Row of the objective O in the (JCT, cost) terms; 1 - _obj is S.
+        self._obj = 0 if objective is Objective.MIN_JCT_GIVEN_BUDGET else 1
+        self._budget_usd = math.inf if budget_usd is None else budget_usd
+        self._qos_s = math.inf if qos_s is None else qos_s
         start = host_clock_s()
         stats = PlannerStats()
         with profile_phase("planner/plan"):
@@ -239,30 +219,21 @@ class GreedyHeuristicPlanner:
                 )
                 # The warm start enumerates every candidate as a uniform plan;
                 # account for those evaluations (they dominate WO-pa's
-                # overhead).
-                stats.candidates_evaluated += len(ladder)
-                warm_ev = self._eval(warm, spec, stats)
-                feasible = self._within_constraint(
-                    warm_ev, objective, budget_usd, qos_s
-                )
-                best, best_ev = warm, warm_ev
-                starts = (
-                    self._warm_starts(
-                        warm, ladder, spec, objective, budget_usd, qos_s, stats
-                    )
-                    if feasible
-                    else []
-                )
+                # overhead), plus the warm plan's own.
+                stats.candidates_evaluated += len(ladder) + 1
+                w = ladder.index(warm.stages[0])
+                best = np.full(spec.n_stages, w)
+                best_tot = self._total(best)
+                feasible = bool(self._feasible(best_tot))
+                starts = self._warm_starts(w, stats) if feasible else []
                 ph.add("candidates_evaluated", stats.candidates_evaluated)
 
-            for start_plan in starts:
-                cand, cand_ev = self._improve(
-                    start_plan, ladder, spec, objective, budget_usd, qos_s, stats
-                )
-                if self._objective_value(cand_ev, objective) < self._objective_value(
-                    best_ev, objective
-                ):
-                    best, best_ev = cand, cand_ev
+            for j in starts:
+                x, tot = self._improve(np.full(spec.n_stages, j), stats)
+                if tot[self._obj] < best_tot[self._obj]:
+                    best, best_tot = x, tot
+        best_plan = PartitionPlan(tuple(ladder[j] for j in best.tolist()))
+        best_ev = self._evaluation(best)
         stats.wall_time_s = host_clock_s() - start
         registry.counter(
             "repro_planner_candidates_evaluated_total",
@@ -281,172 +252,112 @@ class GreedyHeuristicPlanner:
         if bus.enabled:
             bus.emit(
                 "plan_chosen", 0.0, scope="tune",
-                n_stages=len(best.stages),
+                n_stages=len(best_plan.stages),
                 predicted_jct_s=best_ev.jct_s,
                 predicted_cost_usd=best_ev.cost_usd,
                 feasible=feasible,
                 candidates_evaluated=stats.candidates_evaluated,
             )
         return PlannerResult(
-            plan=best,
+            plan=best_plan,
             evaluation=best_ev,
-            static_evaluation=warm_ev,
+            static_evaluation=self._evaluation(np.full(spec.n_stages, w)),
             stats=stats,
             feasible=feasible,
         )
 
-    def _warm_starts(
-        self,
-        warm: PartitionPlan,
-        ladder: list[ProfiledAllocation],
-        spec: SHASpec,
-        objective: Objective,
-        budget_usd: float | None,
-        qos_s: float | None,
-        stats: PlannerStats,
-    ) -> list[PartitionPlan]:
-        """Every feasible uniform plan, deduplicated.
+    def _warm_starts(self, w: int, stats: PlannerStats) -> list[int]:
+        """Ladder indices of every feasible uniform plan, warm start first.
 
         Greedy refinement is a local search; multi-starting it from each
         point of 𝒫 (a few dozen starts, each refining in microseconds)
         closes most of the optimality gap against the exact DP at a cost
         that is still a small fraction of one cold start."""
-        starts = [warm]
-        seen = {tuple(p.allocation for p in warm.stages)}
-        for point in ladder:
-            plan = static_plan(point, spec)
-            ev = self._eval(plan, spec, stats)
-            if not self._within_constraint(ev, objective, budget_usd, qos_s):
-                continue
-            key = tuple(p.allocation for p in plan.stages)
-            if key not in seen:
-                seen.add(key)
-                starts.append(plan)
-        return starts
+        stats.candidates_evaluated += self._terms.shape[2]
+        ok = self._feasible(stage_sum(self._terms.swapaxes(0, 1)))
+        ok[w] = False
+        return [w, *np.flatnonzero(ok).tolist()]
 
     def _improve(
-        self,
-        plan: PartitionPlan,
-        ladder: list[ProfiledAllocation],
-        spec: SHASpec,
-        objective: Objective,
-        budget_usd: float | None,
-        qos_s: float | None,
-        stats: PlannerStats,
-    ) -> tuple[PartitionPlan, PlanEvaluation]:
+        self, x: np.ndarray, stats: PlannerStats
+    ) -> tuple[np.ndarray, np.ndarray]:
         # Counter deltas credit each refinement phase with exactly the plan
         # evaluations it performed, so the per-frame "candidates_evaluated"
         # counters sum to stats.candidates_evaluated.
         with profile_phase("planner/recycle_reinvest") as ph:
             before = stats.candidates_evaluated
-            ev = self._eval(plan, spec, stats)
-            plan, ev = self._recycle_and_reinvest(
-                plan, ev, ladder, spec, objective, budget_usd, qos_s, stats
-            )
+            stats.candidates_evaluated += 1
+            tot = self._total(x)
+            x, tot = self._recycle_and_reinvest(x, tot, stats)
             ph.add("candidates_evaluated", stats.candidates_evaluated - before)
         with profile_phase("planner/spend_remainder") as ph:
             before = stats.candidates_evaluated
-            result = self._spend_remainder(
-                plan, ev, ladder, spec, objective, budget_usd, qos_s, stats
-            )
+            result = self._spend_remainder(x, tot, stats)
             ph.add("candidates_evaluated", stats.candidates_evaluated - before)
         return result
 
     # -- phase 1: recycle & reinvest (Alg. 1 lines 2-14) ---------------------
     def _recycle_and_reinvest(
-        self,
-        best: PartitionPlan,
-        best_ev: PlanEvaluation,
-        ladder: list[ProfiledAllocation],
-        spec: SHASpec,
-        objective: Objective,
-        budget_usd: float | None,
-        qos_s: float | None,
-        stats: PlannerStats,
-    ) -> tuple[PartitionPlan, PlanEvaluation]:
+        self, best: np.ndarray, best_tot: np.ndarray, stats: PlannerStats
+    ) -> tuple[np.ndarray, np.ndarray]:
         # Recycling frees the traded dimension S: cheaper points for
         # JCT-min (direction -1), faster points for cost-min (+1).
-        recycle_dir = -1 if objective is Objective.MIN_JCT_GIVEN_BUDGET else +1
-        spend_cap = self._spend_value(best_ev, objective)
+        o, s = self._obj, 1 - self._obj
+        recycle_dir = -1 if o == 0 else +1
+        spend_cap = best_tot[s]
         for _ in range(64):  # bounded outer loop; converges much earlier
             stats.greedy_iterations += 1
-            scored = []
-            for stage_idx, cand in self._neighbors(best, ladder, recycle_dir):
-                cev = self._eval(cand, spec, stats)
-                b = self._recycle_benefit(best_ev, cev, objective)
-                if b > 0:
-                    scored.append((b, stage_idx, cand, cev))
-            if not scored:
+            tot, ok = self._step(best, recycle_dir)
+            stats.candidates_evaluated += int(np.count_nonzero(ok))
+            # Spend freed per unit of objective damage (the recycling metric).
+            freed = best_tot[s] - tot[s]
+            benefit = freed / np.maximum(tot[o] - best_tot[o], 1e-12)
+            recycled = self._first_best(benefit, ok & (freed > 0) & (benefit > 0))
+            if recycled is None:
                 break
-            _, recycled_stage, a_l, a_l_ev = max(scored, key=lambda s: s[0])
-            exclude = {recycled_stage}
+            a_l, a_l_tot = best.copy(), tot[:, recycled]
+            a_l[recycled] += recycle_dir
             while True:
-                up_scored = []
-                for _, cand in self._neighbors(a_l, ladder, -recycle_dir, exclude):
-                    cev = self._eval(cand, spec, stats)
-                    if self._spend_value(cev, objective) > spend_cap:
-                        continue
-                    b = self._marginal_benefit(a_l_ev, cev, objective)
-                    if b > 0:
-                        up_scored.append((b, cand, cev))
-                if not up_scored:
+                tot, ok = self._step(a_l, -recycle_dir, skip=recycled)
+                stats.candidates_evaluated += int(np.count_nonzero(ok))
+                benefit, improving = self._benefit(a_l_tot, tot)
+                k = self._first_best(benefit, ok & improving & (tot[s] <= spend_cap))
+                if k is None:
                     break
-                _, a_l, a_l_ev = max(up_scored, key=lambda s: s[0])
-            improvement = self._objective_value(best_ev, objective) - (
-                self._objective_value(a_l_ev, objective)
-            )
-            if improvement <= self.delta * abs(self._objective_value(best_ev, objective)):
+                a_l[k] -= recycle_dir
+                a_l_tot = tot[:, k]
+            improvement = best_tot[o] - a_l_tot[o]
+            if improvement <= self.delta * abs(best_tot[o]):
                 break
-            if not self._within_constraint(a_l_ev, objective, budget_usd, qos_s):
+            if not self._feasible(a_l_tot):
                 break
-            best, best_ev = a_l, a_l_ev
-        return best, best_ev
+            best, best_tot = a_l, a_l_tot
+        return best, best_tot
 
     # -- phase 2: spend the remaining headroom (Alg. 1 lines 15-25) ----------
     def _spend_remainder(
-        self,
-        best: PartitionPlan,
-        best_ev: PlanEvaluation,
-        ladder: list[ProfiledAllocation],
-        spec: SHASpec,
-        objective: Objective,
-        budget_usd: float | None,
-        qos_s: float | None,
-        stats: PlannerStats,
-    ) -> tuple[PartitionPlan, PlanEvaluation]:
-        tabu: set[tuple[int, str]] = set()  # A2': moves that break the constraint
+        self, best: np.ndarray, best_tot: np.ndarray, stats: PlannerStats
+    ) -> tuple[np.ndarray, np.ndarray]:
         stats.greedy_iterations += 1  # phase 2 counts as one estimation round
+        n, n_points = self._terms.shape[1:]
         for _ in range(512):
             # Phase 2 considers *every* (stage, candidate) replacement, not
             # just ladder neighbours: the boundary has cliffs (e.g. the
             # cheap DynamoDB tail vs the fast VM-PS cluster) that one-step
             # moves cannot cross, and the knapsack optimum routinely jumps
-            # them.
-            scored = []
-            for stage_idx in range(len(best.stages)):
-                current = best.stages[stage_idx]
-                for point in ladder:
-                    if point.allocation == current.allocation:
-                        continue
-                    key = (stage_idx, point.allocation.describe())
-                    if key in tabu:
-                        continue
-                    cand = best.replace_stage(stage_idx, point)
-                    cev = self._eval(cand, spec, stats)
-                    if not self._within_constraint(
-                        cev, objective, budget_usd, qos_s
-                    ):
-                        tabu.add(key)
-                        continue
-                    b = self._marginal_benefit(best_ev, cev, objective)
-                    if b > 0:
-                        scored.append((b, cand, cev))
-            if not scored:
+            # them. Moves that would break the constraint are masked (A2').
+            stats.candidates_evaluated += n * (n_points - 1)
+            tot = self._totals(best, self._terms)
+            benefit, ok = self._benefit(best_tot, tot)
+            ok &= self._feasible(tot)
+            ok[self._stages, best] = False
+            k = self._first_best(benefit, ok)
+            if k is None:
                 break
             # Individual moves can be small, so phase 2 runs until no
             # strictly improving feasible move remains (δ governs the
             # coarser phase-1 rounds).
-            _, cand, cev = max(scored, key=lambda s: s[0])
-            best, best_ev = cand, cev
-            tabu.clear()  # constraint headroom changed; retry old moves
-        return best, best_ev
+            i, j = divmod(k, n_points)
+            best[i] = j
+            best_tot = tot[:, i, j]
+        return best, best_tot

@@ -70,6 +70,32 @@ def stage_waves(
     return max(1, math.ceil(demanded / platform.limits.max_concurrency))
 
 
+def stage_terms(
+    q_trials: int,
+    epochs: int,
+    point: ProfiledAllocation,
+    platform: PlatformConfig = DEFAULT_PLATFORM,
+) -> tuple[float, float]:
+    """One stage's Eq. (7) time term and Eq. (8) cost term under ``point``."""
+    waves = stage_waves(q_trials, point.allocation.n_functions, platform)
+    return epochs * point.time_s * waves, q_trials * epochs * point.cost_usd
+
+
+def stage_sum(terms):
+    """Σ over stages, added one stage at a time in stage order.
+
+    Spelled out rather than ``sum()`` because Python 3.12's ``sum``
+    compensates float rounding: the planner scores candidates with
+    array-wide adds in this same order (``tuning.greedy_planner``), and
+    its totals must equal this function's to the last bit. ``terms`` may
+    also iterate over arrays, which are then summed elementwise.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def evaluate_plan(
     plan: PartitionPlan,
     spec: StageShape,
@@ -83,14 +109,14 @@ def evaluate_plan(
     stage_jct = []
     stage_cost = []
     for i, point in enumerate(plan.stages):
-        q = spec.trials_in_stage(i)
-        r = spec.epochs_in_stage(i)
-        waves = stage_waves(q, point.allocation.n_functions, platform)
-        stage_jct.append(r * point.time_s * waves)
-        stage_cost.append(q * r * point.cost_usd)
+        jct, cost = stage_terms(
+            spec.trials_in_stage(i), spec.epochs_in_stage(i), point, platform
+        )
+        stage_jct.append(jct)
+        stage_cost.append(cost)
     return PlanEvaluation(
-        jct_s=sum(stage_jct),
-        cost_usd=sum(stage_cost),
+        jct_s=stage_sum(stage_jct),
+        cost_usd=stage_sum(stage_cost),
         stage_jct_s=tuple(stage_jct),
         stage_cost_usd=tuple(stage_cost),
     )
