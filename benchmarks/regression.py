@@ -707,8 +707,8 @@ def run_combined_chaos_scenario(scale: str, seed: int) -> tuple[dict, list[str]]
 def measure_flow_lint(rounds: int) -> dict:
     """Best-of-``rounds`` wall time for the whole-repo flow analysis.
 
-    Runs the full interprocedural pass — project index, call graph,
-    clock-taint fixpoint, RNG hygiene, shard audit, schema cross-check —
+    Runs the full interprocedural pass — project index, clock-taint
+    fixpoint, RNG hygiene, schema cross-check —
     over ``src/repro``, exactly what the ``flow-analysis`` CI step and
     ``repro lint --flow`` execute. Counters record the analyzed file and
     finding counts so a silent scope regression (the walker skipping

@@ -10,8 +10,8 @@ package checks them at the source level: a pluggable AST rule framework
 ledger for accepted findings (:mod:`repro.analysis.baseline`), the
 deterministic ``repro-lint/v1`` report (:mod:`repro.analysis.report`),
 and an interprocedural flow layer (:mod:`repro.analysis.flow`, IDs
-``REP009``–``REP013``: call graph, clock-domain taint, RNG stream
-hygiene, shard-safety audit, schema producer cross-check).
+``REP009``–``REP011`` and ``REP013``: call graph, clock-domain taint,
+RNG stream hygiene, schema producer cross-check).
 
 Entry point: ``repro lint`` (see ``docs/static-analysis.md``), which CI
 runs over ``src/repro`` on every change. Stdlib-only by design.
@@ -35,9 +35,7 @@ from repro.analysis.core import (
 )
 from repro.analysis.flow import (
     CALLGRAPH_SCHEMA,
-    SHARDING_SCHEMA,
     CallGraph,
-    FlowResult,
     ProjectIndex,
     analyze_flow,
     build_callgraph,
@@ -47,8 +45,6 @@ from repro.analysis.flow import (
     callgraph_to_json,
     flow_rules,
     flow_rules_by_id,
-    sharding_payload,
-    sharding_to_json,
 )
 from repro.analysis.report import (
     LINT_SCHEMA,
@@ -72,14 +68,12 @@ __all__ = [
     "LINT_SCHEMA",
     "SCHEMA_KEYS",
     "SEVERITIES",
-    "SHARDING_SCHEMA",
     "AnalysisResult",
     "Analyzer",
     "Baseline",
     "BaselineEntry",
     "CallGraph",
     "Finding",
-    "FlowResult",
     "ModuleContext",
     "ProjectIndex",
     "Rule",
@@ -99,8 +93,6 @@ __all__ = [
     "render_table",
     "rules_by_id",
     "run_rules",
-    "sharding_payload",
-    "sharding_to_json",
     "to_json",
     "to_payload",
 ]

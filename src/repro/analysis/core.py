@@ -1,7 +1,7 @@
 """Rule framework for the determinism & simulation-safety linter.
 
 The reproduction's invariants — all randomness through ``repro.common.rng``,
-simulated time from the ``repro.faas.events`` clock, byte-identical exports,
+simulated time from the ``repro.kernel`` event clock, byte-identical exports,
 no mixed physical units — are enforced here as machine-checked AST rules
 instead of conventions. A :class:`Rule` inspects one :class:`ModuleContext`
 (a parsed source file plus its logical location in the package) and yields
@@ -42,7 +42,7 @@ class Finding:
 
     rule: str  # stable rule id, e.g. "REP002"
     severity: str  # one of SEVERITIES
-    path: str  # package-relative posix path, e.g. "repro/faas/events.py"
+    path: str  # package-relative posix path, e.g. "repro/faas/platform.py"
     line: int  # 1-based
     col: int  # 0-based, as reported by ast
     message: str
@@ -65,7 +65,7 @@ class ModuleContext:
     """One parsed source file plus its logical package location.
 
     ``parts`` is the dotted-module path split into components (for
-    ``src/repro/faas/events.py`` that is ``("repro", "faas", "events")``),
+    ``src/repro/faas/platform.py`` that is ``("repro", "faas", "platform")``),
     which is what path-scoped rules match against; fixture trees reproduce
     a scope simply by placing a file under a directory of the same name.
     """

@@ -1,12 +1,11 @@
-"""Interprocedural flow analysis: call graph, taint, shard safety.
+"""Interprocedural flow analysis: call graph, taint, RNG and schema flow.
 
 Where ``repro.analysis.rules`` checks one file at a time, this package
 sees the whole program: a project symbol table (:mod:`.symbols`), a
 deterministic call graph (:mod:`.callgraph`, ``repro-callgraph/v1``),
-and four dataflow passes packaged as rules REP009–REP013 —
-clock-domain taint (:mod:`.taint`), RNG stream hygiene
-(:mod:`.rngflow`), the shard-safety audit (:mod:`.shard`,
-``repro-sharding/v1``), and the schema producer cross-check
+and three dataflow passes packaged as rules REP009–REP011 and
+REP013 — clock-domain taint (:mod:`.taint`), RNG stream hygiene
+(:mod:`.rngflow`), and the schema producer cross-check
 (:mod:`.schemaflow`). ``repro lint --flow`` and ``repro analyze``
 are the CLI surfaces; :func:`analyze_flow` is the library entry point.
 """
@@ -21,20 +20,11 @@ from repro.analysis.flow.callgraph import (
     callgraph_to_json,
 )
 from repro.analysis.flow.engine import (
-    FlowResult,
     FlowRule,
     analyze_flow,
     build_index,
     flow_rules,
     flow_rules_by_id,
-)
-from repro.analysis.flow.shard import (
-    SHARDING_SCHEMA,
-    GlobalReport,
-    audit_globals,
-    run_shard_safety,
-    sharding_payload,
-    sharding_to_json,
 )
 from repro.analysis.flow.symbols import ProjectIndex, module_name_of
 
@@ -42,13 +32,9 @@ __all__ = [
     "CALLGRAPH_SCHEMA",
     "CallEdge",
     "CallGraph",
-    "FlowResult",
     "FlowRule",
-    "GlobalReport",
     "ProjectIndex",
-    "SHARDING_SCHEMA",
     "analyze_flow",
-    "audit_globals",
     "build_callgraph",
     "build_index",
     "callgraph_payload",
@@ -57,7 +43,4 @@ __all__ = [
     "flow_rules",
     "flow_rules_by_id",
     "module_name_of",
-    "run_shard_safety",
-    "sharding_payload",
-    "sharding_to_json",
 ]

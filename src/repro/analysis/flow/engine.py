@@ -1,19 +1,17 @@
-"""Flow rule catalogue (REP009–REP013) and the project-level analyzer.
+"""Flow rule catalogue (REP009–REP011, REP013) and the project-level analyzer.
 
 Per-file rules run inside :class:`repro.analysis.walker.Analyzer`, one
 module at a time. The flow rules are project-level: their ``check`` on a
 single module is empty, and :func:`analyze_flow` instead parses the
-whole tree into a :class:`ProjectIndex`, builds the call graph, runs the
-dataflow passes, and converts their results into ordinary
-:class:`Finding` objects — same IDs, pragmas, baseline and JSON document
-machinery as REP001–REP008, so ``# lint: ignore[REP012]`` and baseline
-entries work unchanged.
+whole tree into a :class:`ProjectIndex`, runs the dataflow passes, and
+converts their results into ordinary :class:`Finding` objects — same
+IDs, pragmas, baseline and JSON document machinery as REP001–REP008,
+so ``# lint: ignore[REP011]`` and baseline entries work unchanged.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -24,9 +22,7 @@ from repro.analysis.core import (
     build_context,
     should_skip_file,
 )
-from repro.analysis.flow import rngflow, schemaflow, shard, taint
-from repro.analysis.flow.callgraph import CallGraph, build_callgraph
-from repro.analysis.flow.shard import GlobalReport
+from repro.analysis.flow import rngflow, schemaflow, taint
 from repro.analysis.flow.symbols import ProjectIndex
 from repro.analysis.walker import AnalysisResult, collect_files
 
@@ -64,17 +60,7 @@ class RngGeneratorEscape(FlowRule):
     severity = "warning"
     rationale = (
         "RNG generators bound to module globals are shared mutable "
-        "state; shards would replay identical draws"
-    )
-
-
-class ShardUnsafeGlobal(FlowRule):
-    rule_id = "REP012"
-    name = "shard-unsafe-global"
-    severity = "warning"
-    rationale = (
-        "module globals mutated from simulation paths without a "
-        "registered setter break shard determinism (ROADMAP item 3)"
+        "state: every caller in the process draws from one sequence"
     )
 
 
@@ -92,7 +78,6 @@ _FLOW_RULE_CLASSES: tuple[type[FlowRule], ...] = (
     ClockDomainTaint,
     RngStreamHygiene,
     RngGeneratorEscape,
-    ShardUnsafeGlobal,
     SchemaProducerDrift,
 )
 
@@ -106,27 +91,6 @@ def flow_rules() -> list[Rule]:
 
 def flow_rules_by_id() -> dict[str, Rule]:
     return {r.rule_id: r for r in flow_rules()}
-
-
-@dataclass(slots=True)
-class FlowResult:
-    """Everything one flow pass learned, plus its reusable artifacts."""
-
-    findings: list[Finding]
-    files_analyzed: int
-    suppressed: int
-    parse_errors: int
-    index: ProjectIndex
-    graph: CallGraph
-    shard_reports: list[GlobalReport]
-
-    def as_analysis_result(self) -> AnalysisResult:
-        return AnalysisResult(
-            findings=list(self.findings),
-            files_analyzed=self.files_analyzed,
-            suppressed=self.suppressed,
-            parse_errors=self.parse_errors,
-        )
 
 
 def build_index(
@@ -168,10 +132,9 @@ def build_index(
 def analyze_flow(
     paths: Sequence[Path | str],
     select: set[str] | None = None,
-) -> FlowResult:
+) -> AnalysisResult:
     """Run every flow pass (or the ``select``\\ ed subset) over ``paths``."""
     index, parse_findings, n_files, _ = build_index(paths)
-    graph = build_callgraph(index)
     rules = flow_rules_by_id()
     wanted = set(rules) if select is None else (set(rules) & select)
 
@@ -182,14 +145,6 @@ def analyze_flow(
         raw["REP010"] = rngflow.run_stream_hygiene(index)
     if "REP011" in wanted:
         raw["REP011"] = rngflow.run_generator_escape(index)
-    shard_reports: list[GlobalReport] = []
-    if "REP012" in wanted:
-        shard_reports, shard_raw = shard.run_shard_safety(index, graph)
-    else:
-        shard_reports = shard.audit_globals(index, graph)
-        shard_raw = []
-    if "REP012" in wanted:
-        raw["REP012"] = shard_raw
     if "REP013" in wanted:
         raw["REP013"] = schemaflow.run_schema_producers(index)
 
@@ -204,12 +159,9 @@ def analyze_flow(
             else:
                 findings.append(finding)
     findings.sort(key=Finding.sort_key)
-    return FlowResult(
+    return AnalysisResult(
         findings=findings,
         files_analyzed=n_files,
         suppressed=suppressed,
         parse_errors=len(parse_findings),
-        index=index,
-        graph=graph,
-        shard_reports=shard_reports,
     )

@@ -13,9 +13,9 @@ them.
 Rule REP011 flags ``Generator`` objects escaping into module globals —
 a module-level ``RNG = stream_for(...)`` binding or a ``global``
 rebind inside a function. Module-global generators are shared mutable
-state: any future shard boundary (ROADMAP item 3) would fork their
-internal state, and two shards would replay identical draws. Streams
-must be created where they are consumed and passed down explicitly.
+state: every caller in the process draws from one sequence, so a draw's
+value depends on who else drew first. Streams must be created where
+they are consumed and passed down explicitly.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def run_generator_escape(index: ProjectIndex) -> list[Raw]:
                         mod.ctx,
                         var.node,
                         f'module global "{var.name}" holds an RNG '
-                        "stream — generators are stateful and shard-"
-                        "unsafe; create the stream where it is consumed "
+                        "stream — generators are stateful and shared by "
+                        "every caller; create the stream where it is consumed "
                         "and pass it down explicitly",
                     )
                 )
@@ -200,8 +200,8 @@ def run_generator_escape(index: ProjectIndex) -> list[Raw]:
                             mod.ctx,
                             var.node,
                             f'module global "{var.name}" holds an RNG '
-                            "generator — generators are stateful and "
-                            "shard-unsafe; create the generator where it "
+                            "generator — generators are stateful and shared "
+                            "by every caller; create the generator where it "
                             "is consumed and pass it down explicitly",
                         )
                     )
@@ -237,7 +237,7 @@ def run_generator_escape(index: ProjectIndex) -> list[Raw]:
                                     node,
                                     "RNG generator rebound onto a module "
                                     f"global from {owner}() — module-"
-                                    "global generators are shard-unsafe; "
+                                    "global generators are shared state; "
                                     "thread the stream through call "
                                     "arguments instead",
                                 )

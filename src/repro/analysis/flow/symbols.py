@@ -12,7 +12,7 @@ expressions against it.
 
 Everything is built in sorted-module order from dict/list structures
 only, so two builds over the same tree are identical and every document
-derived from the index (call graph, shard report) is byte-stable.
+derived from the index (call graph, findings) is byte-stable.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _FROZEN_CONSTRUCTORS = frozenset({"frozenset", "tuple", "compile"})
 
 
 def module_name_of(ctx: ModuleContext) -> str:
-    """Dotted module name for a context (``repro/faas/events.py`` ->
-    ``repro.faas.events``; package ``__init__`` files name the package)."""
+    """Dotted module name for a context (``repro/faas/platform.py`` ->
+    ``repro.faas.platform``; package ``__init__`` files name the package)."""
     parts = ctx.parts
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]

@@ -7,7 +7,7 @@ or legacy ``numpy.random.*`` calls, ``uuid1/uuid4``, ``os.urandom``,
 PYTHONHASHSEED) all break that contract.
 
 REP002: simulated components must read time from the discrete-event clock
-(``Simulator.now`` in ``repro.faas.events``), never the host. A single
+(``EventKernel.now`` in ``repro.kernel``), never the host. A single
 ``time.time()`` on a simulation path couples results to the machine that
 produced them.
 """
@@ -45,7 +45,7 @@ _CLOCK_CALLS = frozenset(
 #: clock is ``repro.profiling.clock.host_clock_s`` (pragma'd at the call
 #: site); every other profiling module — and every instrumented simulation
 #: module — must route host timing through that helper. ``analysis/flow``
-#: is in scope too: its exported documents (call graph, shard report) are
+#: is in scope too: its exported documents (call graph, lint report) are
 #: byte-stable contracts, so the flow analyzer itself must never read the
 #: host clock.
 _SIM_PACKAGES = (
@@ -134,5 +134,5 @@ class WallClockRule(Rule):
                     ctx,
                     node,
                     f"{target}() reads the host clock inside a simulated "
-                    "package; use the event-loop clock (Simulator.now)",
+                    "package; use the event-loop clock (EventKernel.now)",
                 )

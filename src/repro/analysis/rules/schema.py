@@ -72,9 +72,6 @@ SCHEMA_KEYS: dict[str, frozenset[str]] = {
     "repro-callgraph/v1": frozenset(
         {"schema", "meta", "nodes", "edges", "summary"}
     ),
-    "repro-sharding/v1": frozenset(
-        {"schema", "meta", "globals", "summary", "verdict"}
-    ),
     "repro-bundle/v1": frozenset(
         {"schema", "meta", "run_id", "artifacts", "summary"}
     ),

@@ -7,7 +7,7 @@ finding list — and therefore the ``repro-lint/v1`` document — is
 byte-identical across runs and filesystems (``os.scandir`` order is not).
 
 Relative paths are anchored at each argument's parent directory, so
-linting ``src/repro`` yields paths like ``repro/faas/events.py`` — stable
+linting ``src/repro`` yields paths like ``repro/faas/platform.py`` — stable
 identifiers for baselines regardless of where the repository lives.
 """
 

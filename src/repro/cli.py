@@ -896,9 +896,9 @@ def cmd_diagnose(args) -> int:
         try:
             payload = from_json_payload(target.read_text())
             trace = json.loads(Path(args.trace).read_text()) if args.trace else None
+            obs = RunObservation.from_capture(payload, trace)
         except (OSError, ValueError) as exc:
             return _capture_error("diagnose", exc)
-        obs = RunObservation.from_capture(payload, trace)
         if getattr(args, "timeseries", None):
             # Capture mode: --timeseries names a saved repro-timeseries/v1
             # capture; its series feed the anomaly detector.
@@ -1324,11 +1324,7 @@ def cmd_analyze(args) -> int:
                 )
             return 1 if errors else 0
 
-        select = {
-            "taint": {"REP009", "REP010", "REP011", "REP013"},
-            "shard-safety": {"REP012"},
-        }[args.target]
-        result = analysis.analyze_flow(paths, select=select)
+        result = analysis.analyze_flow(paths)
         if args.no_baseline:
             baseline = analysis.Baseline.empty()
         else:
@@ -1345,32 +1341,11 @@ def cmd_analyze(args) -> int:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return 2
 
-    if args.target == "shard-safety":
-        payload = analysis.sharding_payload(result.index, result.shard_reports)
-        if args.format == "json":
-            _emit(analysis.sharding_to_json(result.index, result.shard_reports),
-                  args.out)
-        else:
-            summary = payload["summary"]
-            print(f"shard-safety: {payload['verdict']}  "
-                  f"({summary['n_globals']} globals audited, "  # type: ignore[index]
-                  f"{summary['n_mutated_from_sim']} touched from sim paths)")  # type: ignore[index]
-            by_kind = summary["by_kind"]  # type: ignore[index]
-            for kind in sorted(by_kind):
-                if by_kind[kind]:
-                    print(f"  {kind:>14}: {by_kind[kind]}")
-            for finding in new:
-                print(f"  {finding.path}:{finding.line}: {finding.message}")
-        return 1 if (new or payload["verdict"] != "ready") else 0
-
-    lint_result = result.as_analysis_result()
-    rules = [
-        r for r in analysis.flow_rules() if r.rule_id in select | {"REP000"}
-    ]
+    rules = analysis.flow_rules()
     if args.format == "json":
-        print(analysis.to_json(lint_result, rules, new, baselined), end="")
+        print(analysis.to_json(result, rules, new, baselined), end="")
     else:
-        print(analysis.render_table(lint_result, new, baselined))
+        print(analysis.render_table(result, new, baselined))
     return 1 if new else 0
 
 
@@ -1699,8 +1674,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "consistency, exception hygiene, schema discipline, "
                     "deterministic iteration order, and bounded retries. "
                     "--flow adds the interprocedural passes: clock-domain "
-                    "taint, RNG stream hygiene, shard safety, and schema "
-                    "producer cross-checks.",
+                    "taint, RNG stream hygiene, and schema producer "
+                    "cross-checks.",
     )
     p.add_argument("paths", nargs="*",
                    help="files or directories to analyze "
@@ -1728,17 +1703,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="whole-program flow analysis: call graph, clock/RNG taint, "
-             "shard-safety audit",
+        help="whole-program flow analysis: call graph, clock/RNG taint",
         description="Interprocedural analyses over the project call graph. "
                     "'graph' exports the deterministic repro-callgraph/v1 "
                     "document (or DOT); 'taint' runs the clock-domain and "
-                    "RNG dataflow rules (REP009-REP011, REP013); "
-                    "'shard-safety' classifies every module-level global "
-                    "and emits the repro-sharding/v1 readiness report that "
-                    "gates the sharded event-kernel refactor.",
+                    "RNG dataflow rules (REP009-REP011, REP013).",
     )
-    p.add_argument("target", choices=("graph", "taint", "shard-safety"),
+    p.add_argument("target", choices=("graph", "taint"),
                    help="which analysis to run")
     p.add_argument("paths", nargs="*",
                    help="files or directories to analyze "

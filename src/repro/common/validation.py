@@ -44,3 +44,14 @@ def require_one_of(value: T, options: Iterable[T], name: str) -> T:
     if value not in opts:
         raise ValidationError(f"{name} must be one of {opts}, got {value!r}")
     return value
+
+
+def require_field(payload: object, key: str, name: str) -> object:
+    """``payload[key]``; raise unless ``payload`` is an object holding ``key``."""
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"{name} must be a JSON object, got {type(payload).__name__}"
+        )
+    if key not in payload:
+        raise ValidationError(f"{name} is missing required field {key!r}")
+    return payload[key]

@@ -14,8 +14,8 @@ built from either
 Reconstruction reads the executor's ``epoch`` spans (track ``epochs``) as
 windows and assigns the platform's load/compute/sync/cold/queue/worker
 spans to them by containment; scheduler spans attach via their ``epoch``
-argument. A trace produced by the post-hoc ``trace_epochs`` reconstruction
-(no ``epochs`` track) degrades gracefully to its load/compute/sync spans.
+argument. A trace with no ``epoch`` spans is rejected: the training
+executor always writes them.
 """
 
 from __future__ import annotations
@@ -221,9 +221,12 @@ def _parse_alloc(label: str) -> Allocation | None:
 def _epochs_from_trace(trace: dict) -> list[EpochObservation]:
     spans = _chrome_spans(trace)
     windows = [s for s in spans if s["cat"] == "epoch"]
-    if windows:
-        return _epochs_from_windows(spans, windows)
-    return _epochs_from_args(spans)
+    if not windows:
+        raise ValidationError(
+            "trace has no 'epoch' spans; pass the --trace written by the "
+            "same training run"
+        )
+    return _epochs_from_windows(spans, windows)
 
 
 def _epochs_from_windows(
@@ -268,44 +271,6 @@ def _epochs_from_windows(
                 hidden_restart_overlap_s=hidden_s,
                 restarted=restarted,
                 worker_durations_s=tuple(s["duration_s"] for s in workers),
-            )
-        )
-    return out
-
-
-def _epochs_from_args(spans: list[dict]) -> list[EpochObservation]:
-    """Fallback for post-hoc traces: group load/compute/sync by epoch arg."""
-    per_epoch: dict[int, dict] = {}
-    for s in spans:
-        if s["cat"] not in ("load", "compute", "sync"):
-            continue
-        if "epoch" not in s["args"]:
-            continue
-        idx = int(s["args"]["epoch"])
-        entry = per_epoch.setdefault(
-            idx, {"load": 0.0, "compute": 0.0, "sync": 0.0, "track": s["track"]}
-        )
-        entry[s["cat"]] += s["duration_s"]
-    sched = _scheduling_by_epoch(spans)
-    out = []
-    for idx in sorted(per_epoch):
-        e = per_epoch[idx]
-        label = e["track"].removeprefix("group:")
-        visible_s, hidden_s, restarted = sched.get(idx, (0.0, 0.0, False))
-        out.append(
-            EpochObservation(
-                index=idx,
-                alloc_label=label,
-                allocation=_parse_alloc(label),
-                load_s=e["load"],
-                compute_s=e["compute"],
-                sync_s=e["sync"],
-                cold_start_s=0.0,
-                queue_wait_s=0.0,
-                wall_s=e["load"] + e["compute"] + e["sync"],
-                scheduling_overhead_s=visible_s,
-                hidden_restart_overlap_s=hidden_s,
-                restarted=restarted,
             )
         )
     return out

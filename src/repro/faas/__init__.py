@@ -1,11 +1,10 @@
 """Serverless platform substrate: discrete-event simulator of AWS Lambda."""
 
 from repro.faas.billing import BillingMeter, InvocationBill
-from repro.faas.events import Resource, Simulator
 from repro.faas.function import FunctionInstance, WarmPool
 from repro.faas.noise import NoiseModel
 from repro.faas.platform import EpochExecution, FaaSPlatform, InvocationResult
-from repro.faas.trace import TraceEvent, TraceRecorder, trace_epochs
+from repro.faas.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "BillingMeter",
@@ -15,10 +14,7 @@ __all__ = [
     "InvocationBill",
     "InvocationResult",
     "NoiseModel",
-    "Resource",
-    "Simulator",
     "TraceEvent",
     "TraceRecorder",
     "WarmPool",
-    "trace_epochs",
 ]

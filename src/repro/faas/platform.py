@@ -20,7 +20,7 @@ from repro.common.errors import FaultError, RetryExhaustedError, SimulationError
 from repro.common.types import EpochTimeBreakdown
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.faas.billing import BillingMeter
-from repro.faas.events import Acquire, Join, Priority, Release, Resource, Simulator
+from repro.kernel import Acquire, EventKernel, Join, Priority, Release, Resource
 from repro.faas.function import WarmPool
 from repro.faas.noise import NoiseModel
 from repro.telemetry import get_registry, get_tracer
@@ -99,7 +99,7 @@ class FaaSPlatform:
     fault_injector: object | None = None
 
     def __post_init__(self) -> None:
-        self.sim = Simulator()
+        self.sim = EventKernel()
         self.concurrency = Resource(
             self.platform.limits.max_concurrency, name="account-concurrency"
         )

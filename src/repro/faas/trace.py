@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.common.errors import ValidationError
 
@@ -129,39 +128,3 @@ class TraceRecorder:
             out[e.category] = out.get(e.category, 0.0) + e.duration_s
         return out
 
-
-def trace_epochs(recorder: TraceRecorder, epochs: Iterable, start_at: float = 0.0) -> float:
-    """Record a training run's EpochRecords onto a recorder.
-
-    Returns the timeline's end time. Each epoch contributes load/compute/
-    sync spans on its allocation's track, plus restart markers.
-    """
-    t = start_at
-    for e in epochs:
-        track = f"group:{e.allocation.describe()}"
-        recorder.record("load", "load", t, e.time.load_s, track, epoch=e.index)
-        recorder.record(
-            "compute", "compute", t + e.time.load_s, e.time.compute_s, track,
-            epoch=e.index, loss=e.loss,
-        )
-        recorder.record(
-            "sync", "sync", t + e.time.load_s + e.time.compute_s,
-            e.time.sync_s, track, epoch=e.index,
-        )
-        # Delayed restart launches the new functions *during* this epoch so
-        # they are ready when it ends (Fig. 8): the hidden startup occupies
-        # the epoch's trailing window, not time after it.
-        hidden = getattr(e, "hidden_restart_overlap_s", 0.0)
-        if hidden:
-            overlap = min(hidden, e.time.total_s)
-            recorder.record(
-                "restart-overlap", "scheduling", t + e.time.total_s - overlap,
-                overlap, "scheduler", epoch=e.index, hidden=True,
-            )
-        if e.scheduling_overhead_s:
-            recorder.record(
-                "restart", "scheduling", t + e.time.total_s,
-                e.scheduling_overhead_s, "scheduler", epoch=e.index,
-            )
-        t += e.time.total_s + e.scheduling_overhead_s
-    return t

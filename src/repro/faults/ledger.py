@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
+from repro.common.validation import require_field
 
 REPORT_SCHEMA = "repro-faults-report/v1"
 
@@ -82,8 +83,8 @@ class FaultRecord:
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultRecord":
         return cls(
-            kind=payload["kind"],
-            t_s=float(payload["t_s"]),
+            kind=require_field(payload, "kind", "fault record"),
+            t_s=float(require_field(payload, "t_s", "fault record")),
             scope=payload.get("scope", ""),
             epoch=int(payload.get("epoch", -1)),
             rank=int(payload.get("rank", -1)),
@@ -217,6 +218,10 @@ class FaultLedger:
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultLedger":
         """Parse a report document written by :meth:`to_payload`."""
+        if not isinstance(payload, dict):
+            raise ValidationError(
+                f"fault report must be a JSON object, got {type(payload).__name__}"
+            )
         if payload.get("schema") != REPORT_SCHEMA:
             raise ValidationError(
                 f"expected schema {REPORT_SCHEMA!r}, got {payload.get('schema')!r}"

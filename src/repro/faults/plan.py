@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.common.errors import ValidationError
 from repro.common.types import StorageKind
+from repro.common.validation import require_field
 
 FAULTS_SCHEMA = "repro-faults/v1"
 
@@ -124,8 +125,10 @@ class ThrottleWindow:
     @classmethod
     def from_payload(cls, payload: dict) -> "ThrottleWindow":
         return cls(
-            start_s=float(payload["start_s"]),
-            duration_s=float(payload["duration_s"]),
+            start_s=float(require_field(payload, "start_s", "throttle window")),
+            duration_s=float(
+                require_field(payload, "duration_s", "throttle window")
+            ),
             slowdown=float(payload.get("slowdown", 3.0)),
         )
 

@@ -7,8 +7,10 @@ substrate stack at iteration granularity for the linear models:
 * gradients come from genuine numpy SGD (:class:`DistributedSGD`);
 * every BSP round's aggregation is routed through a *real* simulated
   storage service's K/V plane (:class:`BSPSynchronizer`) — the bytes the
-  optimizer consumes actually crossed the simulated network, so storage
-  faults (via :class:`FaultyStorageService`) genuinely perturb training;
+  optimizer consumes actually crossed the simulated network;
+* storage faults come from a :class:`repro.faults.FaultInjector`, the
+  same fault model the platform uses: each epoch's sync pays its
+  transient and throttle penalty;
 * compute time follows the platform's memory-proportional CPU model and
   the billing meter charges functions and storage like CloudWatch would.
 
@@ -22,14 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import ValidationError
+from repro.common.errors import RetryExhaustedError, ValidationError
 from repro.common.types import Allocation
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.analytical.timemodel import check_feasible, compute_speedup
 from repro.faas.billing import BillingMeter
+from repro.faults.injector import FaultInjector
 from repro.ml.models import Workload
 from repro.ml.sgd import DistributedSGD, SGDConfig
-from repro.storage.base import ExternalStorageService
 from repro.storage.catalog import make_service
 from repro.storage.sync import BSPSynchronizer
 
@@ -56,8 +58,8 @@ class IntegratedTrainer:
         allocation: θ = (n, memory, storage) to run under.
         iterations_per_epoch: BSP rounds per epoch (defaults to the
             workload's k, capped for tractability).
-        service: storage service override (e.g. a FaultyStorageService);
-            defaults to a fresh service of the allocation's kind.
+        faults: storage-fault process; each epoch's sync time gains
+            its :meth:`~repro.faults.FaultInjector.sync_penalty`.
     """
 
     workload: Workload
@@ -66,7 +68,7 @@ class IntegratedTrainer:
     seed: int = 0
     iterations_per_epoch: int | None = None
     rows_per_worker: int = 400
-    service: ExternalStorageService | None = None
+    faults: FaultInjector | None = None
 
     def __post_init__(self) -> None:
         if not self.workload.profile.family.is_linear:
@@ -75,8 +77,7 @@ class IntegratedTrainer:
                 "models have no real gradients to route through storage"
             )
         check_feasible(self.workload, self.allocation, self.platform)
-        if self.service is None:
-            self.service = make_service(self.allocation.storage, self.platform)
+        self.service = make_service(self.allocation.storage, self.platform)
         self.synchronizer = BSPSynchronizer(
             self.service, self.allocation.n_functions
         )
@@ -124,6 +125,17 @@ class IntegratedTrainer:
         speed = compute_speedup(self.workload, self.allocation.memory_mb, self.platform)
         compute_s = k * batch_mb * self.workload.profile.compute_s_per_mb / speed
         sync_s = self._sync_time_epoch
+        if self.faults is not None:
+            start_s = sum(r.wall_time_s for r in self.reports)
+            penalty = self.faults.sync_penalty(
+                self.sgd.epoch, self.allocation.storage.value, start_s, sync_s
+            )
+            if penalty.exhausted:
+                raise RetryExhaustedError(
+                    f"epoch {self.sgd.epoch} failed: storage sync retries exhausted",
+                    scope=self.faults.scope, t_s=start_s,
+                )
+            sync_s += penalty.extra_s
         wall = compute_s + sync_s
         billed = 0.0
         for _ in range(self.allocation.n_functions):

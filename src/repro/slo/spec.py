@@ -71,6 +71,12 @@ class SLOSpec:
                 "spec needs at least one objective: deadline_s, budget_usd, "
                 "or stage_budgets_usd"
             )
+        for key in ("deadline_s", "budget_usd"):
+            value = getattr(self, key)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise SLOError(f"{key} must be a number, got {value!r}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise SLOError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.budget_usd is not None and self.budget_usd <= 0:

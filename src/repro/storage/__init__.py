@@ -6,25 +6,15 @@ from repro.storage.catalog import (
     make_service,
     table1_rows,
 )
-from repro.storage.faults import (
-    FaultInjector,
-    FaultyStorageService,
-    RetryPolicy,
-    StorageRequestError,
-)
 from repro.storage.kvplane import KVPlane
 from repro.storage.sync import BSPSynchronizer, SyncRoundReport
 
 __all__ = [
     "BSPSynchronizer",
     "ExternalStorageService",
-    "FaultInjector",
-    "FaultyStorageService",
     "KVPlane",
-    "RetryPolicy",
     "StorageCatalog",
     "StorageMetrics",
-    "StorageRequestError",
     "SyncRoundReport",
     "make_service",
     "table1_rows",

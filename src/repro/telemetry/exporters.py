@@ -151,6 +151,10 @@ def to_json(
 def from_json_payload(text: str) -> dict:
     """Parse and validate a telemetry JSON document."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"telemetry document must be a JSON object, got {type(payload).__name__}"
+        )
     if payload.get("schema") != JSON_SCHEMA:
         raise ValueError(
             f"unsupported telemetry schema {payload.get('schema')!r}; "

@@ -1,16 +1,14 @@
 """Live span tracing: feed the TraceRecorder *during* simulation.
 
-``repro.faas.trace.trace_epochs`` reconstructs a timeline from
-``EpochRecord``s after a run; the :class:`Tracer` instead lets the platform
-and executors emit spans as they happen, so the trace shows what the
-post-hoc reconstruction cannot — gang queue waits, cold-start windows, the
+The :class:`Tracer` lets the platform and executors emit spans as they
+happen, so the trace shows gang queue waits, cold-start windows and the
 delayed-restart overlap hidden under a running epoch.
 
 Timebase: spans are recorded in the platform simulator's clock plus a
 cumulative *offset*. Scheduling work (prediction refits, planner searches,
 visible restart overhead) takes zero simulator time but real job time; the
 executor advances the offset by those amounts so the live trace lines up
-with the job's JCT, exactly like the post-hoc reconstruction.
+with the job's JCT.
 """
 
 from __future__ import annotations

@@ -59,41 +59,6 @@ class TestTaint:
         assert doc["schema"] == "repro-lint/v1"
         assert {f["rule"] for f in doc["findings"]} == {"REP010"}
 
-    def test_shard_rule_not_in_taint_scope(self, capsys):
-        assert analyze("taint", str(fixture_tree("rep012", "bad")),
-                       "--no-baseline") == 0
-
-
-class TestShardSafety:
-    def test_bad_tree_blocked(self, capsys):
-        assert analyze("shard-safety", str(fixture_tree("rep012", "bad")),
-                       "--no-baseline") == 1
-        out = capsys.readouterr().out
-        assert "blocked" in out
-
-    def test_good_tree_ready(self, capsys):
-        assert analyze("shard-safety", str(fixture_tree("rep012", "good")),
-                       "--no-baseline") == 0
-        out = capsys.readouterr().out
-        assert "ready" in out
-        assert "null_singleton: 1" in out
-
-    def test_json_report(self, capsys):
-        assert analyze("shard-safety", str(fixture_tree("rep012", "bad")),
-                       "--no-baseline", "--format", "json") == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro-sharding/v1"
-        assert doc["verdict"] == "blocked"
-        assert "pkg.state.RUN_LOG" in doc["summary"]["blocking"]
-
-    def test_out_writes_report(self, capsys, tmp_path):
-        target = tmp_path / "shard.json"
-        assert analyze("shard-safety", str(fixture_tree("rep012", "good")),
-                       "--no-baseline", "--format", "json",
-                       "--out", str(target)) == 0
-        doc = json.loads(target.read_text(encoding="utf-8"))
-        assert doc["verdict"] == "ready"
-
 
 class TestLintFlow:
     def test_flow_flag_adds_flow_findings(self, capsys):
@@ -110,7 +75,7 @@ class TestLintFlow:
         assert "REP009" not in capsys.readouterr().out
         assert lint("--flow", "--list-rules") == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP009", "REP010", "REP011", "REP012", "REP013"):
+        for rule_id in ("REP009", "REP010", "REP011", "REP013"):
             assert rule_id in out
 
     def test_flow_select_requires_flag(self, capsys):
@@ -122,7 +87,7 @@ class TestLintFlow:
                     "--no-baseline", "--select", "REP010") == 0
 
     def test_json_byte_identical_across_runs(self, capsys):
-        args = (str(fixture_tree("rep012", "bad")), "--flow",
+        args = (str(fixture_tree("rep011", "bad")), "--flow",
                 "--no-baseline", "--format", "json")
         lint(*args)
         first = capsys.readouterr().out

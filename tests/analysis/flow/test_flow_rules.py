@@ -1,4 +1,4 @@
-"""Golden-fixture tests for the interprocedural rules REP009–REP013."""
+"""Golden-fixture tests for the interprocedural rules REP009–REP011, REP013."""
 
 import pytest
 
@@ -12,7 +12,6 @@ GOLDEN = {
     "REP009": ("rep009", 3),
     "REP010": ("rep010", 3),
     "REP011": ("rep011", 2),
-    "REP012": ("rep012", 2),
     "REP013": ("rep013", 2),
 }
 
@@ -54,7 +53,7 @@ class TestCatalogue:
     def test_flow_rule_ids_are_appended_after_per_file_rules(self):
         per_file = {r.rule_id for r in all_rules()}
         flow = {r.rule_id for r in flow_rules()}
-        assert flow == {"REP009", "REP010", "REP011", "REP012", "REP013"}
+        assert flow == {"REP009", "REP010", "REP011", "REP013"}
         assert not (per_file & flow)
 
     def test_flow_rules_have_rationales_and_names(self):

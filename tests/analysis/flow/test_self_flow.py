@@ -1,33 +1,13 @@
 """Meta-test: the repository passes its own flow analysis.
 
 Mirror of ``tests/analysis/test_self_lint.py`` for the interprocedural
-layer: the whole tree must produce zero unbaselined REP009–REP013
-findings, the shard-safety report must classify every known
-process-global singleton as a registered null-object singleton with a
-"ready" verdict, and both exported documents must be byte-stable.
+layer: the whole tree must produce zero unbaselined flow findings.
 """
 
-import json
-
 from repro.analysis import Baseline
-from repro.analysis.flow import (
-    SHARDING_SCHEMA,
-    analyze_flow,
-    sharding_payload,
-    sharding_to_json,
-)
+from repro.analysis.flow import analyze_flow
 
 from tests.analysis.conftest import REPO_ROOT, SRC_REPRO
-
-#: The process-global singletons the repo registers deliberately; the
-#: audit must see every one as the null-object pattern.
-KNOWN_SINGLETONS = {
-    "repro.profiling._profiler",
-    "repro.slo.events._bus",
-    "repro.telemetry._registry",
-    "repro.telemetry._tracer",
-    "repro.timeseries._sampler",
-}
 
 
 class TestSelfFlow:
@@ -41,44 +21,11 @@ class TestSelfFlow:
         assert new == [], f"new flow findings:\n{details}"
         assert result.parse_errors == 0
 
-    def test_singletons_classified_as_null_objects(self):
-        result = analyze_flow([SRC_REPRO], select=set())
-        by_name = {r.var.qualname: r for r in result.shard_reports}
-        for qualname in sorted(KNOWN_SINGLETONS):
-            report = by_name[qualname]
-            assert report.kind == "null_singleton", qualname
-            assert report.setter is not None, qualname
-
-    def test_shard_verdict_is_ready(self):
-        result = analyze_flow([SRC_REPRO], select=set())
-        payload = sharding_payload(result.index, result.shard_reports)
-        assert payload["schema"] == SHARDING_SCHEMA
-        assert payload["verdict"] == "ready"
-        assert payload["summary"]["blocking"] == []
-        assert payload["summary"]["by_kind"]["bare_mutable"] == 0
-        assert payload["summary"]["by_kind"]["null_singleton"] == len(
-            KNOWN_SINGLETONS
-        )
-
-    def test_sharding_document_is_byte_identical_across_builds(self):
-        def run() -> str:
-            result = analyze_flow([SRC_REPRO], select=set())
-            return sharding_to_json(result.index, result.shard_reports)
-
-        first, second = run(), run()
-        assert first == second
-        doc = json.loads(first)
-        assert set(doc) == {"schema", "meta", "globals", "summary", "verdict"}
-        assert doc["summary"]["n_globals"] == len(doc["globals"])
-
     def test_flow_schemas_registered_for_rep006(self):
         from repro.analysis import SCHEMA_KEYS
 
         assert SCHEMA_KEYS["repro-callgraph/v1"] == frozenset(
             {"schema", "meta", "nodes", "edges", "summary"}
-        )
-        assert SCHEMA_KEYS["repro-sharding/v1"] == frozenset(
-            {"schema", "meta", "globals", "summary", "verdict"}
         )
 
     def test_flow_analyzer_is_in_rep002_scope(self):

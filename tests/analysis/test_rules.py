@@ -71,7 +71,7 @@ class TestRuleScoping:
         src = "import heapq\n\ndef push(h, t, a):\n    heapq.heappush(h, (t, a))\n"
         rule = [rules_by_id()["REP003"]]
         assert analyze_source(src, rule, relpath="repro/tuning/queue.py") == []
-        assert analyze_source(src, rule, relpath="repro/faas/events.py") != []
+        assert analyze_source(src, rule, relpath="repro/faas/platform.py") != []
 
 
 class TestRuleDetails:

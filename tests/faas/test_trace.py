@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.faas.trace import TraceRecorder, trace_epochs
+from repro.faas.trace import TraceRecorder
 
 
 class TestRecorder:
@@ -162,89 +162,3 @@ class TestWorkerSpanRoundTrip:
         # The first epoch of a fresh group is all cold starts.
         assert all(s["args"]["cold"] for s in workers)
 
-
-class TestTraceEpochs:
-    def test_training_run_traced(self, mobilenet, mobilenet_profile):
-        from repro.workflow.job import training_envelope
-        from repro.workflow.runner import run_training
-
-        budget = training_envelope(mobilenet, mobilenet_profile).budget(2.5)
-        result = run_training(
-            mobilenet, budget_usd=budget, seed=0, max_epochs=6,
-            profile=mobilenet_profile,
-        ).result
-        rec = TraceRecorder()
-        end = trace_epochs(rec, result.epochs)
-        assert end > 0
-        assert rec.total_time("sync") == pytest.approx(
-            result.comm_overhead_s, rel=1e-9
-        )
-        # One load+compute+sync triple per epoch.
-        assert len(rec.spans("compute")) == len(result.epochs)
-        json.loads(rec.to_chrome_trace())  # exports cleanly
-
-    def test_restart_overlap_recorded_over_running_epoch(self):
-        """The delayed-restart prewarm window (Fig. 8) overlaps the epoch it
-        ran under — it must end exactly where that epoch ends, before any
-        visible restart span."""
-        from repro.common.types import (
-            Allocation,
-            EpochCostBreakdown,
-            EpochRecord,
-            EpochTimeBreakdown,
-            StorageKind,
-        )
-
-        alloc = Allocation(
-            n_functions=4, memory_mb=1769, storage=StorageKind.VMPS
-        )
-        cost = EpochCostBreakdown(0.0, 0.0, 0.0)
-        epochs = [
-            EpochRecord(
-                index=1, allocation=alloc, cost=cost, loss=1.0,
-                time=EpochTimeBreakdown(load_s=1.0, compute_s=8.0, sync_s=1.0),
-                scheduling_overhead_s=2.0, restarted=True,
-                hidden_restart_overlap_s=3.0,
-            ),
-            EpochRecord(
-                index=2, allocation=alloc, cost=cost, loss=0.5,
-                time=EpochTimeBreakdown(load_s=1.0, compute_s=8.0, sync_s=1.0),
-            ),
-        ]
-        rec = TraceRecorder()
-        trace_epochs(rec, epochs)
-        (overlap,) = [e for e in rec.spans() if e.name == "restart-overlap"]
-        (restart,) = [e for e in rec.spans() if e.name == "restart"]
-        # Epoch 1 spans [0, 10): the 3 s prewarm hides under its tail.
-        assert overlap.start_s == pytest.approx(7.0)
-        assert overlap.duration_s == pytest.approx(3.0)
-        assert overlap.args["hidden"] is True
-        # The visible overhead sits after the epoch, on the critical path.
-        assert restart.start_s == pytest.approx(10.0)
-        assert restart.duration_s == pytest.approx(2.0)
-
-    def test_restart_overlap_clamped_to_epoch_length(self):
-        from repro.common.types import (
-            Allocation,
-            EpochCostBreakdown,
-            EpochRecord,
-            EpochTimeBreakdown,
-            StorageKind,
-        )
-
-        alloc = Allocation(
-            n_functions=2, memory_mb=1769, storage=StorageKind.S3
-        )
-        epochs = [
-            EpochRecord(
-                index=1, allocation=alloc,
-                cost=EpochCostBreakdown(0.0, 0.0, 0.0), loss=1.0,
-                time=EpochTimeBreakdown(load_s=0.5, compute_s=1.0, sync_s=0.5),
-                hidden_restart_overlap_s=99.0,  # longer than the epoch
-            ),
-        ]
-        rec = TraceRecorder()
-        trace_epochs(rec, epochs)
-        (overlap,) = [e for e in rec.spans() if e.name == "restart-overlap"]
-        assert overlap.start_s == pytest.approx(0.0)
-        assert overlap.duration_s == pytest.approx(2.0)

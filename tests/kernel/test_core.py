@@ -110,11 +110,6 @@ class TestProcesses:
 
 
 class TestFaasShim:
-    def test_simulator_is_the_kernel(self):
-        from repro.faas.events import Simulator
-
-        assert Simulator is EventKernel
-
     def test_platform_runs_on_the_kernel(self):
         from repro.faas.platform import FaaSPlatform
 

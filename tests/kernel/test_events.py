@@ -3,19 +3,19 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.faas.events import Acquire, Join, Release, Resource, Simulator
+from repro.kernel import Acquire, EventKernel, Join, Release, Resource
 
 
 class TestScheduling:
     def test_time_advances(self):
-        sim = Simulator()
+        sim = EventKernel()
         fired = []
         sim.schedule(5.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [5.0]
 
     def test_order_by_time(self):
-        sim = Simulator()
+        sim = EventKernel()
         fired = []
         sim.schedule(3.0, lambda: fired.append("b"))
         sim.schedule(1.0, lambda: fired.append("a"))
@@ -23,7 +23,7 @@ class TestScheduling:
         assert fired == ["a", "b"]
 
     def test_fifo_tiebreak_at_equal_time(self):
-        sim = Simulator()
+        sim = EventKernel()
         fired = []
         sim.schedule(1.0, lambda: fired.append("first"))
         sim.schedule(1.0, lambda: fired.append("second"))
@@ -32,10 +32,10 @@ class TestScheduling:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            Simulator().schedule(-1.0, lambda: None)
+            EventKernel().schedule(-1.0, lambda: None)
 
     def test_run_until(self):
-        sim = Simulator()
+        sim = EventKernel()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(10.0, lambda: fired.append(2))
@@ -45,7 +45,7 @@ class TestScheduling:
 
 class TestProcesses:
     def test_sleep_effect(self):
-        sim = Simulator()
+        sim = EventKernel()
 
         def proc():
             yield 2.5
@@ -58,7 +58,7 @@ class TestProcesses:
         assert task.result == pytest.approx(5.0)
 
     def test_subprocess_composition(self):
-        sim = Simulator()
+        sim = EventKernel()
 
         def child():
             yield 3.0
@@ -75,7 +75,7 @@ class TestProcesses:
         assert sim.now == pytest.approx(4.0)
 
     def test_join_barrier(self):
-        sim = Simulator()
+        sim = EventKernel()
 
         def worker(d):
             yield d
@@ -94,7 +94,7 @@ class TestProcesses:
         assert sorted(results) == [1.0, 3.0, 5.0]
 
     def test_join_on_completed_tasks(self):
-        sim = Simulator()
+        sim = EventKernel()
 
         def quick():
             yield 0.1
@@ -112,7 +112,7 @@ class TestProcesses:
         assert j.result == [42]
 
     def test_unsupported_effect_raises(self):
-        sim = Simulator()
+        sim = EventKernel()
 
         def bad():
             yield "not-an-effect"
@@ -124,7 +124,7 @@ class TestProcesses:
 
 class TestResources:
     def test_acquire_release(self):
-        sim = Simulator()
+        sim = EventKernel()
         res = Resource(1, "slot")
         order = []
 
@@ -141,7 +141,7 @@ class TestResources:
         assert order[1] == ("b", pytest.approx(2.0))  # queued behind a
 
     def test_concurrent_within_capacity(self):
-        sim = Simulator()
+        sim = EventKernel()
         res = Resource(2, "slots")
         starts = []
 
@@ -157,7 +157,7 @@ class TestResources:
         assert starts == [0.0, 0.0]
 
     def test_peak_usage_tracked(self):
-        sim = Simulator()
+        sim = EventKernel()
         res = Resource(4, "slots")
 
         def worker():
@@ -172,7 +172,7 @@ class TestResources:
         assert res.available == 4
 
     def test_over_capacity_acquire_raises(self):
-        sim = Simulator()
+        sim = EventKernel()
         res = Resource(1, "slot")
 
         def greedy():
@@ -187,7 +187,7 @@ class TestResources:
             Resource(0)
 
     def test_fifo_fairness(self):
-        sim = Simulator()
+        sim = EventKernel()
         res = Resource(1, "slot")
         order = []
 

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ValidationError
+from repro.common.errors import RetryExhaustedError, ValidationError
 from repro.common.types import Allocation, StorageKind
 from repro.ml.models import workload
 from repro.ml.trainer import IntegratedTrainer
-from repro.storage.catalog import make_service
-from repro.storage.faults import FaultInjector, FaultyStorageService, RetryPolicy
+from repro.faults import FaultInjector, FaultPlan, RetrySpec, StorageFaultSpec
 
 
 def _trainer(storage=StorageKind.VMPS, n=4, seed=0, **kw):
@@ -84,15 +83,26 @@ class TestIntegratedTrainer:
 
     def test_with_faulty_storage(self):
         """Training survives a flaky service; faults only add time."""
-        faulty = FaultyStorageService(
-            inner=make_service(StorageKind.VMPS),
-            injector=FaultInjector(failure_prob=0.15, seed=4),
-            retry=RetryPolicy(max_attempts=8),
+        plan = FaultPlan(
+            name="flaky-sync",
+            storage={"*": StorageFaultSpec(transient_prob=1.0, max_errors=2)},
         )
-        t_faulty = _trainer(StorageKind.VMPS, seed=5, service=faulty)
+        injector = FaultInjector(plan, seed=4)
+        t_faulty = _trainer(StorageKind.VMPS, seed=5, faults=injector)
         t_clean = _trainer(StorageKind.VMPS, seed=5)
         r_faulty = t_faulty.run_epoch()
         r_clean = t_clean.run_epoch()
         assert r_faulty.loss == pytest.approx(r_clean.loss)  # same math
         assert r_faulty.sync_time_s > r_clean.sync_time_s  # fault penalty
-        assert faulty.retried_requests > 0
+        kinds = [rec.kind for rec in injector.ledger.records]
+        assert "storage-transient" in kinds
+
+    def test_exhausted_storage_retries_raise(self):
+        plan = FaultPlan(
+            name="dead-sync",
+            storage={"*": StorageFaultSpec(transient_prob=1.0, max_errors=4)},
+            retry=RetrySpec(max_attempts=1),
+        )
+        t = _trainer(StorageKind.VMPS, faults=FaultInjector(plan, seed=0))
+        with pytest.raises(RetryExhaustedError):
+            t.run_epoch()

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -142,3 +148,54 @@ class TestTelemetryFlags:
         assert main(["report", str(metrics), "--format", "prometheus"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_faas_invocations_total counter" in out
+
+
+#: Malformed input files, written side by side for each CLI case below.
+MALFORMED_FILES = {
+    "array.json": [],
+    "plan.json": {
+        "schema": "repro-faults/v1",
+        "name": "no-duration",
+        "storage": {"*": {"throttle_windows": [{"start_s": 1.0}]}},
+    },
+    "report.json": {
+        "schema": "repro-faults-report/v1",
+        "records": [{"kind": "crash"}],
+    },
+    "spec.json": {"schema": "repro-slo/v1", "deadline_s": "x"},
+    "telemetry.json": {"schema": "repro-telemetry/v1"},
+    "trace.json": {"traceEvents": []},
+}
+
+
+class TestMalformedInput:
+    """Bad input files exit 2 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "validate", "plan.json"],
+            ["train", "lr-higgs", "--faults", "plan.json"],
+            ["faults", "summarize", "report.json"],
+            ["faults", "summarize", "array.json"],
+            ["slo", "lr-higgs", "--spec", "spec.json"],
+            ["train", "lr-higgs", "--slo", "spec.json"],
+            ["report", "array.json"],
+            ["diagnose", "array.json"],
+            ["diagnose", "telemetry.json", "--trace", "trace.json"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
+    )
+    def test_one_line_exit_two(self, argv, tmp_path):
+        for name, payload in MALFORMED_FILES.items():
+            (tmp_path / name).write_text(json.dumps(payload))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
