@@ -16,16 +16,6 @@ from repro.common.errors import ValidationError
 from repro.telemetry import get_registry
 
 
-@dataclass(slots=True)
-class FunctionInstance:
-    """One provisioned execution environment."""
-
-    group: str
-    created_at: float
-    last_used_at: float
-    invocations: int = 0
-
-
 @dataclass
 class WarmPool:
     """Per-group warm instances with idle-TTL reclamation.
@@ -36,7 +26,10 @@ class WarmPool:
     """
 
     ttl_s: float = 900.0
-    _groups: dict[str, list[FunctionInstance]] = field(default_factory=dict)
+    # group -> [last_used_at, count] batches, oldest first. Instances are
+    # interchangeable apart from when they were last used, so a wave of n
+    # released together is one batch, not n objects.
+    _groups: dict[str, list[list]] = field(default_factory=dict)
     cold_starts: int = 0
     warm_reuses: int = 0
     expired: int = 0
@@ -63,20 +56,25 @@ class WarmPool:
         )
 
     def _expire(self, now: float) -> None:
-        for group, instances in list(self._groups.items()):
-            kept = [i for i in instances if now - i.last_used_at <= self.ttl_s]
-            if len(kept) < len(instances):
-                self._m_evictions.inc(len(instances) - len(kept))
-            self.expired += len(instances) - len(kept)
-            if kept:
-                self._groups[group] = kept
-            else:
+        # Batches are oldest first, so the expired ones are a prefix.
+        for group, batches in list(self._groups.items()):
+            k = 0
+            while k < len(batches) and now - batches[k][0] > self.ttl_s:
+                k += 1
+            if not k:
+                continue
+            dropped = sum(count for _, count in batches[:k])
+            self._m_evictions.inc(dropped)
+            self.expired += dropped
+            if k == len(batches):
                 del self._groups[group]
+            else:
+                del batches[:k]
 
     def warm_count(self, group: str, now: float) -> int:
         """Currently-warm instances for a group."""
         self._expire(now)
-        return len(self._groups.get(group, []))
+        return sum(count for _, count in self._groups.get(group, ()))
 
     def acquire(self, group: str, n: int, now: float) -> tuple[int, int]:
         """Take ``n`` instances for an invocation wave.
@@ -88,14 +86,21 @@ class WarmPool:
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
         self._expire(now)
-        available = self._groups.get(group, [])
-        warm = min(n, len(available))
-        cold = n - warm
+        batches = self._groups.get(group, [])
         # Reuse the most recently used instances (LIFO keeps the pool hot).
-        available.sort(key=lambda i: i.last_used_at)
-        self._groups[group] = available[: len(available) - warm]
-        if not self._groups[group]:
-            del self._groups[group]
+        need = n
+        while need and batches:
+            batch = batches[-1]
+            if batch[1] <= need:
+                need -= batch[1]
+                batches.pop()
+            else:
+                batch[1] -= need
+                need = 0
+        if not batches:
+            self._groups.pop(group, None)
+        warm = n - need
+        cold = need
         self.cold_starts += cold
         self.warm_reuses += warm
         if warm:
@@ -108,11 +113,16 @@ class WarmPool:
         """Return ``n`` instances to the pool after an invocation wave."""
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
-        bucket = self._groups.setdefault(group, [])
-        for _ in range(n):
-            bucket.append(
-                FunctionInstance(group=group, created_at=now, last_used_at=now)
-            )
+        batches = self._groups.setdefault(group, [])
+        # Keep the batches ordered by last use; the clock only moves
+        # forward, so this is almost always an append or a merge.
+        i = len(batches)
+        while i and batches[i - 1][0] > now:
+            i -= 1
+        if i and batches[i - 1][0] == now:
+            batches[i - 1][1] += n
+        else:
+            batches.insert(i, [now, n])
 
     def prewarm(self, group: str, n: int, now: float) -> None:
         """Provision ``n`` instances ahead of time (delayed restart)."""
@@ -121,8 +131,10 @@ class WarmPool:
 
     def retire(self, group: str) -> int:
         """Terminate a group's instances; returns how many were dropped."""
-        return len(self._groups.pop(group, []))
+        return sum(count for _, count in self._groups.pop(group, ()))
 
     def total_warm(self, now: float) -> int:
         self._expire(now)
-        return sum(len(v) for v in self._groups.values())
+        return sum(
+            count for batches in self._groups.values() for _, count in batches
+        )

@@ -1,10 +1,11 @@
 """The serverless platform simulator (AWS Lambda stand-in).
 
 Executes *epochs* of BSP-synchronized function groups on the discrete-event
-engine: every function acquires an account-concurrency slot, pays a cold
-start unless its group is warm, loads its dataset partition, computes with
-per-function jitter, and the group synchronizes after a barrier. Function
-durations feed the billing meter.
+kernel's clock: every function holds an account-concurrency slot, pays a
+cold start unless its group is warm, loads its dataset partition, computes
+with per-function jitter, and the group synchronizes after a barrier.
+Function durations feed the billing meter. A fault-free epoch is computed
+in closed form; a faulted one runs its workers as kernel processes.
 
 Warm-pool semantics follow Lambda: a group of functions stays warm between
 epochs under the same allocation; changing the allocation (the adaptive
@@ -14,7 +15,10 @@ the delayed-restart mechanism (paper Fig. 8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.common.errors import FaultError, RetryExhaustedError, SimulationError
 from repro.common.types import EpochTimeBreakdown
@@ -173,80 +177,206 @@ class FaaSPlatform:
         return self._noise.draws
 
     def execute_epoch(self, spec: EpochExecution) -> InvocationResult:
-        """Run one epoch on the event kernel and bill it.
+        """Run one epoch of a function group and bill it.
 
-        One loop serves both the fault-free and the injector-attached
-        path. Without an injector each worker sleeps through its cold
-        start, load, and jittered compute and the gang synchronizes after
-        the barrier — the barrier makes the epoch's compute phase the
-        *maximum* of the per-function durations, one source of the
-        analytical model's validation error (Fig. 19/20). With an
-        injector attached the same gang additionally sees permanent-loss
-        detection (a :attr:`Priority.FAULT` kernel event before the gang
-        launches), per-worker bounded retry (crashes, timeouts,
-        cold-start failures — each failed attempt is billed and re-run
-        after a jittered backoff), and storage transient/throttle
-        penalties on the synchronization. A gang that exhausts its retry
-        budget raises :class:`RetryExhaustedError`; the executor restores
-        the last epoch-boundary checkpoint and re-runs only this epoch.
+        Without an injector the epoch is simulated in closed form: each
+        worker runs its cold start (cold subset only), load and jittered
+        compute from one start, the barrier is the latest of them, and
+        the gang synchronizes after it. The barrier makes the epoch's
+        compute phase the *maximum* of the per-function durations, one
+        source of the analytical model's validation error (Fig. 19/20).
+        The clock, the kernel's event count and the bill come out exactly
+        as if every worker's sleeps had been dispatched through the
+        kernel.
 
-        The injector-free path draws the same noise in the same order and
-        schedules the same events as it did before faults existed, so
-        fault-free runs stay byte-identical.
+        With an injector attached the gang runs as kernel processes that
+        additionally see permanent-loss detection (a :attr:`Priority.FAULT`
+        kernel event before the gang launches), per-worker bounded retry
+        (crashes, timeouts, cold-start failures — each failed attempt is
+        billed and re-run after a jittered backoff), and storage
+        transient/throttle penalties on the synchronization. A gang that
+        exhausts its retry budget raises :class:`RetryExhaustedError`; the
+        executor restores the last epoch-boundary checkpoint and re-runs
+        only this epoch.
+
+        Both paths take the warm pool and draw the noise the same way.
+        A malformed spec raises :class:`SimulationError` before either
+        touches the pool, the noise streams or the clock.
         """
         if spec.n_functions < 1:
             raise SimulationError("epoch needs at least one function")
-        sim = self.sim
-        injector = self.fault_injector
-        start = sim.now
-        epoch = spec.epoch_index
-        incarnation = spec.incarnation
-        cold_base = self.platform.limits.cold_start_s
-
-        if injector is not None:
-            losses = injector.pending_losses(epoch, spec.n_functions)
-            if losses:
-                # The platform notices the dead instances when their
-                # invokes time out — one detection window on the critical
-                # path, dispatched ahead of any execution event at its
-                # timestamp.
-                detect_s = injector.plan.invocation_timeout_s or cold_base
-                sim.schedule(detect_s, lambda: None, priority=Priority.FAULT)
-                sim.run()
-                for loss in losses:
-                    injector.record(
-                        "permanent-loss", sim.now, epoch=epoch, rank=loss.rank,
-                        lost_s=detect_s,
-                        detail=f"instance gone since epoch {loss.epoch}",
-                    )
-                    injector.mark_loss_handled(loss)
-                exc = FaultError(
-                    f"permanent loss of {len(losses)} function instance(s) "
-                    f"at epoch {epoch}",
-                    scope=injector.scope, t_s=sim.now,
+        if not spec.memory_mb >= 1:
+            raise SimulationError(f"epoch memory_mb must be >= 1, got {spec.memory_mb}")
+        for phase in ("load_s", "compute_s", "sync_s"):
+            value = getattr(spec, phase)
+            if not (math.isfinite(value) and value >= 0):
+                raise SimulationError(
+                    f"epoch {phase} must be finite and >= 0, got {value}"
                 )
-                exc.losses = tuple(losses)
-                raise exc
+        if self.fault_injector is None:
+            return self._execute_closed_form(spec)
+        return self._execute_gang(spec, self.fault_injector)
 
+    def _launch(self, spec: EpochExecution) -> tuple:
+        """Take the gang's instances from the warm pool and draw its noise.
+
+        Returns ``(n_warm, n_cold, cold_s, compute_factors, load_factor,
+        sync_factor)``; the draw order is part of the run's identity.
+        """
+        now = self.sim.now
         if spec.prewarmed:
             # Delayed restart provisioned these instances during the
             # previous epoch; make sure the pool reflects that.
-            deficit = spec.n_functions - self.pool.warm_count(spec.group, sim.now)
+            deficit = spec.n_functions - self.pool.warm_count(spec.group, now)
             if deficit > 0:
-                self.pool.prewarm(spec.group, deficit, sim.now)
-        n_warm, n_cold = self.pool.acquire(spec.group, spec.n_functions, sim.now)
+                self.pool.prewarm(spec.group, deficit, now)
+        n_warm, n_cold = self.pool.acquire(spec.group, spec.n_functions, now)
         noise = self._noise
-        cold_s = cold_base * noise.cold_start_factor() if n_cold else 0.0
+        cold_s = (
+            self.platform.limits.cold_start_s * noise.cold_start_factor()
+            if n_cold else 0.0
+        )
         compute_factors = noise.compute_factors(spec.n_functions)
         for rank, factor in self.straggler_factors.items():
             if 0 <= rank < spec.n_functions:
                 compute_factors[rank] *= factor
         load_factor = noise.network_factor()
         sync_factor = noise.network_factor()
-        retry = injector.plan.retry if injector is not None else None
-        timeout_s = (
-            injector.plan.invocation_timeout_s if injector is not None else None
+        return n_warm, n_cold, cold_s, compute_factors, load_factor, sync_factor
+
+    def _finish_epoch(
+        self,
+        spec: EpochExecution,
+        start: float,
+        n_cold: int,
+        cold_s: float,
+        queue_wait: float,
+        invocations: int,
+        extra_cold: int = 0,
+    ) -> float:
+        """Return the gang's instances to the pool and record the epoch's
+        metrics; returns its wall time."""
+        now = self.sim.now
+        self.pool.release(spec.group, spec.n_functions, now)
+        wall = now - start
+        self._m_invocations.inc(invocations)
+        if n_cold:
+            self._m_cold_starts.inc(n_cold)
+            self._m_cold_seconds.inc(cold_s)
+        if extra_cold:
+            self._m_cold_starts.inc(extra_cold)
+        self._m_queue_wait.observe(queue_wait)
+        self._m_epoch_wall.observe(wall)
+        self._m_occupancy.set(spec.n_functions)
+        self._m_occupancy_peak.set(self.concurrency.peak_in_use)
+        self._sample_epoch(spec, start, n_cold)
+        return wall
+
+    def _trace_workers(self, track: str, starts, consumed, n_warm: int) -> None:
+        for rank, (begin, took) in enumerate(zip(starts, consumed)):
+            self.tracer.span(
+                f"worker-{rank}", "worker", begin, took,
+                track, rank=rank, cold=rank >= n_warm,
+            )
+
+    def _execute_closed_form(self, spec: EpochExecution) -> InvocationResult:
+        """The fault-free epoch as array arithmetic on the kernel's clock."""
+        n = spec.n_functions
+        gang = self.concurrency
+        if n > gang.capacity:
+            # BSP needs every worker alive simultaneously: n above the
+            # account limit is an infeasible allocation, not a queue.
+            raise SimulationError(
+                f"acquire({n}) exceeds capacity {gang.capacity} of {gang.name}"
+            )
+        sim = self.sim
+        start = sim.now
+        n_warm, n_cold, cold_s, factors, load_factor, sync_factor = self._launch(spec)
+        load_s = spec.load_s * load_factor
+        sync_s = spec.sync_s * sync_factor
+        # Each rank's end is the kernel's own float sum
+        # ((start + cold) + load) + compute, the cold term on the cold
+        # subset only; the barrier is the latest end.
+        body = np.full(n, start)
+        body[n_warm:] += cold_s
+        ends = (body + load_s) + spec.compute_s * factors
+        barrier = float(ends.max())
+        durations = ends - start
+        gang.peak_in_use = max(gang.peak_in_use, gang.in_use + n)
+        # The event-driven gang dispatches 4 driver steps (launch, acquire,
+        # sync, release) and, per rank, a launch, a load, a compute and a
+        # join wake-up, plus a cold-start sleep on each cold rank.
+        sim.advance(barrier + sync_s, 4 + 4 * n + n_cold)
+        billed = self.meter.bill_gang(spec.memory_mb, durations + sync_s)
+        wall = self._finish_epoch(spec, start, n_cold, cold_s, 0.0, n)
+        consumed = durations.tolist()
+        measured = EpochTimeBreakdown(
+            load_s=load_s,
+            compute_s=max(consumed) - cold_s - load_s,
+            sync_s=sync_s,
         )
+        tracer = self.tracer
+        if tracer.enabled:
+            track = f"group:{spec.group}"
+            if n_cold:
+                tracer.span(
+                    "cold-start", "cold", start, cold_s, track,
+                    cold=n_cold, warm=n_warm,
+                )
+            load_end = start + cold_s + load_s
+            tracer.span("load", "load", start + cold_s, load_s, track)
+            tracer.span(
+                "compute", "compute", load_end,
+                max(0.0, barrier - load_end), track, barrier=True,
+            )
+            tracer.span("sync", "sync", barrier, sync_s, track)
+            self._trace_workers(track, [start] * n, consumed, n_warm)
+        return InvocationResult(
+            wall_time_s=wall,
+            time=measured,
+            cold_starts=n_cold,
+            queue_wait_s=0.0,
+            billed_usd=billed,
+            worker_durations_s=tuple(consumed),
+            cold_start_s=cold_s,
+        )
+
+    def _execute_gang(self, spec: EpochExecution, injector) -> InvocationResult:
+        """The epoch as kernel processes under an attached fault injector."""
+        sim = self.sim
+        start = sim.now
+        epoch = spec.epoch_index
+        incarnation = spec.incarnation
+        cold_base = self.platform.limits.cold_start_s
+
+        losses = injector.pending_losses(epoch, spec.n_functions)
+        if losses:
+            # The platform notices the dead instances when their invokes
+            # time out — one detection window on the critical path,
+            # dispatched ahead of any execution event at its timestamp.
+            detect_s = injector.plan.invocation_timeout_s or cold_base
+            sim.schedule(detect_s, lambda: None, priority=Priority.FAULT)
+            sim.run()
+            for loss in losses:
+                injector.record(
+                    "permanent-loss", sim.now, epoch=epoch, rank=loss.rank,
+                    lost_s=detect_s,
+                    detail=f"instance gone since epoch {loss.epoch}",
+                )
+                injector.mark_loss_handled(loss)
+            exc = FaultError(
+                f"permanent loss of {len(losses)} function instance(s) "
+                f"at epoch {epoch}",
+                scope=injector.scope, t_s=sim.now,
+            )
+            exc.losses = tuple(losses)
+            raise exc
+
+        n_warm, n_cold, cold_s, compute_factors, load_factor, sync_factor = (
+            self._launch(spec)
+        )
+        retry = injector.plan.retry
+        timeout_s = injector.plan.invocation_timeout_s
         cold_sigma = self.platform.cold_start_noise_sigma
 
         waits: list[float] = []
@@ -261,17 +391,6 @@ class FaaSPlatform:
         def worker_proc(rank: int):
             body_start = sim.now
             starts[rank] = body_start
-            if injector is None:
-                # Fault-free fast path: the historical event shape —
-                # separate cold/load/compute sleeps — kept verbatim so
-                # existing runs replay byte-identically.
-                if rank >= n_warm:  # the cold subset pays the cold start
-                    yield cold_s
-                yield spec.load_s * load_factor
-                yield spec.compute_s * float(compute_factors[rank])
-                durations[rank] = sim.now - body_start
-                consumed[rank] = durations[rank]
-                return
             attempt = 0
             while attempt < retry.max_attempts:
                 attempt_start = sim.now
@@ -361,11 +480,7 @@ class FaaSPlatform:
             tasks = [sim.spawn(worker_proc(r)) for r in range(spec.n_functions)]
             yield Join.of(tasks)
             outcome["barrier_at"] = sim.now
-            if injector is None:
-                sync_s = spec.sync_s * sync_factor
-                yield sync_s
-                outcome["sync_s"] = sync_s
-            elif not any(failed):
+            if not any(failed):
                 sync_s = spec.sync_s * sync_factor
                 penalty = injector.sync_penalty(
                     epoch, spec.storage, sim.now, sync_s, incarnation
@@ -401,8 +516,6 @@ class FaaSPlatform:
             billed += self.meter.bill_invocation(
                 spec.memory_mb, d + (0.0 if gang_failed else sync_s)
             ).total_usd
-        self.pool.release(spec.group, spec.n_functions, sim.now)
-        wall = sim.now - start
         queue_wait = max(waits) if waits else 0.0
         n_faults = (
             len(extra_attempts)
@@ -410,18 +523,10 @@ class FaaSPlatform:
             + int(outcome.get("sync_faults", 0.0))
             + (1 if "storage_failed" in outcome else 0)
         )
-
-        self._m_invocations.inc(spec.n_functions + len(extra_attempts))
-        if n_cold:
-            self._m_cold_starts.inc(n_cold)
-            self._m_cold_seconds.inc(cold_s)
-        if extra_cold[0]:
-            self._m_cold_starts.inc(extra_cold[0])
-        self._m_queue_wait.observe(queue_wait)
-        self._m_epoch_wall.observe(wall)
-        self._m_occupancy.set(spec.n_functions)
-        self._m_occupancy_peak.set(self.concurrency.peak_in_use)
-        self._sample_epoch(spec, start, n_cold)
+        wall = self._finish_epoch(
+            spec, start, n_cold, cold_s, queue_wait,
+            spec.n_functions + len(extra_attempts), extra_cold[0],
+        )
 
         if gang_failed:
             detail = (
@@ -456,33 +561,16 @@ class FaaSPlatform:
                     "cold-start", "cold", body_start, cold_s, track,
                     cold=n_cold, warm=n_warm,
                 )
-            if injector is None:
-                load_end = body_start + cold_s + measured.load_s
+            if fault_overhead > 0:
                 tracer.span(
-                    "load", "load", body_start + cold_s, measured.load_s, track
+                    "fault-recovery", "fault", outcome["barrier_at"],
+                    fault_overhead, track, epoch=epoch, n_faults=n_faults,
                 )
-                tracer.span(
-                    "compute", "compute", load_end,
-                    max(0.0, outcome["barrier_at"] - load_end), track,
-                    barrier=True,
-                )
-                tracer.span("sync", "sync", outcome["barrier_at"], sync_s, track)
-            else:
-                if fault_overhead > 0:
-                    tracer.span(
-                        "fault-recovery", "fault", outcome["barrier_at"],
-                        fault_overhead, track, epoch=epoch,
-                        n_faults=n_faults,
-                    )
-                tracer.span(
-                    "sync", "sync", outcome["barrier_at"], sync_s + sync_extra,
-                    track,
-                )
-            for rank in range(spec.n_functions):
-                tracer.span(
-                    f"worker-{rank}", "worker", starts[rank], consumed[rank],
-                    track, rank=rank, cold=rank >= n_warm,
-                )
+            tracer.span(
+                "sync", "sync", outcome["barrier_at"], sync_s + sync_extra,
+                track,
+            )
+            self._trace_workers(track, starts, consumed, n_warm)
         return InvocationResult(
             wall_time_s=wall,
             time=measured,

@@ -158,6 +158,28 @@ class EventKernel:
         self.job_clock_s += dt_s
         return self.job_clock_s
 
+    def advance(self, until: float, events: int) -> None:
+        """Move an idle kernel's clock to ``until`` as if ``events`` had run.
+
+        For work simulated in closed form (a fault-free platform epoch):
+        the caller computed the timeline itself and only needs the clock
+        and the dispatch count to read as if the events had been drained
+        through :meth:`run`. Pending events would be skipped, so a
+        non-idle heap is refused, as is a time in the past.
+        """
+        if self._heap:
+            raise SimulationError(
+                f"cannot advance past {len(self._heap)} pending event(s)"
+            )
+        if not until >= self.now:
+            raise SimulationError(
+                f"cannot advance into the past (until={until}, now={self.now})"
+            )
+        if events < 0:
+            raise SimulationError(f"cannot count negative events ({events})")
+        self.now = until
+        self.events_processed += events
+
     def spawn(self, gen: Process, priority: Priority = Priority.EXECUTION) -> Task:
         """Start a top-level process immediately; returns its handle."""
         task = Task(gen)
