@@ -50,6 +50,16 @@ def _parse_storage(value: str | None) -> StorageKind | None:
     return StorageKind(value)
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: a non-negative integer (numpy rejects negative
+    seeds), else one stderr line and exit 2."""
+    if not text.isdecimal():
+        print(f"repro: --seed expects a non-negative integer, got {text!r}",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return int(text)
+
+
 def _capture_error(command: str, exc: Exception) -> int:
     """The unified bad-capture/bad-input path: one stderr line, exit 2.
 
@@ -1396,7 +1406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--diff: ignore timing deltas on frames whose base "
                         "time is below this (timer noise)")
     p.add_argument("--format", default="table", choices=("table", "json"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--method", default="ce-scaling",
                    help="training/tuning method for --run")
     p.add_argument("--budget", type=float, help="absolute budget in USD")
@@ -1418,7 +1428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qos-multiple", type=float,
                    help="switch to cost-min with this deadline multiple")
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument(
         "--journal", metavar="PATH",
         help="write the crash-consistent repro-journal/v1 write-ahead log "
@@ -1453,7 +1463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("--epochs-per-stage", type=int, default=2)
     p.add_argument("--budget-multiple", type=float, default=1.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_telemetry_flags(p)
     _add_slo_flags(p)
     _add_fault_flags(p)
@@ -1469,7 +1479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("--epochs-per-stage", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_telemetry_flags(p)
     _add_slo_flags(p)
     _add_fault_flags(p)
@@ -1506,7 +1516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qos-multiple", type=float,
                    help="switch to cost-min with this deadline multiple")
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--straggler", action="append", default=[],
                    metavar="RANK:FACTOR",
                    help="inject a compute slowdown on one worker rank "
@@ -1557,7 +1567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
     p.add_argument("--budget", type=float, help="absolute budget in USD")
     p.add_argument("--budget-multiple", type=float, default=2.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--faults", metavar="PLAN",
                    help="live mode: inject faults from this repro-faults/v1 "
                         "plan so their signatures show on the dashboard")
@@ -1602,7 +1612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
     p.add_argument("--budget", type=float, help="absolute budget in USD")
     p.add_argument("--budget-multiple", type=float, default=2.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--events", metavar="PATH",
                    help="write the live run's event log to PATH")
     p.add_argument("--format", default="table", choices=("table", "json"))
@@ -1657,7 +1667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="regenerate one paper figure/table")
     p.add_argument("experiment")
     p.add_argument("--scale", default="small", choices=("tiny", "small", "paper"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_experiment)
 
     sub.add_parser("experiments", help="list experiment ids").set_defaults(

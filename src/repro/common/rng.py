@@ -8,6 +8,8 @@ from a single integer seed. Child streams are derived with
 
 from __future__ import annotations
 
+import functools
+import operator
 import zlib
 from typing import Iterator
 
@@ -37,10 +39,204 @@ def stream_for(seed: int, *labels: object) -> np.random.Generator:
     CRC32 is used (not ``hash``) so streams are identical across processes
     — Python randomizes string hashes per interpreter.
     """
-    entropy = [seed] + [
-        zlib.crc32(str(lbl).encode("utf-8")) & 0xFFFFFFFF for lbl in labels
-    ]
+    entropy = [seed] + [_label_crc(lbl) for lbl in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def keyed_uniforms(seed: int, prefix: tuple, values, suffix: tuple = ()) -> np.ndarray:
+    """``stream_for(seed, *prefix, v, *suffix).random()`` for every ``v``.
+
+    One array pass instead of one generator per value, bit for bit equal:
+    it replays numpy's ``SeedSequence`` entropy mixing, its
+    ``generate_state(4, uint64)``, PCG64 seeding and the first XSL-RR
+    output, with one row per value. ``values`` are non-negative ints. The
+    pool after the seed and ``prefix`` words does not depend on the value,
+    so it is mixed once and cached. ``stream_for`` stays the reference:
+    ``tests/common/test_keyed_uniforms.py`` holds the two equal.
+    """
+    values = np.asarray(values).reshape(-1)
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0):
+        raise ValueError("keyed_uniforms values must be non-negative ints")
+    values = values.astype(np.int64, copy=False)
+    head = tuple(_seed_words(seed) + [_label_crc(lbl) for lbl in prefix])
+    rows = [_int_crcs(values)[:, None]] + [_label_crc(lbl) for lbl in suffix]
+    if len(head) >= 4:
+        pool = _absorb(_head_pool(head), rows, 4 * len(head))
+    else:
+        # The varying word lands in the pool's first four: mix in full.
+        words = np.empty((values.size, len(head) + len(rows)), dtype=np.uint32)
+        for i, row in enumerate(list(head) + rows):
+            words[:, i:i + 1] = row
+        pool = _mix_pool(words)
+    return _pcg64_first_double(pool)
+
+
+# numpy's SeedSequence constants (bit_generator.pyx). Each hashmix call
+# multiplies the running constant by MULT_A, so hashmix call t uses the
+# data-free pair (a_t, a_{t+1}); generate_state's word i likewise uses
+# (b_i, b_{i+1}) with MULT_B. mix_entropy makes 4 + 12 calls for the
+# first four words and 4 per later word, so word w >= 4 starts at call 4w.
+_MASK32 = 0xFFFFFFFF
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 64)
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 8)
+_OTHERS = tuple([d for d in range(4) if d != s] for s in range(4))
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's ``_int_to_uint32_array``: little-endian 32-bit words."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _label_crc(label: object) -> int:
+    return zlib.crc32(str(label).encode("utf-8")) & 0xFFFFFFFF
+
+
+_CRC_TABLE = np.zeros(0, dtype=np.uint32)  # crc32(str(i)), grown on demand
+_CRC_TABLE_MAX = 1 << 20
+
+
+def _int_crcs(values: np.ndarray) -> np.ndarray:
+    global _CRC_TABLE
+    top = int(values.max()) + 1 if values.size else 0
+    if top > _CRC_TABLE_MAX:
+        return np.array([_label_crc(v) for v in values.tolist()], dtype=np.uint32)
+    if top > _CRC_TABLE.size:
+        size = 1 << (top - 1).bit_length()
+        grown = [_label_crc(i) for i in range(_CRC_TABLE.size, size)]
+        _CRC_TABLE = np.concatenate([_CRC_TABLE, np.array(grown, dtype=np.uint32)])
+    return _CRC_TABLE[values]
+
+
+def _hashmix(word, t: int, k: int) -> np.ndarray:
+    """Hashmix calls t..t+k-1, each applied to ``word`` (an (n, 1) column
+    or a scalar), as k columns."""
+    global _HASH_A
+    if t + k >= _HASH_A.size:
+        _HASH_A = _powers(0x43B0D7E5, 0x931E8875, 2 * (t + k))
+    h = word ^ _HASH_A[t:t + k]
+    h *= _HASH_A[t + 1:t + k + 1]
+    return h ^ (h >> 16)
+
+
+def _mix_pool(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence.mix_entropy`` on each row of ``words`` (n, L)."""
+    n, length = words.shape
+    first = words[:, :4]
+    if length < 4:
+        first = np.hstack([first, np.zeros((n, 4 - length), np.uint32)])
+    pool = _hashmix(first, 0, 4)
+    for src, dst in enumerate(_OTHERS):
+        y = _MIX_R * _hashmix(pool[:, src:src + 1], 4 + 3 * src, 3)
+        mixed = _MIX_L * pool[:, dst] - y
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    return _absorb(pool, [words[:, w:w + 1] for w in range(4, length)], 16)
+
+
+def _absorb(pool: np.ndarray, words: list, t: int) -> np.ndarray:
+    """``mix_entropy``'s step for each word (an (n, 1) column or an int)
+    after the first four."""
+    for word in words:
+        if isinstance(word, np.ndarray):
+            y = _MIX_R * _hashmix(word, t, 4)
+        else:
+            y = _mixed_word(word, t)
+        pool = _MIX_L * pool - y
+        pool ^= pool >> 16
+        t += 4
+    return pool
+
+
+@functools.lru_cache(maxsize=16)
+def _mixed_word(word: int, t: int) -> np.ndarray:
+    """An int word's side of the mix, which does not depend on the pool."""
+    return _frozen(_MIX_R * _hashmix(np.uint32(word), t, 4))
+
+
+@functools.lru_cache(maxsize=8)
+def _head_pool(head: tuple[int, ...]) -> np.ndarray:
+    return _frozen(_absorb(_first_pool(head[:4]), list(head[4:]), 16))
+
+
+@functools.lru_cache(maxsize=8)
+def _first_pool(first: tuple[int, ...]) -> np.ndarray:
+    return _frozen(_mix_pool(np.array([first], dtype=np.uint32)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller: make them read-only."""
+    a.flags.writeable = False
+    return a
+
+
+def _limbs(x: int, bits: int, n: int) -> list[int]:
+    return [(x >> (bits * i)) & ((1 << bits) - 1) for i in range(n)]
+
+
+def _pcg64_consts() -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 seeding plus one step, as one linear map.
+
+    From state 0, seeding steps to ``inc = 2*initseq + 1``, adds
+    ``initstate`` and steps again; the first draw steps once more. So the
+    state it outputs is ``initstate*M^2 + initseq*2K + K`` mod 2^128 with
+    ``K = M^2 + M + 1``. On the 16-bit limbs of (initstate, initseq) that
+    is a matrix whose product gives the state's four 32-bit columns with
+    their carries unresolved, each below 2^54.
+    """
+    m = (2549297995355413924 << 64) + 4865540595714422341
+    m2 = m * m % (1 << 128)
+    k = (m2 + m + 1) % (1 << 128)
+    a, b = _limbs(m2, 16, 8), _limbs(2 * k % (1 << 128), 16, 8)
+    matrix = np.zeros((16, 4), dtype=np.uint64)
+    for out in range(8):
+        scale = 1 << (16 * (out % 2))
+        for limb in range(out + 1):
+            matrix[limb, out // 2] += a[out - limb] * scale
+            matrix[8 + limb, out // 2] += b[out - limb] * scale
+    return matrix, np.array(_limbs(k, 32, 4), dtype=np.uint64)
+
+
+_PCG_MATRIX, _PCG_OFFSET = _pcg64_consts()
+# generate_state's words w0..w7 form the uint64s (s0, s1, i0, i1), and
+# PCG64 seeds from initstate = s0<<64 | s1 and initseq = i0<<64 | i1:
+# low-to-high 32-bit limbs w2 w3 w0 w1 and w6 w7 w4 w5.
+_LIMB_WORDS = np.array([2, 3, 0, 1, 6, 7, 4, 5])
+_GEN_SRC = _LIMB_WORDS % 4
+_GEN_XOR = _HASH_B[_LIMB_WORDS]
+_GEN_MUL = _HASH_B[_LIMB_WORDS + 1]
+
+
+def _pcg64_first_double(pool: np.ndarray) -> np.ndarray:
+    """The first ``Generator.random()`` of PCG64 seeded from each pool row."""
+    state = pool.take(_GEN_SRC, axis=1) ^ _GEN_XOR
+    state *= _GEN_MUL
+    state ^= state >> 16
+    limbs = state.astype("<u4", copy=False).view("<u2")
+    q = limbs.astype(np.uint64) @ _PCG_MATRIX + _PCG_OFFSET
+    mid = q[:, 1] << 32
+    lo = q[:, 0] + mid
+    hi = q[:, 2] + (q[:, 3] << 32) + (q[:, 1] >> 32) + (lo < mid)
+    rot = hi >> 58
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11) * (1.0 / 9007199254740992.0)
 
 
 def lognormal_factor(rng: np.random.Generator, sigma: float) -> float:

@@ -375,6 +375,7 @@ class FaaSPlatform:
         n_warm, n_cold, cold_s, compute_factors, load_factor, sync_factor = (
             self._launch(spec)
         )
+        injector.predraw_gang(epoch, spec.n_functions, n_warm, incarnation)
         retry = injector.plan.retry
         timeout_s = injector.plan.invocation_timeout_s
         cold_sigma = self.platform.cold_start_noise_sigma
@@ -503,19 +504,14 @@ class FaaSPlatform:
 
         sync_s = outcome.get("sync_s", 0.0)
         sync_extra = outcome.get("sync_extra_s", 0.0)
-        billed = 0.0
         # Failed attempts are billed like any invocation (the platform
         # charges for crashed and timed-out runs); only survivors pay the
         # synchronization tail.
-        for ran in extra_attempts:
-            billed += self.meter.bill_invocation(spec.memory_mb, ran).total_usd
         gang_failed = any(failed) or "storage_failed" in outcome
-        for rank, d in enumerate(durations):
-            if failed[rank]:
-                continue
-            billed += self.meter.bill_invocation(
-                spec.memory_mb, d + (0.0 if gang_failed else sync_s)
-            ).total_usd
+        tail = 0.0 if gang_failed else sync_s
+        billed = self.meter.bill_gang(spec.memory_mb, extra_attempts + [
+            d + tail for d, lost in zip(durations, failed) if not lost
+        ])
         queue_wait = max(waits) if waits else 0.0
         n_faults = (
             len(extra_attempts)

@@ -7,7 +7,10 @@ sync hit — is drawn from its own ``stream_for`` stream keyed by
 coordinate of the decision. Keyed streams make the fault sequence a pure
 function of (plan, seed): the event engine's interleaving, the number of
 subscribers on the bus, and telemetry on/off cannot perturb a single
-draw, so two identical runs produce byte-identical fault ledgers.
+draw, so two identical runs produce byte-identical fault ledgers. Keyed
+streams also make the draws order-free: :meth:`FaultInjector.predraw_gang`
+draws a gang epoch's first-attempt uniforms in array batches before any
+worker runs, and the decisions read them back by site.
 
 The injector owns the run's :class:`~repro.faults.ledger.FaultLedger`
 and mirrors every record into lazily created telemetry counters (lazy so
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.rng import stream_for
+import numpy as np
+
+from repro.common.rng import keyed_uniforms, stream_for
 from repro.faults.ledger import FAULT_KINDS, FaultLedger
 from repro.faults.plan import FaultPlan, PermanentLoss
 from repro.telemetry import get_registry
@@ -55,6 +60,7 @@ class FaultInjector:
         self.scope = scope
         self.ledger = FaultLedger(plan_name=plan.name)
         self._handled_losses: set[PermanentLoss] = set()
+        self._drawn: dict[tuple, float] = {}  # site -> pre-drawn uniform
         registry = get_registry()
         # Created here, not at platform construction: an injector only
         # exists when a plan injects something, so fault-free runs create
@@ -77,7 +83,22 @@ class FaultInjector:
     # ------------------------------------------------------------------ plumbing
     def _u(self, *site: object) -> float:
         """One uniform draw from the stream keyed by this decision site."""
-        return float(stream_for(self.seed, "faults", self.scope, *site).random())
+        u = self._drawn.pop(site, None)  # each site is read once
+        if u is None:
+            u = float(stream_for(self.seed, "faults", self.scope, *site).random())
+        return u
+
+    def _draw(self, kind: str, prefix: tuple, ranks: np.ndarray,
+              suffix: tuple) -> np.ndarray:
+        """``_u(kind, *prefix, rank, *suffix)`` for every rank, in one batch."""
+        us = keyed_uniforms(
+            self.seed, ("faults", self.scope, kind, *prefix), ranks, suffix
+        )
+        self._drawn.update(zip(
+            ((kind, *prefix, rank, *suffix) for rank in ranks.tolist()),
+            us.tolist(),
+        ))
+        return us
 
     def _lognormal(self, sigma: float, *site: object) -> float:
         if sigma <= 0.0:
@@ -95,6 +116,36 @@ class FaultInjector:
             self._m_recovery.labels(kind=kind).inc()
         if rec.lost_s:
             self._m_lost.inc(rec.lost_s)
+
+    def predraw_gang(self, epoch: int, n_functions: int, n_warm: int,
+                     incarnation: int = 0) -> None:
+        """Draw a gang epoch's first-attempt uniforms in array batches.
+
+        Attempt 0's crash draw for every rank and the first cold-start
+        failure draw for every cold rank. For each rank whose attempt 0
+        crashes, also where it crashes, its first backoff and attempt 1's
+        crash draw. The decisions below read these back by site and draw
+        any other site alone. Each batched value is the one the site's
+        own stream gives, so this choice of sites changes only speed,
+        never a decision.
+        """
+        plan = self.plan
+        self._drawn = {}
+        ranks = np.arange(n_functions)
+        first = (0, incarnation)
+        if plan.cold_start_failure_prob > 0.0 and n_warm < n_functions:
+            self._draw("cold-fail", (epoch,), ranks[n_warm:], (*first, 0))
+        if plan.crash_prob <= 0.0:
+            return
+        crashed = ranks[self._draw("crash", (epoch,), ranks, first) < plan.crash_prob]
+        if not crashed.size:
+            return
+        mid = crashed[self._draw("crash-mid", (epoch,), crashed, first)
+                      < plan.crash_mid_fraction]
+        if mid.size:
+            self._draw("crash-frac", (epoch,), mid, first)
+        self._draw("backoff", (1, epoch), crashed, (incarnation,))
+        self._draw("crash", (epoch,), crashed, (1, incarnation))
 
     # ------------------------------------------------------------------ decisions
     # Every decision site carries an ``incarnation`` salt: the executor

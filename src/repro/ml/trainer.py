@@ -137,11 +137,9 @@ class IntegratedTrainer:
                 )
             sync_s += penalty.extra_s
         wall = compute_s + sync_s
-        billed = 0.0
-        for _ in range(self.allocation.n_functions):
-            billed += self.meter.bill_invocation(
-                self.allocation.memory_mb, wall
-            ).total_usd
+        billed = self.meter.bill_gang(
+            self.allocation.memory_mb, np.full(self.allocation.n_functions, wall)
+        )
         self.service.accrue_provisioned(wall)
         report = IntegratedEpochReport(
             epoch=self.sgd.epoch,

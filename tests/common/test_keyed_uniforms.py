@@ -1,0 +1,84 @@
+"""The batched keyed-uniform kernel against its reference, ``stream_for``.
+
+``keyed_uniforms`` replays numpy's ``SeedSequence`` and PCG64 bit streams
+in array form. Every property here compares it bit for bit with one
+``stream_for(...).random()`` per value, so a numpy change to either
+stream fails these tests rather than drifting the fault draws silently.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.common import rng
+from repro.common.rng import keyed_uniforms, stream_for
+
+seeds = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**63, 2**64 - 1),
+    st.integers(2**64, 2**130),
+)
+labels = st.one_of(st.text(max_size=8), st.integers(0, 2**40))
+values = st.lists(
+    st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 5000),
+              st.integers(2**20, 2**40)),
+    max_size=8,
+)
+
+
+def _reference(seed, prefix, vals, suffix) -> list[float]:
+    return [float(stream_for(seed, *prefix, v, *suffix).random()) for v in vals]
+
+
+@given(
+    seed=seeds,
+    prefix=st.lists(labels, max_size=6).map(tuple),
+    vals=values,
+    suffix=st.lists(labels, max_size=3).map(tuple),
+)
+@settings(max_examples=300, deadline=None)
+def test_equals_stream_for_bit_for_bit(seed, prefix, vals, suffix):
+    got = keyed_uniforms(seed, prefix, vals, suffix)
+    assert got.dtype == np.float64
+    assert got.tolist() == _reference(seed, prefix, vals, suffix)
+
+
+@pytest.mark.parametrize("n_prefix", range(7))
+def test_every_prefix_length(n_prefix):
+    # With one seed word, a prefix shorter than three labels puts the
+    # varying word inside the pool's first four, which numpy mixes
+    # differently from the words after them.
+    prefix = tuple(["faults", "train", "crash", 3, 4, 5][:n_prefix])
+    vals = [0, 1, 7, 4095]
+    got = keyed_uniforms(11, prefix, vals, (0, 2))
+    assert got.tolist() == _reference(11, prefix, vals, (0, 2))
+
+
+def test_values_past_the_crc_table():
+    beyond = rng._CRC_TABLE.size + 3
+    vals = [beyond, 0, 2 * beyond + 1]
+    got = keyed_uniforms(5, ("faults", "train", "crash", 1), vals, (0, 0))
+    assert got.tolist() == _reference(5, ("faults", "train", "crash", 1), vals, (0, 0))
+
+
+def test_empty_values_give_an_empty_array():
+    for prefix in ((), ("faults", "train", "crash", 1)):
+        out = keyed_uniforms(3, prefix, [])
+        assert out.shape == (0,)
+        assert out.dtype == np.float64
+
+
+def test_negative_seed_raises_like_stream_for():
+    with pytest.raises(ValueError, match="expected non-negative integer") as ref:
+        stream_for(-1, "faults")
+    with pytest.raises(ValueError, match="expected non-negative integer") as got:
+        keyed_uniforms(-1, ("faults",), [0])
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("vals", [[3, -1], [1.5]])
+def test_non_int_or_negative_values_are_rejected(vals):
+    with pytest.raises(ValueError, match="non-negative ints"):
+        keyed_uniforms(0, ("faults",), vals)

@@ -1,0 +1,82 @@
+"""Golden pins for the faulted execution path.
+
+The chaos-determinism tests compare a run only with a second run, so a
+draw that drifts *deterministically* would pass them. These tests hash
+a faulted run's full outcome — the fault ledger (without the provenance
+``meta``), the clock, the event count and the bill — against constants
+recorded before the fault draws were batched. Any change to a keyed
+draw, a decision rule or the billing order moves a hash.
+"""
+
+import hashlib
+
+from repro.common.errors import RetryExhaustedError
+from repro.faas.platform import EpochExecution, FaaSPlatform
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, RetrySpec
+from repro.tuning.plan import Objective
+from repro.workflow.job import training_envelope
+from repro.workflow.runner import run_training
+
+TRAINING_PIN = "d23fdafc123b8bd3aafc7fc16dd99ee9259f147d6de6acdde1786d97c9163d1b"
+ALWAYS_FAIL_PIN = "fbb2b9a8147e3c54337360d95a0cda6670250c44d9afaf3126f95498149417c5"
+MIXED_GANG_PIN = "5d060024edfe3a0e47afc7f488396b707c6e9ac275f4bf293d6e528f25026e6d"
+
+
+def _digest(*parts: object) -> str:
+    text = "\n".join(p if isinstance(p, str) else repr(p) for p in parts)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _gang_digest(plan: FaultPlan, seed: int, n: int, epochs: int) -> str:
+    """Hash of ``epochs`` gang epochs of ``n`` ranks under ``plan``."""
+    injector = FaultInjector(plan, seed=seed)
+    platform = FaaSPlatform(seed=seed, fault_injector=injector)
+    outcomes = []
+    for epoch in range(1, epochs + 1):
+        spec = EpochExecution(
+            group="pin", n_functions=n, memory_mb=1769, load_s=1.0,
+            compute_s=5.0, sync_s=2.0, epoch_index=epoch, storage="s3",
+        )
+        try:
+            r = platform.execute_epoch(spec)
+            outcomes.append((r.wall_time_s, r.billed_usd, r.n_faults,
+                             r.fault_overhead_s, r.worker_durations_s))
+        except RetryExhaustedError as exc:
+            outcomes.append(("exhausted", str(exc)))
+    meter = platform.meter
+    return _digest(
+        injector.ledger.to_json(plan.to_payload()), outcomes,
+        platform.sim.now, platform.sim.events_processed, platform.noise_draws,
+        meter.compute_usd, meter.invocation_usd, meter.invocation_count,
+    )
+
+
+def test_training_under_default_profile(lr_higgs, lr_profile):
+    plan = FaultPlan.default_profile()
+    run = run_training(
+        lr_higgs, objective=Objective.MIN_JCT_GIVEN_BUDGET,
+        budget_usd=training_envelope(lr_higgs, lr_profile).budget(2.5),
+        seed=7, profile=lr_profile, fault_plan=plan,
+    )
+    assert _digest(
+        run.fault_ledger.to_json(plan.to_payload()),
+        run.result.jct_s, run.result.cost_usd, len(run.result.epochs),
+    ) == TRAINING_PIN
+
+
+def test_gang_where_every_attempt_fails():
+    plan = FaultPlan(
+        name="always-fail", crash_prob=1.0, crash_mid_fraction=0.5,
+        cold_start_failure_prob=1.0, retry=RetrySpec(base_backoff_s=0.1),
+    )
+    assert _gang_digest(plan, seed=3, n=12, epochs=2) == ALWAYS_FAIL_PIN
+
+
+def test_gang_with_survivors_and_timeouts():
+    plan = FaultPlan(
+        name="mixed", crash_prob=0.3, crash_mid_fraction=0.5,
+        cold_start_failure_prob=0.3, invocation_timeout_s=7.5,
+        retry=RetrySpec(max_attempts=4, base_backoff_s=0.1, jitter=0.3),
+    )
+    assert _gang_digest(plan, seed=11, n=24, epochs=6) == MIXED_GANG_PIN

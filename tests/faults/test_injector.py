@@ -27,6 +27,26 @@ def _fault_grid(injector, epochs=6, ranks=8, attempts=2, incarnation=0):
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("incarnation", [0, 2])
+    def test_predrawn_gang_decides_like_scalar_draws(self, incarnation):
+        plan = FaultPlan(
+            crash_prob=0.4, crash_mid_fraction=0.5, cold_start_failure_prob=0.5,
+            retry=RetrySpec(max_attempts=4, jitter=0.3),
+        )
+        n, n_warm, epoch = 40, 25, 3
+
+        def decisions(injector):
+            return [
+                (injector.worker_fault(epoch, r, a, incarnation),
+                 injector.cold_start_failures(epoch, r, 0, incarnation),
+                 injector.backoff_s(a + 1, epoch, r, incarnation))
+                for r in range(n) for a in range(3)
+            ]
+
+        batched = FaultInjector(plan, seed=9)
+        batched.predraw_gang(epoch, n, n_warm, incarnation)
+        assert decisions(batched) == decisions(FaultInjector(plan, seed=9))
+
     def test_same_seed_same_draws(self):
         a = FaultInjector(_crashy(), seed=7)
         b = FaultInjector(_crashy(), seed=7)

@@ -183,6 +183,8 @@ class TestMalformedInput:
             ["report", "array.json"],
             ["diagnose", "array.json"],
             ["diagnose", "telemetry.json", "--trace", "trace.json"],
+            ["train", "lr-higgs", "--budget", "2.0", "--seed", "-1"],
+            ["tune", "lr-higgs", "--seed", "x"],
         ],
         ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
     )
