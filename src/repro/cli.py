@@ -20,6 +20,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,25 @@ def _seed(text: str) -> int:
               file=sys.stderr)
         raise SystemExit(2)
     return int(text)
+
+
+def _positive(flag: str):
+    """The type of a ``--budget`` / ``--*-multiple`` flag: a finite number
+    above 0, else one stderr line and exit 2. A multiple below 1 is valid:
+    it asks for a constraint no allocation can meet."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            print(f"repro: {flag} expects a finite number > 0, got {text!r}",
+                  file=sys.stderr)
+            raise SystemExit(2)
+        return value
+
+    return parse
 
 
 def _capture_error(command: str, exc: Exception) -> int:
@@ -498,8 +518,8 @@ def _journal_header(args, command: str) -> dict:
 
 
 def cmd_train(args, journal=None) -> int:
-    w = workload(args.workload)
     try:
+        w = workload(args.workload)
         slo = _slo_session(args, "train")
         plan = _fault_plan(args)
         journal_path = getattr(args, "journal", None)
@@ -510,8 +530,7 @@ def cmd_train(args, journal=None) -> int:
                 journal_path, run=_journal_header(args, "train")
             )
     except (OSError, ValueError, ReproError) as exc:
-        print(f"repro train: {exc}", file=sys.stderr)
-        return 2
+        return _capture_error("train", exc)
     prof = _profile_session(args, "train")
     tser = _timeseries_session(args, "train")
     with _session(args, "train") as session, slo, prof, tser:
@@ -626,14 +645,13 @@ def cmd_resume(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    w = workload(args.workload)
-    spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
     try:
+        w = workload(args.workload)
+        spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
         slo = _slo_session(args, "tune")
         plan = _fault_plan(args)
     except (OSError, ValueError, ReproError) as exc:
-        print(f"repro tune: {exc}", file=sys.stderr)
-        return 2
+        return _capture_error("tune", exc)
     prof = _profile_session(args, "tune")
     tser = _timeseries_session(args, "tune")
     with _session(args, "tune") as session, slo, prof, tser:
@@ -678,13 +696,13 @@ def cmd_tune(args) -> int:
 def cmd_workflow(args) -> int:
     from repro.workflow.campaign import run_workflow
 
-    spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
     try:
+        workload(args.workload)  # an unknown name fails here, not mid-run
+        spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
         slo = _slo_session(args, "workflow")
         plan = _fault_plan(args)
     except (OSError, ValueError, ReproError) as exc:
-        print(f"repro workflow: {exc}", file=sys.stderr)
-        return 2
+        return _capture_error("workflow", exc)
     prof = _profile_session(args, "workflow")
     tser = _timeseries_session(args, "workflow")
     with _session(args, "workflow") as session, slo, prof, tser:
@@ -929,7 +947,10 @@ def cmd_diagnose(args) -> int:
     else:
         # Live mode: run the training job here, then diagnose it in full
         # fidelity (per-worker timings, restart split, Pareto candidates).
-        w = workload(args.target)
+        try:
+            w = workload(args.target)
+        except ReproError as exc:
+            return _capture_error("diagnose", exc)
         profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
         env = training_envelope(w, profile)
         if args.qos_multiple is not None:
@@ -1409,8 +1430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--method", default="ce-scaling",
                    help="training/tuning method for --run")
-    p.add_argument("--budget", type=float, help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=float,
+    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
+    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"),
                    help="budget as a multiple of the cheapest spend "
                         "(default: train 2.5, tune 1.3)")
     p.add_argument("--trials", type=int, default=32)
@@ -1422,10 +1443,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one training job")
     p.add_argument("workload")
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=float, help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=float, default=2.5,
+    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
+    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5,
                    help="budget as multiple of the cheapest possible spend")
-    p.add_argument("--qos-multiple", type=float,
+    p.add_argument("--qos-multiple", type=_positive("--qos-multiple"),
                    help="switch to cost-min with this deadline multiple")
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
     p.add_argument("--seed", type=_seed, default=0)
@@ -1462,7 +1483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=256)
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("--epochs-per-stage", type=int, default=2)
-    p.add_argument("--budget-multiple", type=float, default=1.3)
+    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=1.3)
     p.add_argument("--seed", type=_seed, default=0)
     _add_telemetry_flags(p)
     _add_slo_flags(p)
@@ -1474,7 +1495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("workflow", help="run the full tune-then-train pipeline")
     p.add_argument("workload")
-    p.add_argument("--budget", type=float, default=25.0)
+    p.add_argument("--budget", type=_positive("--budget"), default=25.0)
     p.add_argument("--tuning-fraction", type=float, default=0.4)
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--eta", type=int, default=2)
@@ -1511,9 +1532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH",
                    help="Chrome trace saved alongside the telemetry capture")
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=float, help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=float, default=2.5)
-    p.add_argument("--qos-multiple", type=float,
+    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
+    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5)
+    p.add_argument("--qos-multiple", type=_positive("--qos-multiple"),
                    help="switch to cost-min with this deadline multiple")
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
     p.add_argument("--seed", type=_seed, default=0)
@@ -1565,8 +1586,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=60,
                    help="sparkline width in characters")
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=float, help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=float, default=2.5)
+    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
+    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--faults", metavar="PLAN",
                    help="live mode: inject faults from this repro-faults/v1 "
@@ -1610,8 +1631,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capture", metavar="PATH",
                    help="saved events.jsonl / telemetry JSON / capture dir")
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=float, help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=float, default=2.5)
+    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
+    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--events", metavar="PATH",
                    help="write the live run's event log to PATH")

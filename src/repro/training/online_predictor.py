@@ -19,6 +19,8 @@ batched least-squares passes over a grid of that one parameter.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,16 +105,20 @@ def _fit_ipl_grid(
     if y_min <= 0:
         return None
     n = len(y)
-    log_e = np.log(e + 1.0)
-    x = log_e - log_e.mean()
+    e1 = e + 1.0
+    log_e = np.log(e1)
+    log_e_mean = np.add.reduce(log_e) / n
+    x = log_e - log_e_mean
     floors = _GRID_FRACS * y_min
     log_gap = np.log(y - floors[:, None])
     slope = (log_gap @ x) / (x @ x)
     alpha = -slope
-    a = np.exp(log_gap.mean(axis=1) - slope * log_e.mean())
-    resid = y - inverse_power_law(e, floors[:, None], a[:, None], alpha[:, None])
+    a = np.exp(np.add.reduce(log_gap, axis=1) / n - slope * log_e_mean)
+    # inverse_power_law with its (e + 1) hoisted; -alpha is slope exactly.
+    resid = y - (floors[:, None] + a[:, None] * np.power(e1, slope[:, None]))
     sse = np.einsum("ij,ij->i", resid, resid)
-    score = sse / (n * (float(np.var(y)) + 1e-12))
+    yc = y - np.add.reduce(y) / n
+    score = sse / (n * (float(np.add.reduce(yc * yc) / n) + 1e-12))
     if prior is not None:
         floor0, a0, alpha0 = prior
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,94 +159,88 @@ _ZOOM = np.linspace(-1.0, 1.0, 33)  # each zoom, between the best's neighbours
 _ZOOM_ROUNDS = 6
 
 
-def _bounded_linear_fit(
-    phi: np.ndarray,
-    y: np.ndarray,
-    floor_hi: float,
-    amp_lo: float,
-    amp_hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least squares ``y ~ floor + amp * phi`` for every row of 2-D *phi*.
-
-    ``floor`` is boxed in ``[0, floor_hi]`` and ``amp`` in
-    ``[amp_lo, amp_hi]`` (per row). The SSE is a convex quadratic, so its
-    box minimum is the unconstrained minimum when that is feasible, else
-    the best of the four edges, each minimized in 1-D and clipped. Returns
-    ``(sse, floor, amp)``, one entry per row.
-    """
-    n = y.size
-    y_mean = y.mean()
-    yc = y - y_mean
-    p_mean = phi.mean(axis=1)
-    pc = phi - p_mean[:, None]
-    spp = np.maximum(np.einsum("ij,ij->i", pc, pc), 1e-300)
-    spy = pc @ yc
-    amp0 = spy / spp
-    floor0 = y_mean - amp0 * p_mean
-    resid = yc - amp0[:, None] * pc
-    sse0 = np.einsum("ij,ij->i", resid, resid)
-    # Candidates, one row each: interior, floor = 0, floor = floor_hi,
-    # amp = amp_lo, amp = amp_hi.
-    edge_floor = np.array([[0.0], [floor_hi]])
-    edge_amp = np.stack([np.full_like(amp0, amp_lo), amp_hi])
-    floors = np.vstack(
-        [floor0, np.broadcast_to(edge_floor, (2, amp0.size)),
-         np.clip(y_mean - edge_amp * p_mean, 0.0, floor_hi)]
-    )
-    amps = np.vstack(
-        [amp0,
-         np.clip((spy + n * p_mean * (y_mean - edge_floor)) / (spp + n * p_mean**2),
-                 amp_lo, amp_hi),
-         edge_amp]
-    )
-    # SSE(floor, amp) = sse0 + n*(d_floor + d_amp*p_mean)^2 + spp*d_amp^2
-    d_amp = amps - amp0
-    extra = n * (floors - floor0 + d_amp * p_mean) ** 2 + spp * d_amp**2
-    feasible = (floor0 >= 0.0) & (floor0 <= floor_hi) & (amp0 >= amp_lo) & (amp0 <= amp_hi)
-    extra[0] = np.where(feasible, 0.0, np.inf)
-    pick = np.argmin(extra, axis=0)
-    cols = np.arange(amp0.size)
-    return sse0 + extra[pick, cols], floors[pick, cols], amps[pick, cols]
-
-
 def _fit_rate_families(
     e: np.ndarray, y: np.ndarray, families: list[str]
 ) -> dict[str, CurveFit]:
-    """Fit the raw families by variable projection, all in one stacked pass."""
+    """Fit the raw families by variable projection, all in one stacked pass.
+
+    Per (family, rate) row, ``y ~ floor + amp * phi`` is least squares with
+    ``floor`` in ``[0, y_min]`` and ``amp`` in ``[_AMP_MIN, amp_hi]``. The
+    SSE is a convex quadratic, so its box minimum is the unconstrained one
+    when that is feasible, else the best of the four edges, each minimized
+    in 1-D and clipped. Each zoom round fills the same preallocated buffers.
+    """
     y_min = float(y.min())
     if not families or y_min <= 0:
         return {}
+    nf, g, n = len(families), _GRID.size, y.size
     lo, hi = (col[:, None] for col in np.array([_RATE_RANGES[f] for f in families]).T)
+    hyp = families.index("hyperbolic") if "hyperbolic" in families else nf
     # Every basis is a function of z = rate * x: exp(-z) with x = log(e+1)
-    # (power law) or x = e (exponential), and 1 / (1 + z) with x = e.
-    x = np.stack([np.log(e + 1.0) if f == "inverse_power_law" else e for f in families])
-    hyp = families.index("hyperbolic") if "hyperbolic" in families else None
-    rows = np.arange(len(families))
+    # (power law) or x = e (exponential), and 1 / (1 + z) with x = e. The
+    # exp rows hold -x, and rate * -x is -z exactly.
+    x = np.stack([e if i == hyp else -np.log(e + 1.0) if f == "inverse_power_law" else -e
+                  for i, f in enumerate(families)])
+    y_mean = y.mean()
+    yc = y - y_mean
+    y_off = y_mean - np.array([[0.0], [y_min]])  # y_mean - floor at floor's bounds
+    phi = np.empty((nf, g, n))
+    pc = phi.reshape(nf * g, n)  # centred in place
+    resid = np.empty_like(pc)
+    exp_phi = [phi[s] for s in (slice(0, hyp), slice(hyp + 1, nf)) if s.start < s.stop]
+    hyp_phi = phi[hyp:hyp + 1]
+    # Candidate rows: interior, floor = 0, floor = y_min, amp = _AMP_MIN, amp = amp_hi.
+    floors, amps, d_amp, extra = np.empty((4, 5, nf * g))
+    floors[1], floors[2], amps[3], amps[4] = 0.0, y_min, _AMP_MIN, np.inf
+    floor0, amp0, amp_hi = floors[0], amps[0], amps[4]
+    hyp_amp_hi = amp_hi.reshape(nf, g)[hyp:hyp + 1]
+    fl_edge, amp_edge = floors[3:], amps[1:3]  # floor at amp's bounds, amp at floor's
+    rows = np.arange(nf)
     log_rate = lo + (hi - lo) * _GRID
-    step = (hi - lo) / (_GRID.size - 1)
+    step = (hi - lo) / (g - 1)
     for round_ in range(_ZOOM_ROUNDS + 1):
         if round_:
             centre = log_rate[rows, best][:, None]
-            log_rate = np.clip(centre + step * _ZOOM, lo, hi)
+            # Clips are maximum then minimum (no np.clip wrapper). The two
+            # differ only on -0.0 against the floor's 0.0 bound, and
+            # y_mean - amp * p_mean is never -0.0 (y_mean > 0).
+            log_rate = np.minimum(np.maximum(centre + step * _ZOOM, lo), hi)
             step = step / ((_ZOOM.size - 1) // 2)
         rate = 10.0**log_rate
-        z = rate[:, :, None] * x[:, None, :]
-        phi = np.exp(-z)
-        amp_hi = np.full(rate.shape, np.inf)
-        if hyp is not None:
-            phi[hyp] = 1.0 / (1.0 + z[hyp])
+        np.multiply(rate[:, :, None], x[:, None, :], out=phi)
+        for view in exp_phi:
+            np.exp(view, out=view)
+        if hyp < nf:
+            np.divide(1.0, np.add(1.0, hyp_phi, out=hyp_phi), out=hyp_phi)
             # b = 1/c >= 1e-9 and a = k/c >= 1e-9 bound c from above.
-            amp_hi[hyp] = np.minimum(rate[hyp], 1.0) / _HYP_PARAM_MIN
-        sse, floor, amp = (
-            v.reshape(rate.shape)
-            for v in _bounded_linear_fit(
-                phi.reshape(-1, y.size), y, y_min, _AMP_MIN, amp_hi.ravel()
-            )
-        )
-        best = np.argmin(sse, axis=1)
+            np.divide(np.minimum(rate[hyp:hyp + 1], 1.0), _HYP_PARAM_MIN, out=hyp_amp_hi)
+        p_mean = np.add.reduce(pc, axis=1) / n
+        np.subtract(pc, p_mean[:, None], out=pc)
+        spp = np.maximum(np.einsum("ij,ij->i", pc, pc), 1e-300)
+        spy = pc @ yc
+        np.divide(spy, spp, out=amp0)
+        np.subtract(y_mean, np.multiply(amp0, p_mean, out=floor0), out=floor0)
+        np.subtract(yc, np.multiply(amp0[:, None], pc, out=resid), out=resid)
+        sse0 = np.einsum("ij,ij->i", resid, resid)
+        np.subtract(y_mean, np.multiply(amps[3:], p_mean, out=fl_edge), out=fl_edge)
+        np.minimum(np.maximum(fl_edge, 0.0, out=fl_edge), y_min, out=fl_edge)
+        np.add(spy, np.multiply(n * p_mean, y_off, out=amp_edge), out=amp_edge)
+        np.divide(amp_edge, spp + n * p_mean**2, out=amp_edge)
+        np.minimum(np.maximum(amp_edge, _AMP_MIN, out=amp_edge), amp_hi, out=amp_edge)
+        # SSE(floor, amp) = sse0 + n*(d_floor + d_amp*p_mean)^2 + spp*d_amp^2
+        np.subtract(amps, amp0, out=d_amp)
+        np.add(np.subtract(floors, floor0, out=extra), d_amp * p_mean, out=extra)
+        np.multiply(n, np.square(extra, out=extra), out=extra)
+        np.add(extra, np.multiply(spp, np.square(d_amp, out=d_amp), out=d_amp), out=extra)
+        feasible = (floor0 >= 0.0) & (floor0 <= y_min) & (amp0 >= _AMP_MIN) & (amp0 <= amp_hi)
+        extra[0] = np.where(feasible, 0.0, np.inf)
+        # The column minimum is the argmin's entry, NaN included.
+        best = (sse0 + np.minimum.reduce(extra, axis=0)).reshape(nf, g).argmin(axis=1)
+    cols = rows * g + best
+    pick = extra[:, cols].argmin(axis=0)
     fits = {}
-    for i, family in enumerate(families):
-        r, l_inf, c = (float(v[i, best[i]]) for v in (rate, floor, amp))
+    for family, r, l_inf, c in zip(families, rate[rows, best].tolist(),
+                                   floors[pick, cols].tolist(), amps[pick, cols].tolist()):
         params = (r / c, 1.0 / c, l_inf) if family == "hyperbolic" else (l_inf, c, r)
         resid = y - _FAMILIES[family][0](e, *params)
         fits[family] = CurveFit(family=family, params=params, sse=float(resid @ resid))
@@ -335,7 +335,7 @@ class OnlinePredictor:
                 p = solver(self.target_loss, *fit.params)
             except PredictionError:
                 continue
-            if np.isfinite(p) and p >= 0:
+            if math.isfinite(p) and p >= 0:
                 predictions[family] = float(p)
                 fits[family] = fit
         if not predictions:
@@ -351,7 +351,7 @@ class OnlinePredictor:
             best_family = min(fits, key=lambda f: fits[f].sse)
         self.last_fit = fits[best_family]
         predicted = predictions[best_family]
-        median = float(np.median(list(predictions.values())))
+        median = statistics.median(predictions.values())  # as np.median, minus its overhead
         if median > 0 and (predicted > 3.0 * median or predicted < median / 3.0):
             predicted = median
         return float(min(max(predicted, self.n_observations), self.max_prediction))

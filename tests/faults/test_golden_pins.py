@@ -1,4 +1,4 @@
-"""Golden pins for the faulted execution path.
+"""Golden pins for the faulted execution path and the fault-free refit.
 
 The chaos-determinism tests compare a run only with a second run, so a
 draw that drifts *deterministically* would pass them. These tests hash
@@ -6,9 +6,16 @@ a faulted run's full outcome — the fault ledger (without the provenance
 ``meta``), the clock, the event count and the bill — against constants
 recorded before the fault draws were batched. Any change to a keyed
 draw, a decision rule or the billing order moves a hash.
+
+The refit pins do the same for Algorithm 2 without faults: each hashes
+a training run's per-epoch allocations and restarts, its JCT and cost,
+and the scheduler's raw prediction history, recorded before the loss
+curve refit was restacked. A fit that drifts by one bit moves them.
 """
 
 import hashlib
+
+import pytest
 
 from repro.common.errors import RetryExhaustedError
 from repro.faas.platform import EpochExecution, FaaSPlatform
@@ -21,6 +28,16 @@ from repro.workflow.runner import run_training
 TRAINING_PIN = "d23fdafc123b8bd3aafc7fc16dd99ee9259f147d6de6acdde1786d97c9163d1b"
 ALWAYS_FAIL_PIN = "fbb2b9a8147e3c54337360d95a0cda6670250c44d9afaf3126f95498149417c5"
 MIXED_GANG_PIN = "5d060024edfe3a0e47afc7f488396b707c6e9ac275f4bf293d6e528f25026e6d"
+REFIT_PINS = {
+    ("lr-higgs", "ce-scaling"):
+        "8795bfebed825a2230562f7836f580822440d07683840973ed8ff047cc908ac3",
+    ("lr-higgs", "cirrus"):
+        "94fd9b1917aec9231cee4350acca8e6ea32d57c6210d0c2414c6ee103f0eae3a",
+    ("mobilenet-cifar10", "ce-scaling"):
+        "7ac929853e687042d410807c91aae21fe786f1fbc29696b7f4e512f5358a9944",
+    ("mobilenet-cifar10", "cirrus"):
+        "e6bae106a5a6630f033560a17e5389fdcc964b712247a75b506a7d5465a18ca8",
+}
 
 
 def _digest(*parts: object) -> str:
@@ -52,6 +69,18 @@ def _gang_digest(plan: FaultPlan, seed: int, n: int, epochs: int) -> str:
     )
 
 
+def _training_digest(run) -> str:
+    """Hash of a run's decisions, JCT, cost and raw prediction history."""
+    # Modified Cirrus wraps an AdaptiveScheduler; both keep the history.
+    scheduler = getattr(run.scheduler, "_inner", run.scheduler)
+    history = scheduler._prediction_history
+    assert history, "the run never refit"
+    return _digest(
+        [(e.allocation.describe(), e.restarted) for e in run.result.epochs],
+        repr(run.result.jct_s), repr(run.result.cost_usd), history,
+    )
+
+
 def test_training_under_default_profile(lr_higgs, lr_profile):
     plan = FaultPlan.default_profile()
     run = run_training(
@@ -80,3 +109,23 @@ def test_gang_with_survivors_and_timeouts():
         retry=RetrySpec(max_attempts=4, base_backoff_s=0.1, jitter=0.3),
     )
     assert _gang_digest(plan, seed=11, n=24, epochs=6) == MIXED_GANG_PIN
+
+
+@pytest.mark.parametrize("method", ["ce-scaling", "cirrus"])
+def test_refit_path_lr_higgs_min_jct(method, lr_higgs, lr_profile):
+    run = run_training(
+        lr_higgs, method=method, objective=Objective.MIN_JCT_GIVEN_BUDGET,
+        budget_usd=training_envelope(lr_higgs, lr_profile).budget(2.5),
+        seed=3, profile=lr_profile,
+    )
+    assert _training_digest(run) == REFIT_PINS["lr-higgs", method]
+
+
+@pytest.mark.parametrize("method", ["ce-scaling", "cirrus"])
+def test_refit_path_mobilenet_min_cost(method, mobilenet, mobilenet_profile):
+    run = run_training(
+        mobilenet, method=method, objective=Objective.MIN_COST_GIVEN_QOS,
+        qos_s=training_envelope(mobilenet, mobilenet_profile).qos(2.5),
+        seed=3, profile=mobilenet_profile,
+    )
+    assert _training_digest(run) == REFIT_PINS["mobilenet-cifar10", method]

@@ -25,6 +25,11 @@ class TestParser:
         assert args.method == "ce-scaling"
         assert args.budget_multiple == 2.5
 
+    def test_multiple_below_one_is_valid(self):
+        """An infeasible constraint is valid input; the run reports it."""
+        args = build_parser().parse_args(["train", "lr-higgs", "--budget-multiple", "0.5"])
+        assert args.budget_multiple == 0.5
+
     def test_invalid_method_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "lr-higgs", "--method", "magic"])
@@ -169,7 +174,8 @@ MALFORMED_FILES = {
 
 
 class TestMalformedInput:
-    """Bad input files exit 2 with one stderr line, never a traceback."""
+    """Bad input files and bad arguments exit 2 with one stderr line, never
+    a traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -191,13 +197,47 @@ class TestMalformedInput:
     def test_one_line_exit_two(self, argv, tmp_path):
         for name, payload in MALFORMED_FILES.items():
             (tmp_path / name).write_text(json.dumps(payload))
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        _assert_one_line_exit_two(argv, tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Constraint values: finite and > 0, on every command that takes one.
+            ["train", "lr-higgs", "--budget", "-1"],
+            ["train", "lr-higgs", "--budget", "nan"],
+            ["train", "lr-higgs", "--qos-multiple", "-2"],
+            ["train", "lr-higgs", "--budget-multiple", "0"],
+            ["tune", "lr-higgs", "--trials", "8", "--budget", "-3"],
+            ["tune", "lr-higgs", "--budget", "nan"],
+            ["workflow", "lr-higgs", "--budget", "nan"],
+            ["profile", "lr-higgs", "--run", "train", "--budget", "inf"],
+            ["diagnose", "lr-higgs", "--qos-multiple", "-1"],
+            ["dash", "lr-higgs", "--budget-multiple", "x"],
+            ["slo", "lr-higgs", "--spec", "spec.json", "--budget", "0"],
+            # Unknown models and SHA shapes.
+            ["train", "nosuch"],
+            ["tune", "nosuch"],
+            ["tune", "lr-higgs", "--trials", "0"],
+            ["tune", "lr-higgs", "--eta", "1"],
+            ["tune", "lr-higgs", "--epochs-per-stage", "0"],
+            ["workflow", "nosuch"],
+            ["workflow", "lr-higgs", "--trials", "0"],
+            ["diagnose", "nosuch"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_argument_exit_two(self, argv, tmp_path):
+        _assert_one_line_exit_two(argv, tmp_path)
+
+
+def _assert_one_line_exit_two(argv, cwd):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
