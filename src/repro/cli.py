@@ -61,23 +61,48 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _positive(flag: str):
-    """The type of a ``--budget`` / ``--*-multiple`` flag: a finite number
-    above 0, else one stderr line and exit 2. A multiple below 1 is valid:
-    it asks for a constraint no allocation can meet."""
+def _number(flag: str, ok, expects: str):
+    """A float flag's type: a number ``ok`` accepts, else one stderr line
+    (``flag expects ...``) and exit 2."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and value > 0):
-            print(f"repro: {flag} expects a finite number > 0, got {text!r}",
+        if not ok(value):
+            print(f"repro: {flag} expects {expects}, got {text!r}",
                   file=sys.stderr)
             raise SystemExit(2)
         return value
 
     return parse
+
+
+def _positive(flag: str):
+    """The type of a ``--budget`` / ``--*-multiple`` flag: a finite number
+    above 0. A multiple below 1 is valid: it asks for a constraint no
+    allocation can meet."""
+    return _number(flag, lambda v: math.isfinite(v) and v > 0,
+                   "a finite number > 0")
+
+
+#: ``--tuning-fraction``'s type: a number strictly between 0 and 1 (``nan``
+#: fails both comparisons).
+_tuning_fraction = _number("--tuning-fraction", lambda v: 0 < v < 1,
+                           "a number in (0, 1)")
+
+
+def _straggler(text: str) -> tuple[int, float]:
+    """``--straggler``'s type: ``RANK:FACTOR``, else one stderr line and
+    exit 2."""
+    rank, _, factor = text.partition(":")
+    try:
+        return int(rank), float(factor)
+    except ValueError:
+        print(f"repro: --straggler expects RANK:FACTOR, got {text!r}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _capture_error(command: str, exc: Exception) -> int:
@@ -496,7 +521,10 @@ def cmd_profile(args) -> int:
             file=sys.stderr,
         )
         return 2
-    w = workload(args.workload)
+    try:
+        w = workload(args.workload)
+    except ReproError as exc:
+        return _capture_error("profile", exc)
     profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
     print(f"{len(profile.all_points)} feasible allocations, "
           f"{len(profile.pareto)} on the Pareto boundary "
@@ -881,18 +909,6 @@ def cmd_timeseries(args) -> int:
     return 1 if has_drift(report) else 0
 
 
-def _parse_stragglers(values: list[str]) -> dict[int, float]:
-    """Parse repeated ``RANK:FACTOR`` fault-injection flags."""
-    out: dict[int, float] = {}
-    for item in values:
-        rank, _, factor = item.partition(":")
-        try:
-            out[int(rank)] = float(factor)
-        except ValueError:
-            raise SystemExit(f"--straggler expects RANK:FACTOR, got {item!r}")
-    return out
-
-
 def cmd_diagnose(args) -> int:
     import json
 
@@ -981,7 +997,7 @@ def cmd_diagnose(args) -> int:
                     budget_usd=budget,
                     qos_s=qos, seed=args.seed, profile=profile,
                     storage_pin=_parse_storage(args.storage),
-                    straggler_factors=_parse_stragglers(args.straggler),
+                    straggler_factors=dict(args.straggler),
                     fault_plan=fault_plan,
                 )
         finally:
@@ -1234,6 +1250,10 @@ def cmd_runs(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    try:
+        REGISTRY[args.experiment]  # an unknown id fails here, not mid-run
+    except ReproError as exc:
+        return _capture_error("experiment", exc)
     result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
     print(result.render())
     return 0
@@ -1437,7 +1457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("--epochs-per-stage", type=int, default=1)
-    p.add_argument("--tuning-fraction", type=float, default=0.4)
+    p.add_argument("--tuning-fraction", type=_tuning_fraction, default=0.4)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("train", help="run one training job")
@@ -1496,7 +1516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("workflow", help="run the full tune-then-train pipeline")
     p.add_argument("workload")
     p.add_argument("--budget", type=_positive("--budget"), default=25.0)
-    p.add_argument("--tuning-fraction", type=float, default=0.4)
+    p.add_argument("--tuning-fraction", type=_tuning_fraction, default=0.4)
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("--epochs-per-stage", type=int, default=1)
@@ -1538,7 +1558,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="switch to cost-min with this deadline multiple")
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--straggler", action="append", default=[],
+    p.add_argument("--straggler", action="append", default=[], type=_straggler,
                    metavar="RANK:FACTOR",
                    help="inject a compute slowdown on one worker rank "
                         "(repeatable; live mode only)")

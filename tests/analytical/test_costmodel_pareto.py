@@ -1,7 +1,7 @@
 """Tests for the cost model (Eq. 4-5), Pareto extraction, and the profiler."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.common.types import (
     Allocation,
@@ -17,9 +17,16 @@ from repro.analytical.pareto import (
     pareto_front,
 )
 from repro.analytical.profiler import ParetoProfiler
-from repro.analytical.space import AllocationSpace, default_space
+from repro.analytical.space import (
+    DEFAULT_FUNCTION_GRID,
+    DEFAULT_MEMORY_GRID,
+    AllocationSpace,
+    default_space,
+)
 from repro.analytical.timemodel import epoch_time
+from repro.common.errors import InfeasibleAllocationError
 from repro.config import DEFAULT_PLATFORM
+from repro.ml.models import WORKLOADS
 
 
 def _pt(t: float, c: float) -> ProfiledAllocation:
@@ -176,3 +183,33 @@ class TestSpaceAndProfiler:
 
         with pytest.raises(ValidationError):
             lr_profile.lookup(Allocation(1234, 512, StorageKind.S3))
+
+    @given(
+        name=st.sampled_from(sorted(WORKLOADS)),
+        counts=st.lists(st.sampled_from(DEFAULT_FUNCTION_GRID), min_size=1,
+                        max_size=8, unique=True),
+        memories=st.lists(st.sampled_from(DEFAULT_MEMORY_GRID), min_size=1,
+                          max_size=6, unique=True),
+        storages=st.lists(st.sampled_from(list(StorageKind)), min_size=1,
+                          unique=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_profiler_front_is_complete(self, name, counts, memories, storages):
+        """Over a restricted space of a real workload, every evaluated
+        allocation is on 𝒫, dominated by a member of 𝒫, or an exact
+        (time, cost) duplicate of one; no member of 𝒫 is dominated."""
+        space = AllocationSpace(function_counts=counts, memory_grid=memories,
+                                storages=storages)
+        try:
+            prof = ParetoProfiler(space=space).profile(WORKLOADS[name])
+        except InfeasibleAllocationError:
+            assume(False)
+        front_keys = {(q.time_s, q.cost_usd) for q in prof.pareto}
+        for p in prof.all_points:
+            assert (
+                any(p is q for q in prof.pareto)
+                or is_dominated(p, prof.pareto)
+                or (p.time_s, p.cost_usd) in front_keys
+            )
+        for p in prof.pareto:
+            assert not is_dominated(p, prof.all_points)

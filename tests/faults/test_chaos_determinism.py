@@ -5,7 +5,8 @@ unified kernel; every pair must produce byte-identical fault ledgers,
 event logs (dispatch counts and clock values), and run ids. A second
 class kills a journaled CLI run at a seeded-random epoch boundary and
 checks ``repro resume`` finishes it to a bundle byte-identical to the
-uninterrupted run.
+uninterrupted run; a third layers an invocation timeout and a storage
+throttle window on such a kill.
 """
 
 import json
@@ -25,6 +26,7 @@ from repro.faults.plan import (
     StorageFaultSpec,
     ThrottleWindow,
 )
+from repro.kernel import RunJournal
 from repro.runs import ProvenanceStamp, RunBundle
 from repro.tuning.plan import Objective
 from repro.workflow.job import training_envelope
@@ -221,3 +223,61 @@ class TestKillAtRandomEpoch:
             capsys.readouterr()
             assert journal.read_bytes() == finished
             assert sorted((store / "manifests").glob("*.json")) == manifests
+
+
+class TestCombinedTimeoutThrottleKill:
+    """Three fault axes at once: an invocation timeout, a long storage
+    throttle window, and a simulated SIGKILL at the half-way epoch of a
+    journaled run (half the epoch records kept plus a torn line), then a
+    resume. The resumed run stays within 2x the fault-free JCT and its
+    journal matches the uninterrupted run's byte for byte."""
+
+    PLAN = FaultPlan(
+        name="combined-timeout-throttle-kill",
+        invocation_timeout_s=30.0,
+        storage={
+            ANY_STORAGE: StorageFaultSpec(
+                transient_prob=0.05,
+                max_errors=2,
+                error_timeout_s=1.0,
+                throttle_windows=(
+                    ThrottleWindow(start_s=10.0, duration_s=300.0,
+                                   slowdown=2.0),
+                ),
+            )
+        },
+    )
+
+    def test_resumed_run_within_bound_and_byte_identical(
+        self, tmp_path, lr_higgs, lr_profile
+    ):
+        budget = training_envelope(lr_higgs, lr_profile).budget(2.5)
+
+        def train(wal):
+            run = run_training(
+                lr_higgs, budget_usd=budget, seed=0, profile=lr_profile,
+                fault_plan=self.PLAN, journal=wal,
+            )
+            wal.commit()
+            return run.result
+
+        clean = run_training(
+            lr_higgs, budget_usd=budget, seed=0, profile=lr_profile
+        ).result
+        journal = tmp_path / "combined.journal"
+        header = {"command": "combined-chaos", "workload": lr_higgs.name}
+        with RunJournal.create(journal, run=header) as wal:
+            train(wal)
+        finished = journal.read_bytes()
+
+        lines = finished.decode().splitlines()
+        n_epochs = sum(1 for s in lines if '"kind": "epoch"' in s)
+        kept = lines[: 1 + n_epochs // 2]
+        torn = lines[1 + n_epochs // 2][:40]
+        journal.write_bytes(("\n".join(kept) + "\n" + torn).encode())
+        with RunJournal.open_resume(journal) as wal:
+            resumed = train(wal)
+
+        assert journal.read_bytes() == finished
+        assert resumed.jct_s <= 2.0 * clean.jct_s
+        assert resumed.extra["faults"]["n_faults"] > 0

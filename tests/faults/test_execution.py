@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import CheckpointError, FaultError, RetryExhaustedError
 from repro.config import PlatformConfig
+from repro.experiments.harness import get_scale
 from repro.faas.noise import NoiseModel
 from repro.faas.platform import EpochExecution, FaaSPlatform
 from repro.faults.injector import FaultInjector
@@ -16,9 +17,10 @@ from repro.faults.plan import (
     RetrySpec,
     StorageFaultSpec,
 )
+from repro.ml.models import workload
 from repro.tuning.plan import Objective
 from repro.workflow.job import training_envelope
-from repro.workflow.runner import run_training
+from repro.workflow.runner import profile_workload, run_training
 
 
 def _spec(n=4, epoch=1, incarnation=0, compute=5.0):
@@ -153,6 +155,21 @@ class TestResilientTraining:
         assert f.n_restarts >= 1
         assert chaos.fault_ledger.counts()["permanent-loss"] == 1
         assert "degraded-allocation" in chaos.fault_ledger.counts()
+
+    @pytest.mark.parametrize(
+        "name", [w for w in get_scale("tiny").workloads if w != "lr-higgs"]
+    )
+    def test_default_profile_chaos_matrix(self, name):
+        """The rest of the chaos matrix (lr-higgs is the test above): every
+        tiny-scale Fig-12 workload completes under the default profile,
+        faults are injected, and the JCT stays within 2x fault-free."""
+        w = workload(name)
+        profile = profile_workload(w)
+        clean = _chaos_run(w, profile, None).result
+        chaos = _chaos_run(w, profile, FaultPlan.default_profile()).result
+        assert chaos.converged
+        assert chaos.jct_s <= 2.0 * clean.jct_s
+        assert chaos.extra["faults"]["n_faults"] > 0
 
     def test_same_seed_same_plan_identical(self, lr_higgs, lr_profile):
         plan = FaultPlan.default_profile()

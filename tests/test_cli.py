@@ -87,11 +87,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table I" in out
 
-    def test_unknown_workload_raises(self):
-        from repro.common.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            main(["profile", "alexnet-imagenet"])
+    def test_unknown_workload_raises(self, capsys):
+        assert main(["profile", "alexnet-imagenet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro profile: unknown workload")
+        assert len(err.splitlines()) == 1
 
 
 class TestTelemetryFlags:
@@ -223,6 +223,14 @@ class TestMalformedInput:
             ["workflow", "nosuch"],
             ["workflow", "lr-higgs", "--trials", "0"],
             ["diagnose", "nosuch"],
+            ["profile", "nosuch"],
+            ["experiment", "nosuch"],
+            # Flag values with a shape: a fraction in (0, 1), RANK:FACTOR.
+            ["workflow", "lr-higgs", "--budget", "2", "--tuning-fraction", "2"],
+            ["workflow", "lr-higgs", "--tuning-fraction", "-1"],
+            ["profile", "lr-higgs", "--run", "workflow",
+             "--tuning-fraction", "nan"],
+            ["diagnose", "lr-higgs", "--straggler", "x"],
         ],
         ids=" ".join,
     )
