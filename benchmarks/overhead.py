@@ -14,10 +14,8 @@ Each ratio row times the same work with one ride-along off and on:
 The off side is the bare run. After one untimed warm-up pass of every row,
 one loop runs ``PAIRS`` pairs; within a pair the off and on runs alternate
 which goes first. Every row prints the median and IQR of its on/off ratio in
-wall time (``perf_counter``) and process time (``process_time``). The
-``flow-lint`` row times the whole-repo interprocedural lint pass in the same
-loop against an absolute budget. The probe exits 1 when a median wall reading
-exceeds its bound::
+wall time (``perf_counter``) and process time (``process_time``). The probe
+exits 1 when a median wall ratio exceeds its bound::
 
     PYTHONPATH=src python benchmarks/overhead.py
 """
@@ -43,21 +41,19 @@ from repro.experiments.registry import run_experiment  # noqa: E402
 
 PAIRS = 10
 RATIO_BOUND = 1.05
-FLOW_BUDGET_S = 10.0
 
 
 @dataclass(frozen=True)
 class Row:
     """One probe row. ``on`` and ``off`` take a fresh scratch directory.
 
-    With ``off`` set, the row's reading is the on/off ratio of each pair;
-    with ``off=None`` it is ``on``'s own time in seconds. Either way the
-    median wall reading must stay at or under ``bound``.
+    The row's reading is the on/off ratio of each pair; its median wall
+    ratio must stay at or under ``bound``.
     """
 
     name: str
     on: Callable[[Path], object]
-    off: Callable[[Path], object] | None = None
+    off: Callable[[Path], object]
     bound: float = RATIO_BOUND
 
 
@@ -142,12 +138,6 @@ def _trainings(scratch: Path, journal: bool) -> None:
             wal.commit()
 
 
-def _flow_lint(_scratch: Path) -> None:
-    from repro.analysis import analyze_flow
-
-    analyze_flow([REPO_ROOT / "src" / "repro"])
-
-
 ROWS = (
     Row("slo-guard", on=_slo_guard, off=_fig12),
     Row("profiler", on=_profiler, off=_fig12),
@@ -155,7 +145,6 @@ ROWS = (
     Row("save-run", on=_save_run, off=_fig12),
     Row("journal", on=lambda d: _trainings(d, journal=True),
         off=lambda d: _trainings(d, journal=False)),
-    Row("flow-lint", on=_flow_lint, bound=FLOW_BUDGET_S),
 )
 
 
@@ -183,44 +172,37 @@ def _ratio(on: float, off: float) -> float:
 def measure(rows, pairs: int, tmp: Path) -> dict[str, tuple[list, list]]:
     """Per-row (wall readings, process readings), one of each per pair."""
     for row in rows:
-        for fn in (row.on, row.off):
-            if fn is not None:
-                _timed(fn, tmp)
+        _timed(row.on, tmp)
+        _timed(row.off, tmp)
     readings = {row.name: ([], []) for row in rows}
     for i in range(pairs):
         for row in rows:
-            walls, cpus = readings[row.name]
-            if row.off is None:
-                wall, cpu = _timed(row.on, tmp)
+            if i % 2 == 0:
+                off, on = _timed(row.off, tmp), _timed(row.on, tmp)
             else:
-                if i % 2 == 0:
-                    off, on = _timed(row.off, tmp), _timed(row.on, tmp)
-                else:
-                    on, off = _timed(row.on, tmp), _timed(row.off, tmp)
-                wall, cpu = _ratio(on[0], off[0]), _ratio(on[1], off[1])
-            walls.append(wall)
-            cpus.append(cpu)
+                on, off = _timed(row.on, tmp), _timed(row.off, tmp)
+            walls, cpus = readings[row.name]
+            walls.append(_ratio(on[0], off[0]))
+            cpus.append(_ratio(on[1], off[1]))
     return readings
 
 
 def main(rows=ROWS, pairs: int = PAIRS) -> int:
-    print(f"{pairs} interleaved pairs; median [IQR] of on/off ratios, or "
-          "seconds for budget rows")
+    print(f"{pairs} interleaved pairs; median [IQR] of on/off ratios")
     print(f"{'row':12s} {'wall':>18s} {'process':>18s} {'bound':>9s}")
     with tempfile.TemporaryDirectory(prefix="repro-overhead-") as tmp:
         readings = measure(rows, pairs, Path(tmp))
     over = []
     for row in rows:
-        unit = "x" if row.off is not None else " s"
         (wall, wall_iqr), (cpu, cpu_iqr) = (
             median_iqr(r) for r in readings[row.name]
         )
-        print(f"{row.name:12s} {f'{wall:.3f}{unit} [{wall_iqr:.3f}]':>18s} "
-              f"{f'{cpu:.3f}{unit} [{cpu_iqr:.3f}]':>18s} "
-              f"{f'{row.bound:.2f}{unit}':>9s}")
+        print(f"{row.name:12s} {f'{wall:.3f}x [{wall_iqr:.3f}]':>18s} "
+              f"{f'{cpu:.3f}x [{cpu_iqr:.3f}]':>18s} "
+              f"{f'{row.bound:.2f}x':>9s}")
         if wall > row.bound:
-            over.append(f"{row.name}: median wall {wall:.3f}{unit} exceeds "
-                        f"{row.bound:.2f}{unit}")
+            over.append(f"{row.name}: median wall {wall:.3f}x exceeds "
+                        f"{row.bound:.2f}x")
     for line in over:
         print(f"OVER BOUND: {line}")
     return 1 if over else 0

@@ -6,12 +6,10 @@ artifacts are byte-stable — are invariants of the *source*, so this
 package checks them at the source level: a pluggable AST rule framework
 (:mod:`repro.analysis.core`), a package-aware walker
 (:mod:`repro.analysis.walker`), the rule catalogue
-(:mod:`repro.analysis.rules`, IDs ``REP001``–``REP008``), a baseline
-ledger for accepted findings (:mod:`repro.analysis.baseline`), the
-deterministic ``repro-lint/v1`` report (:mod:`repro.analysis.report`),
-and an interprocedural flow layer (:mod:`repro.analysis.flow`, IDs
-``REP009``–``REP011`` and ``REP013``: call graph, clock-domain taint,
-RNG stream hygiene, schema producer cross-check).
+(:mod:`repro.analysis.rules`: ``REP001``, ``REP002``, ``REP005``–``REP007``
+and ``REP014``), a baseline ledger for accepted findings
+(:mod:`repro.analysis.baseline`) and the deterministic ``repro-lint/v1``
+report (:mod:`repro.analysis.report`).
 
 Entry point: ``repro lint`` (see ``docs/static-analysis.md``), which CI
 runs over ``src/repro`` on every change. Stdlib-only by design.
@@ -33,19 +31,6 @@ from repro.analysis.core import (
     Rule,
     run_rules,
 )
-from repro.analysis.flow import (
-    CALLGRAPH_SCHEMA,
-    CallGraph,
-    ProjectIndex,
-    analyze_flow,
-    build_callgraph,
-    build_index,
-    callgraph_payload,
-    callgraph_to_dot,
-    callgraph_to_json,
-    flow_rules,
-    flow_rules_by_id,
-)
 from repro.analysis.report import (
     LINT_SCHEMA,
     render_rule_list,
@@ -53,7 +38,7 @@ from repro.analysis.report import (
     to_json,
     to_payload,
 )
-from repro.analysis.rules import SCHEMA_KEYS, all_rules, rules_by_id
+from repro.analysis.rules import all_rules, rules_by_id
 from repro.analysis.walker import (
     AnalysisResult,
     Analyzer,
@@ -63,32 +48,20 @@ from repro.analysis.walker import (
 
 __all__ = [
     "BASELINE_SCHEMA",
-    "CALLGRAPH_SCHEMA",
     "DEFAULT_BASELINE_NAME",
     "LINT_SCHEMA",
-    "SCHEMA_KEYS",
     "SEVERITIES",
     "AnalysisResult",
     "Analyzer",
     "Baseline",
     "BaselineEntry",
-    "CallGraph",
     "Finding",
     "ModuleContext",
-    "ProjectIndex",
     "Rule",
     "all_rules",
-    "analyze_flow",
     "analyze_source",
-    "build_callgraph",
-    "build_index",
-    "callgraph_payload",
-    "callgraph_to_dot",
-    "callgraph_to_json",
     "collect_files",
     "find_baseline",
-    "flow_rules",
-    "flow_rules_by_id",
     "render_rule_list",
     "render_table",
     "rules_by_id",

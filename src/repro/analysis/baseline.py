@@ -53,15 +53,26 @@ class Baseline:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise BaselineError(f"cannot read baseline {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise BaselineError(
+                f"baseline {path} must be a JSON object, "
+                f"not {type(payload).__name__}"
+            )
         if payload.get("schema") != BASELINE_SCHEMA:
             raise BaselineError(
                 f"baseline {path} declares schema {payload.get('schema')!r}; "
                 f"expected {BASELINE_SCHEMA!r}"
             )
+        raw_entries = payload.get("entries", [])
+        if not isinstance(raw_entries, list):
+            raise BaselineError(
+                f"baseline {path}: 'entries' must be a list, "
+                f"not {type(raw_entries).__name__}"
+            )
         entries = []
-        for raw in payload.get("entries", []):
+        for raw in raw_entries:
             try:
                 entries.append(
                     BaselineEntry(
@@ -72,7 +83,7 @@ class Baseline:
                         reason=str(raw.get("reason", "")),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise BaselineError(
                     f"baseline {path} has a malformed entry: {raw!r}"
                 ) from exc

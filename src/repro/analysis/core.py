@@ -1,9 +1,9 @@
 """Rule framework for the determinism & simulation-safety linter.
 
 The reproduction's invariants — all randomness through ``repro.common.rng``,
-simulated time from the ``repro.kernel`` event clock, byte-identical exports,
-no mixed physical units — are enforced here as machine-checked AST rules
-instead of conventions. A :class:`Rule` inspects one :class:`ModuleContext`
+simulated time from the ``repro.kernel`` event clock, byte-identical
+exports — are enforced here as machine-checked AST rules instead of
+conventions. A :class:`Rule` inspects one :class:`ModuleContext`
 (a parsed source file plus its logical location in the package) and yields
 :class:`Finding`\\ s with stable identifiers (``REP001`` ...), which the
 ``repro lint`` CLI renders as a table or a deterministic ``repro-lint/v1``

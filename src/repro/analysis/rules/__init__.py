@@ -3,31 +3,26 @@
 ``all_rules()`` builds one fresh instance of every registered rule;
 ``rules_by_id`` resolves ``--select``/``--ignore`` CLI filters. IDs are
 append-only — a retired rule's ID is never reused, so baselines and
-suppression comments stay meaningful across versions.
+suppression comments stay meaningful across versions. Retired so far:
+REP003, REP004, REP008, REP009–REP013.
 """
 
 from __future__ import annotations
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.determinism import UnseededRandomnessRule, WallClockRule
-from repro.analysis.rules.events import EventLoopSafetyRule
 from repro.analysis.rules.eventqueue import EventQueueUnificationRule
 from repro.analysis.rules.exceptions import BroadExceptRule
 from repro.analysis.rules.ordering import UnorderedIterationRule
-from repro.analysis.rules.retry import UnboundedRetryRule
-from repro.analysis.rules.schema import SCHEMA_KEYS, SchemaDisciplineRule
-from repro.analysis.rules.units import UnitSafetyRule
+from repro.analysis.rules.schema import SchemaDisciplineRule
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     UnseededRandomnessRule,  # REP001
     WallClockRule,  # REP002
-    EventLoopSafetyRule,  # REP003
-    UnitSafetyRule,  # REP004
     BroadExceptRule,  # REP005
     SchemaDisciplineRule,  # REP006
     UnorderedIterationRule,  # REP007
-    UnboundedRetryRule,  # REP008
-    EventQueueUnificationRule,  # REP014 (REP009-REP013 are flow rules)
+    EventQueueUnificationRule,  # REP014
 )
 
 
@@ -41,16 +36,12 @@ def rules_by_id() -> dict[str, Rule]:
 
 
 __all__ = [
-    "SCHEMA_KEYS",
     "all_rules",
     "rules_by_id",
     "UnseededRandomnessRule",
     "WallClockRule",
-    "EventLoopSafetyRule",
     "EventQueueUnificationRule",
-    "UnitSafetyRule",
     "BroadExceptRule",
     "SchemaDisciplineRule",
     "UnorderedIterationRule",
-    "UnboundedRetryRule",
 ]

@@ -44,13 +44,10 @@ _CLOCK_CALLS = frozenset(
 #: profiling package is included deliberately: its sole sanctioned host
 #: clock is ``repro.profiling.clock.host_clock_s`` (pragma'd at the call
 #: site); every other profiling module — and every instrumented simulation
-#: module — must route host timing through that helper. ``analysis/flow``
-#: is in scope too: its exported documents (call graph, lint report) are
-#: byte-stable contracts, so the flow analyzer itself must never read the
-#: host clock.
+#: module — must route host timing through that helper.
 _SIM_PACKAGES = (
     "faas", "training", "tuning", "workflow", "slo", "faults", "profiling",
-    "timeseries", "flow", "runs", "kernel",
+    "timeseries", "runs", "kernel",
 )
 
 

@@ -3,11 +3,11 @@
 The repository promises byte-stable, versioned artifacts: telemetry
 captures (``repro-telemetry/v1``), run reports (``repro-report/v1``),
 diagnostics (``repro-diagnostics/v1``) and lint output (``repro-lint/v1``).
-Downstream tooling — the regression harness, ``repro report``, CI diffs —
+Downstream tooling — ``repro report``, the validate commands, CI diffs —
 keys on their top-level layout. This rule pins each document's top-level
-key set to the registry below, so a drive-by "just add a field" shows up
-in review as the schema change it actually is (bump the version or update
-the registry deliberately).
+key set to the registry in :mod:`repro.common.schemas`, so a drive-by
+"just add a field" shows up in review as the schema change it actually is
+(bump the version or update the registry deliberately).
 
 Detection: a dict literal with a ``"schema"`` key, whose value is either a
 version-string literal or a module-level constant holding one.
@@ -20,65 +20,7 @@ import re
 from typing import Iterator
 
 from repro.analysis.core import Finding, ModuleContext, Rule
-
-#: The checked-in key sets for every versioned document the repo emits.
-SCHEMA_KEYS: dict[str, frozenset[str]] = {
-    "repro-telemetry/v1": frozenset({"schema", "meta", "run", "metrics"}),
-    "repro-journal/v1": frozenset({"schema", "kind", "run", "meta"}),
-    "repro-report/v1": frozenset(
-        {"schema", "meta", "run", "time", "cost", "activity"}
-    ),
-    "repro-diagnostics/v1": frozenset(
-        {
-            "schema", "meta", "critical_path", "stragglers", "drift",
-            "regret", "findings",
-        }
-    ),
-    "repro-lint/v1": frozenset({"schema", "tool", "summary", "findings"}),
-    "repro-baseline/v1": frozenset({"schema", "entries"}),
-    "repro-slo/v1": frozenset(
-        {
-            "schema", "name", "deadline_s", "budget_usd", "stage_budgets_usd",
-            "warn_ratio", "predictor_drift_threshold", "straggler_slowdown",
-        }
-    ),
-    "repro-events/v1": frozenset({"schema", "meta"}),
-    "repro-slo-report/v1": frozenset(
-        {"schema", "meta", "spec", "objectives", "alerts", "verdict"}
-    ),
-    "repro-faults/v1": frozenset(
-        {
-            "schema", "name", "crash_prob", "crash_mid_fraction",
-            "invocation_timeout_s", "cold_start_failure_prob", "storage",
-            "permanent_loss", "retry",
-        }
-    ),
-    "repro-faults-report/v1": frozenset(
-        {"schema", "meta", "plan", "summary", "records"}
-    ),
-    "repro-profile/v1": frozenset({"schema", "meta", "frames", "totals"}),
-    "repro-profile-diff/v1": frozenset(
-        {"schema", "meta", "base", "target", "threshold", "frames", "summary"}
-    ),
-    "repro-report/v2": frozenset(
-        {"schema", "meta", "run", "time", "cost", "activity", "peaks"}
-    ),
-    "repro-timeseries/v1": frozenset(
-        {"schema", "meta", "series", "markers", "totals"}
-    ),
-    "repro-timeseries-diff/v1": frozenset(
-        {"schema", "meta", "base", "target", "series", "summary"}
-    ),
-    "repro-callgraph/v1": frozenset(
-        {"schema", "meta", "nodes", "edges", "summary"}
-    ),
-    "repro-bundle/v1": frozenset(
-        {"schema", "meta", "run_id", "artifacts", "summary"}
-    ),
-    "repro-compare/v1": frozenset(
-        {"schema", "meta", "base", "target", "deltas", "attribution", "verdict"}
-    ),
-}
+from repro.common.schemas import SCHEMA_KEYS
 
 _VERSIONED = re.compile(r"^[a-z][a-z0-9-]*/v\d+$")
 
@@ -109,7 +51,7 @@ class SchemaDisciplineRule(Rule):
                     ctx,
                     node,
                     f"document declares unregistered schema {schema_id!r}; "
-                    "register its key set in repro.analysis.rules.schema",
+                    "register its key set in repro.common.schemas",
                 )
                 continue
             if keys is None:

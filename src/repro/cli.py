@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 from repro.common.errors import ReproError, SLOError
+from repro.common.schemas import SCHEMA_KEYS
 from repro.common.types import StorageKind
 from repro.common.units import format_duration, format_usd
 from repro.ml.models import WORKLOADS, workload
@@ -413,24 +414,33 @@ def _profile_diff(args) -> int:
     return 1 if has_regressions(report) else 0
 
 
+def _keys_registered(command: str, payload: dict) -> bool:
+    """Whether a loaded capture's top-level keys match the schema registry.
+
+    Belt and braces after the loader's own checks: a drifted registry
+    fails loudly here, not only in lint. Prints one stderr line on a
+    mismatch.
+    """
+    expected = SCHEMA_KEYS.get(payload["schema"])
+    if expected is not None and set(payload) == expected:
+        return True
+    print(
+        f"repro {command}: capture keys {sorted(payload)} disagree with "
+        f"the schema registry entry for {payload['schema']!r}",
+        file=sys.stderr,
+    )
+    return False
+
+
 def _profile_validate(args) -> int:
     """``repro profile --validate PATH``: check a capture's schema contract."""
     from repro.profiling import load_capture
-    from repro.analysis.rules.schema import SCHEMA_KEYS
 
     try:
         payload = load_capture(Path(args.validate).read_text())
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("profile", exc)
-    # Belt and braces: the capture must also match the REP006 registry's
-    # pinned key set, so a drifted registry fails loudly here, not in lint.
-    expected = SCHEMA_KEYS.get(payload["schema"])
-    if expected is None or set(payload) != expected:
-        print(
-            f"repro profile: capture keys {sorted(payload)} disagree with "
-            f"the REP006 registry entry for {payload['schema']!r}",
-            file=sys.stderr,
-        )
+    if not _keys_registered("profile", payload):
         return 2
     totals = payload["totals"]
     print(
@@ -863,17 +873,7 @@ def cmd_timeseries(args) -> int:
             payload = load_capture(Path(args.paths[0]).read_text())
         except (OSError, ValueError, ReproError) as exc:
             return _capture_error("timeseries", exc)
-        # Belt and braces, as in `repro profile --validate`: the capture
-        # must also match the REP006 registry's pinned key set.
-        from repro.analysis.rules.schema import SCHEMA_KEYS
-
-        expected = SCHEMA_KEYS.get(payload["schema"])
-        if expected is None or set(payload) != expected:
-            print(
-                f"repro timeseries: capture keys {sorted(payload)} disagree "
-                f"with the REP006 registry entry for {payload['schema']!r}",
-                file=sys.stderr,
-            )
+        if not _keys_registered("timeseries", payload):
             return 2
         totals = payload["totals"]
         print(
@@ -1271,11 +1271,7 @@ def cmd_lint(args) -> int:
     from repro import analysis
     from repro.common.errors import AnalysisError
 
-    catalogue = analysis.all_rules()
-    if args.flow:
-        catalogue = catalogue + analysis.flow_rules()
-    by_id = {r.rule_id: r for r in catalogue}
-    flow_ids = set(analysis.flow_rules_by_id())
+    by_id = analysis.rules_by_id()
 
     def pick(spec: str | None) -> set[str]:
         if not spec:
@@ -1283,35 +1279,21 @@ def cmd_lint(args) -> int:
         ids = {part.strip().upper() for part in spec.split(",") if part.strip()}
         unknown = sorted(ids - by_id.keys())
         if unknown:
-            raise SystemExit(
-                f"repro lint: unknown rule id(s) {', '.join(unknown)} "
+            raise AnalysisError(
+                f"unknown rule id(s) {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(by_id))})"
             )
         return ids
 
-    selected = pick(args.select) or set(by_id)
-    selected -= pick(args.ignore)
-    rules = [r for r in catalogue if r.rule_id in selected]
-
-    if args.list_rules:
-        print(analysis.render_rule_list(rules))
-        return 0
-
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
     try:
-        analyzer = analysis.Analyzer(
-            [r for r in rules if r.rule_id not in flow_ids]
-        )
-        result = analyzer.analyze_paths(paths)
-        if args.flow:
-            flow_result = analysis.analyze_flow(paths, select=selected)
-            # REP000 would double-report: the per-file walker already
-            # surfaced any syntax errors on this same path list.
-            result.findings.extend(
-                f for f in flow_result.findings if f.rule != "REP000"
-            )
-            result.findings.sort(key=analysis.Finding.sort_key)
-            result.suppressed += flow_result.suppressed
+        selected = (pick(args.select) or set(by_id)) - pick(args.ignore)
+        rules = [r for rule_id, r in by_id.items() if rule_id in selected]
+        if args.list_rules:
+            print(analysis.render_rule_list(rules))
+            return 0
+
+        paths = args.paths or [str(Path(__file__).resolve().parent)]
+        result = analysis.Analyzer(rules).analyze_paths(paths)
 
         if args.write_baseline:
             target = Path(args.baseline) if args.baseline else (
@@ -1339,60 +1321,6 @@ def cmd_lint(args) -> int:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        print(analysis.to_json(result, rules, new, baselined), end="")
-    else:
-        print(analysis.render_table(result, new, baselined))
-    return 1 if new else 0
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-
-
-def cmd_analyze(args) -> int:
-    # Lazy import, same as cmd_lint: only this subcommand needs analysis.
-    from repro import analysis
-    from repro.common.errors import AnalysisError
-
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
-    try:
-        if args.target == "graph":
-            index, errors, _, _ = analysis.build_index(paths)
-            graph = analysis.build_callgraph(index)
-            if args.format == "dot":
-                _emit(analysis.callgraph_to_dot(graph), args.out)
-            else:
-                _emit(analysis.callgraph_to_json(graph), args.out)
-            for finding in errors:
-                print(
-                    f"{finding.path}:{finding.line}: {finding.message}",
-                    file=sys.stderr,
-                )
-            return 1 if errors else 0
-
-        result = analysis.analyze_flow(paths)
-        if args.no_baseline:
-            baseline = analysis.Baseline.empty()
-        else:
-            found = analysis.find_baseline(
-                Path(paths[0]), explicit=args.baseline
-            )
-            baseline = (
-                analysis.Baseline.load(found)
-                if found is not None
-                else analysis.Baseline.empty()
-            )
-        new, baselined = baseline.apply(result.findings)
-    except AnalysisError as exc:
-        print(f"repro analyze: {exc}", file=sys.stderr)
-        return 2
-
-    rules = analysis.flow_rules()
     if args.format == "json":
         print(analysis.to_json(result, rules, new, baselined), end="")
     else:
@@ -1717,16 +1645,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static determinism & simulation-safety checks (REP001-REP008, "
-             "plus REP009-REP013 with --flow)",
+        help="static determinism & simulation-safety checks "
+             "(REP001, REP002, REP005-REP007, REP014)",
         description="AST-based lint for the repository's reproducibility "
                     "invariants: seeded randomness only, no wall-clock in "
-                    "simulated packages, event-loop safety, unit-suffix "
-                    "consistency, exception hygiene, schema discipline, "
-                    "deterministic iteration order, and bounded retries. "
-                    "--flow adds the interprocedural passes: clock-domain "
-                    "taint, RNG stream hygiene, and schema producer "
-                    "cross-checks.",
+                    "simulated packages, exception hygiene, schema "
+                    "discipline, deterministic iteration order, and one "
+                    "event queue.",
     )
     p.add_argument("paths", nargs="*",
                    help="files or directories to analyze "
@@ -1747,36 +1672,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "and exit 0")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
-    p.add_argument("--flow", action="store_true",
-                   help="also run the interprocedural flow rules "
-                        "(REP009-REP013)")
     p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser(
-        "analyze",
-        help="whole-program flow analysis: call graph, clock/RNG taint",
-        description="Interprocedural analyses over the project call graph. "
-                    "'graph' exports the deterministic repro-callgraph/v1 "
-                    "document (or DOT); 'taint' runs the clock-domain and "
-                    "RNG dataflow rules (REP009-REP011, REP013).",
-    )
-    p.add_argument("target", choices=("graph", "taint"),
-                   help="which analysis to run")
-    p.add_argument("paths", nargs="*",
-                   help="files or directories to analyze "
-                        "(default: the installed repro package)")
-    p.add_argument("--format", default="table",
-                   choices=("table", "json", "dot"),
-                   help="output format (dot applies to 'graph' only; "
-                        "'graph' table output falls back to JSON)")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the document to PATH instead of stdout")
-    p.add_argument("--baseline", metavar="PATH",
-                   help="baseline file (default: nearest lint-baseline.json "
-                        "above the first path)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline; report every finding as new")
-    p.set_defaults(fn=cmd_analyze)
     return parser
 
 

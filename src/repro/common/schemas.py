@@ -1,0 +1,67 @@
+"""The top-level key set of every versioned JSON document the repo emits.
+
+Downstream tooling keys on these layouts, so each one is a contract: a new
+top-level field means a schema version bump or a deliberate update here.
+Two things read the registry: lint rule REP006, which checks every
+``{"schema": ...}`` dict literal in the source against it, and the
+``repro profile --validate`` / ``repro timeseries validate`` commands,
+which check a capture file against it at run time.
+"""
+
+from __future__ import annotations
+
+#: The checked-in key sets for every versioned document the repo emits.
+SCHEMA_KEYS: dict[str, frozenset[str]] = {
+    "repro-telemetry/v1": frozenset({"schema", "meta", "run", "metrics"}),
+    "repro-journal/v1": frozenset({"schema", "kind", "run", "meta"}),
+    "repro-report/v1": frozenset(
+        {"schema", "meta", "run", "time", "cost", "activity"}
+    ),
+    "repro-diagnostics/v1": frozenset(
+        {
+            "schema", "meta", "critical_path", "stragglers", "drift",
+            "regret", "findings",
+        }
+    ),
+    "repro-lint/v1": frozenset({"schema", "tool", "summary", "findings"}),
+    "repro-baseline/v1": frozenset({"schema", "entries"}),
+    "repro-slo/v1": frozenset(
+        {
+            "schema", "name", "deadline_s", "budget_usd", "stage_budgets_usd",
+            "warn_ratio", "predictor_drift_threshold", "straggler_slowdown",
+        }
+    ),
+    "repro-events/v1": frozenset({"schema", "meta"}),
+    "repro-slo-report/v1": frozenset(
+        {"schema", "meta", "spec", "objectives", "alerts", "verdict"}
+    ),
+    "repro-faults/v1": frozenset(
+        {
+            "schema", "name", "crash_prob", "crash_mid_fraction",
+            "invocation_timeout_s", "cold_start_failure_prob", "storage",
+            "permanent_loss", "retry",
+        }
+    ),
+    "repro-faults-report/v1": frozenset(
+        {"schema", "meta", "plan", "summary", "records"}
+    ),
+    "repro-profile/v1": frozenset({"schema", "meta", "frames", "totals"}),
+    "repro-profile-diff/v1": frozenset(
+        {"schema", "meta", "base", "target", "threshold", "frames", "summary"}
+    ),
+    "repro-report/v2": frozenset(
+        {"schema", "meta", "run", "time", "cost", "activity", "peaks"}
+    ),
+    "repro-timeseries/v1": frozenset(
+        {"schema", "meta", "series", "markers", "totals"}
+    ),
+    "repro-timeseries-diff/v1": frozenset(
+        {"schema", "meta", "base", "target", "series", "summary"}
+    ),
+    "repro-bundle/v1": frozenset(
+        {"schema", "meta", "run_id", "artifacts", "summary"}
+    ),
+    "repro-compare/v1": frozenset(
+        {"schema", "meta", "base", "target", "deltas", "attribution", "verdict"}
+    ),
+}

@@ -3,22 +3,13 @@
 Internally the library uses a single convention:
 
 * time     — seconds (float)
-* data     — megabytes (float); helpers convert from bytes/KB/GB
+* data     — megabytes (float); helpers convert from and to bytes
 * memory   — megabytes (int, Lambda-style 1 MB granularity)
 * money    — US dollars (float)
 * bandwidth — megabytes per second
 """
 
 from __future__ import annotations
-
-KB = 1.0 / 1024.0
-MB = 1.0
-GB = 1024.0
-
-MS = 1e-3
-SECOND = 1.0
-MINUTE = 60.0
-HOUR = 3600.0
 
 
 def mb_from_bytes(n_bytes: float) -> float:

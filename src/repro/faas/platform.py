@@ -140,10 +140,6 @@ class FaaSPlatform:
         )
 
     # ------------------------------------------------------------------ warm pool
-    def is_warm(self, group: str) -> bool:
-        """True when the group has at least one warm instance."""
-        return self.pool.warm_count(group, self.sim.now) > 0
-
     def prewarm(self, group: str, n: int = 1) -> None:
         """Provision ``n`` instances ahead of time (delayed restart, Fig. 8)."""
         self.pool.prewarm(group, n, self.sim.now)

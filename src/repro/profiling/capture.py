@@ -18,8 +18,8 @@ from repro.profiling.core import Profiler
 
 JSON_SCHEMA = "repro-profile/v1"
 
-#: Top-level keys — must match the REP006 registry entry in
-#: ``repro.analysis.rules.schema.SCHEMA_KEYS``.
+#: Top-level keys — must match the schema registry entry in
+#: ``repro.common.schemas.SCHEMA_KEYS``.
 _TOP_KEYS = frozenset({"schema", "meta", "frames", "totals"})
 
 _FRAME_KEYS = frozenset(

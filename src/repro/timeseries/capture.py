@@ -20,8 +20,8 @@ from repro.timeseries.core import TimeSeriesSampler
 
 JSON_SCHEMA = "repro-timeseries/v1"
 
-#: Top-level keys — must match the REP006 registry entry in
-#: ``repro.analysis.rules.schema.SCHEMA_KEYS``.
+#: Top-level keys — must match the schema registry entry in
+#: ``repro.common.schemas.SCHEMA_KEYS``.
 _TOP_KEYS = frozenset({"schema", "meta", "series", "markers", "totals"})
 
 _SERIES_KEYS = frozenset(

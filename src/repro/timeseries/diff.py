@@ -29,22 +29,12 @@ from repro.timeseries.capture import validate_capture
 
 DIFF_SCHEMA = "repro-timeseries-diff/v1"
 
-#: Top-level keys — must match the REP006 registry entry in
-#: ``repro.analysis.rules.schema.SCHEMA_KEYS``.
+#: Top-level keys — must match the schema registry entry in
+#: ``repro.common.schemas.SCHEMA_KEYS``.
 _TOP_KEYS = frozenset({"schema", "meta", "base", "target", "series", "summary"})
 
 #: Relative change in a series' mean or peak that counts as drift.
 DEFAULT_THRESHOLD = 0.05
-
-#: Classes (beyond added/missing) a series can land in, in check order.
-CLASSES = (
-    "identical",
-    "divergent",
-    "level_shift",
-    "peak_shift",
-    "resampled",
-    "jitter",
-)
 
 _DRIFT_CLASSES = frozenset(
     {"added", "missing", "divergent", "level_shift", "peak_shift"}

@@ -355,7 +355,3 @@ class OnlinePredictor:
         if median > 0 and (predicted > 3.0 * median or predicted < median / 3.0):
             predicted = median
         return float(min(max(predicted, self.n_observations), self.max_prediction))
-
-    def predict_remaining_epochs(self) -> float:
-        """Predicted epochs still needed after the last observed one."""
-        return max(0.0, self.predict_total_epochs() - self.n_observations)

@@ -1,9 +1,12 @@
 """End-to-end `repro lint` CLI behaviour."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 
@@ -13,6 +16,13 @@ BAD_DIR = str(FIXTURES / "rep005")
 
 def lint(*argv: str) -> int:
     return main(["lint", *argv])
+
+
+def _assert_one_error_line(capsys, fragment: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("repro lint: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert fragment in err
 
 
 class TestExitCodes:
@@ -27,8 +37,31 @@ class TestExitCodes:
         assert lint(str(tmp_path / "nope"), "--no-baseline") == 2
 
     def test_unknown_rule_id_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            lint(BAD_DIR, "--select", "REP999")
+        assert lint(BAD_DIR, "--select", "REP999") == 2
+        _assert_one_error_line(capsys, "unknown rule id(s) REP999")
+
+    @pytest.mark.parametrize(
+        "flag, rule_id",
+        [("--ignore", "REP999"), ("--select", "REP003"), ("--select", "REP004"),
+         ("--ignore", "REP008"), ("--select", "REP009")],
+    )
+    def test_unknown_or_retired_id_rejected(self, capsys, flag, rule_id):
+        assert lint(BAD_DIR, flag, rule_id) == 2
+        _assert_one_error_line(capsys, f"unknown rule id(s) {rule_id}")
+
+    @pytest.mark.parametrize(
+        "document",
+        [[1, 2], "str", {"schema": "repro-baseline/v1", "entries": 5},
+         {"schema": "repro-baseline/v1", "entries": [
+             {"rule": "REP005", "path": "p", "snippet": "s",
+              "count": float("inf")}]}],
+        ids=["list", "string", "int-entries", "infinite-count"],
+    )
+    def test_malformed_baseline_exits_two(self, capsys, tmp_path, document):
+        baseline = tmp_path / "lint-baseline.json"
+        baseline.write_text(json.dumps(document))
+        assert lint(BAD_DIR, "--baseline", str(baseline)) == 2
+        _assert_one_error_line(capsys, str(baseline))
 
 
 class TestOutputFormats:
@@ -57,8 +90,10 @@ class TestOutputFormats:
     def test_list_rules(self, capsys):
         assert lint("--list-rules") == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP007"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines()[1:]
+                  if line.startswith("REP")]
+        assert listed == ["REP001", "REP002", "REP005", "REP006", "REP007",
+                          "REP014"]
 
 
 class TestSelection:
@@ -93,3 +128,69 @@ class TestBaselineWorkflow:
         assert lint(BAD_DIR, "--write-baseline", "--baseline", str(baseline)) == 0
         capsys.readouterr()
         assert lint(BAD_DIR, "--no-baseline") == 1
+
+
+#: A valid ledger accepting the one REP005 finding in the fuzz target.
+_VALID_BASELINE = json.dumps({
+    "schema": "repro-baseline/v1",
+    "entries": [{
+        "rule": "REP005", "path": "target.py", "snippet": "except:",
+        "count": 1, "reason": "fuzz seed",
+    }],
+}, indent=2, sort_keys=True).encode()
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+_entries = st.fixed_dictionaries(
+    {key: st.text(max_size=8) for key in ("rule", "path", "snippet")},
+    optional={"count": _json_values, "reason": _json_values},
+) | _json_values
+
+
+@st.composite
+def _baseline_bytes(draw) -> bytes:
+    """A baseline document truncated, byte-mutated or wrongly shaped."""
+    kind = draw(st.sampled_from(["truncate", "mutate", "document", "entries"]))
+    if kind == "truncate":
+        return _VALID_BASELINE[:draw(st.integers(0, len(_VALID_BASELINE)))]
+    if kind == "mutate":
+        data = bytearray(_VALID_BASELINE)
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        return bytes(data)
+    if kind == "document":
+        return json.dumps(draw(_json_values)).encode()
+    entries = draw(st.lists(_entries, max_size=3) | _json_values)
+    return json.dumps({"schema": "repro-baseline/v1", "entries": entries}).encode()
+
+
+class TestBaselineFuzz:
+    """Any baseline document ends in exit 0, 1 or 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("baseline-fuzz")
+        (root / "target.py").write_text("try:\n    pass\nexcept:\n    pass\n")
+        return root
+
+    @given(data=_baseline_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_lint_survives_any_baseline(self, workdir, data):
+        baseline = workdir / "fuzz-baseline.json"
+        baseline.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["lint", str(workdir / "target.py"),
+                       "--baseline", str(baseline)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("repro lint: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

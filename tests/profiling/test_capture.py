@@ -99,13 +99,13 @@ class TestRoundTrip:
 
 class TestSchemaRegistry:
     def test_capture_keys_match_rep006_registry(self):
-        """The capture contract and the lint registry must agree."""
-        from repro.analysis.rules.schema import SCHEMA_KEYS
+        """The capture contract and the schema registry must agree."""
+        from repro.common.schemas import SCHEMA_KEYS
 
         assert SCHEMA_KEYS[JSON_SCHEMA] == _TOP_KEYS
 
     def test_diff_schema_registered_too(self):
-        from repro.analysis.rules.schema import SCHEMA_KEYS
+        from repro.common.schemas import SCHEMA_KEYS
         from repro.profiling import diff_captures
         from repro.profiling.diff import DIFF_SCHEMA
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.rules.schema import SCHEMA_KEYS
 from repro.common.errors import ValidationError
+from repro.common.schemas import SCHEMA_KEYS
 from repro.timeseries import (
     TimeSeriesSampler,
     capture_payload,
