@@ -6,8 +6,9 @@ Each ratio row times the same work with one ride-along off and on:
 * ``slo-guard``, ``profiler``, ``timeseries``: fig12 at tiny scale, seed 0,
   with a live SLO guard on the event bus, the hot-path profiler or the
   simulated-time sampler installed;
-* ``save-run``: the same fig12 run with every collector ``--save-run``
-  forces on, plus the bundle write into a fresh run store;
+* ``save-run``: the same fig12 run inside the ``Instruments`` context
+  ``--save-run`` uses (its four default captures), plus the bundle write
+  into a fresh run store;
 * ``journal``: both tiny-scale Fig-12 trainings (budget x2.5) with the run
   journal recording and fsyncing every epoch boundary.
 
@@ -103,20 +104,12 @@ def _sampler(scratch: Path) -> None:
 
 
 def _save_run(scratch: Path) -> None:
-    from repro.runs import ProvenanceStamp, RunStore, save_run
-    from repro.slo import SLOSession
-    from repro.telemetry.session import TelemetrySession
-    from repro.timeseries import TimeSeriesSession
+    from repro.runs import BUNDLE_KINDS, Instruments, ProvenanceStamp, RunStore
 
     stamp = ProvenanceStamp.collect("bench", workload="fig12", seed=0)
-    with (
-        TelemetrySession(meta=stamp, force_install=True) as telemetry,
-        SLOSession(meta=stamp, force_log=True) as slo,
-        TimeSeriesSession(meta=stamp, force_install=True) as ts,
-    ):
+    with Instruments(stamp, kinds=BUNDLE_KINDS) as ins:
         _fig12(scratch)
-    save_run(RunStore(scratch), stamp, telemetry=telemetry, slo=slo,
-             timeseries=ts)
+    ins.save(RunStore(scratch))
 
 
 def _trainings(scratch: Path, journal: bool) -> None:

@@ -1,7 +1,7 @@
 """Simulated-time metrics walkthrough: sample a run, replay its dashboard.
 
-Wraps one training job in a :class:`repro.timeseries.TimeSeriesSession`,
-which records resource trajectories on the *simulated* clock — in-flight
+Wraps one training job in :class:`repro.Instruments` with the
+``timeseries`` capture, which records resource trajectories on the *simulated* clock — in-flight
 invocations against the account limit, warm-pool size, cold-start rate,
 the scheduler's active (m, s) allocation with reallocation markers, and
 cumulative spend — then shows the three surfaces built on the capture:
@@ -21,9 +21,8 @@ Run:  python examples/dashboard_run.py
 import tempfile
 from pathlib import Path
 
-from repro import workload
+from repro import Instruments, workload
 from repro.timeseries import (
-    TimeSeriesSession,
     detect_anomalies,
     diff_captures,
     load_capture,
@@ -41,13 +40,13 @@ def main() -> None:
     profile = profile_workload(w)
     budget = training_envelope(w, profile).budget(2.5)
 
-    # 1. Sample a training run; the session writes the capture on exit.
+    # 1. Sample a training run; the capture is written on exit.
     out_dir = Path(tempfile.mkdtemp(prefix="repro-timeseries-"))
     capture_path = out_dir / "run.timeseries.json"
-    with TimeSeriesSession(
-        capture_path=capture_path,
-        meta={"workload": "lr-higgs", "seed": 0},
-    ) as session:
+    with Instruments(
+        {"workload": "lr-higgs", "seed": 0},
+        paths={"timeseries": capture_path},
+    ) as ins:
         run_training(
             w, method="ce-scaling", objective=Objective.MIN_JCT_GIVEN_BUDGET,
             budget_usd=budget, seed=0, profile=profile,
@@ -60,7 +59,7 @@ def main() -> None:
     print(f"replay it with: python -m repro dash --replay {capture_path}")
 
     # 3. High-water marks — the `peaks` section of `repro report`.
-    peaks = peaks_summary(session.sampler)
+    peaks = peaks_summary(ins.sampler)
     print(f"\npeak concurrency {peaks['concurrency']:g}, "
           f"peak warm pool {peaks['warm_pool']:g}, "
           f"peak storage bandwidth {peaks['storage_bandwidth_mb_s']:g} MB/s")

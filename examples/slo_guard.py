@@ -1,7 +1,8 @@
 """QoS guard walkthrough: burn-rate accounting, alerts, and event replay.
 
-Runs one CE-scaling training job inside an :class:`SLOSession` that holds
-it to a deadline it cannot make, then shows the three guard surfaces:
+Runs one CE-scaling training job inside :class:`repro.Instruments` with an
+SLO spec that holds it to a deadline it cannot make, then shows the three
+guard surfaces:
 
 * the alert stream — the ``deadline-projected-miss`` alert fires many
   epochs before the clock actually crosses the deadline, because the
@@ -17,8 +18,8 @@ import tempfile
 from pathlib import Path
 
 from repro import (
+    Instruments,
     Objective,
-    SLOSession,
     SLOSpec,
     evaluate_guard,
     replay_events,
@@ -41,13 +42,13 @@ def main() -> None:
     out_dir = Path(tempfile.mkdtemp(prefix="repro-slo-"))
     events_path = out_dir / "events.jsonl"
 
-    # Everything the runner, executor and scheduler emit while the session
+    # Everything the runner, executor and scheduler emit while the context
     # is live flows through the event bus into the guard and its log.
-    with SLOSession(
-        spec=spec,
-        events_path=events_path,
-        meta={"command": "train", "workload": "lr-higgs"},
-    ) as session:
+    with Instruments(
+        {"command": "train", "workload": "lr-higgs"},
+        paths={"events": events_path},
+        slo=spec,
+    ) as ins:
         run = run_training(
             w,
             method="ce-scaling",
@@ -58,7 +59,7 @@ def main() -> None:
         )
 
     r = run.result
-    guard = session.guard
+    guard = ins.guard
     print(
         f"run finished: jct {r.jct_s:.1f} s vs deadline {spec.deadline_s:.0f} s, "
         f"cost ${r.cost_usd:.2f} vs budget ${spec.budget_usd:.2f}\n"
@@ -78,7 +79,7 @@ def main() -> None:
         )
 
     # 2. The SLO report — `repro slo` renders the same thing.
-    report = evaluate_guard(guard, meta=session.meta)
+    report = evaluate_guard(guard, meta=ins.meta)
     print()
     print(report.render())
 
@@ -87,7 +88,7 @@ def main() -> None:
     match = (
         replayed.to_payload()["objectives"] == report.to_payload()["objectives"]
     )
-    print(f"\nevent log: {len(session.log)} events -> {events_path}")
+    print(f"\nevent log: {len(ins.log)} events -> {events_path}")
     print(f"replay reaches the same objective states: {match}")
     print(
         "evaluate a capture later with: python -m repro slo "

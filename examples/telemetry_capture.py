@@ -1,6 +1,6 @@
 """Observability walkthrough: metrics, live traces, and the run report.
 
-Wraps one CE-scaling training job in a :class:`TelemetrySession`, then
+Wraps one CE-scaling training job in :class:`repro.Instruments`, then
 shows the three export surfaces the telemetry layer offers:
 
 * the breakdown report (`repro report` renders the same thing),
@@ -14,10 +14,9 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import Objective, workload
+from repro import Instruments, Objective, workload
 from repro.telemetry import RunReport
 from repro.telemetry.exporters import to_prometheus_text
-from repro.telemetry.session import TelemetrySession
 from repro.workflow.job import training_envelope
 from repro.workflow.runner import profile_workload, run_training
 
@@ -31,14 +30,13 @@ def main() -> None:
     metrics_path = out_dir / "run.json"
     trace_path = out_dir / "run.trace.json"
 
-    # Everything constructed inside the session records onto its registry
+    # Everything constructed inside the context records onto its registry
     # and tracer; on exit the capture is written and the process-global
     # no-op collectors are restored.
-    with TelemetrySession(
-        metrics_path=metrics_path,
-        trace_path=trace_path,
-        meta={"command": "train", "workload": "lr-higgs"},
-    ) as session:
+    with Instruments(
+        {"command": "train", "workload": "lr-higgs"},
+        paths={"telemetry": metrics_path, "trace": trace_path},
+    ) as ins:
         run = run_training(
             w,
             method="ce-scaling",
@@ -48,7 +46,7 @@ def main() -> None:
             profile=profile,
         )
         r = run.result
-        session.set_run_summary(
+        ins.set_run_summary(
             {
                 "jct_s": r.jct_s,
                 "cost_usd": r.cost_usd,
@@ -59,17 +57,17 @@ def main() -> None:
 
     # 1. The breakdown report — where the time and the money went.
     report = RunReport.from_registry(
-        session.registry,
+        ins.registry,
         run={"jct_s": r.jct_s, "cost_usd": r.cost_usd,
              "comm_overhead_s": r.comm_overhead_s,
              "scheduling_overhead_s": r.scheduling_overhead_s},
-        meta=session.meta,
+        meta=ins.meta,
     )
     print(report.render())
 
     # 2. Prometheus exposition — a few lines of what a scraper would see.
     print("\nprometheus sample:")
-    exposition = to_prometheus_text(session.registry.snapshot())
+    exposition = to_prometheus_text(ins.registry.snapshot())
     for line in exposition.splitlines():
         if "cold_start" in line or "billed_usd" in line:
             print(f"  {line}")

@@ -49,16 +49,16 @@ from repro.analytical.profiler import ParetoProfiler, ProfileResult
 from repro.ml.models import WORKLOADS, Workload, workload
 from repro.profiling import Profiler, profile_phase, set_profiler
 from repro.runs import (
+    Instruments,
     ProvenanceStamp,
     RunBundle,
     RunStore,
     compare_runs,
     save_run,
 )
-from repro.slo import SLOGuard, SLOSession, SLOSpec, evaluate_guard, replay_events
+from repro.slo import SLOGuard, SLOSpec, evaluate_guard, replay_events
 from repro.timeseries import (
     TimeSeriesSampler,
-    TimeSeriesSession,
     detect_anomalies,
     set_sampler,
 )
@@ -81,6 +81,7 @@ __all__ = [
     "FaultLedger",
     "FaultPlan",
     "GreedyHeuristicPlanner",
+    "Instruments",
     "JobResult",
     "MetricsRegistry",
     "Objective",
@@ -98,11 +99,9 @@ __all__ = [
     "RunStore",
     "SHASpec",
     "SLOGuard",
-    "SLOSession",
     "SLOSpec",
     "StorageKind",
     "TimeSeriesSampler",
-    "TimeSeriesSession",
     "Tracer",
     "WORKLOADS",
     "Workload",

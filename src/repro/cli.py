@@ -29,10 +29,9 @@ from repro.common.schemas import SCHEMA_KEYS
 from repro.common.types import StorageKind
 from repro.common.units import format_duration, format_usd
 from repro.ml.models import WORKLOADS, workload
-from repro.runs.store import DEFAULT_STORE_ROOT
+from repro.runs import BUNDLE_KINDS, DEFAULT_STORE_ROOT, Instruments
 from repro.telemetry.exporters import from_json_payload
 from repro.telemetry.report import RunReport
-from repro.telemetry.session import TelemetrySession
 from repro.tuning.plan import Objective
 from repro.tuning.sha import SHASpec
 from repro.experiments.registry import REGISTRY, run_experiment
@@ -135,72 +134,70 @@ def _stamp(args, command: str, workload_name: str | None = None):
     )
 
 
-def _save_store(args) -> str | None:
-    """The --save-run store root, or None when the flag was not given."""
-    return getattr(args, "save_run", None)
+def _instruments(args, command: str) -> Instruments:
+    """The capture context of one run command (inert without flags).
 
-
-def _session(args, command: str) -> TelemetrySession:
-    """Telemetry capture scoped to one CLI command (no-op without flags).
-
-    ``--save-run`` forces the collectors on (without file writes) so the
-    bundle saver can snapshot them after exit.
+    ``--save-run`` adds the bundle's default kinds; ``--slo`` loads the
+    spec here, so a bad spec file fails before the run starts.
     """
-    return TelemetrySession(
-        metrics_path=getattr(args, "telemetry", None),
-        trace_path=getattr(args, "trace", None),
-        meta=_stamp(args, command),
-        force_install=bool(_save_store(args)),
+    spec = None
+    if args.slo:
+        from repro.slo import SLOSpec
+
+        spec = SLOSpec.load(args.slo)
+    kinds = ("telemetry", "trace", "events", "profile", "flamegraph", "timeseries")
+    paths = {kind: getattr(args, kind) for kind in kinds}
+    paths["faults"] = args.fault_report
+    return Instruments(
+        _stamp(args, command),
+        kinds=BUNDLE_KINDS if args.save_run else (),
+        paths=paths,
+        slo=spec,
     )
 
 
-def _slo_session(args, command: str):
-    """SLO guarding scoped to one CLI command (inert without flags)."""
-    from repro.slo import SLOSession
+def _finish(args, ins: Instruments, commit=None) -> int:
+    """After a clean run: print the ride-along lines, save the --save-run
+    bundle, call ``commit`` once it is durable, and print the SLO report.
 
-    return SLOSession(
-        spec=getattr(args, "slo", None),
-        events_path=getattr(args, "events", None),
-        meta=_stamp(args, command),
-        force_log=bool(_save_store(args)),
-    )
+    Returns the SLO exit code: 1 if any objective was violated, else 0.
+    """
+    if ins.ledger is not None:
+        s = ins.ledger.summary()
+        print(
+            f"faults : {s['n_faults']} injected, {s['n_recoveries']} recovery "
+            f"action(s); lost {format_duration(s['fault_time_s'])}, recovery "
+            f"overhead {format_duration(s['recovery_time_s'])}"
+        )
+    if ins.profiler is not None:
+        totals = ins.payloads["profile"]["totals"]
+        wrote = [str(ins.paths[k]) for k in ("profile", "flamegraph") if k in ins.paths]
+        print(
+            f"profile : {totals['n_frames']} frame(s), {totals['n_calls']} "
+            f"call(s) -> {', '.join(wrote)}"
+        )
+    if ins.sampler is not None and "timeseries" in ins.paths:
+        sampler = ins.sampler
+        print(
+            f"timeseries : {len(sampler.series)} series, "
+            f"{sampler.n_points()} point(s), {len(sampler.markers)} marker(s) "
+            f"-> {ins.paths['timeseries']}"
+        )
+    if args.save_run:
+        from repro.runs import RunStore
 
-
-def _finish_slo(slo) -> int:
-    """Print the guard's report after a run; 1 if any SLO was violated."""
-    if slo.guard is None:
+        bundle = ins.save(RunStore(args.save_run))
+        print(
+            f"run    : {bundle.run_id} ({len(bundle.artifacts)} artifact(s)) "
+            f"-> {args.save_run}"
+        )
+    if commit is not None:
+        commit()
+    if ins.slo_report is None:
         return 0
-    from repro.slo import evaluate_guard
-
-    report = evaluate_guard(slo.guard, meta=slo.meta)
     print()
-    print(report.render())
-    return 1 if report.violated else 0
-
-
-def _add_slo_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--slo", metavar="SPEC",
-        help="guard the run against a repro-slo/v1 spec file; prints the "
-             "SLO report and exits 1 on violation",
-    )
-    parser.add_argument(
-        "--events", metavar="PATH",
-        help="write the repro-events/v1 JSONL event log to PATH",
-    )
-
-
-def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--faults", metavar="PLAN",
-        help="inject faults from a repro-faults/v1 plan file and enable "
-             "the resilience layer (retries, checkpoints, replanning)",
-    )
-    parser.add_argument(
-        "--fault-report", metavar="PATH",
-        help="write the fault/recovery ledger as repro-faults-report/v1 "
-             "JSON to PATH",
-    )
+    print(ins.slo_report.render())
+    return 1 if ins.slo_report.violated else 0
 
 
 def _fault_plan(args):
@@ -213,166 +210,39 @@ def _fault_plan(args):
     return FaultPlan.load(path)
 
 
-def _finish_faults(args, ledger, plan, command: str) -> None:
-    """Print the one-line fault summary; write --fault-report if asked."""
-    if ledger is None:
-        return
-    s = ledger.summary()
-    print(
-        f"faults : {s['n_faults']} injected, {s['n_recoveries']} recovery "
-        f"action(s); lost {format_duration(s['fault_time_s'])}, recovery "
-        f"overhead {format_duration(s['recovery_time_s'])}"
-    )
-    out = getattr(args, "fault_report", None)
-    if out:
-        Path(out).write_text(
-            ledger.to_json(
-                plan.to_payload() if plan is not None else None,
-                meta=_stamp(args, command),
-            )
-        )
-
-
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--telemetry", metavar="PATH",
-        help="write JSON telemetry (metrics + run summary) to PATH; "
-             "inspect later with `repro report PATH`",
-    )
-    parser.add_argument(
-        "--trace", metavar="PATH",
-        help="write a Chrome trace (load in Perfetto) to PATH",
-    )
-
-
-def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", metavar="PATH",
-        help="profile the run's hot paths; write the repro-profile/v1 "
-             "capture to PATH (diff later with `repro profile --diff`)",
-    )
-    parser.add_argument(
-        "--flamegraph", metavar="PATH",
-        help="write a collapsed-stack flamegraph (flamegraph.pl / inferno "
-             "/ speedscope input) to PATH",
-    )
-
-
-def _profile_session(args, command: str):
-    """Hot-path profiling scoped to one CLI command (inert without flags)."""
-    from repro.profiling.session import ProfileSession
-
-    return ProfileSession(
-        profile_path=getattr(args, "profile", None),
-        flamegraph_path=getattr(args, "flamegraph", None),
-        meta=_stamp(args, command),
-    )
-
-
-def _finish_profile(args, prof) -> None:
-    """Report capture paths; merge profiler frames into a --trace file.
-
-    Runs after the telemetry session has written the Chrome trace, so the
-    profiler's host-time spans are appended to the finished document.
-    """
-    if prof.profiler is None:
-        return
-    trace = getattr(args, "trace", None)
-    if trace:
-        from repro.profiling import augment_chrome_trace
-
-        path = Path(trace)
-        path.write_text(augment_chrome_trace(path.read_text(), prof.profiler))
-    totals = prof.payload()["totals"]
-    wrote = [str(p) for p in (prof.profile_path, prof.flamegraph_path) if p]
-    print(
-        f"profile : {totals['n_frames']} frame(s), {totals['n_calls']} "
-        f"call(s) -> {', '.join(wrote)}"
-    )
-
-
-def _add_timeseries_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--timeseries", metavar="PATH",
-        help="sample resource time-series (concurrency, warm pool, storage "
-             "bandwidth, cost, ...) on the simulated clock; write the "
-             "repro-timeseries/v1 capture to PATH (view with `repro dash "
-             "--replay PATH`)",
-    )
-
-
-def _timeseries_session(args, command: str):
-    """Time-series sampling scoped to one CLI command (inert without flags).
-
-    Must enter *after* the SLO session so a live event bus is already
-    installed when the sampler subscribes its marker hook.
-    """
-    from repro.timeseries import TimeSeriesSession
-
-    return TimeSeriesSession(
-        capture_path=getattr(args, "timeseries", None),
-        meta=_stamp(args, command),
-        force_install=bool(_save_store(args)),
-    )
-
-
-def _peaks(summary: dict, tser) -> dict:
-    """Attach high-water marks to a run summary when sampling was live.
-
-    Sampler-off runs keep their exact pre-existing telemetry bytes; the
-    ``peaks`` block only exists when ``--timeseries`` was given.
-    """
-    if tser.sampler is not None:
-        from repro.timeseries import peaks_summary
-
-        summary["peaks"] = peaks_summary(tser.sampler)
-    return summary
-
-
-def _finish_timeseries(tser) -> None:
-    """One-line confirmation of what the sampler captured and wrote."""
-    if tser.sampler is None or tser.capture_path is None:
-        return
-    sampler = tser.sampler
-    print(
-        f"timeseries : {len(sampler.series)} series, "
-        f"{sampler.n_points()} point(s), {len(sampler.markers)} marker(s) "
-        f"-> {tser.capture_path}"
-    )
+#: The capture and fault flags every run command takes, in --help order:
+#: (flag, metavar, help).
+_RUN_FLAGS = (
+    ("--telemetry", "PATH", "write JSON telemetry (metrics + run summary) to PATH; "
+                            "inspect later with `repro report PATH`"),
+    ("--trace", "PATH", "write a Chrome trace (load in Perfetto) to PATH"),
+    ("--slo", "SPEC", "guard the run against a repro-slo/v1 spec file; prints the "
+                      "SLO report and exits 1 on violation"),
+    ("--events", "PATH", "write the repro-events/v1 JSONL event log to PATH"),
+    ("--faults", "PLAN", "inject faults from a repro-faults/v1 plan file and enable "
+                         "the resilience layer (retries, checkpoints, replanning)"),
+    ("--fault-report", "PATH", "write the fault/recovery ledger as "
+                               "repro-faults-report/v1 JSON to PATH"),
+    ("--profile", "PATH", "profile the run's hot paths; write the repro-profile/v1 "
+                          "capture to PATH (diff later with `repro profile --diff`)"),
+    ("--flamegraph", "PATH", "write a collapsed-stack flamegraph (flamegraph.pl / "
+                             "inferno / speedscope input) to PATH"),
+    ("--timeseries", "PATH", "sample resource time-series (concurrency, warm pool, "
+                             "storage bandwidth, cost, ...) on the simulated clock; "
+                             "write the repro-timeseries/v1 capture to PATH (view "
+                             "with `repro dash --replay PATH`)"),
+)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    for flag, metavar, text in _RUN_FLAGS:
+        parser.add_argument(flag, metavar=metavar, help=text)
     parser.add_argument(
         "--save-run", nargs="?", const=DEFAULT_STORE_ROOT, metavar="STORE",
         help="bundle every enabled capture (plus telemetry, trace, events "
              "and timeseries, forced on) into the content-addressed run "
              f"store (default {DEFAULT_STORE_ROOT}); inspect with "
              "`repro runs list|show|compare`",
-    )
-
-
-def _save_run_bundle(
-    args, command: str, session, slo, prof, tser, ledger=None, plan=None
-) -> None:
-    """The ``--save-run`` ride-along: snapshot the sessions into the store."""
-    store_root = _save_store(args)
-    if not store_root:
-        return
-    from repro.runs import RunStore, save_run
-
-    bundle = save_run(
-        RunStore(store_root),
-        _stamp(args, command),
-        telemetry=session,
-        slo=slo,
-        profile=prof,
-        timeseries=tser,
-        fault_ledger=ledger,
-        fault_plan=plan,
-    )
-    print(
-        f"run    : {bundle.run_id} ({len(bundle.artifacts)} artifact(s)) "
-        f"-> {store_root}"
     )
 
 
@@ -454,7 +324,6 @@ def _profile_validate(args) -> int:
 def _profile_run(args) -> int:
     """``repro profile WORKLOAD --run MODE``: profile one entry point."""
     from repro.profiling import render_capture
-    from repro.profiling.session import ProfileSession
 
     if not args.workload:
         print(
@@ -462,15 +331,14 @@ def _profile_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    prof = ProfileSession(
-        profile_path=args.out,
-        flamegraph_path=args.flamegraph,
+    ins = Instruments(
+        _stamp(args, f"profile --run {args.run}"),
+        kinds={"profile"},
+        paths={"profile": args.out, "flamegraph": args.flamegraph},
         sample_memory=args.memory,
-        force_install=True,
-        meta=_stamp(args, f"profile --run {args.run}"),
     )
     try:
-        with prof:
+        with ins:
             if args.run == "train":
                 w = workload(args.workload)
                 wprofile = profile_workload(
@@ -513,7 +381,7 @@ def _profile_run(args) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro profile: {exc}", file=sys.stderr)
         return 2
-    print(render_capture(prof.payload(), top=args.top))
+    print(render_capture(ins.payloads["profile"], top=args.top))
     return 0
 
 
@@ -558,7 +426,7 @@ def _journal_header(args, command: str) -> dict:
 def cmd_train(args, journal=None) -> int:
     try:
         w = workload(args.workload)
-        slo = _slo_session(args, "train")
+        ins = _instruments(args, "train")
         plan = _fault_plan(args)
         journal_path = getattr(args, "journal", None)
         if journal is None and journal_path:
@@ -569,9 +437,7 @@ def cmd_train(args, journal=None) -> int:
             )
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("train", exc)
-    prof = _profile_session(args, "train")
-    tser = _timeseries_session(args, "train")
-    with _session(args, "train") as session, slo, prof, tser:
+    with ins:
         profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
         env = training_envelope(w, profile)
         if args.qos_multiple is not None:
@@ -594,25 +460,23 @@ def cmd_train(args, journal=None) -> int:
             journal=journal,
         )
         r = run.result
-        session.set_run_summary(
-            _peaks(
-                {
-                    "jct_s": r.jct_s,
-                    "cost_usd": r.cost_usd,
-                    "converged": r.converged,
-                    "n_epochs": len(r.epochs),
-                    "n_restarts": r.n_restarts,
-                    "comm_overhead_s": r.comm_overhead_s,
-                    "scheduling_overhead_s": r.scheduling_overhead_s,
-                    "storage_cost_usd": r.storage_cost_usd,
-                    # Constraint context, so `repro diagnose` on this capture
-                    # can re-judge the scheduler's decisions (ex-post regret).
-                    "objective": objective.value,
-                    "budget_usd": budget,
-                    "qos_s": qos,
-                },
-                tser,
-            )
+        ins.set_run_summary(
+            {
+                "jct_s": r.jct_s,
+                "cost_usd": r.cost_usd,
+                "converged": r.converged,
+                "n_epochs": len(r.epochs),
+                "n_restarts": r.n_restarts,
+                "comm_overhead_s": r.comm_overhead_s,
+                "scheduling_overhead_s": r.scheduling_overhead_s,
+                "storage_cost_usd": r.storage_cost_usd,
+                # Constraint context, so `repro diagnose` on this capture
+                # can re-judge the scheduler's decisions (ex-post regret).
+                "objective": objective.value,
+                "budget_usd": budget,
+                "qos_s": qos,
+            },
+            ledger=run.fault_ledger, plan=plan,
         )
     print(f"method={args.method}  converged={r.converged}  "
           f"epochs={len(r.epochs)}  restarts={r.n_restarts}")
@@ -620,14 +484,8 @@ def cmd_train(args, journal=None) -> int:
     print(f"comm {format_duration(r.comm_overhead_s)}   "
           f"storage {format_usd(r.storage_cost_usd)}   "
           f"scheduling {format_duration(r.scheduling_overhead_s)}")
-    _finish_faults(args, run.fault_ledger, plan, "train")
-    _finish_profile(args, prof)
-    _finish_timeseries(tser)
-    _save_run_bundle(
-        args, "train", session, slo, prof, tser,
-        ledger=run.fault_ledger, plan=plan,
-    )
-    if journal is not None:
+
+    def commit() -> None:
         # Commit only after the bundle is durable: an interrupted save
         # leaves the journal resumable, and resume regenerates the exact
         # same bundle (content-addressed store; identical bytes dedup).
@@ -637,7 +495,8 @@ def cmd_train(args, journal=None) -> int:
         )
         journal.close()
         print(f"journal: {len(r.epochs)} epoch boundary(ies) committed")
-    return _finish_slo(slo)
+
+    return _finish(args, ins, commit if journal is not None else None)
 
 
 def cmd_resume(args) -> int:
@@ -686,13 +545,11 @@ def cmd_tune(args) -> int:
     try:
         w = workload(args.workload)
         spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
-        slo = _slo_session(args, "tune")
+        ins = _instruments(args, "tune")
         plan = _fault_plan(args)
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("tune", exc)
-    prof = _profile_session(args, "tune")
-    tser = _timeseries_session(args, "tune")
-    with _session(args, "tune") as session, slo, prof, tser:
+    with ins:
         profile = profile_workload(w)
         env = tuning_envelope(profile, spec)
         budget = env.budget(args.budget_multiple)
@@ -703,17 +560,15 @@ def cmd_tune(args) -> int:
             fault_plan=plan,
         )
         r = run.result
-        session.set_run_summary(
-            _peaks(
-                {
-                    "jct_s": r.jct_s,
-                    "cost_usd": r.cost_usd,
-                    "comm_overhead_s": r.comm_overhead_s,
-                    "scheduling_overhead_s": r.scheduling_overhead_s,
-                    "n_stages": len(r.stages),
-                },
-                tser,
-            )
+        ins.set_run_summary(
+            {
+                "jct_s": r.jct_s,
+                "cost_usd": r.cost_usd,
+                "comm_overhead_s": r.comm_overhead_s,
+                "scheduling_overhead_s": r.scheduling_overhead_s,
+                "n_stages": len(r.stages),
+            },
+            ledger=run.fault_ledger, plan=plan,
         )
     print(f"SHA {spec.n_trials} trials / {spec.n_stages} stages; "
           f"budget {format_usd(budget)}")
@@ -721,14 +576,7 @@ def cmd_tune(args) -> int:
           f"cost {format_usd(r.cost_usd)}")
     print(f"winner: lr={r.winner.learning_rate:.2e} "
           f"momentum={r.winner.momentum:.2f} (quality {r.winner.quality:.2f})")
-    _finish_faults(args, run.fault_ledger, plan, "tune")
-    _finish_profile(args, prof)
-    _finish_timeseries(tser)
-    _save_run_bundle(
-        args, "tune", session, slo, prof, tser,
-        ledger=run.fault_ledger, plan=plan,
-    )
-    return _finish_slo(slo)
+    return _finish(args, ins)
 
 
 def cmd_workflow(args) -> int:
@@ -737,35 +585,31 @@ def cmd_workflow(args) -> int:
     try:
         workload(args.workload)  # an unknown name fails here, not mid-run
         spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
-        slo = _slo_session(args, "workflow")
+        ins = _instruments(args, "workflow")
         plan = _fault_plan(args)
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("workflow", exc)
-    prof = _profile_session(args, "workflow")
-    tser = _timeseries_session(args, "workflow")
-    with _session(args, "workflow") as session, slo, prof, tser:
+    with ins:
         result = run_workflow(
             args.workload, spec, budget_usd=args.budget,
             tuning_fraction=args.tuning_fraction, seed=args.seed,
             fault_plan=plan,
         )
-        session.set_run_summary(
-            _peaks(
-                {
-                    "jct_s": result.total_jct_s,
-                    "cost_usd": result.total_cost_usd,
-                    "converged": result.training.converged,
-                    "comm_overhead_s": (
-                        result.tuning.comm_overhead_s
-                        + result.training.comm_overhead_s
-                    ),
-                    "scheduling_overhead_s": (
-                        result.tuning.scheduling_overhead_s
-                        + result.training.scheduling_overhead_s
-                    ),
-                },
-                tser,
-            )
+        ins.set_run_summary(
+            {
+                "jct_s": result.total_jct_s,
+                "cost_usd": result.total_cost_usd,
+                "converged": result.training.converged,
+                "comm_overhead_s": (
+                    result.tuning.comm_overhead_s
+                    + result.training.comm_overhead_s
+                ),
+                "scheduling_overhead_s": (
+                    result.tuning.scheduling_overhead_s
+                    + result.training.scheduling_overhead_s
+                ),
+            },
+            ledger=result.fault_ledger, plan=plan,
         )
     print(f"tuning : JCT {format_duration(result.tuning.jct_s)}  "
           f"cost {format_usd(result.tuning.cost_usd)}  "
@@ -777,14 +621,7 @@ def cmd_workflow(args) -> int:
     print(f"total  : JCT {format_duration(result.total_jct_s)}  "
           f"cost {format_usd(result.total_cost_usd)} / "
           f"{format_usd(args.budget)}")
-    _finish_faults(args, result.fault_ledger, plan, "workflow")
-    _finish_profile(args, prof)
-    _finish_timeseries(tser)
-    _save_run_bundle(
-        args, "workflow", session, slo, prof, tser,
-        ledger=result.fault_ledger, plan=plan,
-    )
-    return _finish_slo(slo)
+    return _finish(args, ins)
 
 
 def cmd_report(args) -> int:
@@ -805,7 +642,7 @@ def cmd_report(args) -> int:
 
 def cmd_dash(args) -> int:
     """``repro dash``: terminal dashboard, from a live run or a capture."""
-    from repro.timeseries import TimeSeriesSession, load_capture, render_dashboard
+    from repro.timeseries import load_capture, render_dashboard
 
     if args.replay:
         try:
@@ -825,13 +662,11 @@ def cmd_dash(args) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro dash: {exc}", file=sys.stderr)
         return 2
-    tser = TimeSeriesSession(
-        capture_path=args.out,
-        force_install=True,
-        meta=_stamp(args, "dash"),
+    ins = Instruments(
+        _stamp(args, "dash"), kinds={"timeseries"}, paths={"timeseries": args.out}
     )
     try:
-        with tser:
+        with ins:
             w = workload(args.workload)
             profile = profile_workload(w)
             env = training_envelope(w, profile)
@@ -848,7 +683,7 @@ def cmd_dash(args) -> int:
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro dash: {exc}", file=sys.stderr)
         return 2
-    print(render_dashboard(tser.payload(), width=args.width), end="")
+    print(render_dashboard(ins.payloads["timeseries"], width=args.width), end="")
     return 0
 
 
@@ -913,8 +748,6 @@ def cmd_diagnose(args) -> int:
     import json
 
     from repro.diagnostics import RunObservation, diagnose
-    from repro.telemetry import get_registry, set_registry
-    from repro.telemetry.metrics import MetricsRegistry
 
     slo_spec = None
     if getattr(args, "slo", None):
@@ -979,32 +812,24 @@ def cmd_diagnose(args) -> int:
                 else env.budget(args.budget_multiple)
             )
             qos = None
-        registry = MetricsRegistry()
-        prev = get_registry()
-        set_registry(registry)
         # Live mode: --timeseries samples this run and writes the capture
         # to that path; the fresh series feed the anomaly detector.
-        from repro.timeseries import TimeSeriesSession
-
-        tser = TimeSeriesSession(
-            capture_path=getattr(args, "timeseries", None),
-            meta=_stamp(args, "diagnose", workload_name=args.target),
+        ins = Instruments(
+            _stamp(args, "diagnose", workload_name=args.target),
+            kinds={"telemetry"},
+            paths={"timeseries": args.timeseries},
         )
-        try:
-            with tser:
-                run = run_training(
-                    w, method=args.method, objective=objective,
-                    budget_usd=budget,
-                    qos_s=qos, seed=args.seed, profile=profile,
-                    storage_pin=_parse_storage(args.storage),
-                    straggler_factors=dict(args.straggler),
-                    fault_plan=fault_plan,
-                )
-        finally:
-            set_registry(prev)
-        if tser.sampler is not None:
-            ts_payload = tser.payload()
-        obs = RunObservation.from_training_run(run, registry=registry)
+        with ins:
+            run = run_training(
+                w, method=args.method, objective=objective,
+                budget_usd=budget,
+                qos_s=qos, seed=args.seed, profile=profile,
+                storage_pin=_parse_storage(args.storage),
+                straggler_factors=dict(args.straggler),
+                fault_plan=fault_plan,
+            )
+        ts_payload = ins.payloads.get("timeseries")
+        obs = RunObservation.from_training_run(run, registry=ins.registry)
         candidates = run.profile.candidates
         faults_summary = run.result.extra.get("faults")
     if faults_summary is None and getattr(args, "fault_report", None):
@@ -1062,8 +887,6 @@ def _evaluate_capture(spec, capture: str):
 
 def _run_guarded(spec, args):
     """Run one training job under the guard; returns the SLO report."""
-    from repro.slo import SLOSession, evaluate_guard
-
     w = workload(args.workload)
     profile = profile_workload(w)
     env = training_envelope(w, profile)
@@ -1071,17 +894,13 @@ def _run_guarded(spec, args):
         args.budget if args.budget is not None
         else env.budget(args.budget_multiple)
     )
-    session = SLOSession(
-        spec=spec,
-        events_path=getattr(args, "events", None),
-        meta=_stamp(args, "slo"),
-    )
-    with session:
+    ins = Instruments(_stamp(args, "slo"), paths={"events": args.events}, slo=spec)
+    with ins:
         run_training(
             w, method=args.method, objective=Objective.MIN_JCT_GIVEN_BUDGET,
             budget_usd=budget, seed=args.seed, profile=profile,
         )
-    return evaluate_guard(session.guard, meta=session.meta)
+    return ins.slo_report
 
 
 def cmd_slo(args) -> int:
@@ -1403,11 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the crash-consistent repro-journal/v1 write-ahead log "
              "to PATH; an interrupted run continues with `repro resume`",
     )
-    _add_telemetry_flags(p)
-    _add_slo_flags(p)
-    _add_fault_flags(p)
-    _add_profile_flags(p)
-    _add_timeseries_flags(p)
     _add_run_flags(p)
     p.set_defaults(fn=cmd_train)
 
@@ -1433,11 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs-per-stage", type=int, default=2)
     p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=1.3)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_telemetry_flags(p)
-    _add_slo_flags(p)
-    _add_fault_flags(p)
-    _add_profile_flags(p)
-    _add_timeseries_flags(p)
     _add_run_flags(p)
     p.set_defaults(fn=cmd_tune)
 
@@ -1449,11 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("--epochs-per-stage", type=int, default=1)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_telemetry_flags(p)
-    _add_slo_flags(p)
-    _add_fault_flags(p)
-    _add_profile_flags(p)
-    _add_timeseries_flags(p)
     _add_run_flags(p)
     p.set_defaults(fn=cmd_workflow)
 
@@ -1680,8 +1484,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
-    # Provenance stamping records the exact invocation (informational
-    # only: argv never feeds run-id derivation).
+    # Provenance stamping records the exact invocation in the bundle
+    # manifest and the journal header only: capture documents, whose bytes
+    # the run id digests, carry the stamp without argv.
     args._argv = tuple(argv)
     try:
         return args.fn(args)

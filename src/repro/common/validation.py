@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, TypeVar
 
 from repro.common.errors import ValidationError
@@ -44,6 +45,17 @@ def require_one_of(value: T, options: Iterable[T], name: str) -> T:
     if value not in opts:
         raise ValidationError(f"{name} must be one of {opts}, got {value!r}")
     return value
+
+
+def is_number(value: object) -> bool:
+    """Whether a parsed JSON value is a number ``float()`` accepts: not a
+    bool, and not an integer past the float range (that would overflow)."""
+    if isinstance(value, float):
+        return True
+    return (
+        isinstance(value, int) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def require_field(payload: object, key: str, name: str) -> object:

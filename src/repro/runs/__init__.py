@@ -13,7 +13,8 @@ existing diff surfaces into a single ``repro-compare/v1`` verdict.
 * :mod:`repro.runs.bundle` — manifests, artifacts, run-id derivation;
 * :mod:`repro.runs.store` — the content-addressed local registry;
 * :mod:`repro.runs.compare` — the cross-run regression observatory;
-* :mod:`repro.runs.saver` — the ``--save-run`` session snapshotter.
+* :mod:`repro.runs.instruments` — :class:`Instruments`, the one context
+  that installs a run's collectors, writes its captures and bundles them.
 """
 
 from repro.runs.bundle import (
@@ -35,21 +36,22 @@ from repro.runs.compare import (
     has_regression,
     render_compare,
 )
+from repro.runs.instruments import BUNDLE_KINDS, Instruments
 from repro.runs.provenance import ProvenanceStamp, hash_config
-from repro.runs.saver import collect_artifacts, save_run
-from repro.runs.store import DEFAULT_STORE_ROOT, RunStore
+from repro.runs.store import DEFAULT_STORE_ROOT, RunStore, save_run
 
 __all__ = [
     "ARTIFACT_KINDS",
     "Artifact",
+    "BUNDLE_KINDS",
     "BUNDLE_SCHEMA",
     "COMPARE_SCHEMA",
     "DEFAULT_STORE_ROOT",
     "HOST_TIMED_KINDS",
+    "Instruments",
     "ProvenanceStamp",
     "RunBundle",
     "RunStore",
-    "collect_artifacts",
     "compare_runs",
     "compare_to_json",
     "derive_run_id",

@@ -12,7 +12,10 @@ carry the same provenance core and can be re-associated later.
 The stamp's :meth:`identity` is deliberately narrower than its
 :meth:`to_meta`: output paths and store locations (argv) never influence
 the run id, so saving the same run into two different stores yields the
-same ``r<hash>`` identifier.
+same ``r<hash>`` identifier. Capture documents, whose bytes the run id
+digests, therefore carry the stamp without argv
+(:class:`repro.runs.Instruments` drops it); only the bundle manifest and
+the run journal's header record the invocation.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.runs.bundle import (
     manifest_to_json,
     sha256_text,
 )
+from repro.runs.provenance import ProvenanceStamp
 
 DEFAULT_STORE_ROOT = ".repro/runs"
 
@@ -166,3 +167,16 @@ class RunStore:
                 if not any(shard.iterdir()):
                     shard.rmdir()
         return {"n_removed": n_removed, "n_kept": n_kept, "n_runs": len(self.run_ids())}
+
+
+def save_run(
+    store: RunStore,
+    stamp: ProvenanceStamp,
+    artifacts: dict[str, str],
+    summary: dict | None = None,
+) -> RunBundle:
+    """Bundle rendered capture texts (by artifact kind) under ``stamp`` and
+    persist them in ``store``; returns the bundle."""
+    bundle = RunBundle(stamp, artifacts, summary=summary)
+    store.save(bundle)
+    return bundle

@@ -10,8 +10,8 @@ budget while it executes, instead of reporting misses post-mortem:
   with projected completion from the online predictor;
 * :mod:`repro.slo.alerts` — threshold + burn-rate rules with a
   deterministic fire/resolve lifecycle;
-* :mod:`repro.slo.guard` — :class:`SLOGuard` wires it together;
-  :class:`SLOSession` installs it around a run;
+* :mod:`repro.slo.guard` — :class:`SLOGuard` wires it together
+  (:class:`repro.runs.Instruments` installs it around a run);
 * :mod:`repro.slo.report` — ``repro-slo-report/v1`` evaluation reports.
 
 Everything runs on simulated clocks only; a guard-off run is byte-
@@ -30,7 +30,7 @@ from repro.slo.events import (
     get_event_bus,
     set_event_bus,
 )
-from repro.slo.guard import SLOGuard, SLOSession
+from repro.slo.guard import SLOGuard
 from repro.slo.report import (
     REPORT_SCHEMA,
     ObjectiveResult,
@@ -61,7 +61,6 @@ __all__ = [
     "ObjectiveResult",
     "SLOGuard",
     "SLOReport",
-    "SLOSession",
     "SLOSpec",
     "error_budget_findings",
     "evaluate_guard",

@@ -20,10 +20,12 @@ same-seed runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.common.errors import SLOError
 from repro.common.meta import coerce_meta
+from repro.common.validation import is_number
 
 EVENTS_SCHEMA = "repro-events/v1"
 
@@ -186,16 +188,32 @@ class EventLog:
             raise SLOError(
                 f"expected schema {EVENTS_SCHEMA!r}, got {header.get('schema')!r}"
             )
-        log = cls(meta=header.get("meta", {}))
-        for i, line in enumerate(lines[1:], start=1):
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise SLOError("event log header 'meta' must be an object")
+        log = cls(meta=meta)
+        for i, line in enumerate(lines[1:], start=2):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SLOError(f"event log line {i + 1} is truncated or malformed: {exc}") from exc
-            log.append(
-                row["kind"],
-                float(row["t_s"]),
-                scope=row.get("scope", ""),
-                **row.get("data", {}),
-            )
+                raise SLOError(f"event log line {i} is truncated or malformed: {exc}") from exc
+            log.events.append(_event_from_row(row, i))
         return log
+
+
+def _event_from_row(row: object, line: int) -> Event:
+    """One :class:`Event` from a parsed log line; raises :class:`SLOError`
+    naming the line when a field is missing or has the wrong shape."""
+    if not isinstance(row, dict):
+        raise SLOError(f"event log line {line} must be an object, got {type(row).__name__}")
+    kind, t_s = row.get("kind"), row.get("t_s")
+    scope, data = row.get("scope", ""), row.get("data", {})
+    if not isinstance(kind, str):
+        raise SLOError(f"event log line {line} needs a string 'kind', got {kind!r}")
+    if not (is_number(t_s) and math.isfinite(t_s)):
+        raise SLOError(f"event log line {line} needs a finite number 't_s', got {t_s!r}")
+    if not isinstance(scope, str):
+        raise SLOError(f"event log line {line} 'scope' must be a string, got {scope!r}")
+    if not isinstance(data, dict):
+        raise SLOError(f"event log line {line} 'data' must be an object, got {data!r}")
+    return Event(kind=kind, t_s=float(t_s), scope=scope, data=data)

@@ -9,20 +9,15 @@ appended to the guard's own event log (``alert_fired`` /
 alerts leaves the metrics snapshot byte-identical to a guard-off run),
 and marked as Chrome-trace instant events when a tracer is live.
 
-:class:`SLOSession` is the context-manager wrapper the CLI uses: it
-installs an :class:`~repro.slo.events.EventBus` for the duration of a run,
-wires the guard and/or a plain event log into it, and writes the JSONL
-event log on exit.
+The guard is installed around a run by :class:`repro.runs.Instruments`,
+which subscribes it to a fresh :class:`~repro.slo.events.EventBus`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.common.meta import coerce_meta
 from repro.slo.alerts import Alert, AlertEngine
 from repro.slo.burnrate import STATUSES, BurnRateAccountant
-from repro.slo.events import Event, EventBus, EventLog, get_event_bus, set_event_bus
+from repro.slo.events import Event, EventLog
 from repro.slo.spec import SLOSpec
 from repro.telemetry import get_registry, get_tracer
 from repro.timeseries import get_sampler
@@ -36,8 +31,8 @@ class SLOGuard:
         self.accountant = BurnRateAccountant(spec)
         self.engine = AlertEngine(spec)
         self.log = log if log is not None else EventLog()
-        # Captured at construction so the guard mirrors into whatever
-        # telemetry session is live when the run starts.
+        # Captured at construction: Instruments installs the registry and
+        # tracer before it builds the guard.
         self._registry = get_registry()
         self._tracer = get_tracer()
         self._m_alerts = None
@@ -137,70 +132,3 @@ class SLOGuard:
             state=state,
         )
 
-
-class SLOSession:
-    """Installs the event bus (and optionally the guard) around a run.
-
-    Args:
-        spec: an :class:`SLOSpec`, a path to a ``repro-slo/v1`` JSON file,
-            or ``None`` to only capture the event log.
-        events_path: where to write the ``repro-events/v1`` JSONL log on a
-            clean exit; ``None`` skips the write.
-        meta: run metadata for the event-log header — a plain dict or
-            anything with a ``to_meta()`` method (a provenance stamp).
-        force_log: install the bus and capture the event log even with no
-            spec and no events path (the ``--save-run`` bundler reads
-            ``session.log`` after exit).
-
-    With neither a spec, an events path, nor ``force_log`` the session is
-    inert: nothing is installed and the run stays byte-identical to a
-    guard-off run.
-    """
-
-    def __init__(
-        self,
-        spec: SLOSpec | str | Path | None = None,
-        events_path: str | Path | None = None,
-        meta: dict | None = None,
-        force_log: bool = False,
-    ) -> None:
-        if isinstance(spec, (str, Path)):
-            spec = SLOSpec.load(spec)
-        self.spec = spec
-        self.events_path = Path(events_path) if events_path is not None else None
-        self.meta = coerce_meta(meta)
-        self.force_log = force_log
-        self.guard: SLOGuard | None = None
-        self.log: EventLog | None = None
-        self._prev_bus = None
-
-    @property
-    def active(self) -> bool:
-        """True when entering the session will install a live bus."""
-        return (
-            self.spec is not None
-            or self.events_path is not None
-            or self.force_log
-        )
-
-    def __enter__(self) -> "SLOSession":
-        if not self.active:
-            return self
-        self._prev_bus = get_event_bus()
-        bus = EventBus()
-        self.log = EventLog(meta=self.meta)
-        if self.spec is not None:
-            self.guard = SLOGuard(self.spec, log=self.log)
-            bus.subscribe(self.guard.on_event)
-        else:
-            bus.subscribe(self.log.record)
-        set_event_bus(bus)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self.active:
-            return
-        set_event_bus(self._prev_bus)
-        self._prev_bus = None
-        if exc_type is None and self.events_path is not None and self.log is not None:
-            self.events_path.write_text(self.log.to_jsonl())

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from repro.common.errors import SLOError
 from repro.common.meta import coerce_meta
 from repro.slo.alerts import Alert
 from repro.slo.events import EventLog
@@ -172,10 +173,15 @@ def replay_events(
     if isinstance(log, str):
         log = EventLog.from_jsonl(log)
     guard = SLOGuard(spec)
-    for event in log.events:
+    for seq, event in enumerate(log.events):
         if event.kind in ("alert_fired", "alert_resolved"):
             continue
-        guard.on_event(event)
+        try:
+            guard.on_event(event)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise SLOError(
+                f"event {seq} ({event.kind}) has a malformed data field: {exc}"
+            ) from exc
     return evaluate_guard(guard, meta={**log.meta, **(meta or {})})
 
 

@@ -12,8 +12,8 @@ caller installs real collectors::
     ...  # run jobs; platform/scheduler/planner/storage record as they go
     print(to_prometheus_text(registry.snapshot()))
 
-or, scoped, via :class:`repro.telemetry.session.TelemetrySession` (what the
-CLI's ``--telemetry`` / ``--trace`` flags use). Instrumentation components
+or, scoped, via :class:`repro.runs.Instruments` (what the CLI's
+``--telemetry`` / ``--trace`` flags use). Instrumentation components
 capture the globals at *construction* time, so install collectors before
 building platforms/schedulers (``run_training`` et al. construct everything
 per call, which makes this automatic).
@@ -72,11 +72,6 @@ def set_tracer(tracer) -> None:
     _tracer = tracer if tracer is not None else _NULL_TRACER
 
 
-def telemetry_enabled() -> bool:
-    """True when a real registry or tracer is installed."""
-    return _registry.enabled or _tracer.enabled
-
-
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
@@ -95,7 +90,6 @@ __all__ = [
     "get_tracer",
     "set_registry",
     "set_tracer",
-    "telemetry_enabled",
     "to_json",
     "to_prometheus_text",
 ]

@@ -14,6 +14,7 @@ import json
 from typing import Iterable
 
 from repro.common.meta import coerce_meta
+from repro.common.validation import is_number
 from repro.telemetry.metrics import MetricSnapshot, Sample
 
 JSON_SCHEMA = "repro-telemetry/v1"
@@ -160,4 +161,86 @@ def from_json_payload(text: str) -> dict:
             f"unsupported telemetry schema {payload.get('schema')!r}; "
             f"expected {JSON_SCHEMA!r}"
         )
+    _validate_payload(payload)
     return payload
+
+
+#: Run-summary fields readers do arithmetic on; ``None`` marks the ones a
+#: run may leave unset (a QoS-constrained run has no budget).
+_RUN_NUMBERS = {
+    "jct_s": False, "cost_usd": False, "comm_overhead_s": False,
+    "scheduling_overhead_s": False, "storage_cost_usd": False,
+    "n_epochs": False, "n_restarts": False, "n_stages": False,
+    "budget_usd": True, "qos_s": True,
+}
+
+_METRIC_TYPES = ("counter", "gauge", "histogram")
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"malformed telemetry document: {what}")
+
+
+def _validate_payload(payload: dict) -> None:
+    """Check the shapes every reader of a capture relies on."""
+    meta, run = payload.get("meta", {}), payload.get("run", {})
+    _require(isinstance(meta, dict), "'meta' must be an object")
+    _require(isinstance(run, dict), "'run' must be an object")
+    for key, nullable in _RUN_NUMBERS.items():
+        value = run.get(key)
+        if key in run and not (nullable and value is None):
+            _require(is_number(value), f"run {key!r} must be a number, got {value!r}")
+    _require(
+        run.get("objective") is None or isinstance(run["objective"], str),
+        "run 'objective' must be a string",
+    )
+    peaks = run.get("peaks", {})
+    _require(
+        isinstance(peaks, dict) and all(is_number(v) for v in peaks.values()),
+        "run 'peaks' must map names to numbers",
+    )
+    metrics = payload.get("metrics", [])
+    _require(isinstance(metrics, list), "'metrics' must be a list")
+    for entry in metrics:
+        _require(isinstance(entry, dict), "each metric must be an object")
+        name = entry.get("name")
+        _require(isinstance(name, str), f"metric name must be a string, got {name!r}")
+        _require(entry.get("type") in _METRIC_TYPES, f"metric {name!r} has an unknown type")
+        _require(isinstance(entry.get("help", ""), str), f"metric {name!r} help must be a string")
+        labelnames = entry.get("labelnames", [])
+        _require(
+            isinstance(labelnames, list) and all(isinstance(n, str) for n in labelnames),
+            f"metric {name!r} labelnames must be a list of strings",
+        )
+        bounds = entry.get("bucket_bounds", [])
+        _require(
+            isinstance(bounds, list) and all(is_number(b) for b in bounds),
+            f"metric {name!r} bucket_bounds must be a list of numbers",
+        )
+        samples = entry.get("samples", [])
+        _require(isinstance(samples, list), f"metric {name!r} samples must be a list")
+        for sample in samples:
+            _validate_sample(name, entry["type"], labelnames, sample)
+
+
+def _validate_sample(name: str, kind: str, labelnames: list, sample: object) -> None:
+    _require(isinstance(sample, dict), f"metric {name!r} sample must be an object")
+    labels = sample.get("labels")
+    _require(
+        isinstance(labels, dict)
+        and sorted(labels) == sorted(labelnames)
+        and all(isinstance(v, str) for v in labels.values()),
+        f"metric {name!r} sample labels must map its labelnames to strings",
+    )
+    if kind != "histogram":
+        _require(is_number(sample.get("value")), f"metric {name!r} sample value must be a number")
+        return
+    buckets = sample.get("buckets")
+    _require(
+        is_number(sample.get("sum"))
+        and isinstance(sample.get("count"), int)
+        and isinstance(buckets, list)
+        and all(isinstance(n, int) for n in buckets),
+        f"metric {name!r} histogram sample needs a numeric sum, integer count and buckets",
+    )

@@ -11,8 +11,8 @@ attribute check until a caller installs a real :class:`TimeSeriesSampler`::
     ...  # run jobs; concurrency/warm-pool/cost series accumulate
     set_sampler(None)
 
-or, scoped, via :class:`repro.timeseries.session.TimeSeriesSession` (what
-the CLI's ``--timeseries`` flag and ``repro dash`` use). Like telemetry
+or, scoped, via :class:`repro.runs.Instruments` (what the CLI's
+``--timeseries`` flag and ``repro dash`` use). Like telemetry
 and profiling, sampling is strictly observational: it never consumes
 randomness and never branches simulation logic, so simulated results are
 bit-identical with the sampler installed or not.
@@ -52,6 +52,7 @@ from repro.timeseries.core import (
     NullSampler,
     SeriesBuffer,
     TimeSeriesSampler,
+    peaks_summary,
 )
 from repro.timeseries.dashboard import render_dashboard
 from repro.timeseries.diff import (
@@ -60,7 +61,6 @@ from repro.timeseries.diff import (
     has_drift,
     render_diff,
 )
-from repro.timeseries.session import TimeSeriesSession, peaks_summary
 
 _NULL_SAMPLER = NullSampler()
 _sampler = _NULL_SAMPLER
@@ -88,7 +88,6 @@ __all__ = [
     "NullSampler",
     "SeriesBuffer",
     "TimeSeriesSampler",
-    "TimeSeriesSession",
     "capture_payload",
     "decode_series",
     "detect_anomalies",

@@ -164,3 +164,21 @@ class NullSampler:
 
     def n_points(self) -> int:
         return 0
+
+
+def peaks_summary(sampler: TimeSeriesSampler) -> dict:
+    """High-water marks for the run summary / ``repro report`` peaks rows.
+
+    Derived purely from the sampler's series, so the summary exists only
+    when sampling was on — sampler-off runs keep their pre-existing byte
+    output.
+    """
+    storage_peak = 0.0
+    for name in sorted(sampler.series):
+        if name.startswith("storage.") and name.endswith(".bandwidth_mb_s"):
+            storage_peak = max(storage_peak, sampler.high_water(name))
+    return {
+        "concurrency": sampler.high_water("platform.inflight"),
+        "warm_pool": sampler.high_water("platform.warm_pool"),
+        "storage_bandwidth_mb_s": storage_peak,
+    }

@@ -7,7 +7,7 @@ import pytest
 from repro.diagnostics import DiagnosticsReport, RunObservation, diagnose
 from repro.diagnostics.engine import JSON_SCHEMA, SEVERITIES
 from repro.telemetry import get_registry, get_tracer
-from repro.telemetry.session import TelemetrySession
+from repro.runs import Instruments
 from repro.workflow.runner import run_training
 
 
@@ -27,8 +27,8 @@ class TestDeterminism:
         self, tmp_path, lr_higgs, lr_profile, lr_run
     ):
         """Acceptance: telemetry on or off, the simulation is identical."""
-        with TelemetrySession(
-            metrics_path=tmp_path / "t.json", trace_path=tmp_path / "t.trace"
+        with Instruments(
+            paths={"telemetry": tmp_path / "t.json", "trace": tmp_path / "t.trace"}
         ):
             observed = run_training(
                 lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile
@@ -40,7 +40,7 @@ class TestDeterminism:
     def test_collectors_restored_after_capture(self, tmp_path, lr_higgs,
                                                lr_profile):
         registry, tracer = get_registry(), get_tracer()
-        with TelemetrySession(metrics_path=tmp_path / "t.json"):
+        with Instruments(paths={"telemetry": tmp_path / "t.json"}):
             run_training(lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile)
         assert get_registry() is registry
         assert get_tracer() is tracer
@@ -51,17 +51,16 @@ class TestCaptureRoundTrip:
     def capture(self, tmp_path_factory, lr_higgs, lr_profile):
         """Telemetry + trace files written the way `repro train` writes them."""
         out = tmp_path_factory.mktemp("capture")
-        with TelemetrySession(
-            metrics_path=out / "telemetry.json",
-            trace_path=out / "trace.json",
-            meta={"command": "train", "workload": lr_higgs.name,
-                  "method": "ce-scaling", "seed": 0},
-        ) as session:
+        with Instruments(
+            {"command": "train", "workload": lr_higgs.name,
+             "method": "ce-scaling", "seed": 0},
+            paths={"telemetry": out / "telemetry.json", "trace": out / "trace.json"},
+        ) as ins:
             run = run_training(
                 lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile
             )
             result = run.result
-            session.set_run_summary(
+            ins.set_run_summary(
                 {
                     "jct_s": result.jct_s,
                     "cost_usd": result.cost_usd,

@@ -8,13 +8,8 @@ trace captures byte-identical to a guard-off run.
 
 import json
 
-from repro.slo import (
-    SLOGuard,
-    SLOSession,
-    SLOSpec,
-    evaluate_guard,
-    replay_events,
-)
+from repro.runs import Instruments
+from repro.slo import SLOGuard, SLOSpec, evaluate_guard, replay_events
 from repro.slo.events import EventLog
 from repro.telemetry import (
     MetricsRegistry,
@@ -63,10 +58,10 @@ class TestProjectionBeforeMiss:
         deadline = 0.6 * unguarded.jct_s
 
         spec = SLOSpec(name="tight", deadline_s=deadline)
-        with SLOSession(spec=spec) as session:
+        with Instruments(slo=spec) as ins:
             guarded = _run(lr_higgs, lr_profile, seed=0, max_epochs=400)
 
-        by_rule = {a.rule: a for a in session.guard.alerts}
+        by_rule = {a.rule: a for a in ins.guard.alerts}
         projected = by_rule["deadline-projected-miss"]
         exhausted = by_rule["deadline-exhausted"]
         assert projected.fired_epoch < exhausted.fired_epoch
@@ -74,24 +69,24 @@ class TestProjectionBeforeMiss:
         # The guard never perturbs the simulation it watches.
         assert guarded.jct_s == unguarded.jct_s
         assert guarded.cost_usd == unguarded.cost_usd
-        report = evaluate_guard(session.guard)
+        report = evaluate_guard(ins.guard)
         assert report.violated and report.violations == ("deadline",)
 
 
 class TestReplay:
     def test_replay_matches_live_guard(self, mobilenet, mobilenet_profile):
         spec = SLOSpec(name="replay", deadline_s=60.0, budget_usd=1.0)
-        with SLOSession(spec=spec) as session:
+        with Instruments(slo=spec) as ins:
             _run(mobilenet, mobilenet_profile)
-        live = evaluate_guard(session.guard)
+        live = evaluate_guard(ins.guard)
 
-        text = session.log.to_jsonl()
+        text = ins.texts["events"]
         replayed = replay_events(spec, text)
         assert (
             replayed.to_payload()["objectives"] == live.to_payload()["objectives"]
         )
         assert [a.to_payload() for a in replayed.alerts] == [
-            a.to_payload() for a in session.guard.alerts
+            a.to_payload() for a in ins.guard.alerts
         ]
         # The log itself round-trips byte-exactly.
         assert EventLog.from_jsonl(text).to_jsonl() == text
@@ -100,9 +95,9 @@ class TestReplay:
         self, tmp_path, mobilenet, mobilenet_profile
     ):
         path = tmp_path / "events.jsonl"
-        with SLOSession(events_path=path, meta={"seed": 9}) as session:
+        with Instruments({"seed": 9}, paths={"events": path}) as ins:
             _run(mobilenet, mobilenet_profile)
-        assert session.guard is None  # log-only session
+        assert ins.guard is None  # log only, no spec
         log = EventLog.from_jsonl(path.read_text())
         assert log.meta == {"seed": 9}
         assert {e.kind for e in log.events} >= {"plan_chosen", "epoch_done"}
@@ -114,9 +109,9 @@ class TestDeterminism:
     ):
         texts = []
         for _ in range(2):
-            with SLOSession(spec=_quiet_spec()) as session:
+            with Instruments(slo=_quiet_spec()) as ins:
                 _run(mobilenet, mobilenet_profile)
-            texts.append(session.log.to_jsonl())
+            texts.append(ins.texts["events"])
         assert texts[0] == texts[1]
 
     def test_quiet_guard_leaves_telemetry_and_trace_byte_identical(
@@ -125,12 +120,12 @@ class TestDeterminism:
         """A guarded run with zero alerts must not leave any footprint in
         the metrics snapshot or the Chrome trace."""
 
-        def capture(slo_session):
+        def capture(instruments):
             registry, tracer = MetricsRegistry(), Tracer()
             set_registry(registry)
             set_tracer(tracer)
             try:
-                with slo_session:
+                with instruments:
                     _run(mobilenet, mobilenet_profile)
             finally:
                 set_registry(None)
@@ -140,8 +135,8 @@ class TestDeterminism:
             )
             return metrics, tracer.to_chrome_trace()
 
-        off_metrics, off_trace = capture(SLOSession())  # inert session
-        on_metrics, on_trace = capture(SLOSession(spec=_quiet_spec()))
+        off_metrics, off_trace = capture(Instruments())  # inert
+        on_metrics, on_trace = capture(Instruments(slo=_quiet_spec()))
         assert on_metrics == off_metrics
         assert on_trace == off_trace
 
@@ -155,12 +150,12 @@ class TestDeterminism:
         set_tracer(tracer)
         try:
             spec = SLOSpec(name="tight", deadline_s=1.0)
-            with SLOSession(spec=spec) as session:
+            with Instruments(slo=spec) as ins:
                 _run(mobilenet, mobilenet_profile)
         finally:
             set_registry(None)
             set_tracer(None)
-        assert session.guard.alerts
+        assert ins.guard.alerts
         fired = registry.get("repro_slo_alerts_total")
         assert fired is not None
         trace = json.loads(tracer.to_chrome_trace())

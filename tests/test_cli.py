@@ -5,10 +5,17 @@ import os
 import subprocess
 import sys
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.cli import build_parser, main
+from repro.slo.events import EVENT_KINDS, EventLog
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.exporters import to_json
 
 
 class TestParser:
@@ -155,7 +162,13 @@ class TestTelemetryFlags:
         assert "# TYPE repro_faas_invocations_total counter" in out
 
 
-#: Malformed input files, written side by side for each CLI case below.
+def _events_with(row) -> str:
+    """A repro-events/v1 log whose one event line is ``row``."""
+    return json.dumps({"schema": "repro-events/v1", "meta": {}}) + "\n" + json.dumps(row)
+
+
+#: Malformed input files, written side by side for each CLI case below
+#: (a string is written as is, anything else as JSON).
 MALFORMED_FILES = {
     "array.json": [],
     "plan.json": {
@@ -170,6 +183,11 @@ MALFORMED_FILES = {
     "spec.json": {"schema": "repro-slo/v1", "deadline_s": "x"},
     "telemetry.json": {"schema": "repro-telemetry/v1"},
     "trace.json": {"traceEvents": []},
+    "slo-ok.json": {"schema": "repro-slo/v1", "name": "ok", "deadline_s": 300.0},
+    "events-nokind.jsonl": _events_with({"seq": 0, "t_s": 1.0, "data": {}}),
+    "events-row.jsonl": _events_with([1, 2]),
+    "events-data.jsonl": _events_with({"seq": 0, "t_s": 1.0, "kind": "epoch_done", "data": [1]}),
+    "metrics.json": {"schema": "repro-telemetry/v1", "metrics": 5},
 }
 
 
@@ -191,12 +209,18 @@ class TestMalformedInput:
             ["diagnose", "telemetry.json", "--trace", "trace.json"],
             ["train", "lr-higgs", "--budget", "2.0", "--seed", "-1"],
             ["tune", "lr-higgs", "--seed", "x"],
+            ["slo", "--spec", "slo-ok.json", "--capture", "events-nokind.jsonl"],
+            ["slo", "--spec", "slo-ok.json", "--capture", "events-row.jsonl"],
+            ["slo", "--spec", "slo-ok.json", "--capture", "events-data.jsonl"],
+            ["report", "metrics.json"],
+            ["diagnose", "metrics.json"],
         ],
         ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
     )
     def test_one_line_exit_two(self, argv, tmp_path):
         for name, payload in MALFORMED_FILES.items():
-            (tmp_path / name).write_text(json.dumps(payload))
+            text = payload if isinstance(payload, str) else json.dumps(payload)
+            (tmp_path / name).write_text(text)
         _assert_one_line_exit_two(argv, tmp_path)
 
     @pytest.mark.parametrize(
@@ -249,3 +273,127 @@ def _assert_one_line_exit_two(argv, cwd):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _valid_events() -> bytes:
+    log = EventLog(meta={"seed": 0})
+    log.append("plan_chosen", 0.0, scope="train", predicted_total_epochs=4)
+    log.append("epoch_done", 2.0, scope="train", epoch=1, wall_s=2.0, cost_usd=0.05)
+    log.append("stage_done", 3.0, scope="tune", stage=0, cost_usd=0.1)
+    return log.to_jsonl().encode()
+
+
+def _valid_telemetry() -> bytes:
+    registry = MetricsRegistry()
+    registry.counter("repro_faas_billed_usd_total", "spend", labelnames=("component",)) \
+        .labels(component="compute").inc(0.5)
+    registry.histogram("repro_faas_queue_wait_seconds", "wait").observe(0.2)
+    run = {"jct_s": 84.0, "cost_usd": 1.2, "objective": "min_jct", "budget_usd": 2.0,
+           "qos_s": None, "peaks": {"concurrency": 4.0}}
+    return to_json(registry.snapshot(), run=run, meta={"seed": 0}).encode()
+
+
+_EVENT_FIELDS = ("epoch", "wall_s", "cost_usd", "stage", "predicted_total_epochs",
+                 "straggler_slowdown")
+_RUN_FIELDS = ("jct_s", "cost_usd", "objective", "budget_usd", "qos_s", "n_restarts",
+               "scheduling_overhead_s", "converged", "peaks")
+
+_event_rows = st.fixed_dictionaries(
+    {"kind": st.sampled_from(EVENT_KINDS) | _json_values,
+     "t_s": st.floats(0, 1e3) | _json_values},
+    optional={"scope": st.sampled_from(["train", "tune"]) | _json_values,
+              "data": st.dictionaries(st.sampled_from(_EVENT_FIELDS), _json_values)
+              | _json_values},
+) | _json_values
+
+_metrics = st.fixed_dictionaries(
+    {"name": st.sampled_from(["repro_faas_billed_usd_total", "m"]) | _json_values,
+     "type": st.sampled_from(["counter", "gauge", "histogram"]) | _json_values},
+    optional={"labelnames": _json_values, "bucket_bounds": _json_values,
+              "samples": st.lists(st.fixed_dictionaries(
+                  {}, optional={k: _json_values for k in ("labels", "value", "sum", "count",
+                                                         "buckets")}), max_size=2)
+              | _json_values},
+) | _json_values
+
+
+def _mangled(draw, valid: bytes, shaped) -> bytes:
+    """``valid`` truncated or byte-mutated, or a wrongly shaped document."""
+    kind = draw(st.sampled_from(["truncate", "mutate", "document", "shaped"]))
+    if kind == "truncate":
+        return valid[:draw(st.integers(0, len(valid)))]
+    if kind == "mutate":
+        data = bytearray(valid)
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        return bytes(data)
+    if kind == "document":
+        return json.dumps(draw(_json_values)).encode()
+    return draw(shaped)
+
+
+@st.composite
+def _events_bytes(draw) -> bytes:
+    header = json.dumps({"schema": "repro-events/v1", "meta": draw(_json_values)})
+    rows = draw(st.lists(_event_rows, max_size=3))
+    shaped = st.just("\n".join([header] + [json.dumps(r) for r in rows]).encode())
+    return _mangled(draw, _valid_events(), shaped)
+
+
+@st.composite
+def _telemetry_bytes(draw) -> bytes:
+    run = draw(st.dictionaries(st.sampled_from(_RUN_FIELDS), _json_values) | _json_values)
+    metrics = draw(st.lists(_metrics, max_size=3) | _json_values)
+    doc = {"schema": "repro-telemetry/v1", "meta": draw(_json_values), "run": run,
+           "metrics": metrics}
+    return _mangled(draw, _valid_telemetry(), st.just(json.dumps(doc).encode()))
+
+
+def _run_in_process(argv: list[str]) -> None:
+    """Run the CLI; any exit but 0/1/2, or exit 2 without one stderr line,
+    fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith(f"repro {argv[0]}: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+class TestCaptureFuzz:
+    """Any event log or telemetry document ends in exit 0, 1 or 2, never a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("capture-fuzz")
+        (root / "spec.json").write_text(json.dumps(MALFORMED_FILES["slo-ok.json"]))
+        return root
+
+    @given(data=_events_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_slo_survives_any_event_log(self, workdir, data):
+        path = workdir / "fuzz-events.jsonl"
+        path.write_bytes(data)
+        _run_in_process(["slo", "--spec", str(workdir / "spec.json"), "--capture", str(path)])
+
+    @given(data=_telemetry_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_readers_survive_any_telemetry(self, workdir, data):
+        path = workdir / "fuzz-telemetry.json"
+        path.write_bytes(data)
+        _run_in_process(["report", str(path)])
+        _run_in_process(["slo", "--spec", str(workdir / "spec.json"), "--capture", str(path)])
+        _run_in_process(["diagnose", str(path)])

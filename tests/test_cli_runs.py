@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.faults import FaultPlan
+from repro.profiling.flamegraph import PROFILER_PID
 from repro.runs import RunStore
 
 
@@ -119,6 +120,41 @@ class TestSaveRun:
         manifest = store.load(run_id)
         # The file on disk and the bundled artifact are the same bytes.
         assert store.read_artifact(manifest, "telemetry") == tel.read_text()
+
+    def test_argv_never_changes_the_run_id(self, tmp_path, capsys):
+        """Store locations and extra capture paths are argv: one run id."""
+        base = ["train", "lr-higgs", "--budget", "2.0", "--seed", "0"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        for extra in (
+            ["--save-run", str(a)],
+            ["--save-run", str(b)],
+            ["--save-run", str(a), "--telemetry", str(tmp_path / "t.json")],
+            ["--save-run", str(a), "--profile", str(tmp_path / "p.json")],
+        ):
+            assert main(base + extra) == 0
+        capsys.readouterr()
+        assert RunStore(a).run_ids() == RunStore(b).run_ids()
+        assert len(RunStore(a).run_ids()) == 1
+
+    def test_trace_file_gets_profiler_frames_and_the_bundle_does_not(
+        self, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["train", "lr-higgs", "--budget", "2.0", "--trace", str(trace),
+             "--profile", str(tmp_path / "p.json"),
+             "--save-run", str(tmp_path / "runs")]
+        ) == 0
+        capsys.readouterr()
+        store = RunStore(tmp_path / "runs")
+        (run_id,) = store.run_ids()
+        bundled = json.loads(store.read_artifact(store.load(run_id), "trace"))
+        on_disk = json.loads(trace.read_text())
+        frames = [e for e in on_disk["traceEvents"] if e.get("pid") == PROFILER_PID]
+        assert frames
+        assert all(e.get("pid") != PROFILER_PID for e in bundled["traceEvents"])
+        rest = [e for e in on_disk["traceEvents"] if e.get("pid") != PROFILER_PID]
+        assert rest == bundled["traceEvents"]
 
 
 class TestRunsCommand:

@@ -255,13 +255,13 @@ class TestTimeSeriesSamplerDeterminism:
         assert "tune.survivors" in sampler.series
 
     def test_capture_bit_exact_across_runs(self, mobilenet, mobilenet_profile):
-        from repro.timeseries import TimeSeriesSession, to_json
+        from repro.runs import Instruments
 
         captures = []
         for _ in range(2):
-            with TimeSeriesSession(force_install=True) as session:
+            with Instruments(kinds={"timeseries"}) as ins:
                 self._train(mobilenet, mobilenet_profile)
-            captures.append(to_json(session.payload()))
+            captures.append(ins.texts["timeseries"])
         assert captures[0] == captures[1]
 
     def test_telemetry_bytes_identical_with_sampler_on_and_off(

@@ -1,12 +1,17 @@
-"""TimeSeriesSession: scoped install/restore, capture export, peaks."""
+"""The sampler inside Instruments: install/restore, capture export, peaks.
+
+The lifecycle every collector shares is parametrized over all capture
+kinds in ``tests/runs/test_instruments.py``; these cases pin what is
+particular to the time-series sampler.
+"""
 
 import pytest
 
+from repro.runs import Instruments
 from repro.slo.events import EventBus, get_event_bus, set_event_bus
 from repro.timeseries import (
     NullSampler,
     TimeSeriesSampler,
-    TimeSeriesSession,
     get_sampler,
     load_capture,
     peaks_summary,
@@ -16,20 +21,15 @@ from repro.timeseries import (
 
 class TestLifecycle:
     def test_inert_without_flags(self):
-        session = TimeSeriesSession()
-        assert not session.active
-        with session:
+        ins = Instruments()
+        with ins:
             assert isinstance(get_sampler(), NullSampler)
-        assert session.sampler is None
-
-    def test_force_install_and_restore(self):
-        with TimeSeriesSession(force_install=True) as session:
-            assert get_sampler() is session.sampler
-        assert isinstance(get_sampler(), NullSampler)
+        assert ins.sampler is None
+        assert "timeseries" not in ins.texts
 
     def test_sessions_nest(self):
-        with TimeSeriesSession(force_install=True) as outer:
-            with TimeSeriesSession(force_install=True) as inner:
+        with Instruments(kinds={"timeseries"}) as outer:
+            with Instruments(kinds={"timeseries"}) as inner:
                 assert get_sampler() is inner.sampler
             assert get_sampler() is outer.sampler
         assert isinstance(get_sampler(), NullSampler)
@@ -38,30 +38,27 @@ class TestLifecycle:
         mine = TimeSeriesSampler()
         set_sampler(mine)
         try:
-            with TimeSeriesSession(force_install=True):
+            with Instruments(kinds={"timeseries"}):
                 assert get_sampler() is not mine
             assert get_sampler() is mine
         finally:
             set_sampler(None)
 
-    def test_payload_requires_entry(self):
-        with pytest.raises(RuntimeError):
-            TimeSeriesSession(force_install=True).payload()
-
 
 class TestExport:
     def test_writes_capture_on_clean_exit(self, tmp_path):
         path = tmp_path / "ts.json"
-        with TimeSeriesSession(capture_path=path, meta={"seed": 1}):
+        with Instruments({"seed": 1}, paths={"timeseries": path}) as ins:
             get_sampler().sample("a", 0.0, 1.0)
         payload = load_capture(path.read_text())
         assert payload["meta"] == {"seed": 1}
         assert payload["totals"]["n_series"] == 1
+        assert payload == ins.payloads["timeseries"]
 
     def test_no_capture_over_a_crash(self, tmp_path):
         path = tmp_path / "ts.json"
         with pytest.raises(RuntimeError):
-            with TimeSeriesSession(capture_path=path):
+            with Instruments(paths={"timeseries": path}):
                 raise RuntimeError("boom")
         assert not path.exists()
         # The previous (null) sampler is still restored.
@@ -74,17 +71,17 @@ class TestBusMarkers:
         prev = get_event_bus()
         set_event_bus(bus)
         try:
-            with TimeSeriesSession(force_install=True) as session:
+            with Instruments(kinds={"timeseries"}) as ins:
                 bus.emit("epoch_done", 2.5, scope="train")
-            marks = [(m.kind, m.t_s, m.label) for m in session.sampler.markers]
+            marks = [(m.kind, m.t_s, m.label) for m in ins.sampler.markers]
         finally:
             set_event_bus(prev)
         assert marks == [("epoch_done", 2.5, "train")]
 
     def test_null_bus_is_ignored(self):
-        with TimeSeriesSession(force_install=True) as session:
+        with Instruments(kinds={"timeseries"}) as ins:
             pass
-        assert session.sampler.markers == []
+        assert ins.sampler.markers == []
 
 
 class TestPeaksSummary:
