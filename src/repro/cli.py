@@ -331,13 +331,13 @@ def _profile_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    ins = Instruments(
-        _stamp(args, f"profile --run {args.run}"),
-        kinds={"profile"},
-        paths={"profile": args.out, "flamegraph": args.flamegraph},
-        sample_memory=args.memory,
-    )
     try:
+        ins = Instruments(
+            _stamp(args, f"profile --run {args.run}"),
+            kinds={"profile"},
+            paths={"profile": args.out, "flamegraph": args.flamegraph},
+            sample_memory=args.memory,
+        )
         with ins:
             if args.run == "train":
                 w = workload(args.workload)
@@ -659,12 +659,12 @@ def cmd_dash(args) -> int:
         return 2
     try:
         plan = _fault_plan(args)
+        ins = Instruments(
+            _stamp(args, "dash"), kinds={"timeseries"}, paths={"timeseries": args.out}
+        )
     except (OSError, ValueError, ReproError) as exc:
         print(f"repro dash: {exc}", file=sys.stderr)
         return 2
-    ins = Instruments(
-        _stamp(args, "dash"), kinds={"timeseries"}, paths={"timeseries": args.out}
-    )
     try:
         with ins:
             w = workload(args.workload)
@@ -814,11 +814,14 @@ def cmd_diagnose(args) -> int:
             qos = None
         # Live mode: --timeseries samples this run and writes the capture
         # to that path; the fresh series feed the anomaly detector.
-        ins = Instruments(
-            _stamp(args, "diagnose", workload_name=args.target),
-            kinds={"telemetry"},
-            paths={"timeseries": args.timeseries},
-        )
+        try:
+            ins = Instruments(
+                _stamp(args, "diagnose", workload_name=args.target),
+                kinds={"telemetry"},
+                paths={"timeseries": args.timeseries},
+            )
+        except ReproError as exc:
+            return _capture_error("diagnose", exc)
         with ins:
             run = run_training(
                 w, method=args.method, objective=objective,

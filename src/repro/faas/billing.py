@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import SimulationError
+from repro.common.errors import SimulationError, ValidationError
 from repro.common.units import gb_seconds
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.telemetry import get_registry
@@ -100,7 +100,8 @@ class BillingMeter:
         fee = pricing.usd_per_invocation
         billed = np.maximum(np.ceil(np.maximum(durations_s, 0.0) / gran), 1.0) * gran
         gbs = (memory_mb / 1024.0) * billed
-        compute = (gbs * pricing.usd_per_gb_second).tolist()
+        compute_arr = gbs * pricing.usd_per_gb_second
+        compute = compute_arr.tolist()
         total = 0.0
         compute_usd = self.compute_usd
         invocation_usd = self.invocation_usd
@@ -111,13 +112,23 @@ class BillingMeter:
         self.compute_usd = compute_usd
         self.invocation_usd = invocation_usd
         self.invocation_count += len(compute)
-        if self._metered:
+        if self._metered and compute:
+            # One read and one write-back per counter, adding left to right
+            # in between: the float sequence of one Counter.inc per bill.
+            if fee < 0 or (gbs < 0).any() or (compute_arr < 0).any():
+                raise ValidationError(
+                    f"counter increment must be >= 0, got "
+                    f"{min(fee, gbs.min(), compute_arr.min())}"
+                )
+            m_gbs = self._m_gb_seconds._default_child()
             m_compute = self._m_billed_usd.labels(component="compute")
             m_invocation = self._m_billed_usd.labels(component="invocation")
+            v_gbs, v_compute, v_invocation = m_gbs.value, m_compute.value, m_invocation.value
             for gb_s, usd in zip(gbs.tolist(), compute):
-                self._m_gb_seconds.inc(gb_s)
-                m_compute.inc(usd)
-                m_invocation.inc(fee)
+                v_gbs += gb_s
+                v_compute += usd
+                v_invocation += fee
+            m_gbs.value, m_compute.value, m_invocation.value = v_gbs, v_compute, v_invocation
         return total
 
     def bill_storage(self, usd: float) -> None:

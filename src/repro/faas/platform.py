@@ -268,13 +268,6 @@ class FaaSPlatform:
         self._sample_epoch(spec, start, n_cold)
         return wall
 
-    def _trace_workers(self, track: str, starts, consumed, n_warm: int) -> None:
-        for rank, (begin, took) in enumerate(zip(starts, consumed)):
-            self.tracer.span(
-                f"worker-{rank}", "worker", begin, took,
-                track, rank=rank, cold=rank >= n_warm,
-            )
-
     def _execute_closed_form(self, spec: EpochExecution) -> InvocationResult:
         """The fault-free epoch as array arithmetic on the kernel's clock."""
         n = spec.n_functions
@@ -326,7 +319,7 @@ class FaaSPlatform:
                 max(0.0, barrier - load_end), track, barrier=True,
             )
             tracer.span("sync", "sync", barrier, sync_s, track)
-            self._trace_workers(track, [start] * n, consumed, n_warm)
+            tracer.workers(track, np.full(n, start), durations, n_warm)
         return InvocationResult(
             wall_time_s=wall,
             time=measured,
@@ -562,7 +555,7 @@ class FaaSPlatform:
                 "sync", "sync", outcome["barrier_at"], sync_s + sync_extra,
                 track,
             )
-            self._trace_workers(track, starts, consumed, n_warm)
+            tracer.workers(track, starts, consumed, n_warm)
         return InvocationResult(
             wall_time_s=wall,
             time=measured,

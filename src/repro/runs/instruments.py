@@ -61,7 +61,8 @@ class Instruments:
             meta dict for every document's ``meta`` block.
         kinds: capture kinds to collect without writing a file.
         paths: capture kind -> output path; ``None`` paths are ignored.
-            ``"faults"`` names where the fault report goes.
+            ``"faults"`` names where the fault report goes. A path whose
+            directory does not exist raises :class:`ValidationError`.
         slo: an :class:`SLOSpec` to guard the run against (implies the
             ``slo`` and ``events`` captures).
         sample_memory: also sample tracemalloc peaks in the profiler.
@@ -100,6 +101,13 @@ class Instruments:
             raise ValidationError(f"unknown capture kind(s) {', '.join(unknown)}")
         if "slo" in self.kinds and slo is None:
             raise ValidationError("the slo capture needs an SLO spec")
+        for kind, path in self.paths.items():
+            # Checked here, before the run, not when __exit__ writes.
+            if not path.parent.is_dir():
+                raise ValidationError(
+                    f"cannot write the {kind} capture to {path}: "
+                    f"directory {path.parent} does not exist"
+                )
         self.stamp = stamp
         if getattr(stamp, "argv", None):
             stamp = dataclasses.replace(stamp, argv=())

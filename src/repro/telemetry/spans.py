@@ -13,6 +13,8 @@ with the job's JCT.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class Tracer:
     """Collects live spans onto a :class:`repro.faas.trace.TraceRecorder`."""
@@ -41,6 +43,14 @@ class Tracer:
         """Record one completed span at ``start_s`` (simulator clock)."""
         self.recorder.record(
             name, category, start_s + self.offset_s, duration_s, track, **args
+        )
+
+    def workers(self, track: str, starts, durations, n_warm: int) -> None:
+        """Record one epoch's worker spans as one block: rank ``r`` ran
+        ``durations[r]`` from ``starts[r]`` (simulator clock), and ranks
+        from ``n_warm`` on started cold."""
+        self.recorder.record_workers(
+            track, np.asarray(starts, dtype=float) + self.offset_s, durations, n_warm
         )
 
     def instant(self, name: str, category: str, t_s: float, track: str, **args) -> None:
@@ -77,6 +87,9 @@ class NullTracer:
         return False
 
     def span(self, name, category, start_s, duration_s, track, **args) -> None:
+        pass
+
+    def workers(self, track, starts, durations, n_warm) -> None:
         pass
 
     def instant(self, name, category, t_s, track, **args) -> None:

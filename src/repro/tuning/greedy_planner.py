@@ -243,11 +243,6 @@ class GreedyHeuristicPlanner:
             "repro_planner_greedy_iterations_total",
             "Recycle/reinvest and spend-remainder rounds",
         ).inc(stats.greedy_iterations)
-        registry.histogram(
-            "repro_planner_wall_seconds",
-            "Host wall-clock time per planning pass",
-            buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
-        ).observe(stats.wall_time_s)
         bus = get_event_bus()
         if bus.enabled:
             bus.emit(

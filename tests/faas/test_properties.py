@@ -1,8 +1,9 @@
 """Paper invariants of the platform as properties.
 
-* Billing: the gang call equals a loop of scalar bills bit for bit, and
-  the meter's total is the sum of ceil-rounded GB-seconds times the price
-  plus one request fee per invocation.
+* Billing: the gang call equals a loop of scalar bills bit for bit, in
+  the meter's totals and in the metered counters, and the meter's total
+  is the sum of ceil-rounded GB-seconds times the price plus one request
+  fee per invocation.
 * Noise-free conformance: with every noise source off, a warm epoch's
   wall time is Eq. (2)'s ``load + compute + sync`` and its bill is Eq.
   (4)'s function cost, up to the granularity rounding.
@@ -85,21 +86,37 @@ class TestBillingProperties:
         assert meter.invocation_count == len(durations)
         assert meter.total_usd == pytest.approx(want, rel=1e-12)
 
-    def test_gang_feeds_registry_like_scalar_bills(self):
+    @given(
+        gangs=st.lists(
+            st.tuples(st.integers(128, 10240), st.lists(duration, max_size=30)),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_gang_feeds_registry_like_scalar_bills(self, gangs):
+        """Several gangs in a row, the counters carried across calls: each
+        counter reads repr-equal to a loop of scalar bills."""
         prev = get_registry()
         try:
-            snapshots = []
+            readings = []
             for gang in (True, False):
-                set_registry(MetricsRegistry())
+                registry = MetricsRegistry()
+                set_registry(registry)
                 meter = BillingMeter()
-                durations = [0.0004, 1.0, 2.5, -1.0, 7 * GRAN]
-                if gang:
-                    meter.bill_gang(1769, np.array(durations))
-                else:
-                    for d in durations:
-                        meter.bill_invocation(1769, d)
-                snapshots.append(repr(get_registry().snapshot()))
-            assert snapshots[0] == snapshots[1]
+                for memory_mb, durations in gangs:
+                    if gang:
+                        meter.bill_gang(memory_mb, np.array(durations, dtype=float))
+                    else:
+                        for d in durations:
+                            meter.bill_invocation(memory_mb, d)
+                usd = registry.get("repro_faas_billed_usd_total")
+                readings.append((
+                    repr(registry.get("repro_faas_billed_gb_seconds_total").value),
+                    repr(usd.labels(component="compute").value),
+                    repr(usd.labels(component="invocation").value),
+                    repr(registry.snapshot()),
+                ))
+            assert readings[0] == readings[1]
         finally:
             set_registry(prev)
 

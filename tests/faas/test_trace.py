@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
-from repro.faas.trace import TraceRecorder
+from repro.faas.trace import TraceEvent, TraceRecorder
+from repro.telemetry.spans import Tracer
 
 
 class TestRecorder:
@@ -162,3 +165,111 @@ class TestWorkerSpanRoundTrip:
         # The first epoch of a fresh group is all cold starts.
         assert all(s["args"]["cold"] for s in workers)
 
+
+def _reference_chrome_trace(events, instants) -> str:
+    """The per-event renderer the columnar one must match byte for byte:
+    one row dict per event, a stable sort by (start, track), one
+    ``json.dumps`` of the whole document."""
+    tracks = {
+        t: i + 1
+        for i, t in enumerate(sorted({e.track for e in events} | {e.track for e in instants}))
+    }
+    payload = [
+        {"name": e.name, "cat": e.category, "ph": "X", "ts": e.start_s * 1e6,
+         "dur": e.duration_s * 1e6, "pid": 1, "tid": tracks[e.track], "args": e.args}
+        for e in sorted(events, key=lambda e: (e.start_s, e.track))
+    ]
+    meta = [
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": {"name": track}}
+        for track, tid in tracks.items()
+    ]
+    marks = [
+        {"name": e.name, "cat": e.category, "ph": "i", "ts": e.start_s * 1e6,
+         "s": "t", "pid": 1, "tid": tracks[e.track], "args": e.args}
+        for e in sorted(instants, key=lambda e: (e.start_s, e.track, e.name))
+    ]
+    return json.dumps({"traceEvents": meta + payload + marks})
+
+
+# Few distinct starts and tracks, so ties are common.
+_start = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(0.0, 1e5))
+_duration = st.one_of(st.sampled_from([0.0, -0.0, 0.1]), st.floats(0.0, 1e4))
+_track = st.sampled_from(["group:8fn/1769MB/s3", "group:a", "scheduler"])
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("span"), st.sampled_from(["load", "sync", "restart"]),
+            _start, _duration, _track, st.dictionaries(st.sampled_from("xy"), st.integers(0, 9)),
+        ),
+        st.integers(0, 6).flatmap(
+            lambda n: st.tuples(
+                st.just("workers"), _track,
+                st.lists(_start, min_size=n, max_size=n),
+                st.lists(_duration, min_size=n, max_size=n),
+                st.integers(0, n),
+            )
+        ),
+        st.tuples(st.just("instant"), st.sampled_from(["alert", "mark"]), _start, _track),
+        st.tuples(st.just("advance"), st.floats(0.0, 100.0)),
+    ),
+    max_size=12,
+)
+
+
+class TestColumnarWorkerBlocks:
+    @given(ops=_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_event_reference(self, ops):
+        """Mixed spans and worker blocks, equal starts, shared tracks,
+        offsets and instants: the columnar export equals the reference
+        renderer fed one TraceEvent per worker, and the readers see the
+        same expanded events."""
+        tracer = Tracer()
+        events, instants = [], []
+        for op in ops:
+            kind = op[0]
+            if kind == "span":
+                _, name, start, took, track, args = op
+                tracer.span(name, name, start, took, track, **args)
+                events.append(TraceEvent(name, name, start + tracer.offset_s, took, track, args))
+            elif kind == "workers":
+                _, track, starts, durations, n_warm = op
+                tracer.workers(track, np.array(starts), durations, n_warm)
+                events.extend(
+                    TraceEvent(f"worker-{rank}", "worker", begin + tracer.offset_s, took,
+                               track, {"rank": rank, "cold": rank >= n_warm})
+                    for rank, (begin, took) in enumerate(zip(starts, durations))
+                )
+            elif kind == "instant":
+                _, name, t, track = op
+                tracer.instant(name, "slo", t, track)
+                instants.append(TraceEvent(name, "slo", t, 0.0, track))
+            else:
+                tracer.advance(op[1])
+        rec = tracer.recorder
+        assert rec.to_chrome_trace() == _reference_chrome_trace(events, instants)
+        assert rec.events == events
+        assert rec.spans() == sorted(events, key=lambda e: (e.start_s, e.track))
+        summary: dict[str, float] = {}
+        for e in events:
+            summary[e.category] = summary.get(e.category, 0.0) + e.duration_s
+        assert repr(rec.summary()) == repr(summary)
+        want = sum(e.duration_s for e in rec.spans("worker"))
+        assert repr(rec.total_time("worker")) == repr(want)
+
+    def test_block_rejects_negative_and_non_finite(self):
+        rec = TraceRecorder()
+        with pytest.raises(ValidationError):
+            rec.record_workers("t", [0.0, 1.0], [1.0, -1.0], 0)
+        with pytest.raises(ValidationError):
+            rec.record_workers("t", [0.0, np.inf], [1.0, 1.0], 0)
+        with pytest.raises(ValidationError):
+            rec.record_workers("t", [0.0], [1.0, 1.0], 0)
+        assert rec.events == []
+
+    def test_block_keeps_its_own_copy(self):
+        rec = TraceRecorder()
+        durations = np.array([1.0, 2.0])
+        rec.record_workers("t", np.zeros(2), durations, 1)
+        durations[:] = 9.0
+        assert [e.duration_s for e in rec.events] == [1.0, 2.0]

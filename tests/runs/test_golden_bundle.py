@@ -1,0 +1,55 @@
+"""Golden pins of the bundled capture bytes of one small training run.
+
+A ``--save-run`` bundle's run id digests its four deterministic captures
+(telemetry, trace, events, timeseries). These tests hash each capture's
+text for ``train lr-higgs --budget 2.0 --seed 0``, once fault-free and
+once under ``examples/fault_plan.json``, against constants recorded
+before the per-worker trace spans became one columnar block per epoch.
+Any change to a capture's rendering, its row order or a float's last
+digit moves a hash.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.runs import BUNDLE_KINDS, RunStore
+
+FAULT_PLAN = Path(__file__).resolve().parents[2] / "examples" / "fault_plan.json"
+
+BUNDLE_PINS = {
+    "clean": {
+        "events": "20467aaecff7b2c67546b261d12ee76afc0869b01ebd4a80901575dfce70a5d3",
+        "telemetry": "c6014124ed68c30415475a2da2a50d58083a78065981cefb00397a40ea3dd45f",
+        "timeseries": "507e94ccd9d9ed44dfbe41664968b23e96ec703f855979bdd4aa4aff122bb208",
+        "trace": "d5b4db0ba7648570a012236bbd1a6f2648fb054e5c62c3310b77be1dfadc2987",
+    },
+    "faulted": {
+        "events": "56ba4cde7e2e93d7b0e1f69a5b92a1542bd6e308ec98306c7599cedaeebd690d",
+        "telemetry": "b43db5654e259640937345bc86147c0de9db88e370d49ae17f4d57803e3ba6b1",
+        "timeseries": "9f7218a911552167b9e1c84fed8f552870038f969af70a7419becc31d387fe30",
+        "trace": "26f470ca3a72f075baf2c8cb397376c9e8b1d91c02351ffa0a99e151c6b2e08d",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_PINS))
+def test_bundle_capture_bytes(case, tmp_path):
+    argv = ["train", "lr-higgs", "--budget", "2.0", "--seed", "0",
+            "--save-run", str(tmp_path)]
+    if case == "faulted":
+        argv += ["--faults", str(FAULT_PLAN)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    store = RunStore(tmp_path)
+    (run_id,) = store.run_ids()
+    manifest = store.load(run_id)
+    digests = {
+        kind: hashlib.sha256(store.read_artifact(manifest, kind).encode()).hexdigest()
+        for kind in sorted(BUNDLE_KINDS)
+    }
+    assert digests == BUNDLE_PINS[case]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import contextlib
 import io
@@ -261,6 +262,31 @@ class TestMalformedInput:
     def test_bad_argument_exit_two(self, argv, tmp_path):
         _assert_one_line_exit_two(argv, tmp_path)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "lr-higgs", "--budget", "2.0", "--telemetry", "missing/t.json"],
+            ["train", "lr-higgs", "--budget", "2.0", "--trace", "missing/t.json"],
+            ["train", "lr-higgs", "--budget", "2.0", "--events", "missing/e.jsonl"],
+            ["train", "lr-higgs", "--budget", "2.0", "--timeseries", "missing/ts.json"],
+            ["train", "lr-higgs", "--budget", "2.0", "--profile", "missing/p.json"],
+            ["profile", "lr-higgs", "--run", "train", "--out", "missing/p.json"],
+            ["dash", "lr-higgs", "--out", "missing/ts.json"],
+            ["diagnose", "lr-higgs", "--timeseries", "missing/ts.json"],
+            ["slo", "lr-higgs", "--spec", "spec.json", "--events", "missing/e.jsonl"],
+        ],
+        ids=" ".join,
+    )
+    def test_output_in_missing_directory_exits_two_before_the_run(self, argv, tmp_path):
+        """An output path whose directory does not exist is bad input: it
+        is rejected before the job runs, not when the capture is written."""
+        (tmp_path / "spec.json").write_text(
+            (Path(__file__).resolve().parents[1] / "examples" / "slo_spec.json").read_text()
+        )
+        proc = _assert_one_line_exit_two(argv, tmp_path)
+        assert "missing" in proc.stderr and "does not exist" in proc.stderr
+        assert proc.stdout == ""
+
 
 def _assert_one_line_exit_two(argv, cwd):
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -273,6 +299,7 @@ def _assert_one_line_exit_two(argv, cwd):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    return proc
 
 
 _json_values = st.recursive(

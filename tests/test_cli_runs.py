@@ -270,3 +270,12 @@ class TestUnifiedBadCaptureErrors:
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
         self._check(capsys, ["report", str(bad)], "report")
+
+
+def test_identical_tune_reruns_share_one_run_id(tmp_path):
+    """The tune telemetry holds no host time, so a rerun dedups."""
+    argv = ["tune", "lr-higgs", "--trials", "16", "--seed", "0",
+            "--save-run", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert len(RunStore(tmp_path).run_ids()) == 1
