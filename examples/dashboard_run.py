@@ -22,13 +22,12 @@ import tempfile
 from pathlib import Path
 
 from repro import Instruments, workload
+from repro.runs import compare, render_compare
 from repro.timeseries import (
     detect_anomalies,
-    diff_captures,
     load_capture,
     peaks_summary,
     render_dashboard,
-    render_diff,
 )
 from repro.tuning.plan import Objective
 from repro.workflow.job import training_envelope
@@ -64,7 +63,8 @@ def main() -> None:
           f"peak warm pool {peaks['warm_pool']:g}, "
           f"peak storage bandwidth {peaks['storage_bandwidth_mb_s']:g} MB/s")
 
-    # 4. Anomaly scan (clean run -> usually empty) and a self-diff.
+    # 4. Anomaly scan (clean run -> usually empty) and a self-compare
+    #    through the one compare engine (`repro timeseries diff`).
     anomalies = detect_anomalies(payload)
     if anomalies:
         for a in anomalies:
@@ -73,7 +73,7 @@ def main() -> None:
         print("anomaly scan: clean (seed a storage-throttle fault plan "
               "via `repro diagnose --faults ... --timeseries ...` to trip it)")
     print()
-    print(render_diff(diff_captures(payload, payload)))
+    print(render_compare(compare("timeseries", payload, payload)))
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ surfaces:
 * the per-frame table (`repro profile WORKLOAD --run tune` renders the
   same thing) with attributed counters — candidates evaluated per call
   site, and candidates/second per frame,
-* the ``repro-profile/v1`` JSON capture (diff two of them later with
-  ``repro profile --diff``),
+* the ``repro-profile/v1`` JSON capture (compare two of them later with
+  ``repro profile --diff``, which writes a ``repro-compare/v2`` report),
 * a collapsed-stack flamegraph (feed it to ``flamegraph.pl``,
   ``inferno-flamegraph`` or speedscope).
 
@@ -26,13 +26,12 @@ from repro import workload
 from repro.profiling import (
     Profiler,
     capture_payload,
-    diff_captures,
     render_capture,
-    render_diff,
     set_profiler,
     to_collapsed,
     to_json,
 )
+from repro.runs import compare, exit_code, render_compare
 from repro.tuning.greedy_planner import GreedyHeuristicPlanner
 from repro.tuning.plan import Objective, evaluate_plan
 from repro.tuning.sha import SHASpec
@@ -75,10 +74,12 @@ def main() -> None:
     print(f"flamegraph : {flame_path}  "
           f"(flamegraph.pl / inferno / speedscope)")
 
-    # 3. Diff the capture against itself — the shape of a CI perf gate.
-    report = diff_captures(payload, payload)
-    print("\nself-diff (a real gate compares against a committed baseline):")
-    print(render_diff(report))
+    # 3. Compare the capture with itself — the shape of a CI perf gate:
+    #    every frame identical, verdict identical, exit code 0.
+    report = compare("profile", payload, payload)
+    print("\nself-compare (a real gate compares against a committed baseline):")
+    print(render_compare(report))
+    print(f"exit code: {exit_code(report)}")
     profiler.close()
 
 

@@ -1,7 +1,7 @@
 """REP006 — schema discipline for versioned JSON exports.
 
 The repository promises byte-stable, versioned artifacts: telemetry
-captures (``repro-telemetry/v1``), run reports (``repro-report/v1``),
+captures (``repro-telemetry/v1``), run reports (``repro-report/v2``),
 diagnostics (``repro-diagnostics/v1``) and lint output (``repro-lint/v1``).
 Downstream tooling — ``repro report``, the validate commands, CI diffs —
 keys on their top-level layout. This rule pins each document's top-level

@@ -25,11 +25,12 @@ import sys
 from pathlib import Path
 
 from repro.common.errors import ReproError, SLOError
-from repro.common.schemas import SCHEMA_KEYS
+from repro.common.validation import require_parent_dir
 from repro.common.types import StorageKind
 from repro.common.units import format_duration, format_usd
 from repro.ml.models import WORKLOADS, workload
 from repro.runs import BUNDLE_KINDS, DEFAULT_STORE_ROOT, Instruments
+from repro.runs.compare import KINDS, compare, compare_to_json, exit_code, render_compare
 from repro.telemetry.exporters import from_json_payload
 from repro.telemetry.report import RunReport
 from repro.tuning.plan import Objective
@@ -255,51 +256,47 @@ def cmd_list_workloads(_args) -> int:
     return 0
 
 
-def _profile_diff(args) -> int:
-    """``repro profile --diff BASE TARGET``: per-frame deltas; 1 on regression."""
-    from repro.profiling import (
-        diff_captures,
-        diff_to_json,
-        has_regressions,
-        load_capture,
-        render_diff,
-    )
-
-    base_path, target_path = args.diff
+def _bad_out(command: str, path: str | None) -> bool:
+    """True, after one stderr line, when ``--out`` names a file in a
+    missing directory. Checked before any work."""
     try:
-        base = load_capture(Path(base_path).read_text())
-        target = load_capture(Path(target_path).read_text())
-    except (OSError, ValueError, ReproError) as exc:
-        return _capture_error("profile", exc)
-    report = diff_captures(
-        base, target, threshold=args.threshold, min_s=args.min_s,
-        meta={"base": base_path, "target": target_path},
-    )
-    if args.out:
-        Path(args.out).write_text(diff_to_json(report))
-    if args.format == "json":
-        print(diff_to_json(report), end="")
-    else:
-        print(render_diff(report))
-    return 1 if has_regressions(report) else 0
-
-
-def _keys_registered(command: str, payload: dict) -> bool:
-    """Whether a loaded capture's top-level keys match the schema registry.
-
-    Belt and braces after the loader's own checks: a drifted registry
-    fails loudly here, not only in lint. Prints one stderr line on a
-    mismatch.
-    """
-    expected = SCHEMA_KEYS.get(payload["schema"])
-    if expected is not None and set(payload) == expected:
+        if path:
+            require_parent_dir(path, "--out")
+    except ReproError as exc:
+        _capture_error(command, exc)
         return True
-    print(
-        f"repro {command}: capture keys {sorted(payload)} disagree with "
-        f"the schema registry entry for {payload['schema']!r}",
-        file=sys.stderr,
-    )
     return False
+
+
+def _emit(args, doc: str, render, rc: int = 0) -> int:
+    """The one output path of a report command: write the JSON ``doc`` to
+    ``--out``, print it (``--format json``) or ``render()``, return ``rc``."""
+    if args.out:
+        Path(args.out).write_text(doc)
+    if args.format == "json":
+        print(doc, end="")
+    else:
+        print(render())
+    return rc
+
+
+def _compare(kind: str, args, load, base: str, target: str, **params) -> int:
+    """``profile --diff``, ``timeseries diff`` and ``runs compare`` (the
+    command is named after its kind): load both sides with ``load``,
+    compare them, emit the report; the exit code comes from the report."""
+    if _bad_out(kind, args.out):
+        return 2
+    try:
+        report = compare(
+            kind, load(base), load(target),
+            meta={"base": base, "target": target}, **params,
+        )
+    except (OSError, ValueError, ReproError) as exc:
+        return _capture_error(kind, exc)
+    return _emit(
+        args, compare_to_json(report), lambda: render_compare(report),
+        exit_code(report),
+    )
 
 
 def _profile_validate(args) -> int:
@@ -310,8 +307,6 @@ def _profile_validate(args) -> int:
         payload = load_capture(Path(args.validate).read_text())
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("profile", exc)
-    if not _keys_registered("profile", payload):
-        return 2
     totals = payload["totals"]
     print(
         f"valid {payload['schema']} capture: {totals['n_frames']} frame(s), "
@@ -387,7 +382,13 @@ def _profile_run(args) -> int:
 
 def cmd_profile(args) -> int:
     if args.diff:
-        return _profile_diff(args)
+        from repro.profiling import load_capture
+
+        return _compare(
+            "profile", args,
+            lambda path: load_capture(Path(path).read_text()), *args.diff,
+            threshold=args.threshold, min_s=args.min_s,
+        )
     if args.validate:
         return _profile_validate(args)
     if args.run:
@@ -689,13 +690,7 @@ def cmd_dash(args) -> int:
 
 def cmd_timeseries(args) -> int:
     """``repro timeseries``: validate and diff saved captures."""
-    from repro.timeseries import (
-        diff_captures,
-        diff_to_json,
-        has_drift,
-        load_capture,
-        render_diff,
-    )
+    from repro.timeseries import load_capture
 
     if args.action == "validate":
         if len(args.paths) != 1:
@@ -708,8 +703,6 @@ def cmd_timeseries(args) -> int:
             payload = load_capture(Path(args.paths[0]).read_text())
         except (OSError, ValueError, ReproError) as exc:
             return _capture_error("timeseries", exc)
-        if not _keys_registered("timeseries", payload):
-            return 2
         totals = payload["totals"]
         print(
             f"valid {payload['schema']} capture: {totals['n_series']} "
@@ -725,23 +718,11 @@ def cmd_timeseries(args) -> int:
             file=sys.stderr,
         )
         return 2
-    base_path, target_path = args.paths
-    try:
-        base = load_capture(Path(base_path).read_text())
-        target = load_capture(Path(target_path).read_text())
-    except (OSError, ValueError, ReproError) as exc:
-        return _capture_error("timeseries", exc)
-    report = diff_captures(
-        base, target, threshold=args.threshold,
-        meta={"base": base_path, "target": target_path},
+    return _compare(
+        "timeseries", args,
+        lambda path: load_capture(Path(path).read_text()), *args.paths,
+        threshold=args.threshold,
     )
-    if args.out:
-        Path(args.out).write_text(diff_to_json(report))
-    if args.format == "json":
-        print(diff_to_json(report), end="")
-    else:
-        print(render_diff(report))
-    return 1 if has_drift(report) else 0
 
 
 def cmd_diagnose(args) -> int:
@@ -749,6 +730,8 @@ def cmd_diagnose(args) -> int:
 
     from repro.diagnostics import RunObservation, diagnose
 
+    if _bad_out("diagnose", args.out):
+        return 2
     slo_spec = None
     if getattr(args, "slo", None):
         from repro.slo import SLOSpec
@@ -848,13 +831,7 @@ def cmd_diagnose(args) -> int:
         drift_threshold=args.drift_threshold, slo_spec=slo_spec,
         faults=faults_summary, timeseries=ts_payload,
     )
-    if args.out:
-        Path(args.out).write_text(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(report.render())
-    return 0
+    return _emit(args, report.to_json(), report.render)
 
 
 def _evaluate_capture(spec, capture: str):
@@ -909,6 +886,8 @@ def _run_guarded(spec, args):
 def cmd_slo(args) -> int:
     from repro.slo import SLOSpec
 
+    if _bad_out("slo", args.out):
+        return 2
     try:
         spec = SLOSpec.load(args.spec)
         if args.capture:
@@ -920,13 +899,8 @@ def cmd_slo(args) -> int:
     except (OSError, ValueError, SLOError) as exc:
         print(f"repro slo: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(report.render())
-    return 1 if report.violated else 0
+    return _emit(args, report.to_json(), report.render,
+                 1 if report.violated else 0)
 
 
 def cmd_faults(args) -> int:
@@ -981,15 +955,7 @@ def cmd_faults(args) -> int:
 
 def cmd_runs(args) -> int:
     """``repro runs``: the local run registry and cross-run observatory."""
-    from repro.runs import (
-        RunStore,
-        compare_runs,
-        compare_to_json,
-        has_regression,
-        manifest_to_json,
-        render_compare,
-        render_manifest,
-    )
+    from repro.runs import RunStore, load_run, manifest_to_json, render_manifest
 
     store = RunStore(args.store)
     try:
@@ -1042,16 +1008,10 @@ def cmd_runs(args) -> int:
         if args.action == "compare":
             if len(args.refs) != 2:
                 raise ValueError("compare needs BASE and TARGET run ids")
-            report = compare_runs(
-                store, args.refs[0], args.refs[1], threshold=args.threshold
+            return _compare(
+                "runs", args, lambda ref: load_run(store, ref),
+                *args.refs, threshold=args.threshold,
             )
-            if args.out:
-                Path(args.out).write_text(compare_to_json(report))
-            if args.format == "json":
-                print(compare_to_json(report), end="")
-            else:
-                print(render_compare(report))
-            return 1 if has_regression(report) else 0
         if args.action == "export":
             if len(args.refs) != 2:
                 raise ValueError("export needs RUN and DEST arguments")
@@ -1180,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile this entry point on WORKLOAD")
     p.add_argument("--out", metavar="PATH",
                    help="write the repro-profile/v1 capture (--run) or the "
-                        "repro-profile-diff/v1 report (--diff) to PATH")
+                        "repro-compare/v2 report (--diff) to PATH")
     p.add_argument("--flamegraph", metavar="PATH",
                    help="write a collapsed-stack flamegraph to PATH (--run)")
     p.add_argument("--memory", action="store_true",
@@ -1191,9 +1151,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare two saved repro-profile/v1 captures")
     p.add_argument("--validate", metavar="PATH",
                    help="validate a saved capture against the schema registry")
-    p.add_argument("--threshold", type=float, default=1.2,
+    p.add_argument("--threshold", type=float,
+                   default=KINDS["profile"].params["threshold"],
                    help="--diff: flag frames slower than BASE by this ratio")
-    p.add_argument("--min-s", type=float, default=0.001,
+    p.add_argument("--min-s", type=float, default=KINDS["profile"].params["min_s"],
                    help="--diff: ignore timing deltas on frames whose base "
                         "time is below this (timer noise)")
     p.add_argument("--format", default="table", choices=("table", "json"))
@@ -1354,15 +1315,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate and diff repro-timeseries/v1 captures",
         description="Work with saved time-series captures: `validate PATH` "
                     "checks the schema contract (exit 2 on a bad capture); "
-                    "`diff BASE TARGET` classifies per-series drift "
-                    "(identical / level_shift / peak_shift / resampled / "
-                    "jitter / divergent) and exits 1 when any series "
+                    "`diff BASE TARGET` compares them series by series "
+                    "into a repro-compare/v2 report (identical / noise / "
+                    "changed / added / removed) and exits 1 when any series "
                     "drifted past --threshold.",
     )
     p.add_argument("action", choices=("diff", "validate"))
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="one capture (validate) or BASE TARGET (diff)")
-    p.add_argument("--threshold", type=float, default=0.05,
+    p.add_argument("--threshold", type=float,
+                   default=KINDS["timeseries"].params["threshold"],
                    help="diff: relative drift tolerance on mean/peak/last")
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.add_argument("--out", metavar="PATH",
@@ -1419,7 +1381,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "--save-run: `list` the stored bundles, `show RUN` one "
                     "manifest, `compare BASE TARGET` two runs (composing "
                     "summary, SLO, fault, timeseries and profile deltas "
-                    "into a repro-compare/v1 verdict; exit 1 on "
+                    "into a repro-compare/v2 verdict; exit 1 on "
                     "regression), `export RUN DEST` a bundle's artifacts, "
                     "or `gc [RUN...]` to drop runs and sweep orphaned "
                     "objects. Run ids may be unique prefixes.",
@@ -1431,7 +1393,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "export: RUN DEST; gc: runs to remove first)")
     p.add_argument("--store", default=DEFAULT_STORE_ROOT, metavar="DIR",
                    help=f"run-store root (default {DEFAULT_STORE_ROOT})")
-    p.add_argument("--threshold", type=float, default=0.01,
+    p.add_argument("--threshold", type=float, default=KINDS["runs"].params["threshold"],
                    help="compare: relative tolerance on summary metrics")
     p.add_argument("--format", default="table",
                    choices=("table", "json", "ids"),

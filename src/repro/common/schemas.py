@@ -4,8 +4,8 @@ Downstream tooling keys on these layouts, so each one is a contract: a new
 top-level field means a schema version bump or a deliberate update here.
 Two things read the registry: lint rule REP006, which checks every
 ``{"schema": ...}`` dict literal in the source against it, and the
-``repro profile --validate`` / ``repro timeseries validate`` commands,
-which check a capture file against it at run time.
+profile, timeseries and bundle loaders, which check a document read at
+run time against it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 SCHEMA_KEYS: dict[str, frozenset[str]] = {
     "repro-telemetry/v1": frozenset({"schema", "meta", "run", "metrics"}),
     "repro-journal/v1": frozenset({"schema", "kind", "run", "meta"}),
-    "repro-report/v1": frozenset(
-        {"schema", "meta", "run", "time", "cost", "activity"}
-    ),
     "repro-diagnostics/v1": frozenset(
         {
             "schema", "meta", "critical_path", "stragglers", "drift",
@@ -46,22 +43,19 @@ SCHEMA_KEYS: dict[str, frozenset[str]] = {
         {"schema", "meta", "plan", "summary", "records"}
     ),
     "repro-profile/v1": frozenset({"schema", "meta", "frames", "totals"}),
-    "repro-profile-diff/v1": frozenset(
-        {"schema", "meta", "base", "target", "threshold", "frames", "summary"}
-    ),
     "repro-report/v2": frozenset(
         {"schema", "meta", "run", "time", "cost", "activity", "peaks"}
     ),
     "repro-timeseries/v1": frozenset(
         {"schema", "meta", "series", "markers", "totals"}
     ),
-    "repro-timeseries-diff/v1": frozenset(
-        {"schema", "meta", "base", "target", "series", "summary"}
-    ),
     "repro-bundle/v1": frozenset(
         {"schema", "meta", "run_id", "artifacts", "summary"}
     ),
-    "repro-compare/v1": frozenset(
-        {"schema", "meta", "base", "target", "deltas", "attribution", "verdict"}
+    "repro-compare/v2": frozenset(
+        {
+            "schema", "kind", "meta", "base", "target", "params", "rows",
+            "counts", "verdict", "attribution",
+        }
     ),
 }

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import sys
-from typing import Iterable, TypeVar
+from pathlib import Path
+from typing import Iterable, TypeGuard, TypeVar
 
 from repro.common.errors import ValidationError
 
@@ -47,7 +49,7 @@ def require_one_of(value: T, options: Iterable[T], name: str) -> T:
     return value
 
 
-def is_number(value: object) -> bool:
+def is_number(value: object) -> TypeGuard[float]:
     """Whether a parsed JSON value is a number ``float()`` accepts: not a
     bool, and not an integer past the float range (that would overflow)."""
     if isinstance(value, float):
@@ -56,6 +58,36 @@ def is_number(value: object) -> bool:
         isinstance(value, int) and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max
     )
+
+
+def is_finite(value: object) -> bool:
+    """Whether ``value`` is a number (:func:`is_number`) and finite."""
+    return is_number(value) and math.isfinite(value)
+
+
+def require_numbers(payload: object, keys: Iterable[str], name: str) -> None:
+    """Raise :class:`ValidationError` unless ``payload`` is an object whose
+    ``keys`` all hold finite numbers."""
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"{name} must be a JSON object, got {type(payload).__name__}"
+        )
+    for key in keys:
+        value = payload.get(key)
+        if not is_finite(value):
+            raise ValidationError(
+                f"{name} field {key!r} must be a finite number, got {value!r:.40}"
+            )
+
+
+def require_parent_dir(path: str | Path, what: str) -> None:
+    """Raise unless the directory ``path`` would be written into exists:
+    an output path is checked before the work that writes it."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ValidationError(
+            f"cannot write {what} to {path}: directory {parent} does not exist"
+        )
 
 
 def require_field(payload: object, key: str, name: str) -> object:

@@ -5,8 +5,8 @@ model drift, ex-post regret — over a :class:`RunObservation` and distills
 them into ranked :class:`Finding`s. The result serializes to a versioned
 JSON document (schema ``repro-diagnostics/v1``) and renders as a terminal
 table, both deterministic: same run, same report, byte for byte. No
-timestamps, no environment — diffable across commits, which is what lets
-the regression harness and CI treat a diagnosis as an artifact.
+timestamps, no environment — diffable across commits, so CI can treat a
+diagnosis as an artifact.
 """
 
 from __future__ import annotations

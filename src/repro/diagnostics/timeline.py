@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
 from repro.common.types import Allocation, EpochRecord
+from repro.common.validation import is_finite
 from repro.tuning.plan import Objective
 
 
@@ -185,11 +186,46 @@ def _metric_totals(metrics: list[dict]) -> dict[str, float]:
     return out
 
 
+#: Span arguments the timeline converts with ``int`` / ``float``.
+_NUMERIC_ARGS = ("epoch", "rank", "loss", "cost_usd")
+
+
+def _check_event(e: object) -> None:
+    """Raise :class:`ValidationError` unless ``e`` is a trace event whose
+    fields the timeline reads have the right types."""
+    if not isinstance(e, dict):
+        raise ValidationError(f"trace event must be an object, got {e!r:.40}")
+    args = e.get("args", {})
+    if not isinstance(args, dict):
+        raise ValidationError(f"trace event 'args' must be an object, got {args!r:.40}")
+    if not isinstance(e.get("tid", 0), (int, float, str)):
+        raise ValidationError("trace event 'tid' must be a number or string")
+    if e.get("ph") == "M":
+        if e.get("name") == "thread_name" and not isinstance(args.get("name"), str):
+            raise ValidationError("trace thread_name event needs a string args.name")
+        return
+    if e.get("ph") != "X":
+        return
+    for key in ("name", "cat"):
+        if not isinstance(e.get(key, ""), str):
+            raise ValidationError(f"trace span {key!r} must be a string")
+    for key in ("ts", "dur"):
+        if not is_finite(e.get(key, 0.0)):
+            raise ValidationError(f"trace span {key!r} must be a finite number")
+    for key in _NUMERIC_ARGS:
+        if args.get(key) is not None and not is_finite(args[key]):
+            raise ValidationError(f"trace span args.{key} must be a finite number")
+
+
 def _chrome_spans(trace: dict) -> list[dict]:
     """Normalize Chrome trace events to second-based span dicts."""
-    events = trace.get("traceEvents", [])
+    events = trace.get("traceEvents", []) if isinstance(trace, dict) else None
+    if not isinstance(events, list):
+        raise ValidationError("trace must be an object with a 'traceEvents' list")
+    for e in events:
+        _check_event(e)
     tracks = {
-        e["tid"]: e["args"]["name"]
+        e.get("tid"): e["args"]["name"]
         for e in events
         if e.get("ph") == "M" and e.get("name") == "thread_name"
     }

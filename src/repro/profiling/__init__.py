@@ -28,7 +28,8 @@ and the aggregate (wall time per call path, call counts, counters, and —
 with ``sample_memory=True`` — tracemalloc peaks) exports as a
 ``repro-profile/v1`` capture, a collapsed-stack flamegraph, or extra
 frames in the telemetry Chrome trace. ``repro profile --diff A.json
-B.json`` computes per-frame deltas between two captures.
+B.json`` compares two captures frame by frame through the one compare
+engine, :func:`repro.runs.compare.compare`.
 
 REP002 note: this package is in the lint's simulated-packages scope; the
 only sanctioned host-clock call site is
@@ -49,12 +50,6 @@ from repro.profiling.capture import (
 )
 from repro.profiling.clock import host_clock_s
 from repro.profiling.core import NULL_PHASE, FrameStat, NullProfiler, Profiler
-from repro.profiling.diff import (
-    diff_captures,
-    diff_to_json,
-    has_regressions,
-    render_diff,
-)
 from repro.profiling.flamegraph import augment_chrome_trace, to_collapsed
 
 _NULL_PROFILER = NullProfiler()
@@ -120,17 +115,13 @@ __all__ = [
     "Profiler",
     "augment_chrome_trace",
     "capture_payload",
-    "diff_captures",
-    "diff_to_json",
     "get_profiler",
-    "has_regressions",
     "host_clock_s",
     "load_capture",
     "profile_phase",
     "profiled",
     "profiling_enabled",
     "render_capture",
-    "render_diff",
     "set_profiler",
     "to_collapsed",
     "to_json",

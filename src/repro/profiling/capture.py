@@ -14,13 +14,11 @@ import json
 
 from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
+from repro.common.schemas import SCHEMA_KEYS
+from repro.common.validation import require_numbers
 from repro.profiling.core import Profiler
 
 JSON_SCHEMA = "repro-profile/v1"
-
-#: Top-level keys — must match the schema registry entry in
-#: ``repro.common.schemas.SCHEMA_KEYS``.
-_TOP_KEYS = frozenset({"schema", "meta", "frames", "totals"})
 
 _FRAME_KEYS = frozenset(
     {"path", "depth", "n_calls", "total_s", "self_s", "counters"}
@@ -83,7 +81,8 @@ def load_capture(text: str) -> dict:
 
 
 def validate_capture(payload: dict) -> None:
-    """Raise :class:`ValidationError` unless ``payload`` matches the schema."""
+    """Raise :class:`ValidationError` unless ``payload`` matches the schema,
+    field types included."""
     if not isinstance(payload, dict):
         raise ValidationError("capture must be a JSON object")
     schema = payload.get("schema")
@@ -91,20 +90,31 @@ def validate_capture(payload: dict) -> None:
         raise ValidationError(
             f"expected schema {JSON_SCHEMA!r}, got {schema!r}"
         )
-    if set(payload) != _TOP_KEYS:
+    keys = SCHEMA_KEYS[JSON_SCHEMA]
+    if set(payload) != keys:
         raise ValidationError(
             f"capture top-level keys {sorted(payload)} do not match the "
-            f"{JSON_SCHEMA} contract {sorted(_TOP_KEYS)}"
+            f"{JSON_SCHEMA} contract {sorted(keys)}"
         )
+    if not isinstance(payload["meta"], dict):
+        raise ValidationError("capture 'meta' must be an object")
+    require_numbers(payload["totals"], ("wall_s", "n_frames", "n_calls"),
+                    "capture 'totals'")
     if not isinstance(payload["frames"], list):
         raise ValidationError("capture 'frames' must be a list")
     for frame in payload["frames"]:
+        if not isinstance(frame, dict) or not isinstance(frame.get("path"), str):
+            raise ValidationError("capture frames must be objects with a string 'path'")
         missing = _FRAME_KEYS - set(frame)
         if missing:
             raise ValidationError(
-                f"capture frame {frame.get('path')!r} lacks keys "
-                f"{sorted(missing)}"
+                f"capture frame {frame['path']!r} lacks keys {sorted(missing)}"
             )
+        name = f"capture frame {frame['path']!r}"
+        require_numbers(frame, ("depth", "n_calls", "total_s", "self_s"), name)
+        if not isinstance(frame["counters"], dict):
+            raise ValidationError(f"{name}: 'counters' must be an object")
+        require_numbers(frame["counters"], sorted(frame["counters"]), f"{name} counters")
 
 
 def _format_rate(value: float) -> str:

@@ -5,14 +5,16 @@ mix of telemetry, traces, event logs, SLO reports, profiles, timeseries
 and fault ledgers it enabled — becomes one :class:`RunBundle` behind a
 byte-stable ``repro-bundle/v1`` manifest with a deterministic run id,
 stored content-addressed in a local :class:`RunStore` (``.repro/runs/``).
-:func:`compare_runs` is the cross-run observatory: it composes the
-existing diff surfaces into a single ``repro-compare/v1`` verdict.
+:func:`compare` is the one compare engine behind ``repro profile --diff``,
+``repro timeseries diff`` and ``repro runs compare``: two documents of
+one kind become one ``repro-compare/v2`` report with one verdict.
 
 * :mod:`repro.runs.provenance` — the :class:`ProvenanceStamp` threaded
   through every capture writer's ``meta`` block;
 * :mod:`repro.runs.bundle` — manifests, artifacts, run-id derivation;
 * :mod:`repro.runs.store` — the content-addressed local registry;
-* :mod:`repro.runs.compare` — the cross-run regression observatory;
+* :mod:`repro.runs.compare` — the compare engine and its per-kind rule
+  tables;
 * :mod:`repro.runs.instruments` — :class:`Instruments`, the one context
   that installs a run's collectors, writes its captures and bundles them.
 """
@@ -31,9 +33,11 @@ from repro.runs.bundle import (
 )
 from repro.runs.compare import (
     COMPARE_SCHEMA,
+    compare,
     compare_runs,
     compare_to_json,
-    has_regression,
+    exit_code,
+    load_run,
     render_compare,
 )
 from repro.runs.instruments import BUNDLE_KINDS, Instruments
@@ -52,13 +56,16 @@ __all__ = [
     "ProvenanceStamp",
     "RunBundle",
     "RunStore",
+    "compare",
     "compare_runs",
     "compare_to_json",
     "derive_run_id",
-    "has_regression",
+    "exit_code",
     "hash_config",
     "load_manifest",
+    "load_run",
     "manifest_to_json",
+    "render_compare",
     "render_manifest",
     "save_run",
     "validate_manifest",

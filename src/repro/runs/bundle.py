@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
+from repro.common.schemas import SCHEMA_KEYS
 from repro.runs.provenance import ProvenanceStamp
 
 BUNDLE_SCHEMA = "repro-bundle/v1"
@@ -41,8 +42,6 @@ ARTIFACT_KINDS: dict[str, tuple[str, str | None]] = {
 #: digested, but excluded from run-id derivation so a re-run of the same
 #: (workload, seed, config) keeps the same identity.
 HOST_TIMED_KINDS = frozenset({"profile", "flamegraph"})
-
-_TOP_KEYS = frozenset({"schema", "meta", "run_id", "artifacts", "summary"})
 
 _ARTIFACT_KEYS = frozenset(
     {"kind", "filename", "sha256", "n_bytes", "artifact_schema", "deterministic"}
@@ -171,10 +170,11 @@ def validate_manifest(payload: dict) -> None:
         raise ValidationError(
             f"expected schema {BUNDLE_SCHEMA!r}, got {schema!r}"
         )
-    if set(payload) != _TOP_KEYS:
+    keys = SCHEMA_KEYS[BUNDLE_SCHEMA]
+    if set(payload) != keys:
         raise ValidationError(
             f"manifest top-level keys {sorted(payload)} do not match the "
-            f"{BUNDLE_SCHEMA} contract {sorted(_TOP_KEYS)}"
+            f"{BUNDLE_SCHEMA} contract {sorted(keys)}"
         )
     if not isinstance(payload["artifacts"], list):
         raise ValidationError("manifest 'artifacts' must be a list")

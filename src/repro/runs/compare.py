@@ -1,348 +1,392 @@
-"""The cross-run observatory: two bundles → one ``repro-compare/v1`` verdict.
+"""One compare engine: two documents → one ``repro-compare/v2`` report.
 
-``compare_runs`` composes every comparison surface the repo already has —
-run-summary deltas (JCT, cost, convergence, restarts), SLO verdict flips,
-fault-ledger deltas, the timeseries drift classifier and the hot-path
-profile diff — into a single report with a ``regressed`` / ``improved`` /
-``identical`` / ``indeterminate`` verdict. Summary, SLO and fault deltas
-*decide* the verdict; timeseries drift and the (host-timed, noisy)
-profile diff *attribute* it. ``repro runs compare`` exits 1 exactly when
-the verdict is ``regressed``.
+``repro profile --diff``, ``repro timeseries diff`` and ``repro runs
+compare`` all do the same work, here: join two keyed row tables, give
+each row one status, count the statuses, pick one verdict, and render
+the result as JSON or text. Each document kind supplies only its rule
+table (:data:`KINDS`):
+
+* ``profile`` — ``repro-profile/v1`` frames keyed by call path. A frame
+  regressed (improved) when its inclusive time grew (shrank) past the
+  ``threshold`` ratio and both sides clear the ``min_s`` floor:
+  microsecond frames are timer noise.
+* ``timeseries`` — ``repro-timeseries/v1`` series keyed by name. A series
+  changed when its mean or peak moved by more than the relative
+  ``threshold``; each row says which of the two moved (``moved``) and
+  whether the series was only resampled (``resampled``). Means are taken
+  over the stored run-length-compressed points, which biases them toward
+  step edges, the transitions a drift check cares about.
+* ``runs`` — two stored bundles: run-summary keys, the SLO verdict flip,
+  fault-ledger and event-count deltas and the deterministic artifact
+  digests. Summary metrics move past the relative ``threshold`` to
+  count; any new restart, fault or SLO violation regresses. The runs'
+  timeseries and profile comparisons only attribute the result
+  (``attribution``); the profile is host-timed, so it never decides.
+
+Every row has one status: ``identical``, ``noise`` (moved, within the
+threshold), ``improved``, ``regressed``, ``changed`` (moved, no better
+direction), ``added`` or ``removed``. Every report has one verdict:
+``regressed`` if any row regressed, else ``improved`` if any improved,
+else ``identical`` if every row is, else ``indeterminate``. Rows are
+sorted by key, so a report is a pure function of its two inputs, and a
+document compared with itself is ``identical`` row by row.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
 
 from repro.common.meta import coerce_meta
-from repro.profiling import capture as profile_capture
-from repro.profiling import diff as profile_diff
-from repro.runs.store import RunStore
-from repro.timeseries import capture as timeseries_capture
-from repro.timeseries import diff as timeseries_diff
+from repro.common.validation import is_finite, is_number
+from repro.profiling.capture import validate_capture as _validate_profile
+from repro.timeseries.capture import validate_capture as _validate_timeseries
 
-COMPARE_SCHEMA = "repro-compare/v1"
+COMPARE_SCHEMA = "repro-compare/v2"
 
-#: Relative change below which a numeric summary delta is noise.
-DEFAULT_THRESHOLD = 0.01
-
-#: Summary keys where an increase is a regression (and a decrease an
-#: improvement). Everything else in the summary is reported but neutral.
-_BAD_IF_UP = (
-    "jct_s",
-    "cost_usd",
-    "storage_cost_usd",
-    "comm_overhead_s",
-    "scheduling_overhead_s",
+STATUSES = (
+    "identical", "noise", "improved", "regressed", "changed", "added", "removed",
 )
 
-#: Integer counters where *any* increase regresses (no noise floor).
-_COUNT_BAD_IF_UP = ("n_restarts",)
+_ABSENT = object()
+
+_MARK = {
+    "regressed": "!", "improved": "+", "changed": "~", "added": ">",
+    "removed": "<",
+}
 
 
-def _endpoint(manifest: dict) -> dict:
-    """The per-run block of the compare report."""
-    meta = manifest.get("meta", {})
+def _pair(base, target) -> dict:
+    """The base/target/delta/ratio cells of one measure (delta and ratio
+    only for numbers, ratio only over a non-zero base)."""
+    both = is_number(base) and is_number(target)
     return {
-        "run_id": manifest["run_id"],
-        "command": meta.get("command", ""),
-        "workload": meta.get("workload", ""),
-        "method": meta.get("method", ""),
-        "seed": meta.get("seed", 0),
-        "artifacts": sorted(e["kind"] for e in manifest["artifacts"]),
-        "summary": dict(manifest.get("summary") or {}),
+        "base": base,
+        "target": target,
+        "delta": round(target - base, 9) if both else None,
+        "ratio": round(target / base, 6) if both and base else None,
     }
 
 
-def _summary_deltas(
-    base: dict, target: dict, threshold: float
-) -> tuple[list[dict], list[dict], list[dict]]:
-    """(rows, regressions, improvements) over the two run summaries."""
-    rows: list[dict] = []
-    regressions: list[dict] = []
-    improvements: list[dict] = []
-    for key in sorted(set(base) | set(target)):
-        b, t = base.get(key), target.get(key)
-        row: dict = {"key": key, "base": b, "target": t}
-        if isinstance(b, bool) or isinstance(t, bool):
-            if key == "converged" and b is True and t is False:
-                row["direction"] = "regressed"
-            elif key == "converged" and b is False and t is True:
-                row["direction"] = "improved"
-            else:
-                row["direction"] = "identical" if b == t else "changed"
-        elif isinstance(b, (int, float)) and isinstance(t, (int, float)):
-            delta = t - b
-            row["delta"] = round(delta, 9)
-            row["ratio"] = round(t / b, 6) if b else None
-            if key in _COUNT_BAD_IF_UP:
-                row["direction"] = (
-                    "regressed" if delta > 0
-                    else "improved" if delta < 0
-                    else "identical"
-                )
-            elif key in _BAD_IF_UP:
-                floor = threshold * abs(b) if b else 0.0
-                row["direction"] = (
-                    "regressed" if delta > floor
-                    else "improved" if delta < -floor
-                    else "identical" if delta == 0
-                    else "noise"
-                )
-            else:
-                row["direction"] = "identical" if delta == 0 else "changed"
+def _rel_delta(a: float, b: float) -> float:
+    """``|a - b|`` relative to the larger magnitude: symmetric in a, b."""
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0 else 0.0
+
+
+# ----------------------------------------------------------------- profile
+def _profile_row(key: str, b: dict | None, t: dict | None, p: dict) -> dict:
+    bt = None if b is None else b["total_s"]
+    tt = None if t is None else t["total_s"]
+    b_counters = {} if b is None else b["counters"]
+    t_counters = {} if t is None else t["counters"]
+    row = {
+        **_pair(bt, tt),
+        "calls": _pair(None if b is None else b["n_calls"],
+                       None if t is None else t["n_calls"]),
+        "counters": {
+            name: _pair(b_counters.get(name, 0.0), t_counters.get(name, 0.0))
+            for name in sorted(set(b_counters) | set(t_counters))
+        },
+    }
+    if b is not None and t is not None:
+        timed = min(bt, tt) >= p["min_s"]
+        if timed and tt > bt * p["threshold"]:
+            row["status"] = "regressed"
+        elif timed and bt > tt * p["threshold"]:
+            row["status"] = "improved"
+        elif (bt, b["n_calls"], b_counters) == (tt, t["n_calls"], t_counters):
+            row["status"] = "identical"
         else:
-            row["direction"] = "identical" if b == t else "changed"
-        rows.append(row)
-        if row["direction"] == "regressed":
-            regressions.append(
-                {
-                    "kind": "summary",
-                    "what": key,
-                    "detail": f"{key}: {b} -> {t}",
-                }
-            )
-        elif row["direction"] == "improved":
-            improvements.append(
-                {
-                    "kind": "summary",
-                    "what": key,
-                    "detail": f"{key}: {b} -> {t}",
-                }
-            )
-    return rows, regressions, improvements
+            row["status"] = "noise"
+    return row
 
 
-def _slo_delta(base: dict | None, target: dict | None) -> dict | None:
-    """Verdict flip between two ``repro-slo-report/v1`` payloads."""
-    if base is None and target is None:
-        return None
-    b = bool((base or {}).get("verdict", {}).get("violated"))
-    t = bool((target or {}).get("verdict", {}).get("violated"))
+# -------------------------------------------------------------- timeseries
+def _series_stats(entry: dict | None) -> dict:
+    if entry is None:
+        return dict.fromkeys(("mean", "peak", "n_samples", "n_points"))
+    values = entry["values"]
     return {
-        "base_violated": b,
-        "target_violated": t,
-        "base_violations": sorted((base or {}).get("verdict", {}).get("violations", [])),
-        "target_violations": sorted((target or {}).get("verdict", {}).get("violations", [])),
+        "mean": round(sum(values) / len(values), 9) if values else 0.0,
+        "peak": entry["high_water"],
+        "n_samples": entry["n_samples"],
+        "n_points": len(values),
     }
 
 
-def _faults_delta(base: dict | None, target: dict | None) -> dict | None:
-    """Summary deltas between two ``repro-faults-report/v1`` payloads."""
-    if base is None and target is None:
-        return None
-    b = dict((base or {}).get("summary") or {})
-    t = dict((target or {}).get("summary") or {})
+def _series_row(key: str, b: dict | None, t: dict | None, p: dict) -> dict:
+    bs, ts = _series_stats(b), _series_stats(t)
+    row = {
+        **_pair(bs["mean"], ts["mean"]),
+        "peak": _pair(bs["peak"], ts["peak"]),
+        "samples": _pair(bs["n_samples"], ts["n_samples"]),
+        "points": _pair(bs["n_points"], ts["n_points"]),
+        "moved": [],
+        "resampled": False,
+    }
+    if b is None or t is None:
+        return row
+    if (b["t0_s"], b["dt_s"], b["values"]) == (t["t0_s"], t["dt_s"], t["values"]):
+        row["status"] = "identical"
+        return row
+    row["moved"] = [
+        stat for stat in ("mean", "peak")
+        if _rel_delta(bs[stat], ts[stat]) > p["threshold"]
+    ]
+    row["resampled"] = (bs["n_points"], bs["n_samples"]) != (
+        ts["n_points"], ts["n_samples"]
+    )
+    row["status"] = "changed" if row["moved"] else "noise"
+    return row
+
+
+# -------------------------------------------------------------------- runs
+#: Keys with a better direction: ``lower`` / ``count`` (any increase
+#: regresses, no noise floor) / ``true`` / ``false``. Every other key is
+#: neutral: ``identical`` or ``changed``.
+_RUNS_RULES = {
+    "summary.jct_s": "lower",
+    "summary.cost_usd": "lower",
+    "summary.storage_cost_usd": "lower",
+    "summary.comm_overhead_s": "lower",
+    "summary.scheduling_overhead_s": "lower",
+    "summary.n_restarts": "count",
+    "summary.converged": "true",
+    "slo.violated": "false",
+    "faults.n_faults": "count",
+}
+
+_FAULT_KEYS = ("n_faults", "n_recoveries", "fault_time_s", "recovery_time_s")
+
+#: Bundle artifacts the runs rule table reads (the trace is never loaded).
+_RUN_ARTIFACTS = ("slo", "faults", "events", "timeseries", "profile")
+
+
+def _flatten(prefix: str, mapping: dict) -> dict:
     out: dict = {}
-    for key in ("n_faults", "n_recoveries", "fault_time_s", "recovery_time_s"):
-        bv, tv = b.get(key, 0) or 0, t.get(key, 0) or 0
-        out[key] = {"base": bv, "target": tv, "delta": round(tv - bv, 9)}
-    by_kind: dict[str, dict] = {}
-    b_kinds = dict(b.get("by_kind") or {})
-    t_kinds = dict(t.get("by_kind") or {})
-    for kind in sorted(set(b_kinds) | set(t_kinds)):
-        bv, tv = b_kinds.get(kind, 0), t_kinds.get(kind, 0)
-        by_kind[kind] = {"base": bv, "target": tv, "delta": tv - bv}
-    out["by_kind"] = by_kind
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            out.update(_flatten(f"{prefix}.{key}", value))
+        else:
+            out[f"{prefix}.{key}"] = value
     return out
 
 
-def _events_delta(base: str | None, target: str | None) -> dict | None:
-    """Per-kind event-count deltas between two ``repro-events/v1`` logs."""
-    if base is None and target is None:
-        return None
-
-    def counts(text: str | None) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for line in (text or "").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "schema" in doc:  # header line
-                continue
-            kind = str(doc.get("kind", ""))
-            out[kind] = out.get(kind, 0) + 1
-        return out
-
-    b, t = counts(base), counts(target)
-    return {
-        kind: {"base": b.get(kind, 0), "target": t.get(kind, 0),
-               "delta": t.get(kind, 0) - b.get(kind, 0)}
-        for kind in sorted(set(b) | set(t))
-    }
+def _event_counts(text: str | None) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for line in (text or "").splitlines():
+        if not line.strip():
+            continue
+        doc = json.loads(line)
+        if "schema" in doc:  # header line
+            continue
+        kind = f"events.{doc.get('kind', '')}"
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
 
 
-def _maybe_artifact(store: RunStore, manifest: dict, kind: str) -> str | None:
-    kinds = {e["kind"] for e in manifest["artifacts"]}
-    if kind not in kinds:
-        return None
-    return store.read_artifact(manifest, kind)
+def _runs_table(doc: dict) -> dict:
+    manifest, texts = doc["manifest"], doc["artifacts"]
+    table = _flatten("summary", dict(manifest.get("summary") or {}))
+    for entry in manifest["artifacts"]:
+        if entry["deterministic"]:
+            table[f"artifact.{entry['kind']}"] = entry["sha256"]
+    if texts.get("slo") is not None:
+        verdict = json.loads(texts["slo"]).get("verdict") or {}
+        table["slo.violated"] = bool(verdict.get("violated"))
+        table["slo.violations"] = sorted(verdict.get("violations", []))
+    if texts.get("faults") is not None:
+        summary = json.loads(texts["faults"]).get("summary") or {}
+        for key in _FAULT_KEYS:
+            table[f"faults.{key}"] = summary.get(key, 0) or 0
+        table.update(_flatten("faults.by_kind", dict(summary.get("by_kind") or {})))
+    table.update(_event_counts(texts.get("events")))
+    return table
 
 
-def compare_runs(
-    store: RunStore,
-    base_ref: str,
-    target_ref: str,
-    threshold: float = DEFAULT_THRESHOLD,
-    meta: dict | None = None,
-) -> dict:
-    """The ``repro-compare/v1`` report for two stored runs."""
-    base = store.load(base_ref)
-    target = store.load(target_ref)
+def _runs_absent(key: str):
+    """A run without an SLO report met no SLO to violate; one without a
+    fault ledger or event log had zero faults and zero events."""
+    if key == "slo.violated":
+        return False
+    if key == "slo.violations":
+        return []
+    if key.startswith(("faults.", "events.")):
+        return 0
+    return _ABSENT
 
-    summary_rows, regressions, improvements = _summary_deltas(
-        dict(base.get("summary") or {}),
-        dict(target.get("summary") or {}),
-        threshold,
-    )
 
-    slo = _slo_delta(
-        _load_json(_maybe_artifact(store, base, "slo")),
-        _load_json(_maybe_artifact(store, target, "slo")),
-    )
-    if slo is not None:
-        if not slo["base_violated"] and slo["target_violated"]:
-            regressions.append(
-                {
-                    "kind": "slo",
-                    "what": "verdict",
-                    "detail": (
-                        "SLO met -> violated "
-                        f"({', '.join(slo['target_violations']) or 'unknown'})"
-                    ),
-                }
-            )
-        elif slo["base_violated"] and not slo["target_violated"]:
-            improvements.append(
-                {"kind": "slo", "what": "verdict", "detail": "SLO violated -> met"}
-            )
+def _runs_row(key: str, b, t, p: dict) -> dict:
+    row = _pair(b, t)
+    rule = _RUNS_RULES.get(key)
+    if b == t or (b != b and t != t):  # NaN equals NaN here
+        row["status"] = "identical"
+    elif rule in ("true", "false") and isinstance(b, bool) and isinstance(t, bool):
+        row["status"] = "improved" if t is (rule == "true") else "regressed"
+    elif rule in ("lower", "count") and is_finite(b) and is_finite(t):
+        if rule == "lower" and _rel_delta(b, t) <= p["threshold"]:
+            row["status"] = "noise"
+        else:
+            row["status"] = "regressed" if t > b else "improved"
+    else:
+        row["status"] = "changed"
+    return row
 
-    faults = _faults_delta(
-        _load_json(_maybe_artifact(store, base, "faults")),
-        _load_json(_maybe_artifact(store, target, "faults")),
-    )
-    if faults is not None and faults["n_faults"]["delta"] > 0:
-        kinds = sorted(
-            kind for kind, row in faults["by_kind"].items() if row["delta"] > 0
+
+def _runs_endpoint(doc: dict) -> dict:
+    meta = doc["manifest"].get("meta", {})
+    return {"run_id": doc["manifest"]["run_id"],
+            **{key: meta.get(key, "") for key in ("command", "workload", "method")},
+            "seed": meta.get("seed", 0)}
+
+
+def _runs_attribution(base: dict, target: dict) -> dict:
+    """Where did the verdict come from: the timeseries and profile
+    comparisons of the two runs, or ``None`` where a run lacks one."""
+    out = {}
+    for kind in ("timeseries", "profile"):
+        b, t = base["artifacts"].get(kind), target["artifacts"].get(kind)
+        if b is None or t is None:
+            out[kind] = None
+            continue
+        report = compare(kind, json.loads(b), json.loads(t))
+        exit_on = KINDS[kind].exit_on
+        out[kind] = {
+            "verdict": report["verdict"],
+            "counts": report["counts"],
+            "flagged": [r["key"] for r in report["rows"] if r["status"] in exit_on],
+        }
+    return out
+
+
+# ----------------------------------------------------------------- engine
+class Kind(NamedTuple):
+    """One document kind's rule table."""
+
+    table: Callable[[dict], dict]
+    row: Callable[..., dict]
+    endpoint: Callable[[dict], dict]
+    params: dict
+    #: Row statuses that make the command exit 1.
+    exit_on: frozenset
+    validate: Callable[[dict], None] | None = None
+    absent: Callable[[str], object] = lambda key: _ABSENT
+    attribute: Callable[[dict, dict], dict] | None = None
+
+
+KINDS: dict[str, Kind] = {
+    "profile": Kind(
+        table=lambda doc: {f["path"]: f for f in doc["frames"]},
+        row=_profile_row,
+        endpoint=lambda doc: {"meta": doc["meta"], "wall_s": doc["totals"]["wall_s"]},
+        params={"threshold": 1.2, "min_s": 0.001},
+        exit_on=frozenset({"regressed"}),
+        validate=_validate_profile,
+    ),
+    "timeseries": Kind(
+        table=lambda doc: {s["name"]: s for s in doc["series"]},
+        row=_series_row,
+        endpoint=lambda doc: {"meta": doc["meta"]},
+        params={"threshold": 0.05},
+        exit_on=frozenset({"changed", "added", "removed"}),
+        validate=_validate_timeseries,
+    ),
+    "runs": Kind(
+        table=_runs_table,
+        row=_runs_row,
+        endpoint=_runs_endpoint,
+        params={"threshold": 0.01},
+        exit_on=frozenset({"regressed"}),
+        absent=_runs_absent,
+        attribute=_runs_attribution,
+    ),
+}
+
+
+def compare(kind: str, base: dict, target: dict, meta=None, **params) -> dict:
+    """The ``repro-compare/v2`` report for ``base`` → ``target``.
+
+    ``base`` and ``target`` are two loaded documents of ``kind``: profile
+    or timeseries captures, or for ``runs`` what :func:`load_run` returns.
+    ``params`` override the kind's thresholds.
+    """
+    spec = KINDS[kind]
+    if set(params) - set(spec.params):
+        raise TypeError(f"{kind} compare takes {sorted(spec.params)}, got {sorted(params)}")
+    params = {**spec.params, **params}
+    if spec.validate is not None:
+        spec.validate(base)
+        spec.validate(target)
+    b_table, t_table = spec.table(base), spec.table(target)
+    rows = []
+    counts = dict.fromkeys(STATUSES, 0)
+    for key in sorted(set(b_table) | set(t_table)):
+        b = b_table[key] if key in b_table else spec.absent(key)
+        t = t_table[key] if key in t_table else spec.absent(key)
+        row = spec.row(
+            key, None if b is _ABSENT else b, None if t is _ABSENT else t, params
         )
-        regressions.append(
-            {
-                "kind": "faults",
-                "what": "n_faults",
-                "detail": (
-                    f"fault count {faults['n_faults']['base']} -> "
-                    f"{faults['n_faults']['target']}"
-                    + (f" ({', '.join(kinds)})" if kinds else "")
-                ),
-            }
-        )
-    elif faults is not None and faults["n_faults"]["delta"] < 0:
-        improvements.append(
-            {
-                "kind": "faults",
-                "what": "n_faults",
-                "detail": (
-                    f"fault count {faults['n_faults']['base']} -> "
-                    f"{faults['n_faults']['target']}"
-                ),
-            }
-        )
-
-    events = _events_delta(
-        _maybe_artifact(store, base, "events"),
-        _maybe_artifact(store, target, "events"),
-    )
-
-    # Attribution surfaces: where did the regression come from?
-    ts_report = None
-    b_ts = _maybe_artifact(store, base, "timeseries")
-    t_ts = _maybe_artifact(store, target, "timeseries")
-    if b_ts is not None and t_ts is not None:
-        ts_report = timeseries_diff.diff_captures(
-            timeseries_capture.load_capture(b_ts),
-            timeseries_capture.load_capture(t_ts),
-        )
-
-    prof_report = None
-    b_prof = _maybe_artifact(store, base, "profile")
-    t_prof = _maybe_artifact(store, target, "profile")
-    if b_prof is not None and t_prof is not None:
-        prof_report = profile_diff.diff_captures(
-            profile_capture.load_capture(b_prof),
-            profile_capture.load_capture(t_prof),
-        )
-
-    verdict = _verdict(base, target, regressions, improvements, summary_rows)
+        if b is _ABSENT:
+            row["status"] = "added"
+        elif t is _ABSENT:
+            row["status"] = "removed"
+        row["key"] = key
+        counts[row["status"]] += 1
+        rows.append(row)
     return {
         "schema": COMPARE_SCHEMA,
+        "kind": kind,
         "meta": coerce_meta(meta),
-        "base": _endpoint(base),
-        "target": _endpoint(target),
-        "deltas": {
-            "threshold": threshold,
-            "summary": summary_rows,
-            "slo": slo,
-            "faults": faults,
-            "events": events,
-        },
-        "attribution": {
-            "timeseries": None if ts_report is None else {
-                "classes": ts_report["summary"]["classes"],
-                "drifted": ts_report["summary"]["drifted"],
-            },
-            # Host-timed: frame timings vary run to run, so the profile
-            # diff attributes but never decides the verdict.
-            "profile": None if prof_report is None else {
-                "n_regressed": prof_report["summary"]["n_regressed"],
-                "n_improved": prof_report["summary"]["n_improved"],
-                "delta_wall_s": prof_report["summary"]["delta_wall_s"],
-            },
-        },
-        "verdict": {
-            "verdict": verdict,
-            "regressions": regressions,
-            "improvements": improvements,
-        },
+        "base": spec.endpoint(base),
+        "target": spec.endpoint(target),
+        "params": params,
+        "rows": rows,
+        "counts": counts,
+        "verdict": _verdict(counts, len(rows)),
+        "attribution": (
+            None if spec.attribute is None else spec.attribute(base, target)
+        ),
     }
 
 
-def _load_json(text: str | None) -> dict | None:
-    return None if text is None else json.loads(text)
-
-
-def _verdict(
-    base: dict,
-    target: dict,
-    regressions: list[dict],
-    improvements: list[dict],
-    summary_rows: list[dict],
-) -> str:
-    if regressions:
+def _verdict(counts: dict, n_rows: int) -> str:
+    if counts["regressed"]:
         return "regressed"
-    if improvements:
+    if counts["improved"]:
         return "improved"
-    if base["run_id"] == target["run_id"]:
-        return "identical"
-    base_digests = {
-        (e["kind"], e["sha256"])
-        for e in base["artifacts"]
-        if e["deterministic"]
-    }
-    target_digests = {
-        (e["kind"], e["sha256"])
-        for e in target["artifacts"]
-        if e["deterministic"]
-    }
-    changed = [r for r in summary_rows if r["direction"] not in ("identical",)]
-    if base_digests == target_digests and not changed:
+    if counts["identical"] == n_rows:
         return "identical"
     return "indeterminate"
 
 
-def has_regression(report: dict) -> bool:
-    """True exactly when the verdict is ``regressed`` (CLI exit 1)."""
-    return report["verdict"]["verdict"] == "regressed"
+def exit_code(report: dict) -> int:
+    """1 when any row's status is in the kind's ``exit_on`` set, else 0:
+    a regressed frame or run, or a series that changed, came or went."""
+    exit_on = KINDS[report["kind"]].exit_on
+    return 1 if any(report["counts"][status] for status in sorted(exit_on)) else 0
+
+
+def load_run(store, ref: str) -> dict:
+    """The ``runs`` document of one stored bundle: its manifest plus the
+    texts of the artifacts the rule table reads."""
+    manifest = store.load(ref)
+    kinds = {entry["kind"] for entry in manifest["artifacts"]}
+    return {
+        "manifest": manifest,
+        "artifacts": {
+            kind: store.read_artifact(manifest, kind)
+            for kind in _RUN_ARTIFACTS if kind in kinds
+        },
+    }
+
+
+def compare_runs(store, base_ref: str, target_ref: str, meta=None, **params) -> dict:
+    """The ``runs`` report for two stored runs (ids or unique prefixes)."""
+    return compare(
+        "runs", load_run(store, base_ref), load_run(store, target_ref),
+        meta=meta, **params,
+    )
 
 
 def compare_to_json(report: dict) -> str:
@@ -350,70 +394,66 @@ def compare_to_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    text = str(value)
+    return text if len(text) <= 12 else text[:9] + "..."
+
+
+def _note(row: dict) -> str:
+    bits = []
+    if row.get("ratio") is not None and row["status"] != "identical":
+        bits.append(f"{row['ratio']:.2f}x")
+    if "peak" in row and row["status"] in ("changed", "noise"):
+        bits.append(f"peak {_cell(row['peak']['base'])} -> "
+                    f"{_cell(row['peak']['target'])}")
+    if row.get("moved"):
+        bits.append(f"moved {', '.join(row['moved'])}")
+    if row.get("resampled"):
+        bits.append("resampled")
+    return "  " + "; ".join(bits) if bits else ""
+
+
 def render_compare(report: dict) -> str:
-    """Human-readable ``repro runs compare`` view."""
-    base, target = report["base"], report["target"]
-    lines = [
-        f"compare {base['run_id']} -> {target['run_id']}",
-        f"  base   : {base['command'] or '-'} {base['workload']} "
-        f"{base['method']} seed={base['seed']}".rstrip(),
-        f"  target : {target['command'] or '-'} {target['workload']} "
-        f"{target['method']} seed={target['seed']}".rstrip(),
-        "",
-    ]
-    rows = report["deltas"]["summary"]
-    if rows:
+    """Human-readable view: endpoints, one line per row, counts, verdict."""
+    params = ", ".join(f"{k}={v:g}" for k, v in sorted(report["params"].items()))
+    lines = [f"{report['kind']} compare ({params})"]
+    for side in ("base", "target"):
+        endpoint, label = report[side], report["meta"].get(side)
+        bits = [] if label is None or label in endpoint.values() else [str(label)]
+        bits += [
+            f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in sorted(endpoint.items()) if k != "meta"
+        ]
+        lines.append(f"  {side:<6} : {' '.join(bits) or '-'}")
+    lines.append(
+        f"  {'key':44s} {'base':>12s} {'target':>12s} {'delta':>12s}  status"
+    )
+    for row in report["rows"]:
         lines.append(
-            f"  {'metric'.ljust(22)}  {'base'.rjust(14)}  "
-            f"{'target'.rjust(14)}  {'delta'.rjust(12)}  direction"
+            f"{_MARK.get(row['status'], ' ')} {row['key']:44s} "
+            f"{_cell(row['base']):>12s} {_cell(row['target']):>12s} "
+            f"{_cell(row['delta']):>12s}  {row['status']}{_note(row)}"
         )
-        for row in rows:
-            b, t = row["base"], row["target"]
-
-            def fmt(v) -> str:
-                if v is None:
-                    return "-"
-                if isinstance(v, float):
-                    return f"{v:.4f}"
-                text = str(v)
-                # Structured values (the peaks dict) would blow the column.
-                return text if len(text) <= 14 else text[:11] + "..."
-
-            delta = row.get("delta")
+    counts = report["counts"]
+    lines.append(
+        "rows: " + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
+    )
+    for name, digest in sorted((report["attribution"] or {}).items()):
+        if digest is not None:
+            flagged = ", ".join(digest["flagged"]) or "none"
             lines.append(
-                f"  {row['key'].ljust(22)}  {fmt(b).rjust(14)}  "
-                f"{fmt(t).rjust(14)}  {fmt(delta).rjust(12)}  "
-                f"{row['direction']}"
+                f"attribution {name}: {digest['verdict']}; flagged: {flagged}"
             )
-        lines.append("")
-    faults = report["deltas"]["faults"]
-    if faults is not None and faults["n_faults"]["delta"] != 0:
-        lines.append(
-            f"  faults : {faults['n_faults']['base']} -> "
-            f"{faults['n_faults']['target']} "
-            f"(fault time {faults['fault_time_s']['base']} -> "
-            f"{faults['fault_time_s']['target']} s)"
-        )
-    slo = report["deltas"]["slo"]
-    if slo is not None:
-        lines.append(
-            f"  slo    : violated={slo['base_violated']} -> "
-            f"violated={slo['target_violated']}"
-        )
-    ts = report["attribution"]["timeseries"]
-    if ts is not None and ts["drifted"]:
-        lines.append(f"  drift  : {', '.join(ts['drifted'])}")
-    prof = report["attribution"]["profile"]
-    if prof is not None:
-        lines.append(
-            f"  profile: {prof['n_regressed']} regressed / "
-            f"{prof['n_improved']} improved frames (host-timed, advisory)"
-        )
-    lines.append("")
-    verdict = report["verdict"]
-    lines.append(f"  verdict: {verdict['verdict'].upper()}")
-    for entry in verdict["regressions"]:
-        lines.append(f"    - regression [{entry['kind']}] {entry['detail']}")
-    for entry in verdict["improvements"]:
-        lines.append(f"    + improvement [{entry['kind']}] {entry['detail']}")
+    lines.append(f"verdict: {report['verdict'].upper()}")
+    shown = KINDS[report["kind"]].exit_on | {"regressed", "improved"}
+    for row in report["rows"]:
+        if row["status"] in shown:
+            lines.append(
+                f"  {_MARK[row['status']]} {row['status']} {row['key']}: "
+                f"{_cell(row['base'])} -> {_cell(row['target'])}"
+            )
     return "\n".join(lines)

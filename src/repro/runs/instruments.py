@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
+from repro.common.validation import require_parent_dir
 from repro.profiling import augment_chrome_trace, get_profiler, set_profiler, to_collapsed
 from repro.profiling import capture_payload as profile_payload
 from repro.profiling import to_json as profile_json
@@ -102,12 +103,7 @@ class Instruments:
         if "slo" in self.kinds and slo is None:
             raise ValidationError("the slo capture needs an SLO spec")
         for kind, path in self.paths.items():
-            # Checked here, before the run, not when __exit__ writes.
-            if not path.parent.is_dir():
-                raise ValidationError(
-                    f"cannot write the {kind} capture to {path}: "
-                    f"directory {path.parent} does not exist"
-                )
+            require_parent_dir(path, f"the {kind} capture")
         self.stamp = stamp
         if getattr(stamp, "argv", None):
             stamp = dataclasses.replace(stamp, argv=())

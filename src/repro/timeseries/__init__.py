@@ -26,7 +26,8 @@ Instrumentation sites record points against their own simulation clock::
 and the collected series export as a ``repro-timeseries/v1`` capture —
 delta-encoded timestamps, run-length-compressed values, per-series
 high-water marks — which ``repro dash`` renders as a terminal dashboard,
-``repro timeseries diff`` classifies drift over, and
+``repro timeseries diff`` compares series by series (through
+:func:`repro.runs.compare.compare`), and
 :func:`repro.timeseries.anomaly.detect_anomalies` scans for warm-pool
 collapse, storage saturation, concurrency plateaus and budget-burn knees
 (surfaced through ``repro diagnose``).
@@ -55,12 +56,6 @@ from repro.timeseries.core import (
     peaks_summary,
 )
 from repro.timeseries.dashboard import render_dashboard
-from repro.timeseries.diff import (
-    diff_captures,
-    diff_to_json,
-    has_drift,
-    render_diff,
-)
 
 _NULL_SAMPLER = NullSampler()
 _sampler = _NULL_SAMPLER
@@ -91,15 +86,11 @@ __all__ = [
     "capture_payload",
     "decode_series",
     "detect_anomalies",
-    "diff_captures",
-    "diff_to_json",
     "get_sampler",
-    "has_drift",
     "load_capture",
     "peaks_summary",
     "render_capture",
     "render_dashboard",
-    "render_diff",
     "sampling_enabled",
     "set_sampler",
     "to_json",

@@ -16,13 +16,11 @@ import json
 
 from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
+from repro.common.schemas import SCHEMA_KEYS
+from repro.common.validation import is_finite, require_numbers
 from repro.timeseries.core import TimeSeriesSampler
 
 JSON_SCHEMA = "repro-timeseries/v1"
-
-#: Top-level keys — must match the schema registry entry in
-#: ``repro.common.schemas.SCHEMA_KEYS``.
-_TOP_KEYS = frozenset({"schema", "meta", "series", "markers", "totals"})
 
 _SERIES_KEYS = frozenset(
     {"name", "t0_s", "dt_s", "values", "n_samples", "dropped", "high_water"}
@@ -102,7 +100,8 @@ def load_capture(text: str) -> dict:
 
 
 def validate_capture(payload: dict) -> None:
-    """Raise :class:`ValidationError` unless ``payload`` matches the schema."""
+    """Raise :class:`ValidationError` unless ``payload`` matches the schema,
+    field types included."""
     if not isinstance(payload, dict):
         raise ValidationError("capture must be a JSON object")
     schema = payload.get("schema")
@@ -110,35 +109,48 @@ def validate_capture(payload: dict) -> None:
         raise ValidationError(
             f"expected schema {JSON_SCHEMA!r}, got {schema!r}"
         )
-    if set(payload) != _TOP_KEYS:
+    keys = SCHEMA_KEYS[JSON_SCHEMA]
+    if set(payload) != keys:
         raise ValidationError(
             f"capture top-level keys {sorted(payload)} do not match the "
-            f"{JSON_SCHEMA} contract {sorted(_TOP_KEYS)}"
+            f"{JSON_SCHEMA} contract {sorted(keys)}"
         )
-    if not isinstance(payload["series"], list):
-        raise ValidationError("capture 'series' must be a list")
+    if not isinstance(payload["meta"], dict):
+        raise ValidationError("capture 'meta' must be an object")
+    require_numbers(payload["totals"], ("n_series", "n_points", "n_samples"),
+                    "capture 'totals'")
+    for part, key_set, label in (
+        ("series", _SERIES_KEYS, "name"), ("markers", _MARKER_KEYS, "kind"),
+    ):
+        if not isinstance(payload[part], list):
+            raise ValidationError(f"capture {part!r} must be a list")
+        for entry in payload[part]:
+            if not isinstance(entry, dict) or not isinstance(entry.get(label), str):
+                raise ValidationError(
+                    f"capture {part} must be objects with a string {label!r}"
+                )
+            missing = key_set - set(entry)
+            if missing:
+                raise ValidationError(
+                    f"capture {part} entry {entry[label]!r} lacks keys "
+                    f"{sorted(missing)}"
+                )
     for entry in payload["series"]:
-        missing = _SERIES_KEYS - set(entry)
-        if missing:
-            raise ValidationError(
-                f"capture series {entry.get('name')!r} lacks keys "
-                f"{sorted(missing)}"
-            )
+        name = f"series {entry['name']!r}"
+        require_numbers(entry, ("t0_s", "n_samples", "dropped", "high_water"), name)
+        for key in ("dt_s", "values"):
+            if not (isinstance(entry[key], list) and all(map(is_finite, entry[key]))):
+                raise ValidationError(f"{name}: {key!r} must be a list of finite numbers")
         if len(entry["dt_s"]) != max(0, len(entry["values"]) - 1):
             raise ValidationError(
-                f"series {entry.get('name')!r}: {len(entry['values'])} "
-                f"values need {max(0, len(entry['values']) - 1)} deltas, "
+                f"{name}: {len(entry['values'])} values need "
+                f"{max(0, len(entry['values']) - 1)} deltas, "
                 f"got {len(entry['dt_s'])}"
             )
-    if not isinstance(payload["markers"], list):
-        raise ValidationError("capture 'markers' must be a list")
     for marker in payload["markers"]:
-        missing = _MARKER_KEYS - set(marker)
-        if missing:
-            raise ValidationError(
-                f"capture marker {marker.get('kind')!r} lacks keys "
-                f"{sorted(missing)}"
-            )
+        require_numbers(marker, ("t_s", "seq"), f"marker {marker['kind']!r}")
+        if not isinstance(marker["label"], str):
+            raise ValidationError(f"marker {marker['kind']!r}: 'label' must be a string")
 
 
 def render_capture(payload: dict) -> str:

@@ -11,7 +11,7 @@ from repro.profiling import (
     to_json,
     validate_capture,
 )
-from repro.profiling.capture import _TOP_KEYS, JSON_SCHEMA
+from repro.profiling.capture import JSON_SCHEMA
 
 from tests.profiling.test_core import FakeClock
 
@@ -99,19 +99,21 @@ class TestRoundTrip:
 
 class TestSchemaRegistry:
     def test_capture_keys_match_rep006_registry(self):
-        """The capture contract and the schema registry must agree."""
+        """The writer emits exactly the registry's keys, which the loader
+        checks."""
         from repro.common.schemas import SCHEMA_KEYS
 
-        assert SCHEMA_KEYS[JSON_SCHEMA] == _TOP_KEYS
+        payload = capture_payload(_sample_profiler())
+        assert set(payload) == SCHEMA_KEYS[JSON_SCHEMA]
+        validate_capture(payload)
 
     def test_diff_schema_registered_too(self):
         from repro.common.schemas import SCHEMA_KEYS
-        from repro.profiling import diff_captures
-        from repro.profiling.diff import DIFF_SCHEMA
+        from repro.runs.compare import COMPARE_SCHEMA, compare
 
         payload = capture_payload(_sample_profiler())
-        report = diff_captures(payload, payload)
-        assert set(report) == SCHEMA_KEYS[DIFF_SCHEMA]
+        report = compare("profile", payload, payload)
+        assert set(report) == SCHEMA_KEYS[COMPARE_SCHEMA]
 
 
 class TestRender:

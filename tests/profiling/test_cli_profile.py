@@ -107,7 +107,8 @@ class TestProfileDiff:
         printed = capsys.readouterr().out
         assert printed == report_path.read_text()
         report = json.loads(printed)
-        assert report["schema"] == "repro-profile-diff/v1"
+        assert (report["schema"], report["kind"]) == ("repro-compare/v2", "profile")
+        assert report["verdict"] == "identical"
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

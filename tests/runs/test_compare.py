@@ -1,4 +1,5 @@
-"""compare_runs: the repro-compare/v1 verdict over two stored bundles."""
+"""compare_runs: the runs kind of the compare engine over two stored
+bundles."""
 
 import json
 
@@ -10,9 +11,9 @@ from repro.runs import (
     RunStore,
     compare_runs,
     compare_to_json,
-    has_regression,
+    exit_code,
+    render_compare,
 )
-from repro.runs.compare import render_compare
 
 
 def _stamp(seed: int = 0) -> ProvenanceStamp:
@@ -61,59 +62,59 @@ def store(tmp_path):
     return RunStore(tmp_path / "runs")
 
 
+def _row(report: dict, key: str) -> dict:
+    return next(row for row in report["rows"] if row["key"] == key)
+
+
 class TestVerdict:
     def test_self_compare_is_identical(self, store):
         run = _save(store)
         report = compare_runs(store, run, run)
-        assert report["verdict"]["verdict"] == "identical"
-        assert not has_regression(report)
-        assert all(
-            row["direction"] == "identical"
-            for row in report["deltas"]["summary"]
-        )
+        assert report["verdict"] == "identical"
+        assert exit_code(report) == 0
+        assert all(row["status"] == "identical" for row in report["rows"])
 
     def test_jct_increase_regresses(self, store):
         base = _save(store, seed=0, jct=10.0)
         worse = _save(store, seed=1, jct=12.0)
         report = compare_runs(store, base, worse)
-        assert has_regression(report)
-        whats = [r["what"] for r in report["verdict"]["regressions"]]
-        assert "jct_s" in whats
+        assert exit_code(report) == 1
+        assert report["verdict"] == "regressed"
+        assert _row(report, "summary.jct_s")["status"] == "regressed"
 
     def test_small_delta_is_noise_not_regression(self, store):
         base = _save(store, seed=0, jct=10.0)
         near = _save(store, seed=1, jct=10.05)  # +0.5% < 1% threshold
         report = compare_runs(store, base, near)
-        assert not has_regression(report)
-        row = next(
-            r for r in report["deltas"]["summary"] if r["key"] == "jct_s"
-        )
-        assert row["direction"] == "noise"
+        assert exit_code(report) == 0
+        assert _row(report, "summary.jct_s")["status"] == "noise"
+        assert report["verdict"] == "indeterminate"
 
     def test_threshold_is_tunable(self, store):
         base = _save(store, seed=0, jct=10.0)
         near = _save(store, seed=1, jct=10.05)
-        assert has_regression(compare_runs(store, base, near, threshold=0.001))
+        assert exit_code(compare_runs(store, base, near, threshold=0.001)) == 1
 
     def test_jct_decrease_improves(self, store):
         base = _save(store, seed=0, jct=10.0)
         better = _save(store, seed=1, jct=8.0)
         report = compare_runs(store, base, better)
-        assert report["verdict"]["verdict"] == "improved"
+        assert report["verdict"] == "improved"
+        assert exit_code(report) == 0
 
     def test_any_restart_increase_regresses(self, store):
         base = _save(store, seed=0, restarts=0)
         worse = _save(store, seed=1, restarts=1)
         report = compare_runs(store, base, worse)
-        assert has_regression(report)
-        assert any(
-            r["what"] == "n_restarts" for r in report["verdict"]["regressions"]
-        )
+        assert exit_code(report) == 1
+        assert _row(report, "summary.n_restarts")["status"] == "regressed"
 
     def test_convergence_flip_regresses(self, store):
         base = _save(store, seed=0, converged=True)
         worse = _save(store, seed=1, converged=False)
-        assert has_regression(compare_runs(store, base, worse))
+        report = compare_runs(store, base, worse)
+        assert _row(report, "summary.converged")["status"] == "regressed"
+        assert exit_code(report) == 1
 
 
 class TestFaultAttribution:
@@ -121,26 +122,27 @@ class TestFaultAttribution:
         clean = _save(store, seed=0, faults=_faults_text(0))
         faulty = _save(store, seed=1, faults=_faults_text(3))
         report = compare_runs(store, clean, faulty)
-        assert has_regression(report)
-        entry = next(
-            r for r in report["verdict"]["regressions"] if r["kind"] == "faults"
-        )
-        assert "storage-throttle" in entry["detail"]
-        assert report["deltas"]["faults"]["n_faults"]["delta"] == 3
+        assert exit_code(report) == 1
+        assert _row(report, "faults.n_faults")["status"] == "regressed"
+        assert _row(report, "faults.n_faults")["delta"] == 3
+        # A kind missing from one ledger counts zero there.
+        kind = _row(report, "faults.by_kind.storage-throttle")
+        assert (kind["status"], kind["delta"]) == ("changed", 3)
 
     def test_event_counts_delta(self, store):
         quiet = _save(store, seed=0, events=_events_text(0))
         noisy = _save(store, seed=1, events=_events_text(4))
         report = compare_runs(store, quiet, noisy)
-        assert report["deltas"]["events"]["alert"]["delta"] == 4
+        # A run without an event of some kind counts zero of it.
+        assert _row(report, "events.alert")["delta"] == 4
+        assert _row(report, "events.alert")["status"] == "changed"
 
     def test_absent_artifacts_yield_null_deltas(self, store):
         a, b = _save(store, seed=0), _save(store, seed=1)
         report = compare_runs(store, a, b)
-        assert report["deltas"]["slo"] is None
-        assert report["deltas"]["faults"] is None
-        assert report["attribution"]["timeseries"] is None
-        assert report["attribution"]["profile"] is None
+        keys = {row["key"] for row in report["rows"]}
+        assert not any(key.startswith(("slo.", "faults.")) for key in keys)
+        assert report["attribution"] == {"timeseries": None, "profile": None}
 
 
 class TestSerialization:
@@ -149,12 +151,14 @@ class TestSerialization:
         a = compare_to_json(compare_runs(store, run, run))
         b = compare_to_json(compare_runs(store, run, run))
         assert a == b
-        assert json.loads(a)["schema"] == "repro-compare/v1"
+        assert json.loads(a)["schema"] == "repro-compare/v2"
+        assert json.loads(a)["kind"] == "runs"
 
     def test_render_shows_verdict_and_regressions(self, store):
         base = _save(store, seed=0, jct=10.0, faults=_faults_text(0))
         worse = _save(store, seed=1, jct=12.0, faults=_faults_text(2))
         text = render_compare(compare_runs(store, base, worse))
         assert "verdict: REGRESSED" in text
-        assert "- regression [summary] jct_s" in text
-        assert "- regression [faults]" in text
+        assert "! regressed summary.jct_s: 10.0000 -> 12.0000" in text
+        assert "! regressed faults.n_faults: 0 -> 2" in text
+        assert "faults.by_kind.storage-throttle" in text

@@ -274,18 +274,62 @@ class TestMalformedInput:
             ["dash", "lr-higgs", "--out", "missing/ts.json"],
             ["diagnose", "lr-higgs", "--timeseries", "missing/ts.json"],
             ["slo", "lr-higgs", "--spec", "spec.json", "--events", "missing/e.jsonl"],
+            ["slo", "lr-higgs", "--spec", "spec.json", "--out", "missing/r.json"],
+            ["diagnose", "lr-higgs", "--out", "missing/d.json"],
+            ["profile", "--diff", "p.json", "p.json", "--out", "missing/c.json"],
+            ["timeseries", "diff", "ts.json", "ts.json", "--out", "missing/c.json"],
+            ["runs", "compare", "r", "r", "--store", "store", "--out", "missing/c.json"],
         ],
         ids=" ".join,
     )
     def test_output_in_missing_directory_exits_two_before_the_run(self, argv, tmp_path):
         """An output path whose directory does not exist is bad input: it
-        is rejected before the job runs, not when the capture is written."""
+        is rejected before the job runs, not when the capture or report is
+        written."""
+        from repro.runs import ProvenanceStamp, RunBundle, RunStore
+
         (tmp_path / "spec.json").write_text(
             (Path(__file__).resolve().parents[1] / "examples" / "slo_spec.json").read_text()
+        )
+        (tmp_path / "p.json").write_bytes(_valid_profile())
+        (tmp_path / "ts.json").write_bytes(_valid_timeseries())
+        RunStore(tmp_path / "store").save(
+            RunBundle(ProvenanceStamp.collect("train"), {}, summary={"jct_s": 1.0})
         )
         proc = _assert_one_line_exit_two(argv, tmp_path)
         assert "missing" in proc.stderr and "does not exist" in proc.stderr
         assert proc.stdout == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["timeseries", "diff", "ts-values.json", "ts-values.json"],
+            ["timeseries", "diff", "ts-series.json", "ts-series.json"],
+            ["dash", "--replay", "ts-values.json"],
+            ["dash", "--replay", "ts-series.json"],
+            ["profile", "--diff", "p-total.json", "p-total.json"],
+            ["profile", "--diff", "p-frames.json", "p-frames.json"],
+            ["diagnose", "tel.json", "--trace", "trace-5.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_wrongly_typed_capture_exits_two(self, argv, tmp_path):
+        """A capture field of the wrong type is named in one line, not a
+        traceback."""
+        ts = json.loads(_valid_timeseries())
+        ts["series"][0]["values"][0] = "a"
+        (tmp_path / "ts-values.json").write_text(json.dumps(ts))
+        ts["series"] = [5]
+        (tmp_path / "ts-series.json").write_text(json.dumps(ts))
+        profile = json.loads(_valid_profile())
+        profile["frames"][0]["total_s"] = "x"
+        (tmp_path / "p-total.json").write_text(json.dumps(profile))
+        profile["frames"] = [3]
+        (tmp_path / "p-frames.json").write_text(json.dumps(profile))
+        (tmp_path / "tel.json").write_bytes(_valid_telemetry())
+        (tmp_path / "trace-5.json").write_text(json.dumps({"traceEvents": [5]}))
+        _assert_one_line_exit_two(argv, tmp_path)
 
 
 def _assert_one_line_exit_two(argv, cwd):
@@ -327,6 +371,44 @@ def _valid_telemetry() -> bytes:
     run = {"jct_s": 84.0, "cost_usd": 1.2, "objective": "min_jct", "budget_usd": 2.0,
            "qos_s": None, "peaks": {"concurrency": 4.0}}
     return to_json(registry.snapshot(), run=run, meta={"seed": 0}).encode()
+
+
+def _valid_profile() -> bytes:
+    from repro.profiling import Profiler, capture_payload, to_json as profile_json
+
+    ticks = iter(range(100))
+    profiler = Profiler(clock=lambda: next(ticks) * 0.01)
+    with profiler.phase("train/run") as phase:
+        phase.add("epochs", 3)
+        with profiler.phase("train/execute_epoch"):
+            pass
+    return profile_json(capture_payload(profiler, meta={"seed": 0})).encode()
+
+
+def _valid_timeseries() -> bytes:
+    from repro.timeseries import TimeSeriesSampler, capture_payload, to_json as ts_json
+
+    sampler = TimeSeriesSampler()
+    for t in range(4):
+        sampler.sample("platform.inflight", float(t), float(t % 2))
+        sampler.sample("train.cost_usd", float(t), 0.1 * t)
+    sampler.mark("epoch_done", 1.0, "epoch 1")
+    return ts_json(capture_payload(sampler, meta={"seed": 0})).encode()
+
+
+def _valid_trace() -> bytes:
+    events = [
+        {"ph": "M", "name": "thread_name", "pid": 1, "tid": 1,
+         "args": {"name": "executor"}},
+        {"ph": "X", "name": "epoch 1", "cat": "epoch", "pid": 1, "tid": 1,
+         "ts": 0.0, "dur": 2e6,
+         "args": {"epoch": 1, "allocation": "4fn/1024MB/s3", "loss": 0.5}},
+        {"ph": "X", "name": "compute", "cat": "compute", "pid": 1, "tid": 2,
+         "ts": 0.0, "dur": 1e6, "args": {}},
+        {"ph": "X", "name": "worker 0", "cat": "worker", "pid": 1, "tid": 3,
+         "ts": 0.0, "dur": 1.5e6, "args": {"rank": 0}},
+    ]
+    return json.dumps({"traceEvents": events}).encode()
 
 
 _EVENT_FIELDS = ("epoch", "wall_s", "cost_usd", "stage", "predicted_total_epochs",
@@ -385,6 +467,63 @@ def _telemetry_bytes(draw) -> bytes:
     return _mangled(draw, _valid_telemetry(), st.just(json.dumps(doc).encode()))
 
 
+@st.composite
+def _profile_bytes(draw) -> bytes:
+    frame = st.fixed_dictionaries(
+        {"path": st.sampled_from(["train/run", "a;b"]) | _json_values},
+        optional={k: st.floats(0, 1) | _json_values
+                  for k in ("depth", "n_calls", "total_s", "self_s", "counters")},
+    ) | _json_values
+    doc = {"schema": "repro-profile/v1", "meta": draw(_json_values),
+           "frames": draw(st.lists(frame, max_size=3) | _json_values),
+           "totals": draw(st.dictionaries(
+               st.sampled_from(["wall_s", "n_frames", "n_calls"]),
+               st.floats(0, 1) | _json_values) | _json_values)}
+    return _mangled(draw, _valid_profile(), st.just(json.dumps(doc).encode()))
+
+
+@st.composite
+def _timeseries_bytes(draw) -> bytes:
+    numbers = st.lists(st.floats(0, 1) | _json_values, max_size=3) | _json_values
+    entry = st.fixed_dictionaries(
+        {"name": st.sampled_from(["platform.inflight", "x"]) | _json_values},
+        optional={"t0_s": st.floats(0, 1) | _json_values, "dt_s": numbers,
+                  "values": numbers, "n_samples": st.integers(0, 3) | _json_values,
+                  "dropped": st.integers(0, 1) | _json_values,
+                  "high_water": st.floats(0, 1) | _json_values},
+    ) | _json_values
+    marker = st.fixed_dictionaries(
+        {"kind": st.sampled_from(["epoch_done"]) | _json_values},
+        optional={k: _json_values for k in ("t_s", "label", "seq")},
+    ) | _json_values
+    doc = {"schema": "repro-timeseries/v1", "meta": draw(_json_values),
+           "series": draw(st.lists(entry, max_size=2) | _json_values),
+           "markers": draw(st.lists(marker, max_size=2) | _json_values),
+           "totals": draw(st.dictionaries(
+               st.sampled_from(["n_series", "n_points", "n_samples"]),
+               st.integers(0, 3) | _json_values) | _json_values)}
+    return _mangled(draw, _valid_timeseries(), st.just(json.dumps(doc).encode()))
+
+
+@st.composite
+def _trace_bytes(draw) -> bytes:
+    event = st.fixed_dictionaries(
+        {"ph": st.sampled_from(["X", "M"]) | _json_values},
+        optional={"name": st.sampled_from(["thread_name", "epoch 1"]) | _json_values,
+                  "cat": st.sampled_from(["epoch", "worker", "scheduling"]) | _json_values,
+                  "ts": st.floats(0, 1e6) | _json_values,
+                  "dur": st.floats(0, 1e6) | _json_values,
+                  "tid": st.integers(0, 2) | _json_values,
+                  "args": st.dictionaries(
+                      st.sampled_from(["name", "epoch", "rank", "loss", "cost_usd",
+                                       "allocation", "hidden"]),
+                      _json_values) | _json_values},
+    ) | _json_values
+    doc = draw(st.fixed_dictionaries(
+        {"traceEvents": st.lists(event, max_size=4) | _json_values}) | _json_values)
+    return _mangled(draw, _valid_trace(), st.just(json.dumps(doc).encode()))
+
+
 def _run_in_process(argv: list[str]) -> None:
     """Run the CLI; any exit but 0/1/2, or exit 2 without one stderr line,
     fails."""
@@ -400,13 +539,16 @@ def _run_in_process(argv: list[str]) -> None:
 
 
 class TestCaptureFuzz:
-    """Any event log or telemetry document ends in exit 0, 1 or 2, never a
-    traceback."""
+    """Any event log, telemetry, profile, timeseries or trace document ends
+    in exit 0, 1 or 2, never a traceback."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("capture-fuzz")
         (root / "spec.json").write_text(json.dumps(MALFORMED_FILES["slo-ok.json"]))
+        (root / "profile.json").write_bytes(_valid_profile())
+        (root / "timeseries.json").write_bytes(_valid_timeseries())
+        (root / "telemetry.json").write_bytes(_valid_telemetry())
         return root
 
     @given(data=_events_bytes())
@@ -424,3 +566,29 @@ class TestCaptureFuzz:
         _run_in_process(["report", str(path)])
         _run_in_process(["slo", "--spec", str(workdir / "spec.json"), "--capture", str(path)])
         _run_in_process(["diagnose", str(path)])
+
+    @given(data=_profile_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_profile_readers_survive_any_capture(self, workdir, data):
+        path = str(workdir / "fuzz-profile.json")
+        (workdir / "fuzz-profile.json").write_bytes(data)
+        _run_in_process(["profile", "--validate", path])
+        _run_in_process(["profile", "--diff", path, path])
+        _run_in_process(["profile", "--diff", str(workdir / "profile.json"), path])
+
+    @given(data=_timeseries_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_timeseries_readers_survive_any_capture(self, workdir, data):
+        path = str(workdir / "fuzz-timeseries.json")
+        (workdir / "fuzz-timeseries.json").write_bytes(data)
+        _run_in_process(["timeseries", "validate", path])
+        _run_in_process(["timeseries", "diff", path, path])
+        _run_in_process(["timeseries", "diff", str(workdir / "timeseries.json"), path])
+        _run_in_process(["dash", "--replay", path])
+
+    @given(data=_trace_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_diagnose_survives_any_trace(self, workdir, data):
+        path = str(workdir / "fuzz-trace.json")
+        (workdir / "fuzz-trace.json").write_bytes(data)
+        _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--trace", path])

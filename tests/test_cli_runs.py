@@ -200,13 +200,10 @@ class TestRunsCommand:
         text = capsys.readouterr().out
         assert "verdict: REGRESSED" in text
         report = json.loads(out.read_text())
-        kinds = {r["kind"] for r in report["verdict"]["regressions"]}
-        assert "faults" in kinds  # throttle windows attributed by the ledger
-        assert any(
-            "storage-throttle" in r["detail"]
-            for r in report["verdict"]["regressions"]
-            if r["kind"] == "faults"
-        )
+        rows = {r["key"]: r for r in report["rows"]}
+        # Throttle windows are attributed by the ledger, kind by kind.
+        assert rows["faults.n_faults"]["status"] == "regressed"
+        assert rows["faults.by_kind.storage-throttle"]["delta"] > 0
 
     def test_export_and_gc(self, populated, tmp_path, capsys):
         dest = tmp_path / "exported"

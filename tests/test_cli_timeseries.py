@@ -105,7 +105,7 @@ class TestDiff:
         ) == 0
         out = capsys.readouterr().out
         assert "identical" in out
-        assert "drift detected: no" in out
+        assert "verdict: IDENTICAL" in out
 
     def test_seed_change_drifts(self, capture_path, tmp_path, capsys):
         other = tmp_path / "seed1.json"
@@ -118,11 +118,15 @@ class TestDiff:
              "--format", "json"]
         )
         report = json.loads(capsys.readouterr().out)
-        drifted = report["summary"]["drifted"]
-        # Exit code mirrors the drift verdict either way; a different seed
-        # moves at least the cost/sync trajectories.
-        assert rc == (1 if drifted else 0)
-        assert report["summary"]["n_series"] >= 8
+        drifted = [
+            row["key"] for row in report["rows"]
+            if row["status"] in ("changed", "added", "removed")
+        ]
+        # A different seed moves at least the cost/sync trajectories, and
+        # the exit code says so.
+        assert "train.cost_usd" in drifted
+        assert rc == 1
+        assert len(report["rows"]) >= 8
 
     def test_diff_out_file(self, capture_path, tmp_path, capsys):
         out = tmp_path / "diff.json"
@@ -131,7 +135,8 @@ class TestDiff:
              "--out", str(out)]
         ) == 0
         capsys.readouterr()
-        assert json.loads(out.read_text())["schema"] == "repro-timeseries-diff/v1"
+        report = json.loads(out.read_text())
+        assert (report["schema"], report["kind"]) == ("repro-compare/v2", "timeseries")
 
     def test_diff_needs_two_paths(self, capture_path, capsys):
         assert main(["timeseries", "diff", str(capture_path)]) == 2

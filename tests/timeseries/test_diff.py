@@ -1,18 +1,18 @@
-"""Cross-run diffing: per-series classification and the drift verdict."""
+"""Timeseries captures through the one compare engine: per-series status,
+what moved, and the drift exit code."""
 
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.common.schemas import SCHEMA_KEYS
-from repro.timeseries import (
-    TimeSeriesSampler,
-    capture_payload,
-    diff_captures,
-    diff_to_json,
-    has_drift,
-    render_diff,
+from repro.runs.compare import (
+    COMPARE_SCHEMA,
+    compare,
+    compare_to_json,
+    exit_code,
+    render_compare,
 )
-from repro.timeseries.diff import _TOP_KEYS, DIFF_SCHEMA
+from repro.timeseries import TimeSeriesSampler, capture_payload
 
 
 def _capture(points: dict[str, list[tuple[float, float]]]) -> dict:
@@ -23,23 +23,25 @@ def _capture(points: dict[str, list[tuple[float, float]]]) -> dict:
     return capture_payload(s)
 
 
+def _diff(base: dict, target: dict, **params) -> dict:
+    return compare("timeseries", base, target, **params)
+
+
 RAMP = [(float(t), float(t)) for t in range(6)]
 
 
 class TestClassification:
     def test_identical(self):
-        report = diff_captures(_capture({"a": RAMP}), _capture({"a": RAMP}))
-        assert report["series"][0]["class"] == "identical"
-        assert not has_drift(report)
+        report = _diff(_capture({"a": RAMP}), _capture({"a": RAMP}))
+        assert report["rows"][0]["status"] == "identical"
+        assert report["verdict"] == "identical"
+        assert exit_code(report) == 0
 
     def test_added_and_missing(self):
-        report = diff_captures(
-            _capture({"a": RAMP}), _capture({"b": RAMP})
-        )
-        by_name = {row["name"]: row["class"] for row in report["series"]}
-        assert by_name == {"a": "missing", "b": "added"}
-        assert report["summary"]["drifted"] == ["a", "b"]
-        assert has_drift(report)
+        report = _diff(_capture({"a": RAMP}), _capture({"b": RAMP}))
+        by_name = {row["key"]: row["status"] for row in report["rows"]}
+        assert by_name == {"a": "removed", "b": "added"}
+        assert exit_code(report) == 1
 
     def test_level_shift(self):
         base = _capture({"a": [(t, 10.0 + t) for t in range(6)]})
@@ -47,73 +49,76 @@ class TestClassification:
         target = _capture(
             {"a": [(t, 14.0 + t / 5.0) for t in range(5)] + [(5.0, 15.0)]}
         )
-        report = diff_captures(base, target)
-        assert report["series"][0]["class"] == "level_shift"
-        assert has_drift(report)
+        row = _diff(base, target)["rows"][0]
+        assert (row["status"], row["moved"]) == ("changed", ["mean"])
+        assert exit_code(_diff(base, target)) == 1
 
     def test_peak_shift(self):
         base = _capture({"a": [(0.0, 10.0), (1.0, 10.2), (2.0, 10.0)]})
         target = _capture({"a": [(0.0, 10.0), (1.0, 13.0), (2.0, 7.2)]})
-        report = diff_captures(base, target)
-        assert report["series"][0]["class"] == "peak_shift"
+        row = _diff(base, target)["rows"][0]
+        assert (row["status"], row["moved"]) == ("changed", ["peak"])
 
     def test_divergent(self):
         base = _capture({"a": RAMP})
         target = _capture({"a": [(t, 10.0 * t) for t in range(6)]})
-        report = diff_captures(base, target)
-        assert report["series"][0]["class"] == "divergent"
+        row = _diff(base, target)["rows"][0]
+        assert (row["status"], row["moved"]) == ("changed", ["mean", "peak"])
 
     def test_resampled(self):
         base = _capture({"a": [(0.0, 1.0), (1.0, 2.0), (2.0, 1.0)]})
         target = _capture(
             {"a": [(0.0, 1.0), (0.5, 1.5), (1.0, 2.0), (2.0, 1.0)]}
         )
-        report = diff_captures(base, target)
-        assert report["series"][0]["class"] == "resampled"
-        assert not has_drift(report)
+        report = _diff(base, target)
+        row = report["rows"][0]
+        assert (row["status"], row["moved"], row["resampled"]) == ("noise", [], True)
+        assert exit_code(report) == 0
 
     def test_jitter(self):
         base = _capture({"a": [(0.0, 1.0), (1.0, 2.0), (2.0, 1.5)]})
         target = _capture({"a": [(0.0, 1.0), (1.0, 2.01), (2.0, 1.5)]})
-        report = diff_captures(base, target)
-        assert report["series"][0]["class"] == "jitter"
-        assert not has_drift(report)
+        report = _diff(base, target)
+        row = report["rows"][0]
+        assert (row["status"], row["moved"], row["resampled"]) == ("noise", [], False)
+        assert exit_code(report) == 0
 
     def test_threshold_is_tunable(self):
         base = _capture({"a": [(0.0, 10.0), (1.0, 10.0)]})
         target = _capture({"a": [(0.0, 11.0), (1.0, 11.0)]})
-        strict = diff_captures(base, target, threshold=0.05)
-        loose = diff_captures(base, target, threshold=0.5)
-        assert strict["series"][0]["class"] == "divergent"
-        assert loose["series"][0]["class"] == "jitter"
+        strict = _diff(base, target, threshold=0.05)
+        loose = _diff(base, target, threshold=0.5)
+        assert strict["rows"][0]["moved"] == ["mean", "peak"]
+        assert loose["rows"][0]["status"] == "noise"
+        assert (exit_code(strict), exit_code(loose)) == (1, 0)
 
 
 class TestReport:
     def test_schema_registry_agrees(self):
-        assert SCHEMA_KEYS[DIFF_SCHEMA] == _TOP_KEYS
-        report = diff_captures(_capture({"a": RAMP}), _capture({"a": RAMP}))
-        assert report["schema"] == DIFF_SCHEMA
-        assert set(report) == _TOP_KEYS
+        report = _diff(_capture({"a": RAMP}), _capture({"a": RAMP}))
+        assert report["schema"] == COMPARE_SCHEMA
+        assert report["kind"] == "timeseries"
+        assert set(report) == SCHEMA_KEYS[COMPARE_SCHEMA]
 
     def test_rejects_invalid_capture(self):
         with pytest.raises(ValidationError):
-            diff_captures({"schema": "nope"}, _capture({"a": RAMP}))
+            _diff({"schema": "nope"}, _capture({"a": RAMP}))
 
     def test_json_and_render_deterministic(self):
         base, target = _capture({"a": RAMP, "b": RAMP}), _capture({"a": RAMP})
-        a = diff_captures(base, target, meta={"base": "x", "target": "y"})
-        b = diff_captures(base, target, meta={"base": "x", "target": "y"})
-        assert diff_to_json(a) == diff_to_json(b)
-        assert render_diff(a) == render_diff(b)
-        assert "missing" in render_diff(a)
-        assert "drift detected: b" in render_diff(a)
+        a = compare("timeseries", base, target, meta={"base": "x", "target": "y"})
+        b = compare("timeseries", base, target, meta={"base": "x", "target": "y"})
+        assert compare_to_json(a) == compare_to_json(b)
+        assert render_compare(a) == render_compare(b)
+        assert "< removed b" in render_compare(a)
+        assert "verdict: INDETERMINATE" in render_compare(a)
 
     def test_summary_counts(self):
-        report = diff_captures(
+        report = _diff(
             _capture({"a": RAMP, "b": RAMP}),
             _capture({"a": RAMP, "c": RAMP}),
         )
-        assert report["summary"]["classes"] == {
-            "added": 1, "identical": 1, "missing": 1,
+        assert {s: n for s, n in report["counts"].items() if n} == {
+            "added": 1, "identical": 1, "removed": 1,
         }
-        assert report["summary"]["n_series"] == 3
+        assert len(report["rows"]) == 3
