@@ -20,7 +20,9 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -254,6 +256,62 @@ def cmd_list_workloads(_args) -> int:
         print(f"{name:20s} {w.model_mb:>10.3f} {w.dataset_mb:>12.0f} "
               f"{w.batch_size:>8d} {w.target_loss:>12.3f}")
     return 0
+
+
+@functools.cache
+def _help_width() -> int:
+    """argparse's own default help width, read from the terminal once."""
+    return shutil.get_terminal_size().columns - 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that sizes its help to the terminal only once.
+
+    argparse makes a help formatter in every ``add_argument`` to check the
+    metavar, and each one asks the terminal for its width: a fifth of
+    building the parser, which every command pays.
+    """
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=_help_width())
+
+
+class _IntermixedParser(_Parser):
+    """A parser without subcommands that takes its options anywhere among
+    its positionals: argparse's intermixed parse, which refuses a parser
+    with subcommands, run one level below them."""
+
+    _parsing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._parsing:  # one of the intermixed parse's own two passes
+            return super().parse_known_args(args, namespace)
+        self._parsing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._parsing = False
+
+
+def _add_actions(parser: argparse.ArgumentParser, actions: tuple[str, ...],
+                 add_options) -> argparse.ArgumentParser:
+    """Make ``parser``'s first positional one of ``actions`` and return the
+    parser for everything after it, shared by every action.
+
+    A choice positional followed by an ``nargs="*"`` one would take no
+    option between them (argparse matches both at the action and rejects
+    the paths after the option), so the action is a subcommand, and its
+    parser takes options anywhere among the paths. The options are
+    accepted before the action, with their defaults, and after it, where
+    they override only when given.
+    """
+    add_options(parser, lambda value: value)
+    prog = f"{parser.prog} {{{','.join(actions)}}}"
+    leaf = parser.add_subparsers(
+        dest="action", required=True, prog=prog, parser_class=_IntermixedParser
+    ).add_parser(actions[0], aliases=actions[1:], prog=prog)
+    add_options(leaf, lambda value: argparse.SUPPRESS)
+    return leaf
 
 
 def _bad_out(command: str, path: str | None) -> bool:
@@ -1111,12 +1169,12 @@ def cmd_lint(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="CE-scaling reproduction (IPDPS 2023): profile, train, "
                     "tune, and regenerate the paper's experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="repro")
 
     sub.add_parser("list-workloads", help="show the Table IV workloads").set_defaults(
         fn=cmd_list_workloads
@@ -1320,15 +1378,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "changed / added / removed) and exits 1 when any series "
                     "drifted past --threshold.",
     )
-    p.add_argument("action", choices=("diff", "validate"))
+    def timeseries_options(q, default) -> None:
+        q.add_argument("--threshold", type=float,
+                       default=default(KINDS["timeseries"].params["threshold"]),
+                       help="diff: relative drift tolerance on mean/peak/last")
+        q.add_argument("--format", default=default("table"),
+                       choices=("table", "json"))
+        q.add_argument("--out", metavar="PATH", default=default(None),
+                       help="diff: also write the JSON report to PATH")
+
+    p = _add_actions(p, ("diff", "validate"), timeseries_options)
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="one capture (validate) or BASE TARGET (diff)")
-    p.add_argument("--threshold", type=float,
-                   default=KINDS["timeseries"].params["threshold"],
-                   help="diff: relative drift tolerance on mean/peak/last")
-    p.add_argument("--format", default="table", choices=("table", "json"))
-    p.add_argument("--out", metavar="PATH",
-                   help="diff: also write the JSON report to PATH")
     p.set_defaults(fn=cmd_timeseries)
 
     p = sub.add_parser(
@@ -1386,20 +1447,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "or `gc [RUN...]` to drop runs and sweep orphaned "
                     "objects. Run ids may be unique prefixes.",
     )
-    p.add_argument("action",
-                   choices=("list", "show", "compare", "gc", "export"))
+    def runs_options(q, default) -> None:
+        q.add_argument("--store", default=default(DEFAULT_STORE_ROOT), metavar="DIR",
+                       help=f"run-store root (default {DEFAULT_STORE_ROOT})")
+        q.add_argument("--threshold", type=float,
+                       default=default(KINDS["runs"].params["threshold"]),
+                       help="compare: relative tolerance on summary metrics")
+        q.add_argument("--format", default=default("table"),
+                       choices=("table", "json", "ids"),
+                       help="ids applies to `list` (one run id per line)")
+        q.add_argument("--out", metavar="PATH", default=default(None),
+                       help="compare: also write the JSON report to PATH")
+
+    p = _add_actions(
+        p, ("list", "show", "compare", "gc", "export"), runs_options
+    )
     p.add_argument("refs", nargs="*", metavar="RUN",
                    help="run ids/prefixes (show: RUN; compare: BASE TARGET; "
                         "export: RUN DEST; gc: runs to remove first)")
-    p.add_argument("--store", default=DEFAULT_STORE_ROOT, metavar="DIR",
-                   help=f"run-store root (default {DEFAULT_STORE_ROOT})")
-    p.add_argument("--threshold", type=float, default=KINDS["runs"].params["threshold"],
-                   help="compare: relative tolerance on summary metrics")
-    p.add_argument("--format", default="table",
-                   choices=("table", "json", "ids"),
-                   help="ids applies to `list` (one run id per line)")
-    p.add_argument("--out", metavar="PATH",
-                   help="compare: also write the JSON report to PATH")
     p.set_defaults(fn=cmd_runs)
 
     p = sub.add_parser("experiment", help="regenerate one paper figure/table")

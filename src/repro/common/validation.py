@@ -65,15 +65,21 @@ def is_finite(value: object) -> bool:
     return is_number(value) and math.isfinite(value)
 
 
-def require_numbers(payload: object, keys: Iterable[str], name: str) -> None:
-    """Raise :class:`ValidationError` unless ``payload`` is an object whose
-    ``keys`` all hold finite numbers."""
+def require_object(payload: object, name: str) -> dict:
+    """``payload``; raise unless it is a JSON object."""
     if not isinstance(payload, dict):
         raise ValidationError(
             f"{name} must be a JSON object, got {type(payload).__name__}"
         )
+    return payload
+
+
+def require_numbers(payload: object, keys: Iterable[str], name: str) -> None:
+    """Raise :class:`ValidationError` unless ``payload`` is an object whose
+    ``keys`` all hold finite numbers."""
+    obj = require_object(payload, name)
     for key in keys:
-        value = payload.get(key)
+        value = obj.get(key)
         if not is_finite(value):
             raise ValidationError(
                 f"{name} field {key!r} must be a finite number, got {value!r:.40}"
@@ -92,10 +98,7 @@ def require_parent_dir(path: str | Path, what: str) -> None:
 
 def require_field(payload: object, key: str, name: str) -> object:
     """``payload[key]``; raise unless ``payload`` is an object holding ``key``."""
-    if not isinstance(payload, dict):
-        raise ValidationError(
-            f"{name} must be a JSON object, got {type(payload).__name__}"
-        )
-    if key not in payload:
+    obj = require_object(payload, name)
+    if key not in obj:
         raise ValidationError(f"{name} is missing required field {key!r}")
-    return payload[key]
+    return obj[key]

@@ -5,7 +5,8 @@ kernel's clock: every function holds an account-concurrency slot, pays a
 cold start unless its group is warm, loads its dataset partition, computes
 with per-function jitter, and the group synchronizes after a barrier.
 Function durations feed the billing meter. A fault-free epoch is computed
-in closed form; a faulted one runs its workers as kernel processes.
+in closed form; a faulted one runs only its faulty workers as kernel
+processes.
 
 Warm-pool semantics follow Lambda: a group of functions stays warm between
 epochs under the same allocation; changing the allocation (the adaptive
@@ -185,12 +186,17 @@ class FaaSPlatform:
         as if every worker's sleeps had been dispatched through the
         kernel.
 
-        With an injector attached the gang runs as kernel processes that
-        additionally see permanent-loss detection (a :attr:`Priority.FAULT`
-        kernel event before the gang launches), per-worker bounded retry
-        (crashes, timeouts, cold-start failures — each failed attempt is
-        billed and re-run after a jittered backoff), and storage
-        transient/throttle penalties on the synchronization. A gang that
+        With an injector attached the epoch additionally sees
+        permanent-loss detection (a :attr:`Priority.FAULT` kernel event
+        before the gang launches), per-worker bounded retry (crashes,
+        timeouts, cold-start failures — each failed attempt is billed and
+        re-run after a jittered backoff), and storage transient/throttle
+        penalties on the synchronization. Only the faulty ranks — attempt
+        0 crashes, the first cold start fails, or the planned attempt
+        overruns the invocation timeout — run as kernel processes. The
+        healthy ranks run their planned attempt in closed form behind one
+        stand-in task that ends at their latest end, and the kernel's
+        event count is advanced as if each had been a process. A gang that
         exhausts its retry budget raises :class:`RetryExhaustedError`; the
         executor restores the last epoch-boundary checkpoint and re-runs
         only this epoch.
@@ -331,7 +337,8 @@ class FaaSPlatform:
         )
 
     def _execute_gang(self, spec: EpochExecution, injector) -> InvocationResult:
-        """The epoch as kernel processes under an attached fault injector."""
+        """The epoch under an attached fault injector: its faulty ranks as
+        kernel processes, its healthy ranks from arrays."""
         sim = self.sim
         start = sim.now
         epoch = spec.epoch_index
@@ -364,16 +371,26 @@ class FaaSPlatform:
         n_warm, n_cold, cold_s, compute_factors, load_factor, sync_factor = (
             self._launch(spec)
         )
-        injector.predraw_gang(epoch, spec.n_functions, n_warm, incarnation)
+        n = spec.n_functions
         retry = injector.plan.retry
         timeout_s = injector.plan.invocation_timeout_s
         cold_sigma = self.platform.cold_start_noise_sigma
+        # Each rank's planned first attempt, the worker's own float sum
+        # cold + (load + compute) with the cold term on the cold subset.
+        cold = np.zeros(n)
+        cold[n_warm:] = cold_s
+        planned = cold + (spec.load_s * load_factor + spec.compute_s * compute_factors)
+        faulty = injector.predraw_gang(
+            epoch, n, n_warm, incarnation,
+            None if timeout_s is None else planned > timeout_s,
+        )
+        n_healthy = n - int(np.count_nonzero(faulty))
 
         waits: list[float] = []
-        starts = [0.0] * spec.n_functions
-        durations = [0.0] * spec.n_functions  # final successful attempt
-        consumed = [0.0] * spec.n_functions   # body start -> final outcome
-        failed = [False] * spec.n_functions
+        starts = [0.0] * n
+        durations = [0.0] * n  # final successful attempt
+        consumed = [0.0] * n   # body start -> final outcome
+        failed = [False] * n
         extra_attempts: list[float] = []      # failed-attempt runtimes (billed)
         extra_cold = [0]                      # retry + failed cold windows
         cold_failures = [0]                   # failed cold windows only
@@ -458,6 +475,9 @@ class FaaSPlatform:
                 if backoff > 0.0:
                     yield backoff
 
+        def stand_in(sleep_s: float):
+            yield sleep_s
+
         outcome: dict[str, float] = {}
 
         def epoch_driver():
@@ -465,9 +485,21 @@ class FaaSPlatform:
             # acquires its n concurrency slots as a gang; n above the
             # account limit is an infeasible allocation, not a queue.
             arrive = sim.now
-            yield Acquire(self.concurrency, spec.n_functions)
-            waits.append(sim.now - arrive)
-            tasks = [sim.spawn(worker_proc(r)) for r in range(spec.n_functions)]
+            yield Acquire(self.concurrency, n)
+            body_start = sim.now
+            waits.append(body_start - arrive)
+            # A healthy rank runs its planned first attempt from body_start
+            # and ends where a worker would; faulty ranks run as workers
+            # and overwrite their own entries.
+            took = ((body_start + planned) - body_start).tolist()
+            starts[:] = [body_start] * n
+            durations[:] = took
+            consumed[:] = took
+            tasks = [sim.spawn(worker_proc(r)) for r in np.flatnonzero(faulty).tolist()]
+            if n_healthy:
+                # One task stands in for the healthy ranks: it ends at
+                # the latest of their ends, so the Join resumes as before.
+                tasks.append(sim.spawn(stand_in(float(planned[~faulty].max()))))
             yield Join.of(tasks)
             outcome["barrier_at"] = sim.now
             if not any(failed):
@@ -484,12 +516,16 @@ class FaaSPlatform:
                     outcome["sync_faults"] = float(
                         penalty.n_transient + (1 if penalty.throttled_s else 0)
                     )
-            yield Release(self.concurrency, spec.n_functions)
+            yield Release(self.concurrency, n)
 
         driver = sim.spawn(epoch_driver())
         sim.run()
         if not driver.done:
             raise SimulationError("epoch driver did not complete; engine stall")
+        if n_healthy:
+            # Each healthy rank's worker dispatched a launch, a planned
+            # wake-up and a join wake-up; the stand-in made three.
+            sim.advance(sim.now, 3 * n_healthy - 3)
 
         sync_s = outcome.get("sync_s", 0.0)
         sync_extra = outcome.get("sync_extra_s", 0.0)

@@ -94,11 +94,16 @@ class FaultInjector:
         us = keyed_uniforms(
             self.seed, ("faults", self.scope, kind, *prefix), ranks, suffix
         )
+        self._keep(kind, prefix, ranks, suffix, us)
+        return us
+
+    def _keep(self, kind: str, prefix: tuple, ranks: np.ndarray,
+              suffix: tuple, us: np.ndarray) -> None:
+        """Store batched uniforms for the sites ``(kind, *prefix, rank, *suffix)``."""
         self._drawn.update(zip(
             ((kind, *prefix, rank, *suffix) for rank in ranks.tolist()),
             us.tolist(),
         ))
-        return us
 
     def _lognormal(self, sigma: float, *site: object) -> float:
         if sigma <= 0.0:
@@ -118,34 +123,62 @@ class FaultInjector:
             self._m_lost.inc(rec.lost_s)
 
     def predraw_gang(self, epoch: int, n_functions: int, n_warm: int,
-                     incarnation: int = 0) -> None:
-        """Draw a gang epoch's first-attempt uniforms in array batches.
+                     incarnation: int = 0,
+                     late: np.ndarray | None = None) -> np.ndarray:
+        """Draw a gang epoch's first-attempt uniforms in array batches and
+        return the mask of its faulty ranks.
 
-        Attempt 0's crash draw for every rank and the first cold-start
-        failure draw for every cold rank. For each rank whose attempt 0
-        crashes, also where it crashes, its first backoff and attempt 1's
-        crash draw. The decisions below read these back by site and draw
-        any other site alone. Each batched value is the one the site's
-        own stream gives, so this choice of sites changes only speed,
-        never a decision.
+        A rank is faulty when its attempt 0 crashes, its first cold start
+        fails (cold ranks only), or ``late`` marks it: the platform's
+        ranks whose planned first attempt overruns the invocation
+        timeout. Every other rank runs its planned attempt once and reads
+        nothing more. Only the faulty ranks' sites are kept: their
+        attempt-0 crash and first cold-start draws and, for each rank
+        whose attempt 0 crashes, where it crashes, its first backoff and
+        attempt 1's crash draw. The decisions below read these back by
+        site and draw any other site alone. Each batched value is the one
+        the site's own stream gives, so this choice of sites changes only
+        speed, never a decision.
         """
         plan = self.plan
         self._drawn = {}
         ranks = np.arange(n_functions)
         first = (0, incarnation)
+        faulty = (
+            np.zeros(n_functions, dtype=bool) if late is None else late.copy()
+        )
+        cold_fail = None
         if plan.cold_start_failure_prob > 0.0 and n_warm < n_functions:
-            self._draw("cold-fail", (epoch,), ranks[n_warm:], (*first, 0))
-        if plan.crash_prob <= 0.0:
-            return
-        crashed = ranks[self._draw("crash", (epoch,), ranks, first) < plan.crash_prob]
-        if not crashed.size:
-            return
-        mid = crashed[self._draw("crash-mid", (epoch,), crashed, first)
-                      < plan.crash_mid_fraction]
-        if mid.size:
-            self._draw("crash-frac", (epoch,), mid, first)
-        self._draw("backoff", (1, epoch), crashed, (incarnation,))
-        self._draw("crash", (epoch,), crashed, (1, incarnation))
+            cold_fail = keyed_uniforms(
+                self.seed, ("faults", self.scope, "cold-fail", epoch),
+                ranks[n_warm:], (*first, 0),
+            )
+            faulty[n_warm:] |= cold_fail < plan.cold_start_failure_prob
+        crash = None
+        if plan.crash_prob > 0.0:
+            crash = keyed_uniforms(
+                self.seed, ("faults", self.scope, "crash", epoch), ranks, first
+            )
+            crashes = crash < plan.crash_prob
+            faulty |= crashes
+        if cold_fail is not None:
+            keep = faulty[n_warm:]
+            self._keep(
+                "cold-fail", (epoch,), ranks[n_warm:][keep], (*first, 0),
+                cold_fail[keep],
+            )
+        if crash is None:
+            return faulty
+        self._keep("crash", (epoch,), ranks[faulty], first, crash[faulty])
+        crashed = ranks[crashes]
+        if crashed.size:
+            mid = crashed[self._draw("crash-mid", (epoch,), crashed, first)
+                          < plan.crash_mid_fraction]
+            if mid.size:
+                self._draw("crash-frac", (epoch,), mid, first)
+            self._draw("backoff", (1, epoch), crashed, (incarnation,))
+            self._draw("crash", (epoch,), crashed, (1, incarnation))
+        return faulty
 
     # ------------------------------------------------------------------ decisions
     # Every decision site carries an ``incarnation`` salt: the executor

@@ -161,7 +161,8 @@ class EventKernel:
     def advance(self, until: float, events: int) -> None:
         """Move an idle kernel's clock to ``until`` as if ``events`` had run.
 
-        For work simulated in closed form (a fault-free platform epoch):
+        For work simulated in closed form (a fault-free platform epoch,
+        or the healthy ranks of a faulted one):
         the caller computed the timeline itself and only needs the clock
         and the dispatch count to read as if the events had been drained
         through :meth:`run`. Pending events would be skipped, so a

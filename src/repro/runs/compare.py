@@ -37,8 +37,9 @@ from __future__ import annotations
 import json
 from typing import Callable, NamedTuple
 
+from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
-from repro.common.validation import is_finite, is_number
+from repro.common.validation import is_finite, is_number, require_object
 from repro.profiling.capture import validate_capture as _validate_profile
 from repro.timeseries.capture import validate_capture as _validate_timeseries
 
@@ -178,7 +179,7 @@ def _event_counts(text: str | None) -> dict[str, int]:
     for line in (text or "").splitlines():
         if not line.strip():
             continue
-        doc = json.loads(line)
+        doc = require_object(json.loads(line), "event log line")
         if "schema" in doc:  # header line
             continue
         kind = f"events.{doc.get('kind', '')}"
@@ -188,19 +189,32 @@ def _event_counts(text: str | None) -> dict[str, int]:
 
 def _runs_table(doc: dict) -> dict:
     manifest, texts = doc["manifest"], doc["artifacts"]
-    table = _flatten("summary", dict(manifest.get("summary") or {}))
+    table = _flatten(
+        "summary", require_object(manifest.get("summary") or {}, "manifest summary")
+    )
     for entry in manifest["artifacts"]:
         if entry["deterministic"]:
             table[f"artifact.{entry['kind']}"] = entry["sha256"]
     if texts.get("slo") is not None:
-        verdict = json.loads(texts["slo"]).get("verdict") or {}
+        report = require_object(json.loads(texts["slo"]), "SLO report")
+        verdict = require_object(report.get("verdict") or {}, "SLO report verdict")
+        violations = verdict.get("violations", [])
+        if not (isinstance(violations, list)
+                and all(isinstance(v, str) for v in violations)):
+            raise ValidationError(
+                f"SLO report violations must be a list of names, got {violations!r:.40}"
+            )
         table["slo.violated"] = bool(verdict.get("violated"))
-        table["slo.violations"] = sorted(verdict.get("violations", []))
+        table["slo.violations"] = sorted(violations)
     if texts.get("faults") is not None:
-        summary = json.loads(texts["faults"]).get("summary") or {}
+        report = require_object(json.loads(texts["faults"]), "fault report")
+        summary = require_object(report.get("summary") or {}, "fault report summary")
         for key in _FAULT_KEYS:
             table[f"faults.{key}"] = summary.get(key, 0) or 0
-        table.update(_flatten("faults.by_kind", dict(summary.get("by_kind") or {})))
+        by_kind = require_object(
+            summary.get("by_kind") or {}, "fault report summary by_kind"
+        )
+        table.update(_flatten("faults.by_kind", by_kind))
     table.update(_event_counts(texts.get("events")))
     return table
 

@@ -1,5 +1,6 @@
 """The injector's draws are a pure function of (plan, seed, scope, site)."""
 
+import numpy as np
 import pytest
 
 from repro.faults.injector import FaultInjector, SyncPenalty
@@ -46,6 +47,23 @@ class TestDeterminism:
         batched = FaultInjector(plan, seed=9)
         batched.predraw_gang(epoch, n, n_warm, incarnation)
         assert decisions(batched) == decisions(FaultInjector(plan, seed=9))
+
+    def test_predraw_returns_the_faulty_mask_and_keeps_only_its_sites(self):
+        plan = FaultPlan(crash_prob=0.3, cold_start_failure_prob=0.3)
+        n, n_warm, epoch = 40, 25, 3
+        late = np.zeros(n, dtype=bool)
+        late[[1, 30]] = True
+        batched = FaultInjector(plan, seed=9)
+        faulty = batched.predraw_gang(epoch, n, n_warm, 0, late)
+        ref = FaultInjector(plan, seed=9)
+        assert faulty.tolist() == [
+            bool(late[r]) or ref.worker_fault(epoch, r, 0) is not None
+            or (r >= n_warm and ref.cold_start_failures(epoch, r, 0) > 0)
+            for r in range(n)
+        ]
+        assert 0 < faulty.sum() < n
+        kept = {site[2] for site in batched._drawn if site[0] == "crash"}
+        assert kept == set(np.flatnonzero(faulty).tolist())
 
     def test_same_seed_same_draws(self):
         a = FaultInjector(_crashy(), seed=7)

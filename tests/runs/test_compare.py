@@ -162,3 +162,27 @@ class TestSerialization:
         assert "! regressed summary.jct_s: 10.0000 -> 12.0000" in text
         assert "! regressed faults.n_faults: 0 -> 2" in text
         assert "faults.by_kind.storage-throttle" in text
+
+
+class TestMalformedArtifacts:
+    """A bundle whose artifacts parse as JSON but have the wrong shape
+    fails the compare with one stderr line and exit 2."""
+
+    @pytest.mark.parametrize("artifacts", [
+        {"slo": '{"verdict": [1]}'},
+        {"slo": "[1]"},
+        {"slo": '{"verdict": {"violations": [1, "deadline"]}}'},
+        {"faults": '{"summary": [1]}'},
+        {"faults": '{"summary": {"by_kind": [1]}}'},
+        {"events": '{"schema": "repro-events/v1"}\n[1]\n'},
+    ], ids=repr)
+    def test_exits_2_with_one_line(self, store, artifacts, capsys):
+        from repro.cli import main
+
+        run = store.save(RunBundle(_stamp(), artifacts, summary={"jct_s": 1.0}))
+        with pytest.raises(ValueError):
+            compare_runs(store, run, run)
+        assert main(["runs", "compare", run, run, "--store", str(store.root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro runs: ")
+        assert err.count("\n") == 1

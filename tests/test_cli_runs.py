@@ -191,6 +191,19 @@ class TestRunsCommand:
         ) == 0
         assert "verdict: IDENTICAL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("where", ["before", "after-action", "between", "after"])
+    def test_options_anywhere(self, populated, where, capsys):
+        run = populated["clean"]
+        opts = ["--format", "json", "--store", str(populated["store"])]
+        argv = {
+            "before": ["runs", *opts, "compare", run, run],
+            "after-action": ["runs", "compare", *opts, run, run],
+            "between": ["runs", "compare", run, *opts, run],
+            "after": ["runs", "compare", run, run, *opts],
+        }[where]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "identical"
+
     def test_throttled_run_regresses_exit_1(self, populated, capsys, tmp_path):
         out = tmp_path / "compare.json"
         assert main(

@@ -128,6 +128,21 @@ class TestDiff:
         assert rc == 1
         assert len(report["rows"]) >= 8
 
+    @pytest.mark.parametrize("where", ["before", "after-action", "between", "after"])
+    def test_options_anywhere(self, capture_path, where, capsys):
+        a = b = str(capture_path)
+        opts = ["--format", "json", "--threshold", "0.1"]
+        argv = {
+            "before": ["timeseries", *opts, "diff", a, b],
+            "after-action": ["timeseries", "diff", *opts, a, b],
+            "between": ["timeseries", "diff", a, *opts, b],
+            "after": ["timeseries", "diff", a, b, *opts],
+        }[where]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "identical"
+        assert report["params"]["threshold"] == 0.1
+
     def test_diff_out_file(self, capture_path, tmp_path, capsys):
         out = tmp_path / "diff.json"
         assert main(
