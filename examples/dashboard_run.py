@@ -8,7 +8,7 @@ cumulative spend — then shows the three surfaces built on the capture:
 
 * the terminal dashboard (``repro dash --replay`` renders the same thing
   byte-for-byte, because rendering is a pure function of the document),
-* the high-water marks that become ``repro report``'s ``peaks`` section,
+* the high-water marks that become the peaks of ``repro diagnose``'s breakdown,
 * the EWMA/MAD anomaly detector that feeds ``repro diagnose``.
 
 The sampler is observational: it never consumes randomness or branches
@@ -57,7 +57,7 @@ def main() -> None:
     print(f"capture written to {capture_path}")
     print(f"replay it with: python -m repro dash --replay {capture_path}")
 
-    # 3. High-water marks — the `peaks` section of `repro report`.
+    # 3. High-water marks — the peaks of the `repro diagnose` breakdown.
     peaks = peaks_summary(ins.sampler)
     print(f"\npeak concurrency {peaks['concurrency']:g}, "
           f"peak warm pool {peaks['warm_pool']:g}, "

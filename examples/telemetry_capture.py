@@ -1,9 +1,10 @@
-"""Observability walkthrough: metrics, live traces, and the run report.
+"""Observability walkthrough: metrics, live traces, and the breakdown.
 
 Wraps one CE-scaling training job in :class:`repro.Instruments`, then
 shows the three export surfaces the telemetry layer offers:
 
-* the breakdown report (`repro report` renders the same thing),
+* the diagnosis of the capture: critical path plus the cost, activity and
+  peaks breakdown (`repro diagnose` renders the same thing),
 * Prometheus text exposition (scrape-format metrics),
 * a Chrome trace-event timeline (load it in Perfetto).
 
@@ -14,8 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import Instruments, Objective, workload
-from repro.telemetry import RunReport
+from repro import Instruments, Objective, RunObservation, diagnose, workload
 from repro.telemetry.exporters import to_prometheus_text
 from repro.workflow.job import training_envelope
 from repro.workflow.runner import profile_workload, run_training
@@ -50,20 +50,16 @@ def main() -> None:
             {
                 "jct_s": r.jct_s,
                 "cost_usd": r.cost_usd,
+                "n_restarts": r.n_restarts,
                 "comm_overhead_s": r.comm_overhead_s,
                 "scheduling_overhead_s": r.scheduling_overhead_s,
             }
         )
 
-    # 1. The breakdown report — where the time and the money went.
-    report = RunReport.from_registry(
-        ins.registry,
-        run={"jct_s": r.jct_s, "cost_usd": r.cost_usd,
-             "comm_overhead_s": r.comm_overhead_s,
-             "scheduling_overhead_s": r.scheduling_overhead_s},
-        meta=ins.meta,
-    )
-    print(report.render())
+    # 1. Where the time and the money went, read back from the capture.
+    chrome = json.loads(trace_path.read_text())
+    obs = RunObservation.from_capture(json.loads(metrics_path.read_text()), chrome)
+    print(diagnose(obs, candidates=profile.candidates).render())
 
     # 2. Prometheus exposition — a few lines of what a scraper would see.
     print("\nprometheus sample:")
@@ -73,7 +69,6 @@ def main() -> None:
             print(f"  {line}")
 
     # 3. The Chrome trace — per-phase spans on per-group tracks.
-    chrome = json.loads(trace_path.read_text())
     spans = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
     tracks = sorted({e["args"]["name"] for e in chrome["traceEvents"]
                      if e["ph"] == "M"})
@@ -82,7 +77,7 @@ def main() -> None:
     print(f"telemetry JSON ({metrics_path.stat().st_size} bytes) -> "
           f"{metrics_path}")
     print("inspect later with: "
-          f"python -m repro report {metrics_path}")
+          f"python -m repro diagnose {metrics_path} --trace {trace_path}")
 
 
 if __name__ == "__main__":

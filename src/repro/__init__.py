@@ -20,7 +20,7 @@ Layer map (bottom-up):
 * ``repro.baselines`` — LambdaML, Siren, Cirrus, Fixed.
 * ``repro.workflow`` — one-call job runners.
 * ``repro.experiments`` — one module per paper table/figure.
-* ``repro.telemetry`` — metrics registry, live span tracing, run reports.
+* ``repro.telemetry`` — metrics registry, live span tracing, exporters.
 * ``repro.diagnostics`` — critical path, stragglers, drift, regret.
 * ``repro.slo`` — online QoS/SLO guard: burn-rate accounting, alerts,
   structured event log.
@@ -38,13 +38,7 @@ from repro.common.types import Allocation, JobResult, PricingPattern, StorageKin
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.diagnostics import DiagnosticsReport, RunObservation, diagnose
 from repro.faults import FaultInjector, FaultLedger, FaultPlan
-from repro.telemetry import (
-    MetricsRegistry,
-    RunReport,
-    Tracer,
-    set_registry,
-    set_tracer,
-)
+from repro.telemetry import MetricsRegistry, Tracer, set_registry, set_tracer
 from repro.analytical.profiler import ParetoProfiler, ProfileResult
 from repro.ml.models import WORKLOADS, Workload, workload
 from repro.profiling import Profiler, profile_phase, set_profiler
@@ -95,7 +89,6 @@ __all__ = [
     "ProvenanceStamp",
     "RunBundle",
     "RunObservation",
-    "RunReport",
     "RunStore",
     "SHASpec",
     "SLOGuard",

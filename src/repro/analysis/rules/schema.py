@@ -1,9 +1,9 @@
 """REP006 — schema discipline for versioned JSON exports.
 
 The repository promises byte-stable, versioned artifacts: telemetry
-captures (``repro-telemetry/v1``), run reports (``repro-report/v2``),
-diagnostics (``repro-diagnostics/v1``) and lint output (``repro-lint/v1``).
-Downstream tooling — ``repro report``, the validate commands, CI diffs —
+captures (``repro-telemetry/v1``), diagnostics (``repro-diagnostics/v2``),
+compare reports (``repro-compare/v2``) and lint output (``repro-lint/v1``).
+Downstream tooling — ``repro diagnose``, the validate commands, CI diffs —
 keys on their top-level layout. This rule pins each document's top-level
 key set to the registry in :mod:`repro.common.schemas`, so a drive-by
 "just add a field" shows up in review as the schema change it actually is

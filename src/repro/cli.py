@@ -6,9 +6,8 @@ Usage examples::
     python -m repro profile mobilenet-cifar10
     python -m repro train lr-higgs --budget 2.0 --method ce-scaling
     python -m repro train lr-higgs --telemetry out.json --trace out.trace.json
-    python -m repro report out.json
-    python -m repro diagnose lr-higgs --budget 2.0
-    python -m repro diagnose out.json --trace out.trace.json --format json
+    python -m repro diagnose out.json --trace out.trace.json
+    python -m repro diagnose lr-higgs --budget 2.0 --format json
     python -m repro tune lr-higgs --trials 256 --budget-multiple 1.3
     python -m repro train lr-higgs --timeseries ts.json
     python -m repro dash --replay ts.json
@@ -26,7 +25,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from repro.common.errors import ReproError, SLOError
+from repro.common.errors import ReproError, SLOError, ValidationError
 from repro.common.validation import require_parent_dir
 from repro.common.types import StorageKind
 from repro.common.units import format_duration, format_usd
@@ -34,7 +33,6 @@ from repro.ml.models import WORKLOADS, workload
 from repro.runs import BUNDLE_KINDS, DEFAULT_STORE_ROOT, Instruments
 from repro.runs.compare import KINDS, compare, compare_to_json, exit_code, render_compare
 from repro.telemetry.exporters import from_json_payload
-from repro.telemetry.report import RunReport
 from repro.tuning.plan import Objective
 from repro.tuning.sha import SHASpec
 from repro.experiments.registry import REGISTRY, run_experiment
@@ -111,10 +109,9 @@ def _straggler(text: str) -> tuple[int, float]:
 def _capture_error(command: str, exc: Exception) -> int:
     """The unified bad-capture/bad-input path: one stderr line, exit 2.
 
-    Every subcommand that loads a versioned artifact (report, diagnose,
-    profile --diff/--validate, timeseries diff|validate, dash --replay,
-    runs ...) routes its failures here so the contract stays pinned in
-    one place.
+    Every subcommand that loads a versioned artifact (diagnose, profile
+    --diff/--validate, timeseries diff|validate, dash --replay, runs ...)
+    routes its failures here so the contract stays pinned in one place.
     """
     print(f"repro {command}: {exc}", file=sys.stderr)
     return 2
@@ -205,19 +202,16 @@ def _finish(args, ins: Instruments, commit=None) -> int:
 
 def _fault_plan(args):
     """The FaultPlan named by --faults, or None (raises on a bad file)."""
-    path = getattr(args, "faults", None)
-    if not path:
-        return None
     from repro.faults import FaultPlan
 
-    return FaultPlan.load(path)
+    return FaultPlan.load(args.faults) if args.faults else None
 
 
 #: The capture and fault flags every run command takes, in --help order:
 #: (flag, metavar, help).
 _RUN_FLAGS = (
     ("--telemetry", "PATH", "write JSON telemetry (metrics + run summary) to PATH; "
-                            "inspect later with `repro report PATH`"),
+                            "break it down later with `repro diagnose PATH`"),
     ("--trace", "PATH", "write a Chrome trace (load in Perfetto) to PATH"),
     ("--slo", "SPEC", "guard the run against a repro-slo/v1 spec file; prints the "
                       "SLO report and exits 1 on violation"),
@@ -482,6 +476,16 @@ def _journal_header(args, command: str) -> dict:
     return {"command": command, "args": saved}
 
 
+def _constraint(args, env) -> tuple[Objective, float | None, float | None]:
+    """A training run's (objective, budget, QoS deadline): ``--qos-multiple``
+    minimises cost under a deadline, else ``--budget`` (or
+    ``--budget-multiple``) caps the spend."""
+    if args.qos_multiple is not None:
+        return Objective.MIN_COST_GIVEN_QOS, None, env.qos(args.qos_multiple)
+    budget = args.budget if args.budget is not None else env.budget(args.budget_multiple)
+    return Objective.MIN_JCT_GIVEN_BUDGET, budget, None
+
+
 def cmd_train(args, journal=None) -> int:
     try:
         w = workload(args.workload)
@@ -498,19 +502,9 @@ def cmd_train(args, journal=None) -> int:
         return _capture_error("train", exc)
     with ins:
         profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
-        env = training_envelope(w, profile)
-        if args.qos_multiple is not None:
-            objective = Objective.MIN_COST_GIVEN_QOS
-            budget, qos = None, env.qos(args.qos_multiple)
-            print(f"objective: min cost, QoS {format_duration(qos)}")
-        else:
-            objective = Objective.MIN_JCT_GIVEN_BUDGET
-            budget = (
-                args.budget if args.budget is not None
-                else env.budget(args.budget_multiple)
-            )
-            qos = None
-            print(f"objective: min JCT, budget {format_usd(budget)}")
+        objective, budget, qos = _constraint(args, training_envelope(w, profile))
+        print(f"objective: min cost, QoS {format_duration(qos)}" if qos is not None
+              else f"objective: min JCT, budget {format_usd(budget)}")
         run = run_training(
             w, method=args.method, objective=objective, budget_usd=budget,
             qos_s=qos, seed=args.seed, profile=profile,
@@ -683,66 +677,20 @@ def cmd_workflow(args) -> int:
     return _finish(args, ins)
 
 
-def cmd_report(args) -> int:
-    try:
-        payload = from_json_payload(Path(args.path).read_text())
-    except (OSError, ValueError) as exc:
-        return _capture_error("report", exc)
-    if args.format == "prometheus":
-        from repro.telemetry.exporters import payload_to_snapshots, to_prometheus_text
-
-        print(to_prometheus_text(payload_to_snapshots(payload["metrics"])), end="")
-    elif args.format == "json":
-        print(RunReport.from_payload(payload).to_json(), end="")
-    else:
-        print(RunReport.from_payload(payload).render())
-    return 0
-
-
 def cmd_dash(args) -> int:
-    """``repro dash``: terminal dashboard, from a live run or a capture."""
+    """``repro dash --replay CAPTURE``: terminal dashboard of a saved
+    time-series capture (``train``/``tune``/``workflow --timeseries``)."""
     from repro.timeseries import load_capture, render_dashboard
 
-    if args.replay:
-        try:
-            payload = load_capture(Path(args.replay).read_text())
-        except (OSError, ValueError, ReproError) as exc:
-            return _capture_error("dash", exc)
-        print(render_dashboard(payload, width=args.width), end="")
-        return 0
-    if not args.workload:
-        print(
-            "repro dash: a workload name is required unless --replay is given",
-            file=sys.stderr,
-        )
+    if not args.replay:
+        print("repro dash: --replay CAPTURE is required (write one with "
+              "`repro train WORKLOAD --timeseries CAPTURE`)", file=sys.stderr)
         return 2
     try:
-        plan = _fault_plan(args)
-        ins = Instruments(
-            _stamp(args, "dash"), kinds={"timeseries"}, paths={"timeseries": args.out}
-        )
+        payload = load_capture(Path(args.replay).read_text())
     except (OSError, ValueError, ReproError) as exc:
-        print(f"repro dash: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with ins:
-            w = workload(args.workload)
-            profile = profile_workload(w)
-            env = training_envelope(w, profile)
-            budget = (
-                args.budget if args.budget is not None
-                else env.budget(args.budget_multiple)
-            )
-            run_training(
-                w, method=args.method,
-                objective=Objective.MIN_JCT_GIVEN_BUDGET,
-                budget_usd=budget, seed=args.seed, profile=profile,
-                fault_plan=plan,
-            )
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"repro dash: {exc}", file=sys.stderr)
-        return 2
-    print(render_dashboard(ins.payloads["timeseries"], width=args.width), end="")
+        return _capture_error("dash", exc)
+    print(render_dashboard(payload, width=args.width), end="")
     return 0
 
 
@@ -787,107 +735,68 @@ def cmd_diagnose(args) -> int:
     import json
 
     from repro.diagnostics import RunObservation, diagnose
+    from repro.faults import FaultLedger
+    from repro.slo import SLOSpec
+    from repro.timeseries import load_capture
+    from repro.timeseries.core import peaks_summary
 
     if _bad_out("diagnose", args.out):
         return 2
-    slo_spec = None
-    if getattr(args, "slo", None):
-        from repro.slo import SLOSpec
-
-        try:
-            slo_spec = SLOSpec.load(args.slo)
-        except (OSError, ValueError, SLOError) as exc:
-            print(f"repro diagnose: {exc}", file=sys.stderr)
-            return 2
-    try:
-        fault_plan = _fault_plan(args)
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"repro diagnose: {exc}", file=sys.stderr)
-        return 2
-    faults_summary = None
-    ts_payload = None
     target = Path(args.target)
-    candidates = None
-    if target.exists():
-        # Capture mode: a telemetry JSON written by --telemetry, plus
-        # (optionally) the matching Chrome trace for the epoch timeline.
-        try:
-            payload = from_json_payload(target.read_text())
+    faults = ts_payload = candidates = ins = None
+    try:
+        slo_spec = SLOSpec.load(args.slo) if args.slo else None
+        fault_plan = _fault_plan(args)
+        if args.fault_report:
+            # A saved repro-faults-report/v1 (written with --fault-report
+            # on the original run) supplies the fault attribution.
+            _, report = FaultLedger.load(args.fault_report)
+            faults = dict(report.get("summary") or {})
+        if target.exists():
+            # Capture mode: a telemetry JSON written by --telemetry, plus
+            # (optionally) the matching Chrome trace for the epoch timeline
+            # and a saved repro-timeseries/v1 capture for the anomaly rules.
             trace = json.loads(Path(args.trace).read_text()) if args.trace else None
-            obs = RunObservation.from_capture(payload, trace)
-        except (OSError, ValueError) as exc:
-            return _capture_error("diagnose", exc)
-        if getattr(args, "timeseries", None):
-            # Capture mode: --timeseries names a saved repro-timeseries/v1
-            # capture; its series feed the anomaly detector.
-            from repro.timeseries import load_capture
-
-            try:
+            obs = RunObservation.from_capture(from_json_payload(target.read_text()), trace)
+            if args.timeseries:
                 ts_payload = load_capture(Path(args.timeseries).read_text())
-            except (OSError, ValueError, ReproError) as exc:
-                return _capture_error("diagnose", exc)
-    elif target.suffix in (".json", ".jsonl") or "/" in args.target:
-        # Looks like a capture path, not a workload name: don't fall
-        # through to live mode on a typo'd filename.
-        print(
-            f"repro diagnose: capture file {args.target} does not exist",
-            file=sys.stderr,
-        )
-        return 2
-    else:
-        # Live mode: run the training job here, then diagnose it in full
-        # fidelity (per-worker timings, restart split, Pareto candidates).
-        try:
-            w = workload(args.target)
-        except ReproError as exc:
-            return _capture_error("diagnose", exc)
-        profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
-        env = training_envelope(w, profile)
-        if args.qos_multiple is not None:
-            objective = Objective.MIN_COST_GIVEN_QOS
-            budget, qos = None, env.qos(args.qos_multiple)
+        elif target.suffix in (".json", ".jsonl") or "/" in args.target:
+            # Looks like a capture path, not a workload name: don't fall
+            # through to live mode on a typo'd filename.
+            raise ValidationError(f"capture file {args.target} does not exist")
         else:
-            objective = Objective.MIN_JCT_GIVEN_BUDGET
-            budget = (
-                args.budget if args.budget is not None
-                else env.budget(args.budget_multiple)
-            )
-            qos = None
-        # Live mode: --timeseries samples this run and writes the capture
-        # to that path; the fresh series feed the anomaly detector.
-        try:
+            w = workload(args.target)
+            # --timeseries samples the live run into that path.
             ins = Instruments(
                 _stamp(args, "diagnose", workload_name=args.target),
-                kinds={"telemetry"},
-                paths={"timeseries": args.timeseries},
+                kinds={"telemetry"}, paths={"timeseries": args.timeseries},
             )
-        except ReproError as exc:
-            return _capture_error("diagnose", exc)
+    except (OSError, ValueError, ReproError) as exc:
+        return _capture_error("diagnose", exc)
+    if ins is not None:
+        # Live mode: run the training job here, then diagnose it in full
+        # fidelity (per-worker timings, restart split, Pareto candidates).
+        profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
+        objective, budget, qos = _constraint(args, training_envelope(w, profile))
         with ins:
             run = run_training(
-                w, method=args.method, objective=objective,
-                budget_usd=budget,
+                w, method=args.method, objective=objective, budget_usd=budget,
                 qos_s=qos, seed=args.seed, profile=profile,
                 storage_pin=_parse_storage(args.storage),
                 straggler_factors=dict(args.straggler),
                 fault_plan=fault_plan,
             )
         ts_payload = ins.payloads.get("timeseries")
-        obs = RunObservation.from_training_run(run, registry=ins.registry)
+        obs = RunObservation.from_training_run(
+            run, registry=ins.registry,
+            peaks=peaks_summary(ins.sampler) if ins.sampler is not None else None,
+        )
         candidates = run.profile.candidates
-        faults_summary = run.result.extra.get("faults")
-    if faults_summary is None and getattr(args, "fault_report", None):
-        # A saved repro-faults-report/v1 (written with --fault-report on
-        # the original run) supplies the attribution for capture mode.
-        try:
-            payload = json.loads(Path(args.fault_report).read_text())
-            faults_summary = dict(payload.get("summary") or {})
-        except (OSError, ValueError) as exc:
-            return _capture_error("diagnose", exc)
+        faults = run.result.extra.get("faults", faults)
     report = diagnose(
         obs, candidates=candidates, top_k=args.top_k, z=args.z,
         drift_threshold=args.drift_threshold, slo_spec=slo_spec,
-        faults=faults_summary, timeseries=ts_payload,
+        faults=faults, timeseries=ts_payload,
     )
     return _emit(args, report.to_json(), report.render)
 
@@ -923,24 +832,6 @@ def _evaluate_capture(spec, capture: str):
     )
 
 
-def _run_guarded(spec, args):
-    """Run one training job under the guard; returns the SLO report."""
-    w = workload(args.workload)
-    profile = profile_workload(w)
-    env = training_envelope(w, profile)
-    budget = (
-        args.budget if args.budget is not None
-        else env.budget(args.budget_multiple)
-    )
-    ins = Instruments(_stamp(args, "slo"), paths={"events": args.events}, slo=spec)
-    with ins:
-        run_training(
-            w, method=args.method, objective=Objective.MIN_JCT_GIVEN_BUDGET,
-            budget_usd=budget, seed=args.seed, profile=profile,
-        )
-    return ins.slo_report
-
-
 def cmd_slo(args) -> int:
     from repro.slo import SLOSpec
 
@@ -948,12 +839,12 @@ def cmd_slo(args) -> int:
         return 2
     try:
         spec = SLOSpec.load(args.spec)
-        if args.capture:
-            report = _evaluate_capture(spec, args.capture)
-        elif args.workload:
-            report = _run_guarded(spec, args)
-        else:
-            raise SLOError("provide --capture PATH or a workload name to run")
+        if not args.capture:
+            raise SLOError(
+                "provide --capture PATH (write one with `repro train WORKLOAD "
+                "--slo SPEC --events PATH`)"
+            )
+        report = _evaluate_capture(spec, args.capture)
     except (OSError, ValueError, SLOError) as exc:
         print(f"repro slo: {exc}", file=sys.stderr)
         return 2
@@ -962,8 +853,6 @@ def cmd_slo(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    import json
-
     from repro.faults import FaultLedger, FaultPlan
 
     try:
@@ -993,8 +882,7 @@ def cmd_faults(args) -> int:
                   f"factor={plan.retry.backoff_factor:g}")
             return 0
         # summarize: render a saved repro-faults-report/v1 document.
-        payload = json.loads(Path(args.path).read_text())
-        ledger = FaultLedger.from_payload(payload)
+        ledger, payload = FaultLedger.load(args.path)
         if args.format == "json":
             print(
                 ledger.to_json(
@@ -1284,22 +1172,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_workflow)
 
     p = sub.add_parser(
-        "report", help="print the breakdown report for a saved telemetry file"
-    )
-    p.add_argument("path", help="JSON file written by --telemetry")
-    p.add_argument("--format", default="table",
-                   choices=("table", "json", "prometheus"),
-                   help="breakdown tables, versioned JSON, or Prometheus "
-                        "text exposition")
-    p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser(
         "diagnose",
-        help="critical path, stragglers, model drift, and regret for a run",
-        description="Diagnose a run: TARGET is either a workload name (the "
-                    "job runs here, then gets diagnosed) or a telemetry JSON "
-                    "file saved with --telemetry (pair with --trace for the "
-                    "epoch timeline).",
+        help="critical path, cost breakdown, stragglers, model drift, and "
+             "regret for a run",
+        description="Diagnose a run: where its time and money went (the "
+                    "critical path and the cost, activity and peaks "
+                    "breakdown), stragglers, model drift and ex-post regret. "
+                    "TARGET is either a workload name (the job runs here, "
+                    "then gets diagnosed) or a telemetry JSON file saved "
+                    "with --telemetry by train, tune or workflow (pair a "
+                    "train capture with its --trace for the epoch timeline).",
     )
     p.add_argument("target", metavar="TARGET",
                    help="workload name, or path to a saved telemetry JSON")
@@ -1332,8 +1214,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="live mode: inject faults from this repro-faults/v1 "
                         "plan and diagnose the recovery behaviour")
     p.add_argument("--fault-report", metavar="PATH",
-                   help="capture mode: attribute faults from this saved "
-                        "repro-faults-report/v1 document")
+                   help="attribute faults from this saved repro-faults-report/v1 "
+                        "document (a live --faults run uses its own ledger)")
     p.add_argument("--timeseries", metavar="PATH",
                    help="feed resource time-series to the anomaly detector: "
                         "a saved repro-timeseries/v1 capture (capture mode) "
@@ -1345,27 +1227,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="terminal dashboard of a run's resource time-series",
         description="Render sparkline time-series (in-flight invocations, "
                     "warm pool, storage bandwidth, allocation, cost, ...) "
-                    "plus event markers. Either replay a saved "
-                    "repro-timeseries/v1 capture (--replay) or run a "
-                    "training job here under the live sampler (optionally "
-                    "writing the capture with --out).",
+                    "plus event markers from a saved repro-timeseries/v1 "
+                    "capture, as written by `repro train|tune|workflow "
+                    "--timeseries PATH`.",
     )
-    p.add_argument("workload", nargs="?",
-                   help="workload name for a live sampled run "
-                        "(omit with --replay)")
     p.add_argument("--replay", metavar="CAPTURE",
-                   help="render a saved repro-timeseries/v1 capture")
-    p.add_argument("--out", metavar="PATH",
-                   help="live mode: also write the capture to PATH")
+                   help="the repro-timeseries/v1 capture to render (required)")
     p.add_argument("--width", type=int, default=60,
                    help="sparkline width in characters")
-    p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--faults", metavar="PLAN",
-                   help="live mode: inject faults from this repro-faults/v1 "
-                        "plan so their signatures show on the dashboard")
     p.set_defaults(fn=cmd_dash)
 
     p = sub.add_parser(
@@ -1394,26 +1263,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "slo",
-        help="evaluate an SLO spec against a live run or a saved capture",
-        description="Judge a repro-slo/v1 spec: either replay a saved "
-                    "capture (--capture pointing at an events.jsonl, a "
-                    "telemetry JSON, or a directory holding one) or run a "
-                    "training job here under the live guard. Exits 0 when "
-                    "every objective is met, 1 on violation, 2 on errors.",
+        help="evaluate an SLO spec against a saved capture",
+        description="Judge a repro-slo/v1 spec against a saved capture "
+                    "(--capture pointing at an events.jsonl, a telemetry "
+                    "JSON, or a directory holding one), as written by "
+                    "`repro train|tune|workflow --events PATH` or "
+                    "`--telemetry PATH`; `repro train --slo SPEC` guards a "
+                    "run live. Exits 0 when every objective is met, 1 on "
+                    "violation, 2 on errors.",
     )
-    p.add_argument("workload", nargs="?",
-                   help="workload name for a live guarded run "
-                        "(omit with --capture)")
     p.add_argument("--spec", required=True, metavar="PATH",
                    help="repro-slo/v1 spec file")
     p.add_argument("--capture", metavar="PATH",
-                   help="saved events.jsonl / telemetry JSON / capture dir")
-    p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--events", metavar="PATH",
-                   help="write the live run's event log to PATH")
+                   help="saved events.jsonl / telemetry JSON / capture dir "
+                        "(required)")
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.add_argument("--out", metavar="PATH",
                    help="also write the JSON report to PATH")

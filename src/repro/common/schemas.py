@@ -14,10 +14,10 @@ from __future__ import annotations
 SCHEMA_KEYS: dict[str, frozenset[str]] = {
     "repro-telemetry/v1": frozenset({"schema", "meta", "run", "metrics"}),
     "repro-journal/v1": frozenset({"schema", "kind", "run", "meta"}),
-    "repro-diagnostics/v1": frozenset(
+    "repro-diagnostics/v2": frozenset(
         {
-            "schema", "meta", "critical_path", "stragglers", "drift",
-            "regret", "findings",
+            "schema", "meta", "critical_path", "breakdown", "stragglers",
+            "drift", "regret", "findings",
         }
     ),
     "repro-lint/v1": frozenset({"schema", "tool", "summary", "findings"}),
@@ -43,9 +43,6 @@ SCHEMA_KEYS: dict[str, frozenset[str]] = {
         {"schema", "meta", "plan", "summary", "records"}
     ),
     "repro-profile/v1": frozenset({"schema", "meta", "frames", "totals"}),
-    "repro-report/v2": frozenset(
-        {"schema", "meta", "run", "time", "cost", "activity", "peaks"}
-    ),
     "repro-timeseries/v1": frozenset(
         {"schema", "meta", "series", "markers", "totals"}
     ),

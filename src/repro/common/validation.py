@@ -86,6 +86,28 @@ def require_numbers(payload: object, keys: Iterable[str], name: str) -> None:
             )
 
 
+def number_field(
+    payload: object, key: str, name: str, default: float | None = None
+) -> float:
+    """``payload[key]`` as a float, or ``default`` when the key is absent
+    (required when ``default`` is None); raise unless ``payload`` is an
+    object and the value a finite number."""
+    obj = require_object(payload, name)
+    value = require_field(obj, key, name) if default is None else obj.get(key, default)
+    if is_number(value) and math.isfinite(value):
+        return float(value)
+    raise ValidationError(
+        f"{name} field {key!r} must be a finite number, got {value!r:.40}"
+    )
+
+
+def require_list(value: object, name: str) -> list:
+    """``value``; raise unless it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def require_parent_dir(path: str | Path, what: str) -> None:
     """Raise unless the directory ``path`` would be written into exists:
     an output path is checked before the work that writes it."""

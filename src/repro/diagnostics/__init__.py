@@ -1,4 +1,4 @@
-"""Run diagnostics: critical path, stragglers, model drift, ex-post regret.
+"""Run diagnostics: critical path, breakdown, stragglers, drift, regret.
 
 The engine turns a finished run — live (:class:`TrainingRun`) or captured
 (telemetry JSON + Chrome trace) — into structured, deterministic findings:
@@ -21,6 +21,7 @@ from repro.diagnostics.critical_path import (
 from repro.diagnostics.drift import DriftAudit, DriftPoint, audit_model_drift
 from repro.diagnostics.engine import (
     JSON_SCHEMA,
+    Breakdown,
     DiagnosticsReport,
     Finding,
     diagnose,
@@ -37,6 +38,7 @@ __all__ = [
     "COMPONENT_ORDER",
     "JSON_SCHEMA",
     "BottleneckSpan",
+    "Breakdown",
     "ComponentShare",
     "CriticalPathAnalysis",
     "DiagnosticsReport",

@@ -11,14 +11,16 @@ delayed-restart mechanism actually saved.
 The decomposition is exact for live runs: the six component totals sum to
 the JCT (queue + cold + load + compute + sync per epoch equals the epoch's
 wall time, and the scheduler's search/restart time is the only other thing
-the executor adds to the clock).
+the executor adds to the clock). A run observed without an epoch timeline
+takes queue, cold-start and sync from its telemetry totals; load and
+compute stay 0, so ``accounted_s`` falls short of the JCT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.diagnostics.timeline import RunObservation
+from repro.diagnostics.timeline import COLD_START_S, QUEUE_WAIT, RunObservation
 
 #: Order in which components appear in reports (roughly: per-epoch
 #: lifecycle order, scheduling last).
@@ -74,7 +76,8 @@ class CriticalPathAnalysis:
 
     @property
     def accounted_s(self) -> float:
-        """Sum of all component seconds; equals jct_s on live runs."""
+        """Sum of all component seconds; equals jct_s on live runs, and
+        falls short of it without an epoch timeline."""
         return sum(c.seconds for c in self.components)
 
     @property
@@ -111,6 +114,10 @@ def analyze_critical_path(obs: RunObservation, top_k: int = 5) -> CriticalPathAn
     # visible restarts) is authoritative; per-epoch records only carry it
     # for restarted epochs.
     totals["scheduling"] = obs.scheduling_overhead_s
+    if not obs.epochs:
+        totals["queue"] = obs.metrics.get(QUEUE_WAIT, 0.0)
+        totals["cold-start"] = obs.metrics.get(COLD_START_S, 0.0)
+        totals["sync"] = obs.comm_overhead_s
     for e in obs.epochs:
         if e.scheduling_overhead_s > 0:
             spans.append(

@@ -2,8 +2,9 @@
 
 :func:`diagnose` runs the four analyses — critical path, stragglers,
 model drift, ex-post regret — over a :class:`RunObservation` and distills
-them into ranked :class:`Finding`s. The result serializes to a versioned
-JSON document (schema ``repro-diagnostics/v1``) and renders as a terminal
+them into ranked :class:`Finding`s, next to the run's :class:`Breakdown`
+of cost, activity and peaks. The result serializes to a versioned JSON
+document (schema ``repro-diagnostics/v2``) and renders as a terminal
 table, both deterministic: same run, same report, byte for byte. No
 timestamps, no environment — diffable across commits, so CI can treat a
 diagnosis as an artifact.
@@ -25,10 +26,36 @@ from repro.diagnostics.critical_path import (
 from repro.diagnostics.drift import DriftAudit, audit_model_drift
 from repro.diagnostics.regret import RegretAudit, audit_regret
 from repro.diagnostics.stragglers import StragglerAnalysis, detect_stragglers
-from repro.diagnostics.timeline import RunObservation
+from repro.diagnostics.timeline import CONCURRENCY_PEAK, RunObservation
 from repro.ml.models import Workload, workload as lookup_workload
 
-JSON_SCHEMA = "repro-diagnostics/v1"
+JSON_SCHEMA = "repro-diagnostics/v2"
+
+#: Eq. (4)'s billed components, reported even at zero so breakdowns stay
+#: comparable; any other observed component follows, sorted.
+COST_COMPONENTS = ("invocation", "compute", "storage")
+
+#: The breakdown's activity counters: (key, label, telemetry family).
+ACTIVITY = (
+    ("invocations", "invocations", "repro_faas_invocations_total"),
+    ("cold_starts", "cold starts", "repro_faas_cold_starts_total"),
+    ("warm_pool_hits", "warm-pool hits", "repro_faas_warm_pool_hits_total"),
+    ("warm_pool_evictions", "warm-pool evictions",
+     "repro_faas_warm_pool_evictions_total"),
+    ("billed_gb_seconds", "billed GB-seconds", "repro_faas_billed_gb_seconds_total"),
+    ("storage_requests", "storage requests", "repro_storage_requests_total"),
+    ("scheduler_reallocations", "scheduler reallocations",
+     "repro_scheduler_reallocations_total"),
+    ("planner_candidates_evaluated", "planner candidates evaluated",
+     "repro_planner_candidates_evaluated_total"),
+)
+
+#: The breakdown's high-water marks: (key, label, unit).
+PEAKS = (
+    ("concurrency", "peak concurrency in use", ""),
+    ("warm_pool", "peak warm pool", ""),
+    ("storage_bandwidth_mb_s", "peak storage bandwidth", " MB/s"),
+)
 
 #: Finding severities, in increasing order of concern.
 SEVERITIES = ("info", "warning")
@@ -44,6 +71,66 @@ class Finding:
     data: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True, slots=True)
+class Breakdown:
+    """Where the money went, what the platform did, and its peaks."""
+
+    cost_usd: float
+    cost: dict[str, float]  # billed USD by component, in report order
+    activity: dict[str, float]  # ACTIVITY key -> count
+    peaks: dict[str, float]  # PEAKS key -> high-water mark
+
+    @classmethod
+    def of(cls, obs: RunObservation) -> "Breakdown":
+        billed = obs.billed_usd
+        components = list(COST_COMPONENTS) + sorted(set(billed) - set(COST_COMPONENTS))
+        peaks = {key: float(obs.peaks.get(key, 0.0)) for key, _, _ in PEAKS}
+        # Without a sampler the platform's occupancy-peak gauge still
+        # gives the concurrency peak.
+        peaks["concurrency"] = float(
+            obs.peaks.get("concurrency") or obs.metrics.get(CONCURRENCY_PEAK, 0.0)
+        )
+        return cls(
+            cost_usd=float(
+                obs.cost_usd if obs.cost_usd is not None else sum(billed.values())
+            ),
+            cost={c: billed.get(c, 0.0) for c in components},
+            activity={key: obs.metrics.get(name, 0.0) for key, _, name in ACTIVITY},
+            peaks=peaks,
+        )
+
+    def share(self, usd: float) -> float | None:
+        """``usd`` as a fraction of the run's cost (None when it cost 0)."""
+        return usd / self.cost_usd if self.cost_usd > 0 else None
+
+    def to_payload(self) -> dict:
+        return {
+            "cost_usd": _r(self.cost_usd),
+            "cost": [
+                {"component": c, "usd": _r(usd), "share": _r(self.share(usd))}
+                for c, usd in self.cost.items()
+            ],
+            "activity": {k: _r(v) for k, v in self.activity.items()},
+            "peaks": {k: _r(v) for k, v in self.peaks.items()},
+        }
+
+    def render(self) -> list[str]:
+        rows = [
+            (f"{c} cost", f"${usd:.6f}", self.share(usd))
+            for c, usd in self.cost.items()
+        ]
+        rows += [(label, f"{self.activity[key]:12.1f}", None) for key, label, _ in ACTIVITY]
+        rows += [
+            (label, f"{self.peaks[key]:12.1f}{unit}", None) for key, label, unit in PEAKS
+        ]
+        width = max(len(label) for label, _, _ in rows)
+        lines = [f"breakdown (cost ${self.cost_usd:.6f})"]
+        for label, value, share in rows:
+            tail = f"  ({share * 100.0:5.1f}%)" if share is not None else ""
+            lines.append(f"  {label.ljust(width)}  {value}{tail}")
+        return lines
+
+
 @dataclass
 class DiagnosticsReport:
     """Everything :func:`diagnose` learned about one run."""
@@ -54,6 +141,7 @@ class DiagnosticsReport:
     drift: DriftAudit | None
     regret: RegretAudit | None
     findings: tuple[Finding, ...]
+    breakdown: Breakdown
 
     # ------------------------------------------------------------------ export
     def to_payload(self) -> dict:
@@ -102,6 +190,7 @@ class DiagnosticsReport:
                     for f in self.stragglers.findings
                 ],
             },
+            "breakdown": self.breakdown.to_payload(),
             "drift": None,
             "regret": None,
             "findings": [
@@ -187,6 +276,11 @@ class DiagnosticsReport:
             lines.append(
                 f"  {c.component.ljust(width)}  {c.seconds:12.3f} s  ({c.share * 100.0:5.1f}%)"
             )
+        if cp.accounted_s < cp.jct_s - 5e-4:
+            lines.append(
+                f"  accounted {cp.accounted_s:.3f} s of {cp.jct_s:.3f} s"
+                " (no epoch timeline: load and compute not separated)"
+            )
         lines.append(
             f"  restarts: {cp.n_restarts}  overhead hidden {cp.restart.hidden_s:.3f} s"
             f" / visible {cp.restart.visible_s:.3f} s"
@@ -200,6 +294,8 @@ class DiagnosticsReport:
                     f"  epoch {b.epoch:4d}  {b.component.ljust(width)}"
                     f"  {b.seconds:10.3f} s  ({b.share * 100.0:5.1f}%)  {b.allocation}"
                 )
+        lines.append("")
+        lines.extend(self.breakdown.render())
         lines.append("")
         s = self.stragglers
         lines.append(
@@ -353,6 +449,7 @@ def diagnose(
         drift=drift,
         regret=regret,
         findings=findings,
+        breakdown=Breakdown.of(obs),
     )
 
 

@@ -11,6 +11,10 @@ built from either
   Chrome trace written by ``--trace``, from which the epoch timeline is
   reconstructed span by span.
 
+Both read the run's telemetry totals through one reader,
+:func:`read_metrics`: the live side from the installed registry, the
+capture side from the document.
+
 Reconstruction reads the executor's ``epoch`` spans (track ``epochs``) as
 windows and assigns the platform's load/compute/sync/cold/queue/worker
 spans to them by containment; scheduler spans attach via their ``epoch``
@@ -25,7 +29,16 @@ from dataclasses import dataclass, field
 from repro.common.errors import ValidationError
 from repro.common.types import Allocation, EpochRecord
 from repro.common.validation import is_finite
+from repro.telemetry.exporters import snapshots_to_payload
 from repro.tuning.plan import Objective
+
+#: Telemetry families the diagnostics read by name.
+QUEUE_WAIT = "repro_faas_queue_wait_seconds"
+COLD_START_S = "repro_faas_cold_start_seconds_total"
+BILLED_USD = "repro_faas_billed_usd_total"
+CONCURRENCY_PEAK = "repro_faas_concurrency_peak_in_use"
+RESTART_HIDDEN = "repro_scheduler_restart_hidden_seconds_total"
+RESTART_VISIBLE = "repro_scheduler_restart_visible_seconds_total"
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +69,12 @@ class EpochObservation:
 
 @dataclass
 class RunObservation:
-    """A full run: epoch timeline + constraint context + overhead totals."""
+    """A full run: epoch timeline + constraint context + overhead totals.
+
+    ``metrics`` holds each telemetry family's total and ``billed_usd`` the
+    billed dollars by component (both empty without telemetry); ``peaks``
+    holds the sampler's high-water marks when one was on.
+    """
 
     epochs: list[EpochObservation]
     jct_s: float
@@ -71,20 +89,30 @@ class RunObservation:
     visible_restart_s: float | None = None
     n_restarts: int = 0
     converged: bool | None = None
+    comm_overhead_s: float = 0.0
+    metrics: dict[str, float] = field(default_factory=dict)
+    billed_usd: dict[str, float] = field(default_factory=dict)
+    peaks: dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ builders
     @classmethod
-    def from_training_run(cls, run, registry=None) -> "RunObservation":
+    def from_training_run(
+        cls, run, registry=None, peaks: dict | None = None
+    ) -> "RunObservation":
         """Full-fidelity observation from a live :class:`TrainingRun`.
 
         ``registry`` (a :class:`MetricsRegistry` that was installed while
-        the run executed) supplies the hidden/visible restart split; without
-        it the hidden side still comes from the epoch records.
+        the run executed) supplies the visible restart overhead and the
+        telemetry totals; without it the hidden side still comes from the
+        epoch records. ``peaks`` are the live sampler's high-water marks.
         """
         result = run.result
         epochs = [_epoch_from_record(r) for r in result.epochs]
         hidden = sum(r.hidden_restart_overlap_s for r in result.epochs)
-        visible = _counter_value(registry, "repro_scheduler_restart_visible_seconds_total")
+        metrics, billed = (
+            read_metrics(snapshots_to_payload(registry.snapshot()))
+            if registry is not None else ({}, {})
+        )
         w = getattr(run, "workload", None)
         return cls(
             epochs=epochs,
@@ -101,9 +129,13 @@ class RunObservation:
             qos_s=getattr(run, "qos_s", None),
             scheduling_overhead_s=result.scheduling_overhead_s,
             hidden_restart_s=hidden,
-            visible_restart_s=visible,
+            visible_restart_s=metrics.get(RESTART_VISIBLE),
             n_restarts=result.n_restarts,
             converged=result.converged,
+            comm_overhead_s=result.comm_overhead_s,
+            metrics=metrics,
+            billed_usd=billed,
+            peaks=dict(peaks or {}),
         )
 
     @classmethod
@@ -113,7 +145,7 @@ class RunObservation:
         """Observation from a saved telemetry JSON (+ optional Chrome trace)."""
         run = dict(telemetry.get("run", {}))
         meta = dict(telemetry.get("meta", {}))
-        metrics = _metric_totals(telemetry.get("metrics", []))
+        metrics, billed = read_metrics(telemetry.get("metrics", []))
         epochs: list[EpochObservation] = []
         if trace is not None:
             epochs = _epochs_from_trace(trace)
@@ -133,14 +165,14 @@ class RunObservation:
             budget_usd=run.get("budget_usd"),
             qos_s=run.get("qos_s"),
             scheduling_overhead_s=float(run.get("scheduling_overhead_s", 0.0)),
-            hidden_restart_s=metrics.get(
-                "repro_scheduler_restart_hidden_seconds_total", 0.0
-            ),
-            visible_restart_s=metrics.get(
-                "repro_scheduler_restart_visible_seconds_total"
-            ),
+            hidden_restart_s=metrics.get(RESTART_HIDDEN, 0.0),
+            visible_restart_s=metrics.get(RESTART_VISIBLE),
             n_restarts=int(run.get("n_restarts", 0)),
             converged=run.get("converged"),
+            comm_overhead_s=float(run.get("comm_overhead_s", 0.0)),
+            metrics=metrics,
+            billed_usd=billed,
+            peaks=dict(run.get("peaks") or {}),
         )
 
 
@@ -165,25 +197,25 @@ def _epoch_from_record(r: EpochRecord) -> EpochObservation:
     )
 
 
-def _counter_value(registry, name: str) -> float | None:
-    if registry is None:
-        return None
-    metric = registry.get(name)
-    if metric is None:
-        return None
-    return float(metric.value)
+def read_metrics(entries: list[dict]) -> tuple[dict[str, float], dict[str, float]]:
+    """The one reader of telemetry metrics, live or captured.
 
-
-def _metric_totals(metrics: list[dict]) -> dict[str, float]:
-    """Summed sample values per family from a telemetry JSON payload."""
-    out: dict[str, float] = {}
-    for entry in metrics:
-        if entry.get("type") == "histogram":
-            total = sum(float(s.get("sum", 0.0)) for s in entry.get("samples", []))
-        else:
-            total = sum(float(s.get("value", 0.0)) for s in entry.get("samples", []))
-        out[entry["name"]] = total
-    return out
+    ``entries`` is a telemetry document's ``metrics`` list. Returns each
+    family's summed sample values (a histogram's sums), and the billed
+    dollars of :data:`BILLED_USD` keyed by their label values.
+    """
+    totals: dict[str, float] = {}
+    billed: dict[str, float] = {}
+    for entry in entries:
+        key = "sum" if entry.get("type") == "histogram" else "value"
+        samples = entry.get("samples", [])
+        totals[entry["name"]] = sum(float(s.get(key, 0.0)) for s in samples)
+        if entry["name"] == BILLED_USD:
+            names = entry.get("labelnames", [])
+            for s in samples:
+                label = "/".join(s["labels"][n] for n in names) or "(all)"
+                billed[label] = billed.get(label, 0.0) + float(s["value"])
+    return totals, billed
 
 
 #: Span arguments the timeline converts with ``int`` / ``float``.

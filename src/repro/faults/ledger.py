@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
-from repro.common.validation import require_field
+from repro.common.validation import (
+    number_field, require_field, require_list, require_numbers, require_object,
+)
 
 REPORT_SCHEMA = "repro-faults-report/v1"
 
@@ -38,6 +41,13 @@ RECOVERY_KINDS = (
     "degraded-allocation",
 )
 RECORD_KINDS = FAULT_KINDS + RECOVERY_KINDS
+
+#: Summary fields ``repro diagnose`` does arithmetic on: a saved report's
+#: summary must hold a finite number under each one it carries.
+SUMMARY_NUMBERS = (
+    "n_faults", "fault_time_s", "recovery_time_s", "checkpoint_restores",
+    "restore_overhead_s", "degraded_allocations",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,14 +92,19 @@ class FaultRecord:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultRecord":
+        name = "fault record"
+        kind = require_field(payload, "kind", name)
+        for key in ("scope", "detail"):
+            if not isinstance(payload.get(key, ""), str):
+                raise ValidationError(f"{name} field {key!r} must be a string")
         return cls(
-            kind=require_field(payload, "kind", "fault record"),
-            t_s=float(require_field(payload, "t_s", "fault record")),
+            kind=kind,
+            t_s=number_field(payload, "t_s", name),
             scope=payload.get("scope", ""),
-            epoch=int(payload.get("epoch", -1)),
-            rank=int(payload.get("rank", -1)),
-            attempt=int(payload.get("attempt", -1)),
-            lost_s=float(payload.get("lost_s", 0.0)),
+            epoch=int(number_field(payload, "epoch", name, -1)),
+            rank=int(number_field(payload, "rank", name, -1)),
+            attempt=int(number_field(payload, "attempt", name, -1)),
+            lost_s=number_field(payload, "lost_s", name, 0.0),
             detail=payload.get("detail", ""),
         )
 
@@ -226,7 +241,19 @@ class FaultLedger:
             raise ValidationError(
                 f"expected schema {REPORT_SCHEMA!r}, got {payload.get('schema')!r}"
             )
-        ledger = cls(plan_name=payload.get("summary", {}).get("plan", ""))
-        for rec in payload.get("records", []):
+        require_object(payload.get("meta") or {}, "fault report 'meta'")
+        require_object(payload.get("plan") or {}, "fault report 'plan'")
+        summary = require_object(payload.get("summary", {}), "fault report 'summary'")
+        require_numbers(summary, [k for k in SUMMARY_NUMBERS if k in summary],
+                        "fault report summary")
+        ledger = cls(plan_name=summary.get("plan", ""))
+        for rec in require_list(payload.get("records", []), "fault report 'records'"):
             ledger.records.append(FaultRecord.from_payload(rec))
         return ledger
+
+    @classmethod
+    def load(cls, path: str | Path) -> tuple["FaultLedger", dict]:
+        """Read a saved report: the ledger and the checked document. A
+        malformed file raises :class:`ValueError`."""
+        payload = json.loads(Path(path).read_text())
+        return cls.from_payload(payload), payload

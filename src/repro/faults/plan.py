@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.common.errors import ValidationError
 from repro.common.types import StorageKind
-from repro.common.validation import require_field
+from repro.common.validation import number_field, require_list, require_object
 
 FAULTS_SCHEMA = "repro-faults/v1"
 
@@ -81,11 +81,12 @@ class RetrySpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RetrySpec":
+        name = "fault plan 'retry'"
         return cls(
-            max_attempts=int(payload.get("max_attempts", 4)),
-            base_backoff_s=float(payload.get("base_backoff_s", 0.5)),
-            backoff_factor=float(payload.get("backoff_factor", 2.0)),
-            jitter=float(payload.get("jitter", 0.25)),
+            max_attempts=int(number_field(payload, "max_attempts", name, 4)),
+            base_backoff_s=number_field(payload, "base_backoff_s", name, 0.5),
+            backoff_factor=number_field(payload, "backoff_factor", name, 2.0),
+            jitter=number_field(payload, "jitter", name, 0.25),
         )
 
 
@@ -124,12 +125,11 @@ class ThrottleWindow:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ThrottleWindow":
+        name = "throttle window"
         return cls(
-            start_s=float(require_field(payload, "start_s", "throttle window")),
-            duration_s=float(
-                require_field(payload, "duration_s", "throttle window")
-            ),
-            slowdown=float(payload.get("slowdown", 3.0)),
+            start_s=number_field(payload, "start_s", name),
+            duration_s=number_field(payload, "duration_s", name),
+            slowdown=number_field(payload, "slowdown", name, 3.0),
         )
 
 
@@ -172,13 +172,15 @@ class StorageFaultSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "StorageFaultSpec":
+        name = "storage fault spec"
+        windows = require_object(payload, name).get("throttle_windows", [])
         return cls(
-            transient_prob=float(payload.get("transient_prob", 0.0)),
-            max_errors=int(payload.get("max_errors", 2)),
-            error_timeout_s=float(payload.get("error_timeout_s", 0.5)),
+            transient_prob=number_field(payload, "transient_prob", name, 0.0),
+            max_errors=int(number_field(payload, "max_errors", name, 2)),
+            error_timeout_s=number_field(payload, "error_timeout_s", name, 0.5),
             throttle_windows=tuple(
                 ThrottleWindow.from_payload(w)
-                for w in payload.get("throttle_windows", [])
+                for w in require_list(windows, f"{name} 'throttle_windows'")
             ),
         )
 
@@ -206,7 +208,11 @@ class PermanentLoss:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PermanentLoss":
-        return cls(epoch=int(payload["epoch"]), rank=int(payload.get("rank", 0)))
+        name = "permanent loss"
+        return cls(
+            epoch=int(number_field(payload, "epoch", name)),
+            rank=int(number_field(payload, "rank", name, 0)),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,23 +313,28 @@ class FaultPlan:
             raise ValidationError(
                 f"expected schema {FAULTS_SCHEMA!r}, got {schema!r}"
             )
+        name = "fault plan"
         timeout = payload.get("invocation_timeout_s")
+        storage = require_object(payload.get("storage", {}), "fault plan 'storage'")
+        losses = require_list(
+            payload.get("permanent_loss", []), "fault plan 'permanent_loss'"
+        )
         return cls(
             name=str(payload.get("name", "faults")),
-            crash_prob=float(payload.get("crash_prob", 0.0)),
-            crash_mid_fraction=float(payload.get("crash_mid_fraction", 0.5)),
-            invocation_timeout_s=None if timeout is None else float(timeout),
-            cold_start_failure_prob=float(
-                payload.get("cold_start_failure_prob", 0.0)
+            crash_prob=number_field(payload, "crash_prob", name, 0.0),
+            crash_mid_fraction=number_field(payload, "crash_mid_fraction", name, 0.5),
+            invocation_timeout_s=(
+                None if timeout is None
+                else number_field(payload, "invocation_timeout_s", name)
+            ),
+            cold_start_failure_prob=number_field(
+                payload, "cold_start_failure_prob", name, 0.0
             ),
             storage={
                 key: StorageFaultSpec.from_payload(spec)
-                for key, spec in payload.get("storage", {}).items()
+                for key, spec in storage.items()
             },
-            permanent_loss=tuple(
-                PermanentLoss.from_payload(p)
-                for p in payload.get("permanent_loss", [])
-            ),
+            permanent_loss=tuple(PermanentLoss.from_payload(p) for p in losses),
             retry=RetrySpec.from_payload(payload.get("retry", {})),
         )
 

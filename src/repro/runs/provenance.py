@@ -127,7 +127,7 @@ class ProvenanceStamp:
         """The capture-writer meta block (the ``coerce_meta`` contract).
 
         The four legacy keys keep their historical names and positions so
-        every existing consumer (``repro report``, diagnose, tests) reads
+        every existing consumer (diagnose, slo, tests) reads
         stamped captures exactly as it read dict-meta ones; provenance
         proper nests under one new key.
         """

@@ -1,4 +1,4 @@
-"""Live telemetry: metrics registry, span tracing, exporters, run reports.
+"""Live telemetry: metrics registry, span tracing, exporters.
 
 The process-global defaults are no-ops (:class:`NullRegistry`,
 :class:`NullTracer`), so instrumented hot paths cost ~nothing until a
@@ -42,7 +42,6 @@ from repro.telemetry.exporters import (
     to_json,
     to_prometheus_text,
 )
-from repro.telemetry.report import RunReport
 
 _NULL_REGISTRY = NullRegistry()
 _NULL_TRACER = NullTracer()
@@ -81,7 +80,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NullTracer",
-    "RunReport",
     "Sample",
     "Timer",
     "Tracer",

@@ -5,7 +5,7 @@ The Chrome trace-event export lives on :class:`repro.faas.trace.TraceRecorder`
 side. ``to_prometheus_text`` follows the text exposition format 0.0.4
 (HELP/TYPE comment lines, ``_bucket``/``_sum``/``_count`` histogram series
 with cumulative ``le`` buckets); ``to_json`` / ``from_json_payload`` is the
-lossless round-trip format the ``repro report`` subcommand reads.
+lossless round-trip format ``repro diagnose`` and ``repro slo`` read.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ class NullSampler:
 
 
 def peaks_summary(sampler: TimeSeriesSampler) -> dict:
-    """High-water marks for the run summary / ``repro report`` peaks rows.
+    """High-water marks for the run summary / the ``repro diagnose`` peaks.
 
     Derived purely from the sampler's series, so the summary exists only
     when sampling was on — sampler-off runs keep their pre-existing byte

@@ -1,5 +1,6 @@
-"""CLI surface: `repro slo` exit codes, JSON output, and the error paths
-of `repro report` / `repro diagnose` on missing or truncated captures."""
+"""CLI surface: `repro slo` exit codes, JSON output, the guarded run it
+replays, and the error paths of `repro diagnose` on missing or truncated
+captures."""
 
 import json
 
@@ -132,26 +133,45 @@ class TestSloOutputs:
         assert "no run summary" in capsys.readouterr().err
 
 
+class TestGuardedRun:
+    """`repro train --slo` guards a run live; `repro slo --capture` on its
+    event log reaches the same verdict and exit code."""
+
+    @pytest.mark.parametrize("deadline_s", [1e6, 5.0], ids=["met", "violated"])
+    def test_train_guard_and_capture_replay_agree(self, tmp_path, deadline_s, capsys):
+        spec = _spec_file(tmp_path, "guard", deadline_s=deadline_s, budget_usd=10.0)
+        events = tmp_path / "events.jsonl"
+        live = main(["train", "lr-higgs", "--budget", "2.0", "--slo", str(spec),
+                     "--events", str(events)])
+        assert live == (0 if deadline_s > 5.0 else 1)
+        capsys.readouterr()
+        replay = main(["slo", "--spec", str(spec), "--capture", str(events),
+                       "--format", "json"])
+        assert replay == live
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["violated"] is bool(live)
+
+
 class TestReportErrorPaths:
-    def test_missing_capture_exits_two(self, tmp_path, capsys):
-        code = main(["report", str(tmp_path / "missing.json")])
+    """The JSON diagnosis report of a capture that cannot be read: one
+    stderr line, nothing on stdout, no report file."""
+
+    def _assert_no_report(self, capture, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["diagnose", str(capture), "--format", "json", "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro report:") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro diagnose:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_missing_capture_exits_two(self, tmp_path, capsys):
+        self._assert_no_report(tmp_path / "missing.json", tmp_path, capsys)
 
     def test_truncated_capture_exits_two(self, tmp_path, capsys):
         path = tmp_path / "telemetry.json"
         path.write_text('{"schema": "repro-telemetry/v1", "metr')
-        code = main(["report", str(path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro report:") and err.count("\n") == 1
-
-    def test_wrong_schema_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "telemetry.json"
-        path.write_text('{"schema": "other/v1"}')
-        assert main(["report", str(path)]) == 2
-        assert "unsupported telemetry schema" in capsys.readouterr().err
+        self._assert_no_report(path, tmp_path, capsys)
 
 
 class TestDiagnoseErrorPaths:
@@ -169,6 +189,12 @@ class TestDiagnoseErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro diagnose:") and err.count("\n") == 1
+
+    def test_wrong_schema_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "telemetry.json"
+        path.write_text('{"schema": "other/v1"}')
+        assert main(["diagnose", str(path)]) == 2
+        assert "unsupported telemetry schema" in capsys.readouterr().err
 
     def test_missing_slo_spec_exits_two(self, tmp_path, capsys):
         code = main([

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.cli import build_parser, main
+from repro.faults import FaultLedger, FaultPlan
+from repro.faults.ledger import RECORD_KINDS, SUMMARY_NUMBERS
 from repro.slo.events import EVENT_KINDS, EventLog
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.exporters import to_json
@@ -104,7 +106,8 @@ class TestCommands:
 
 class TestTelemetryFlags:
     def test_train_capture_then_report(self, tmp_path, capsys):
-        """Acceptance path: train --telemetry/--trace, then repro report."""
+        """Acceptance path: train --telemetry/--trace, then the breakdown
+        from repro diagnose."""
         import json
 
         metrics = tmp_path / "out.json"
@@ -128,10 +131,10 @@ class TestTelemetryFlags:
         spans = [e for e in chrome["traceEvents"] if e.get("ph") == "X"]
         assert spans and all("ts" in e and "dur" in e for e in spans)
 
-        assert main(["report", str(metrics)]) == 0
+        assert main(["diagnose", str(metrics), "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "time breakdown" in out
-        assert "cost breakdown" in out
+        assert "critical path" in out
+        assert "breakdown (cost $" in out
         assert "cold starts" in out
 
     def test_telemetry_off_leaves_no_files(self, tmp_path, capsys):
@@ -148,19 +151,6 @@ class TestTelemetryFlags:
         doc = json.loads(metrics.read_text())
         assert doc["meta"]["command"] == "tune"
         assert doc["run"]["jct_s"] > 0
-
-    def test_report_prometheus_output(self, tmp_path, capsys):
-        metrics = tmp_path / "out.json"
-        assert main(
-            [
-                "train", "lr-higgs", "--budget-multiple", "2.5",
-                "--telemetry", str(metrics),
-            ]
-        ) == 0
-        capsys.readouterr()
-        assert main(["report", str(metrics), "--format", "prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_faas_invocations_total counter" in out
 
 
 def _events_with(row) -> str:
@@ -189,6 +179,15 @@ MALFORMED_FILES = {
     "events-row.jsonl": _events_with([1, 2]),
     "events-data.jsonl": _events_with({"seq": 0, "t_s": 1.0, "kind": "epoch_done", "data": [1]}),
     "metrics.json": {"schema": "repro-telemetry/v1", "metrics": 5},
+    "plan-storage.json": {"schema": "repro-faults/v1", "storage": [1]},
+    "plan-backend.json": {"schema": "repro-faults/v1", "storage": {"s3": [1]}},
+    "plan-retry.json": {"schema": "repro-faults/v1", "retry": [1]},
+    "plan-loss.json": {"schema": "repro-faults/v1", "permanent_loss": {"a": 1}},
+    "report-summary.json": {"schema": "repro-faults-report/v1", "summary": [1]},
+    "report-count.json": {"schema": "repro-faults-report/v1", "summary": {"n_faults": "x"}},
+    "report-list.json": [1],
+    "report-bare.json": {"summary": [1]},
+    "report-other.json": {"other": 1},
 }
 
 
@@ -203,9 +202,8 @@ class TestMalformedInput:
             ["train", "lr-higgs", "--faults", "plan.json"],
             ["faults", "summarize", "report.json"],
             ["faults", "summarize", "array.json"],
-            ["slo", "lr-higgs", "--spec", "spec.json"],
+            ["slo", "--spec", "spec.json"],
             ["train", "lr-higgs", "--slo", "spec.json"],
-            ["report", "array.json"],
             ["diagnose", "array.json"],
             ["diagnose", "telemetry.json", "--trace", "trace.json"],
             ["train", "lr-higgs", "--budget", "2.0", "--seed", "-1"],
@@ -213,8 +211,25 @@ class TestMalformedInput:
             ["slo", "--spec", "slo-ok.json", "--capture", "events-nokind.jsonl"],
             ["slo", "--spec", "slo-ok.json", "--capture", "events-row.jsonl"],
             ["slo", "--spec", "slo-ok.json", "--capture", "events-data.jsonl"],
-            ["report", "metrics.json"],
             ["diagnose", "metrics.json"],
+            # The JSON diagnosis report of a malformed capture: nothing is
+            # written to --out.
+            pytest.param(["diagnose", "array.json", "--format", "json", "--out", "out.json"],
+                         id="report-array.json"),
+            pytest.param(["diagnose", "metrics.json", "--format", "json", "--out", "out.json"],
+                         id="report-metrics.json"),
+            # Fault plans: every nested shape is checked.
+            ["faults", "validate", "plan-storage.json"],
+            ["faults", "validate", "plan-backend.json"],
+            ["faults", "validate", "plan-retry.json"],
+            ["faults", "validate", "plan-loss.json"],
+            ["train", "lr-higgs", "--faults", "plan-retry.json"],
+            # Fault reports: one loader for summarize and diagnose.
+            ["faults", "summarize", "report-summary.json"],
+            ["diagnose", "telemetry.json", "--fault-report", "report-list.json"],
+            ["diagnose", "telemetry.json", "--fault-report", "report-bare.json"],
+            ["diagnose", "telemetry.json", "--fault-report", "report-count.json"],
+            ["diagnose", "telemetry.json", "--fault-report", "report-other.json"],
         ],
         ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
     )
@@ -222,7 +237,9 @@ class TestMalformedInput:
         for name, payload in MALFORMED_FILES.items():
             text = payload if isinstance(payload, str) else json.dumps(payload)
             (tmp_path / name).write_text(text)
-        _assert_one_line_exit_two(argv, tmp_path)
+        proc = _assert_one_line_exit_two(argv, tmp_path)
+        assert proc.stdout == ""
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -237,8 +254,6 @@ class TestMalformedInput:
             ["workflow", "lr-higgs", "--budget", "nan"],
             ["profile", "lr-higgs", "--run", "train", "--budget", "inf"],
             ["diagnose", "lr-higgs", "--qos-multiple", "-1"],
-            ["dash", "lr-higgs", "--budget-multiple", "x"],
-            ["slo", "lr-higgs", "--spec", "spec.json", "--budget", "0"],
             # Unknown models and SHA shapes.
             ["train", "nosuch"],
             ["tune", "nosuch"],
@@ -271,10 +286,8 @@ class TestMalformedInput:
             ["train", "lr-higgs", "--budget", "2.0", "--timeseries", "missing/ts.json"],
             ["train", "lr-higgs", "--budget", "2.0", "--profile", "missing/p.json"],
             ["profile", "lr-higgs", "--run", "train", "--out", "missing/p.json"],
-            ["dash", "lr-higgs", "--out", "missing/ts.json"],
             ["diagnose", "lr-higgs", "--timeseries", "missing/ts.json"],
-            ["slo", "lr-higgs", "--spec", "spec.json", "--events", "missing/e.jsonl"],
-            ["slo", "lr-higgs", "--spec", "spec.json", "--out", "missing/r.json"],
+            ["slo", "--spec", "spec.json", "--capture", "e.jsonl", "--out", "missing/r.json"],
             ["diagnose", "lr-higgs", "--out", "missing/d.json"],
             ["profile", "--diff", "p.json", "p.json", "--out", "missing/c.json"],
             ["timeseries", "diff", "ts.json", "ts.json", "--out", "missing/c.json"],
@@ -524,6 +537,69 @@ def _trace_bytes(draw) -> bytes:
     return _mangled(draw, _valid_trace(), st.just(json.dumps(doc).encode()))
 
 
+def _valid_fault_report() -> bytes:
+    ledger = FaultLedger(plan_name="chaos")
+    ledger.record("crash", 1.5, scope="train", epoch=1, rank=2, lost_s=0.7)
+    ledger.record("retry", 1.6, scope="train", epoch=1, rank=2, attempt=1, lost_s=0.1)
+    plan = FaultPlan.default_profile().to_payload()
+    return ledger.to_json(plan, meta={"seed": 0}).encode()
+
+
+_numbers = st.floats(0, 10) | _json_values
+
+
+@st.composite
+def _fault_plan_bytes(draw) -> bytes:
+    window = st.fixed_dictionaries(
+        {}, optional={k: _numbers for k in ("start_s", "duration_s", "slowdown")}
+    ) | _json_values
+    backend = st.fixed_dictionaries(
+        {},
+        optional={"transient_prob": _numbers, "max_errors": _numbers,
+                  "error_timeout_s": _numbers,
+                  "throttle_windows": st.lists(window, max_size=2) | _json_values},
+    ) | _json_values
+    loss = st.fixed_dictionaries(
+        {}, optional={"epoch": _numbers, "rank": _numbers}
+    ) | _json_values
+    fields = draw(st.fixed_dictionaries(
+        {},
+        optional={
+            "name": st.just("p") | _json_values,
+            **{k: _numbers for k in ("crash_prob", "crash_mid_fraction",
+                                     "invocation_timeout_s", "cold_start_failure_prob")},
+            "storage": st.dictionaries(st.sampled_from(["s3", "*", "x"]), backend,
+                                       max_size=2) | _json_values,
+            "permanent_loss": st.lists(loss, max_size=2) | _json_values,
+            "retry": st.fixed_dictionaries({}, optional={
+                k: _numbers for k in ("max_attempts", "base_backoff_s",
+                                      "backoff_factor", "jitter")}) | _json_values,
+        },
+    ))
+    doc = {"schema": "repro-faults/v1", **fields}
+    valid = FaultPlan.default_profile().to_json().encode()
+    return _mangled(draw, valid, st.just(json.dumps(doc).encode()))
+
+
+@st.composite
+def _fault_report_bytes(draw) -> bytes:
+    record = st.fixed_dictionaries(
+        {"kind": st.sampled_from(RECORD_KINDS) | _json_values},
+        optional={**{k: _numbers for k in ("t_s", "epoch", "rank", "attempt", "lost_s")},
+                  "scope": st.just("train") | _json_values,
+                  "detail": st.just("d") | _json_values},
+    ) | _json_values
+    summary = st.dictionaries(
+        st.sampled_from(SUMMARY_NUMBERS + ("plan", "by_kind")), _numbers
+    ) | _json_values
+    fields = draw(st.fixed_dictionaries({}, optional={
+        "meta": _json_values, "plan": _json_values, "summary": summary,
+        "records": st.lists(record, max_size=3) | _json_values,
+    }))
+    doc = {"schema": "repro-faults-report/v1", **fields}
+    return _mangled(draw, _valid_fault_report(), st.just(json.dumps(doc).encode()))
+
+
 def _run_in_process(argv: list[str]) -> None:
     """Run the CLI; any exit but 0/1/2, or exit 2 without one stderr line,
     fails."""
@@ -539,8 +615,8 @@ def _run_in_process(argv: list[str]) -> None:
 
 
 class TestCaptureFuzz:
-    """Any event log, telemetry, profile, timeseries or trace document ends
-    in exit 0, 1 or 2, never a traceback."""
+    """Any event log, telemetry, profile, timeseries, trace, fault plan or
+    fault report document ends in exit 0, 1 or 2, never a traceback."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -563,7 +639,6 @@ class TestCaptureFuzz:
     def test_readers_survive_any_telemetry(self, workdir, data):
         path = workdir / "fuzz-telemetry.json"
         path.write_bytes(data)
-        _run_in_process(["report", str(path)])
         _run_in_process(["slo", "--spec", str(workdir / "spec.json"), "--capture", str(path)])
         _run_in_process(["diagnose", str(path)])
 
@@ -592,3 +667,19 @@ class TestCaptureFuzz:
         path = str(workdir / "fuzz-trace.json")
         (workdir / "fuzz-trace.json").write_bytes(data)
         _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--trace", path])
+
+    @given(data=_fault_plan_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_faults_validate_survives_any_plan(self, workdir, data):
+        path = workdir / "fuzz-plan.json"
+        path.write_bytes(data)
+        _run_in_process(["faults", "validate", str(path)])
+
+    @given(data=_fault_report_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_fault_report_readers_survive_any_report(self, workdir, data):
+        path = str(workdir / "fuzz-fault-report.json")
+        (workdir / "fuzz-fault-report.json").write_bytes(data)
+        _run_in_process(["faults", "summarize", path])
+        _run_in_process(["faults", "summarize", path, "--format", "json"])
+        _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--fault-report", path])

@@ -276,10 +276,10 @@ class TestUnifiedBadCaptureErrors:
         missing = tmp_path / "nope.json"
         self._check(capsys, ["dash", "--replay", str(missing)], "dash")
 
-    def test_report(self, tmp_path, capsys):
+    def test_diagnose(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
-        self._check(capsys, ["report", str(bad)], "report")
+        self._check(capsys, ["diagnose", str(bad)], "diagnose")
 
 
 def test_identical_tune_reruns_share_one_run_id(tmp_path):

@@ -58,7 +58,7 @@ class TestSampledRun:
         capsys.readouterr()
         run = json.loads(tel.read_text())["run"]
         assert run["peaks"]["concurrency"] > 0
-        assert main(["report", str(tel)]) == 0
+        assert main(["diagnose", str(tel)]) == 0
         assert "peak concurrency in use" in capsys.readouterr().out
 
     def test_summary_has_no_peaks_without_flag(self, tmp_path, capsys):
@@ -87,15 +87,19 @@ class TestDash:
         assert main(["dash", "--replay", str(tmp_path / "nope.json")]) == 2
         assert "repro dash" in capsys.readouterr().err
 
-    def test_live_dash_writes_capture(self, tmp_path, capsys):
+    def test_train_capture_replays_in_dash(self, tmp_path, capsys):
         out = tmp_path / "live.json"
-        assert main(["dash", "lr-higgs", "--out", str(out)]) == 0
+        assert main(["train", "lr-higgs", "--timeseries", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["dash", "--replay", str(out)]) == 0
         assert "train.cost_usd" in capsys.readouterr().out
-        assert load_capture(out.read_text())["meta"]["command"] == "dash"
+        assert load_capture(out.read_text())["meta"]["command"] == "train"
 
-    def test_workload_required_without_replay(self, capsys):
+    def test_replay_required(self, capsys):
         assert main(["dash"]) == 2
-        assert "workload name" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("repro dash: --replay CAPTURE is required")
+        assert err.count("\n") == 1
 
 
 class TestDiff:
