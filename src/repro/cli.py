@@ -19,14 +19,16 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import math
 import shutil
 import sys
 from pathlib import Path
 
 from repro.common.errors import ReproError, SLOError, ValidationError
-from repro.common.validation import require_parent_dir
+from repro.common.validation import require_field, require_list, require_parent_dir
 from repro.common.types import StorageKind
 from repro.common.units import format_duration, format_usd
 from repro.ml.models import WORKLOADS, workload
@@ -268,6 +270,11 @@ class _Parser(argparse.ArgumentParser):
 
     def _get_formatter(self):
         return self.formatter_class(prog=self.prog, width=_help_width())
+
+    def error(self, message):
+        """A bad argument is bad input: one stderr line and exit 2 (``-h``
+        prints the usage)."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 class _IntermixedParser(_Parser):
@@ -552,46 +559,71 @@ def cmd_train(args, journal=None) -> int:
     return _finish(args, ins, commit if journal is not None else None)
 
 
+def _journaled_train_args(run: dict) -> argparse.Namespace:
+    """The arguments a journal header's argv parses to, by the same parser
+    as any other invocation; raises ValidationError unless they are a
+    ``train`` command's."""
+    argv = require_list(
+        require_field(require_field(run, "args", "journal run"), "_argv", "journal args"),
+        "journal argv",
+    )
+    if not all(isinstance(arg, str) for arg in argv):
+        raise ValidationError(f"journal argv must hold strings, got {argv!r:.60}")
+    said = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(said):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        reason = (said.getvalue().splitlines() or ["it asks for help"])[-1]
+        raise ValidationError(f"journal argv does not parse: {reason}") from None
+    if args.command != "train":
+        raise ValidationError(f"journal argv is not a train command: {argv!r:.60}")
+    args._argv = tuple(argv)
+    return args
+
+
 def cmd_resume(args) -> int:
     """``repro resume JOURNAL``: continue an interrupted journaled run.
 
     Reopens the write-ahead log (truncating any torn tail the crash left),
-    re-executes the run from its journal header under the original argv,
+    re-parses the journaled argv and re-executes the run under it,
     validates every replayed epoch boundary against the journaled prefix,
     and continues past it — finishing to the same run id and the same
     deterministic-artifact bytes as an uninterrupted run.
     """
-    from repro.kernel import RunJournal
+    from repro.kernel import JournalError, RunJournal
 
     try:
         journal = RunJournal.open_resume(args.journal)
     except (OSError, ReproError) as exc:
         return _capture_error("resume", exc)
-    run = journal.header.get("run") or {}
-    command = run.get("command")
-    if command != "train":
-        print(
-            f"repro resume: journal command {command!r} is not resumable",
-            file=sys.stderr,
-        )
-        journal.close()
-        return 2
-    if journal.committed and not args.force:
-        print(
-            f"journal: already committed ({journal.n_epochs_journaled} epoch "
-            "boundary(ies)); nothing to resume (use --force to re-execute)"
-        )
-        journal.close()
-        return 0
-    saved = dict(run.get("args") or {})
-    saved.pop("fn", None)
-    saved["_argv"] = tuple(saved.get("_argv") or ())
-    print(
-        f"resume : replaying {journal.n_epochs_journaled} journaled epoch "
-        f"boundary(ies) from {args.journal}"
-    )
     with journal:
-        return cmd_train(argparse.Namespace(**saved), journal=journal)
+        run = journal.header.get("run")
+        command = run.get("command") if isinstance(run, dict) else None
+        if command != "train":
+            print(
+                f"repro resume: journal command {command!r:.40} is not resumable",
+                file=sys.stderr,
+            )
+            return 2
+        if journal.committed and not args.force:
+            print(
+                f"journal: already committed ({journal.n_epochs_journaled} epoch "
+                "boundary(ies)); nothing to resume (use --force to re-execute)"
+            )
+            return 0
+        try:
+            train_args = _journaled_train_args(run)
+        except ValidationError as exc:
+            return _capture_error("resume", exc)
+        print(
+            f"resume : replaying {journal.n_epochs_journaled} journaled epoch "
+            f"boundary(ies) from {args.journal}"
+        )
+        try:
+            return cmd_train(train_args, journal=journal)
+        except JournalError as exc:
+            return _capture_error("resume", exc)
 
 
 def cmd_tune(args) -> int:
@@ -993,69 +1025,6 @@ def cmd_experiments(_args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    # Imported lazily: the analysis package is pure stdlib but only the
-    # lint subcommand needs it.
-    from repro import analysis
-    from repro.common.errors import AnalysisError
-
-    by_id = analysis.rules_by_id()
-
-    def pick(spec: str | None) -> set[str]:
-        if not spec:
-            return set()
-        ids = {part.strip().upper() for part in spec.split(",") if part.strip()}
-        unknown = sorted(ids - by_id.keys())
-        if unknown:
-            raise AnalysisError(
-                f"unknown rule id(s) {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(by_id))})"
-            )
-        return ids
-
-    try:
-        selected = (pick(args.select) or set(by_id)) - pick(args.ignore)
-        rules = [r for rule_id, r in by_id.items() if rule_id in selected]
-        if args.list_rules:
-            print(analysis.render_rule_list(rules))
-            return 0
-
-        paths = args.paths or [str(Path(__file__).resolve().parent)]
-        result = analysis.Analyzer(rules).analyze_paths(paths)
-
-        if args.write_baseline:
-            target = Path(args.baseline) if args.baseline else (
-                Path.cwd() / analysis.DEFAULT_BASELINE_NAME
-            )
-            analysis.Baseline.from_findings(result.findings).save(target)
-            print(
-                f"wrote {len(result.findings)} finding(s) to baseline {target}"
-            )
-            return 0
-
-        if args.no_baseline:
-            baseline = analysis.Baseline.empty()
-        else:
-            found = analysis.find_baseline(
-                Path(paths[0]), explicit=args.baseline
-            )
-            baseline = (
-                analysis.Baseline.load(found)
-                if found is not None
-                else analysis.Baseline.empty()
-            )
-        new, baselined = baseline.apply(result.findings)
-    except AnalysisError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-
-    if args.format == "json":
-        print(analysis.to_json(result, rules, new, baselined), end="")
-    else:
-        print(analysis.render_table(result, new, baselined))
-    return 1 if new else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repro",
@@ -1339,37 +1308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("experiments", help="list experiment ids").set_defaults(
         fn=cmd_experiments
     )
-
-    p = sub.add_parser(
-        "lint",
-        help="static determinism & simulation-safety checks "
-             "(REP001, REP002, REP005-REP007, REP014)",
-        description="AST-based lint for the repository's reproducibility "
-                    "invariants: seeded randomness only, no wall-clock in "
-                    "simulated packages, exception hygiene, schema "
-                    "discipline, deterministic iteration order, and one "
-                    "event queue.",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files or directories to analyze "
-                        "(default: the installed repro package)")
-    p.add_argument("--select", metavar="IDS",
-                   help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--ignore", metavar="IDS",
-                   help="comma-separated rule ids to skip")
-    p.add_argument("--format", default="table", choices=("table", "json"),
-                   help="human-readable table or repro-lint/v1 JSON")
-    p.add_argument("--baseline", metavar="PATH",
-                   help="baseline file (default: nearest lint-baseline.json "
-                        "above the first path)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline; report every finding as new")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="accept all current findings into the baseline file "
-                        "and exit 0")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue and exit")
-    p.set_defaults(fn=cmd_lint)
     return parser
 
 

@@ -44,14 +44,6 @@ class SLOError(ReproError):
     """An SLO spec is invalid, or an SLO evaluation cannot proceed."""
 
 
-class AnalysisError(ReproError):
-    """The static-analysis subsystem could not complete a lint pass."""
-
-
-class BaselineError(AnalysisError):
-    """A lint baseline file is missing, unreadable, or malformed."""
-
-
 class FaultError(ReproError):
     """An injected fault surfaced past the resilience layer.
 

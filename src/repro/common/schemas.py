@@ -2,10 +2,10 @@
 
 Downstream tooling keys on these layouts, so each one is a contract: a new
 top-level field means a schema version bump or a deliberate update here.
-Two things read the registry: lint rule REP006, which checks every
-``{"schema": ...}`` dict literal in the source against it, and the
-profile, timeseries and bundle loaders, which check a document read at
-run time against it.
+Two things read the registry: check REP006 of
+``tests/test_source_invariants.py``, which holds every ``{"schema": ...}``
+dict literal in the source to it, and the profile, timeseries and bundle
+loaders, which check a document read at run time against it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ SCHEMA_KEYS: dict[str, frozenset[str]] = {
             "drift", "regret", "findings",
         }
     ),
-    "repro-lint/v1": frozenset({"schema", "tool", "summary", "findings"}),
-    "repro-baseline/v1": frozenset({"schema", "entries"}),
     "repro-slo/v1": frozenset(
         {
             "schema", "name", "deadline_s", "budget_usd", "stage_budgets_usd",

@@ -142,7 +142,7 @@ class EventKernel:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(  # lint: ignore[REP014]
+        heapq.heappush(
             self._heap, (self.now + delay, int(priority), self._seq, action)
         )
 
@@ -266,7 +266,7 @@ class EventKernel:
             t, _, _, action = self._heap[0]
             if until is not None and t > until:
                 break
-            heapq.heappop(self._heap)  # lint: ignore[REP014]
+            heapq.heappop(self._heap)
             self.now = t
             self.events_processed += 1
             if self.events_processed > max_events:

@@ -137,7 +137,7 @@ class RunJournal:
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise JournalError(f"cannot read journal {path}: {exc}") from exc
         records, torn = _parse_consistent_prefix(text)
         if not records:

@@ -31,9 +31,9 @@ frames in the telemetry Chrome trace. ``repro profile --diff A.json
 B.json`` compares two captures frame by frame through the one compare
 engine, :func:`repro.runs.compare.compare`.
 
-REP002 note: this package is in the lint's simulated-packages scope; the
-only sanctioned host-clock call site is
-:func:`repro.profiling.clock.host_clock_s`.
+REP002 note: this package is in the simulated-packages scope of
+``tests/test_source_invariants.py``; the only sanctioned host-clock call
+site is :func:`repro.profiling.clock.host_clock_s`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ spend budget, optional per-stage sub-budgets for SHA tuning stages, and
 thresholds for the two leading indicators the paper's scheduler itself
 watches — online-predictor drift (Algorithm 2's δ) and worker straggling.
 The spec is pure data: the burn-rate accountant and alert engine interpret
-it, the CLI loads it from JSON, and the REP006 schema registry pins its
-key set.
+it, the CLI loads it from JSON, and the schema registry
+(``repro.common.schemas``) pins its key set.
 """
 
 from __future__ import annotations
@@ -16,15 +16,22 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.errors import SLOError
+from repro.common.validation import is_finite
 
 SLO_SCHEMA = "repro-slo/v1"
 
-#: Keys a ``repro-slo/v1`` document may carry (see the REP006 registry).
+#: Keys a ``repro-slo/v1`` document may carry (see ``repro.common.schemas``).
 _PAYLOAD_KEYS = frozenset(
     {
         "schema", "name", "deadline_s", "budget_usd", "stage_budgets_usd",
         "warn_ratio", "predictor_drift_threshold", "straggler_slowdown",
     }
+)
+
+#: The scalar fields: each a finite number, or ``None`` (all but ``warn_ratio``).
+_NUMBER_FIELDS = (
+    "deadline_s", "budget_usd", "warn_ratio", "predictor_drift_threshold",
+    "straggler_slowdown",
 )
 
 
@@ -71,12 +78,10 @@ class SLOSpec:
                 "spec needs at least one objective: deadline_s, budget_usd, "
                 "or stage_budgets_usd"
             )
-        for key in ("deadline_s", "budget_usd"):
+        for key in _NUMBER_FIELDS:
             value = getattr(self, key)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
-                raise SLOError(f"{key} must be a number, got {value!r}")
+            if (value is not None or key == "warn_ratio") and not is_finite(value):
+                raise SLOError(f"{key} must be a finite number, got {value!r:.40}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise SLOError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.budget_usd is not None and self.budget_usd <= 0:
@@ -88,9 +93,10 @@ class SLOSpec:
             if stage in seen:
                 raise SLOError(f"duplicate stage sub-budget for stage {stage}")
             seen.add(stage)
-            if limit_usd <= 0:
+            if not (is_finite(limit_usd) and limit_usd > 0):
                 raise SLOError(
-                    f"stage {stage} sub-budget must be positive, got {limit_usd}"
+                    f"stage {stage} sub-budget must be a positive finite number, "
+                    f"got {limit_usd!r:.40}"
                 )
         if not 0.0 < self.warn_ratio < 1.0:
             raise SLOError(f"warn_ratio must be in (0, 1), got {self.warn_ratio}")
@@ -134,19 +140,23 @@ class SLOSpec:
         if unknown:
             raise SLOError(f"spec document has unknown key(s): {', '.join(unknown)}")
         raw_stages = payload.get("stage_budgets_usd") or {}
-        try:
-            stages = tuple(
-                sorted((int(stage), float(limit)) for stage, limit in raw_stages.items())
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
+        if not isinstance(raw_stages, dict):
             raise SLOError(
-                f"stage_budgets_usd must map stage index to USD: {exc}"
-            ) from exc
+                f"stage_budgets_usd must map stage index to USD, got {raw_stages!r:.40}"
+            )
+        stages = []
+        for stage, limit in raw_stages.items():
+            if not (str(stage).isdecimal() and is_finite(limit)):
+                raise SLOError(
+                    "stage_budgets_usd must map a stage index to a finite USD "
+                    f"number, got {stage!r:.20}: {limit!r:.20}"
+                )
+            stages.append((int(stage), float(limit)))
         return cls(
             name=payload.get("name", "slo"),
             deadline_s=payload.get("deadline_s"),
             budget_usd=payload.get("budget_usd"),
-            stage_budgets_usd=stages,
+            stage_budgets_usd=tuple(stages),
             warn_ratio=payload.get("warn_ratio", 0.85),
             predictor_drift_threshold=payload.get("predictor_drift_threshold", 0.25),
             straggler_slowdown=payload.get("straggler_slowdown", 3.0),

@@ -32,9 +32,9 @@ high-water marks — which ``repro dash`` renders as a terminal dashboard,
 collapse, storage saturation, concurrency plateaus and budget-burn knees
 (surfaced through ``repro diagnose``).
 
-REP002 note: this package is in the lint's simulated-packages scope; it
-contains no host-clock call sites at all — every timestamp is handed in
-by the instrumented layer.
+REP002 note: this package is in the simulated-packages scope of
+``tests/test_source_invariants.py``; it contains no host-clock call
+sites at all — every timestamp is handed in by the instrumented layer.
 """
 
 from __future__ import annotations

@@ -107,7 +107,31 @@ class TestResumeCLI:
         rec["digest"] = epoch_record_digest(rec)
         lines[5] = json.dumps(rec, sort_keys=True)
         journal.write_text("\n".join(lines[:8]) + "\n")
-        from repro.common.errors import ReproError
+        assert main(["resume", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro resume: ") and err.count("\n") == 1
+        assert "diverged" in err
 
-        with pytest.raises(ReproError, match="diverged"):
-            main(["resume", str(journal)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -3), ("method", "nope"), ("budget_multiple", "x"), ("faults", 5),
+         ("method", None)],
+        ids=["seed", "method", "budget_multiple", "faults", "no-method"],
+    )
+    def test_resume_reads_only_the_journaled_argv(self, tmp_path, capsys, field, value):
+        """The header's parsed-argument copy is not read: resume re-parses
+        the journaled argv, so a damaged copy resumes to the same records."""
+        journal = tmp_path / "run.journal"
+        assert main(["train", "lr-higgs", "--seed", "0", "--journal", str(journal)]) == 0
+        header, *records = journal.read_text().splitlines()
+        doc = json.loads(header)
+        if value is None:
+            del doc["run"]["args"][field]
+        else:
+            doc["run"]["args"][field] = value
+        damaged = json.dumps(doc, sort_keys=True)
+        journal.write_text("\n".join([damaged, *records[:10]]) + "\n")
+        capsys.readouterr()
+        assert main(["resume", str(journal)]) == 0
+        assert capsys.readouterr().err == ""
+        assert journal.read_text().splitlines() == [damaged, *records]

@@ -158,6 +158,11 @@ def _events_with(row) -> str:
     return json.dumps({"schema": "repro-events/v1", "meta": {}}) + "\n" + json.dumps(row)
 
 
+def _journal(header) -> str:
+    """An uncommitted repro-journal/v1 holding only a header with ``header``'s fields."""
+    return json.dumps({"schema": "repro-journal/v1", "kind": "header", "meta": {}, **header}) + "\n"
+
+
 #: Malformed input files, written side by side for each CLI case below
 #: (a string is written as is, anything else as JSON).
 MALFORMED_FILES = {
@@ -188,6 +193,35 @@ MALFORMED_FILES = {
     "report-list.json": [1],
     "report-bare.json": {"summary": [1]},
     "report-other.json": {"other": 1},
+    # A valid capture, and SLO specs with a non-finite or string number.
+    "events.jsonl": _events_with({"seq": 0, "t_s": 1.0, "kind": "epoch_done", "scope": "train",
+                                  "data": {"epoch": 1, "wall_s": 1.0, "cost_usd": 0.5}}),
+    "spec-budget-nan.json": {"schema": "repro-slo/v1", "budget_usd": float("nan")},
+    "spec-deadline-inf.json": {"schema": "repro-slo/v1", "deadline_s": float("inf")},
+    "spec-stage-nan.json": {"schema": "repro-slo/v1", "stage_budgets_usd": {"0": float("nan")}},
+    "spec-stage-string.json": {"schema": "repro-slo/v1", "stage_budgets_usd": {"0": "0.5"}},
+    "spec-warn-string.json": {"schema": "repro-slo/v1", "budget_usd": 1.0, "warn_ratio": "x"},
+    "spec-drift-string.json": {"schema": "repro-slo/v1", "budget_usd": 1.0,
+                               "predictor_drift_threshold": "x"},
+    "spec-drift-nan.json": {"schema": "repro-slo/v1", "budget_usd": 1.0,
+                            "predictor_drift_threshold": float("nan")},
+    "spec-straggler-inf.json": {"schema": "repro-slo/v1", "budget_usd": 1.0,
+                                "straggler_slowdown": float("inf")},
+    # Journal headers: resume reads only the journaled argv.
+    "journal-run-list.journal": _journal({"run": [1]}),
+    "journal-run-string.journal": _journal({"run": "train"}),
+    "journal-args-list.journal": _journal({"run": {"command": "train", "args": [1]}}),
+    "journal-args-string.journal": _journal({"run": {"command": "train", "args": "x"}}),
+    "journal-argv-int.journal": _journal({"run": {"command": "train", "args": {"_argv": 5}}}),
+    "journal-argv-seed.journal": _journal(
+        {"run": {"command": "train", "args": {"_argv": ["train", "lr-higgs", "--seed", "-3"]}}}
+    ),
+    "journal-argv-method.journal": _journal(
+        {"run": {"command": "train", "args": {"_argv": ["train", "lr-higgs", "--method", "nope"]}}}
+    ),
+    "journal-argv-tune.journal": _journal(
+        {"run": {"command": "train", "args": {"_argv": ["tune", "lr-higgs"]}}}
+    ),
 }
 
 
@@ -230,6 +264,25 @@ class TestMalformedInput:
             ["diagnose", "telemetry.json", "--fault-report", "report-bare.json"],
             ["diagnose", "telemetry.json", "--fault-report", "report-count.json"],
             ["diagnose", "telemetry.json", "--fault-report", "report-other.json"],
+            # SLO specs: NaN/Infinity, numeric strings, strings for numbers.
+            ["slo", "--spec", "spec-budget-nan.json", "--capture", "events.jsonl"],
+            ["slo", "--spec", "spec-deadline-inf.json", "--capture", "events.jsonl"],
+            ["slo", "--spec", "spec-stage-nan.json", "--capture", "events.jsonl"],
+            ["slo", "--spec", "spec-stage-string.json", "--capture", "events.jsonl"],
+            ["slo", "--spec", "spec-warn-string.json", "--capture", "events.jsonl"],
+            ["slo", "--spec", "spec-drift-string.json", "--capture", "events.jsonl"],
+            ["slo", "--spec", "spec-drift-nan.json", "--capture", "events.jsonl"],
+            ["slo", "--spec", "spec-straggler-inf.json", "--capture", "events.jsonl"],
+            ["train", "lr-higgs", "--slo", "spec-budget-nan.json"],
+            # Journal headers that do not hold a train command's argv.
+            ["resume", "journal-run-list.journal"],
+            ["resume", "journal-run-string.journal"],
+            ["resume", "journal-args-list.journal"],
+            ["resume", "journal-args-string.journal"],
+            ["resume", "journal-argv-int.journal"],
+            ["resume", "journal-argv-seed.journal"],
+            ["resume", "journal-argv-method.journal"],
+            ["resume", "journal-argv-tune.journal"],
         ],
         ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
     )
@@ -600,6 +653,55 @@ def _fault_report_bytes(draw) -> bytes:
     return _mangled(draw, _valid_fault_report(), st.just(json.dumps(doc).encode()))
 
 
+_spec_numbers = (st.floats(0.1, 0.9) | st.floats(1.5, 1e3)
+                 | st.floats(allow_nan=True, allow_infinity=True) | _json_values)
+
+
+@st.composite
+def _slo_spec_bytes(draw) -> bytes:
+    fields = draw(st.fixed_dictionaries({}, optional={
+        "name": st.just("s") | _json_values,
+        **{k: _spec_numbers for k in ("deadline_s", "budget_usd", "warn_ratio",
+                                      "predictor_drift_threshold", "straggler_slowdown")},
+        "stage_budgets_usd": st.dictionaries(
+            st.sampled_from(["0", "1", "-1", "x"]) | st.text(max_size=3), _spec_numbers,
+            max_size=2) | _json_values,
+    }))
+    doc = {"schema": "repro-slo/v1", **fields}
+    valid = json.dumps(MALFORMED_FILES["slo-ok.json"]).encode()
+    return _mangled(draw, valid, st.just(json.dumps(doc).encode()))
+
+
+#: Argv tokens a fuzzed journal header may carry: none writes a file.
+_ARGV_TOKENS = ["train", "tune", "lr-higgs", "nosuch", "--seed", "0", "-3", "--method",
+                "nope", "--journal", "x.journal", "--help"]
+
+
+@st.composite
+def _journal_bytes(draw, valid: bytes) -> bytes:
+    """``valid`` with a mutated header and a prefix of its records, or
+    truncated, or byte-mutated."""
+    header, *records = valid.decode().splitlines()
+    doc = json.loads(header)
+    args = doc["run"]["args"]
+    where = draw(st.sampled_from(["run", "args", "argv", "field", "drop"]))
+    if where == "run":
+        doc["run"] = draw(_json_values)
+    elif where == "args":
+        doc["run"]["args"] = draw(_json_values)
+    elif where == "argv":
+        args["_argv"] = draw(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6) | _json_values)
+    else:
+        key = draw(st.sampled_from(sorted(args)))
+        if where == "drop":
+            del args[key]
+        else:
+            args[key] = draw(_json_values)
+    kept = records[:draw(st.integers(0, len(records) - 1))]
+    shaped = "\n".join([json.dumps(doc, sort_keys=True), *kept]) + "\n"
+    return _mangled(draw, valid, st.just(shaped.encode()))
+
+
 def _run_in_process(argv: list[str]) -> None:
     """Run the CLI; any exit but 0/1/2, or exit 2 without one stderr line,
     fails."""
@@ -615,13 +717,15 @@ def _run_in_process(argv: list[str]) -> None:
 
 
 class TestCaptureFuzz:
-    """Any event log, telemetry, profile, timeseries, trace, fault plan or
-    fault report document ends in exit 0, 1 or 2, never a traceback."""
+    """Any event log, telemetry, profile, timeseries, trace, fault plan,
+    fault report, SLO spec or run journal ends in exit 0, 1 or 2, never a
+    traceback."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("capture-fuzz")
         (root / "spec.json").write_text(json.dumps(MALFORMED_FILES["slo-ok.json"]))
+        (root / "events.jsonl").write_bytes(_valid_events())
         (root / "profile.json").write_bytes(_valid_profile())
         (root / "timeseries.json").write_bytes(_valid_timeseries())
         (root / "telemetry.json").write_bytes(_valid_telemetry())
@@ -683,3 +787,27 @@ class TestCaptureFuzz:
         _run_in_process(["faults", "summarize", path])
         _run_in_process(["faults", "summarize", path, "--format", "json"])
         _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--fault-report", path])
+
+    @given(data=_slo_spec_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_slo_survives_any_spec(self, workdir, data):
+        path = workdir / "fuzz-spec.json"
+        path.write_bytes(data)
+        _run_in_process(["slo", "--spec", str(path), "--capture",
+                         str(workdir / "events.jsonl")])
+
+    @pytest.fixture(scope="class")
+    def committed_journal(self, workdir) -> bytes:
+        """The journal of a short run, committed."""
+        path = workdir / "template.journal"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "lr-higgs", "--seed", "0", "--journal", str(path)]) == 0
+        return path.read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_resume_survives_any_journal(self, workdir, committed_journal, data):
+        """Most examples replay the whole run, so they are few."""
+        path = workdir / "fuzz.journal"
+        path.write_bytes(data.draw(_journal_bytes(committed_journal)))
+        _run_in_process(["resume", str(path)])

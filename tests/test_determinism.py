@@ -88,10 +88,11 @@ class TestLayerDeterminism:
     def test_telemetry_export_insertion_order_independent(self):
         """Exports sort every unordered collection; insertion order is noise.
 
-        The `repro-lint` REP007 rule bans raw set/dict iteration on export
-        paths; this pins the behaviour the rule protects — registering the
-        same metrics in two different orders (and labelling children in two
-        different orders) must produce byte-identical JSON.
+        Check REP007 of `tests/test_source_invariants.py` bans raw set
+        iteration on export paths; this pins the behaviour the check
+        protects — registering the same metrics in two different orders
+        (and labelling children in two different orders) must produce
+        byte-identical JSON.
         """
 
         def build(order: int) -> MetricsRegistry:
