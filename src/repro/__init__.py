@@ -12,8 +12,7 @@ The public API in one import::
 Layer map (bottom-up):
 
 * ``repro.faas`` — discrete-event serverless platform simulator.
-* ``repro.storage`` — simulated S3/DynamoDB/ElastiCache/VM-PS services.
-* ``repro.ml`` — datasets, model zoo, convergence curves, real SGD.
+* ``repro.ml`` — dataset shapes, model zoo, convergence curves.
 * ``repro.analytical`` — Eq. (2)-(5) time/cost models + Pareto profiler.
 * ``repro.tuning`` — SHA engine and Algorithm 1 (greedy partitioning).
 * ``repro.training`` — online/offline predictors and Algorithm 2.

@@ -1,4 +1,4 @@
-"""ML substrate: synthetic datasets, model zoo, convergence curves, SGD."""
+"""ML substrate: dataset shapes, model zoo and convergence curves."""
 
 from repro.ml.curves import CurveParams, LossCurveSampler, inverse_power_law
 from repro.ml.datasets import CIFAR10, DATASETS, HIGGS, IMDB, YFCC, DatasetSpec
@@ -10,24 +10,17 @@ from repro.ml.models import (
     Workload,
     workload,
 )
-from repro.ml.sgd import DistributedSGD, SGDConfig
-
-# NOTE: repro.ml.trainer (IntegratedTrainer) is intentionally not imported
-# here — it sits above the analytical layer, which itself builds on
-# repro.ml.models; import it as `from repro.ml.trainer import ...`.
 
 __all__ = [
     "CIFAR10",
     "CurveParams",
     "DATASETS",
-    "DistributedSGD",
     "HIGGS",
     "IMDB",
     "LossCurveSampler",
     "MODELS",
     "ModelFamily",
     "ModelProfile",
-    "SGDConfig",
     "WORKLOADS",
     "Workload",
     "YFCC",

@@ -1,24 +1,17 @@
-"""Synthetic stand-ins for the paper's datasets (§IV-A).
+"""Shapes of the paper's datasets (§IV-A).
 
 The paper evaluates on Higgs (11M x 28), YFCC100M feature vectors
 (4096-dim), Cifar10 (60k 32x32x3 images) and IMDb (25k sentences). We cannot
-ship those datasets, so each is represented by a :class:`DatasetSpec` with
-the same cardinality/dimensionality, plus a generator that synthesizes a
-binary-classification problem with matching shape for the linear models.
-
-The generator produces a *learnable* problem: samples from two Gaussian
-clusters whose separation controls the achievable loss, with label noise so
-SGD exhibits realistic stochastic convergence.
+ship those datasets, and no run needs their rows: each is represented by a
+:class:`DatasetSpec` with the same cardinality and dimensionality, which is
+all the time and cost models read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
-from repro.common.rng import stream_for
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,17 +23,12 @@ class DatasetSpec:
         n_samples: number of training rows.
         n_features: feature dimensionality (flattened for images).
         bytes_per_value: storage width of one feature value.
-        separation: cluster separation used by the synthetic generator;
-            larger values make the problem easier (lower achievable loss).
-        label_noise: fraction of flipped labels in the synthetic problem.
     """
 
     name: str
     n_samples: int
     n_features: int
     bytes_per_value: int = 4
-    separation: float = 1.2
-    label_noise: float = 0.05
 
     def __post_init__(self) -> None:
         if self.n_samples < 1 or self.n_features < 1:
@@ -54,50 +42,12 @@ class DatasetSpec:
         """On-storage dataset size D in MB (features + 1 label column)."""
         return self.n_samples * (self.n_features + 1) * self.bytes_per_value / 2**20
 
-    def scaled(self, scale: float) -> "DatasetSpec":
-        """A row-subsampled copy (``scale`` in (0, 1]) for fast experiments."""
-        if not 0.0 < scale <= 1.0:
-            raise ValidationError(f"scale must be in (0, 1], got {scale}")
-        return replace(self, n_samples=max(1, int(self.n_samples * scale)))
 
-    def materialize(
-        self, n_rows: int | None = None, seed: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Generate ``n_rows`` synthetic rows (X, y) with y in {-1, +1}.
-
-        The problem is two Gaussian clusters at ±separation/2 along a random
-        direction, with ``label_noise`` flipped labels. Deterministic in
-        (dataset name, seed).
-        """
-        n = self.n_samples if n_rows is None else int(n_rows)
-        if n < 1:
-            raise ValidationError(f"n_rows must be >= 1, got {n_rows}")
-        rng = stream_for(seed, "dataset", self.name)
-        direction = rng.standard_normal(self.n_features)
-        direction /= np.linalg.norm(direction)
-        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        x = rng.standard_normal((n, self.n_features))
-        x += np.outer(y * self.separation / 2.0, direction)
-        flip = rng.random(n) < self.label_noise
-        y[flip] = -y[flip]
-        return x.astype(np.float64), y.astype(np.float64)
-
-
-HIGGS = DatasetSpec(name="higgs", n_samples=11_000_000, n_features=28, separation=1.0)
-YFCC = DatasetSpec(name="yfcc", n_samples=200_000, n_features=4096, separation=1.5)
+HIGGS = DatasetSpec(name="higgs", n_samples=11_000_000, n_features=28)
+YFCC = DatasetSpec(name="yfcc", n_samples=200_000, n_features=4096)
 CIFAR10 = DatasetSpec(name="cifar10", n_samples=60_000, n_features=3072, bytes_per_value=1)
 IMDB = DatasetSpec(name="imdb", n_samples=25_000, n_features=292 * 2, bytes_per_value=4)
 
 DATASETS: dict[str, DatasetSpec] = {
     d.name: d for d in (HIGGS, YFCC, CIFAR10, IMDB)
 }
-
-
-def get_dataset(name: str) -> DatasetSpec:
-    """Look up a dataset spec by name."""
-    try:
-        return DATASETS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown dataset {name!r}; available: {sorted(DATASETS)}"
-        ) from None

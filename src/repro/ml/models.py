@@ -4,11 +4,8 @@ A :class:`ModelProfile` captures the resource-facing characteristics of a
 model family (parameter size, compute intensity, intra-function parallel
 scalability). A :class:`Workload` binds a model to a dataset plus the
 training hyperparameters of the paper's Table IV, and carries the calibrated
-convergence-curve parameters used by the surrogate loss sampler.
-
-LR and SVM additionally have a *real* numpy SGD implementation
-(:mod:`repro.ml.sgd`); the large NN models are surrogate-only, as argued in
-DESIGN.md §2.
+convergence-curve parameters used by the surrogate loss sampler, which
+produces every model's training loss (DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -29,11 +26,6 @@ class ModelFamily(enum.Enum):
     MOBILENET = "mobilenet"
     RESNET50 = "resnet50"
     BERT = "bert"
-
-    @property
-    def is_linear(self) -> bool:
-        """True for models with a real SGD implementation (LR, SVM)."""
-        return self in (ModelFamily.LR, ModelFamily.SVM)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,19 +159,6 @@ class Workload:
             floor_loss=self.floor_loss,
             target_loss=self.target_loss,
             nominal_epochs=self.nominal_epochs,
-        )
-
-    def scaled(self, scale: float) -> "Workload":
-        """Workload over a row-subsampled dataset (same convergence curve)."""
-        return Workload(
-            profile=self.profile,
-            dataset=self.dataset.scaled(scale),
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            target_loss=self.target_loss,
-            nominal_epochs=self.nominal_epochs,
-            init_loss=self.init_loss,
-            floor_loss=self.floor_loss,
         )
 
 

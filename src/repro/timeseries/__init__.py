@@ -1,7 +1,7 @@
 """Simulated-time metrics pipeline: series, dashboard, diffs, anomalies.
 
 The process-global default is a :class:`NullSampler`, so the sampling
-hooks on the platform/storage/scheduler/tuning/SLO/billing paths cost one
+hooks on the platform/scheduler/tuning/SLO/billing paths cost one
 attribute check until a caller installs a real :class:`TimeSeriesSampler`::
 
     from repro.timeseries import TimeSeriesSampler, get_sampler, set_sampler

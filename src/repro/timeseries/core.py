@@ -2,13 +2,12 @@
 
 A :class:`TimeSeriesSampler` records how cluster state *evolves* over a
 run — in-flight invocations against the account limit, warm-pool size,
-per-backend storage bandwidth, the scheduler's active allocation, SHA
-survivors, burn-rate ladder level, cumulative spend — as (simulated time,
-value) points keyed by series name. Instrumented sites pass their own
-simulation clock explicitly (``sim.now``, the executor's ``jct``, a
-service's cumulative busy time); nothing here reads a host clock, consumes
-randomness, or branches simulation logic, so runs are byte-identical with
-the sampler installed or not.
+the scheduler's active allocation, SHA survivors, burn-rate ladder level,
+cumulative spend — as (simulated time, value) points keyed by series name.
+Instrumented sites pass their own simulation clock explicitly
+(``sim.now``, the executor's ``jct``); nothing here reads a host clock,
+consumes randomness, or branches simulation logic, so runs are
+byte-identical with the sampler installed or not.
 
 Buffers are delta-compressed on ingestion: a run of consecutive identical
 values keeps only its first and last point (the last point's timestamp

@@ -4,8 +4,8 @@ The executor glues together:
 
 * a **scheduler** (CE-scaling's :class:`AdaptiveScheduler` or a baseline)
   that decides the allocation before each epoch;
-* a **loss provider** — real distributed SGD for the linear models, or the
-  stochastic convergence-curve sampler for the NN surrogates;
+* the **loss provider**, which draws each epoch's loss from the
+  workload's stochastic convergence curve;
 * the **FaaS platform simulator**, which executes each epoch (cold starts,
   jittered phases, barrier) and bills it;
 * the **delayed-restart planner**, which hides allocation-switch overhead.
@@ -28,19 +28,12 @@ from repro.analytical.timemodel import epoch_time
 from repro.faas.platform import EpochExecution, FaaSPlatform
 from repro.ml.curves import LossCurveSampler
 from repro.ml.models import Workload
-from repro.ml.sgd import DistributedSGD, SGDConfig
 from repro.tuning.plan import Objective
 from repro.training.delayed_restart import DelayedRestartPlanner
 from repro.profiling import profile_phase
 from repro.telemetry import get_registry, get_tracer
 from repro.timeseries import get_sampler
 from repro.slo.events import get_event_bus
-
-
-class LossProvider(Protocol):
-    """Produces the end-of-epoch training loss."""
-
-    def epoch_loss(self, n_workers: int) -> float: ...
 
 
 class SurrogateLossProvider:
@@ -63,40 +56,6 @@ class SurrogateLossProvider:
         return self._sampler.next_loss()
 
 
-class SGDLossProvider:
-    """Loss from genuine distributed numpy SGD (linear models only)."""
-
-    def __init__(
-        self,
-        workload: Workload,
-        seed: int = 0,
-        rows_per_worker: int = 500,
-        max_iterations: int = 40,
-    ) -> None:
-        self.workload = workload
-        self.seed = seed
-        self.max_iterations = max_iterations
-        self._config = SGDConfig(
-            batch_size=workload.batch_size,
-            learning_rate=workload.learning_rate,
-            rows_per_worker=rows_per_worker,
-        )
-        self._sgd: DistributedSGD | None = None
-
-    def epoch_loss(self, n_workers: int) -> float:
-        if self._sgd is None:
-            self._sgd = DistributedSGD(
-                self.workload, n_workers, self._config, seed=self.seed
-            )
-        elif self._sgd.n_workers != n_workers:
-            self._sgd = self._sgd.reshard(n_workers, seed=self.seed)
-        k = min(
-            self.max_iterations,
-            self.workload.iterations_per_epoch(n_workers),
-        )
-        return self._sgd.run_epoch(iterations=k)
-
-
 @dataclass(frozen=True)
 class TrainingJobSpec:
     """A model-training job (one bar of Fig. 12/13).
@@ -106,9 +65,6 @@ class TrainingJobSpec:
         objective: JCT-min given budget, or cost-min given QoS.
         budget_usd / qos_s: the constraint.
         max_epochs: hard stop.
-        use_real_sgd: run actual numpy SGD for linear models instead of the
-            surrogate curve (slower; experiments default to surrogates so
-            convergence horizons stay controlled across schedulers).
         seed: randomness root for noise and loss trajectories.
     """
 
@@ -117,7 +73,6 @@ class TrainingJobSpec:
     budget_usd: float | None = None
     qos_s: float | None = None
     max_epochs: int = 400
-    use_real_sgd: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -125,11 +80,6 @@ class TrainingJobSpec:
             raise ValidationError("JCT minimization needs budget_usd")
         if self.objective is Objective.MIN_COST_GIVEN_QOS and self.qos_s is None:
             raise ValidationError("cost minimization needs qos_s")
-
-    def make_loss_provider(self) -> LossProvider:
-        if self.use_real_sgd and self.workload.profile.family.is_linear:
-            return SGDLossProvider(self.workload, seed=self.seed)
-        return SurrogateLossProvider(self.workload, seed=self.seed)
 
 
 def _gang_slowdown(worker_durations_s: tuple[float, ...] | list[float]) -> float:
@@ -201,7 +151,7 @@ class TrainingExecutor:
 
             checkpoints = CheckpointStore()
         excluded_allocations: set = set()
-        provider = spec.make_loss_provider()
+        provider = SurrogateLossProvider(w, seed=spec.seed)
         registry = get_registry()
         tracer = get_tracer()
         bus = get_event_bus()

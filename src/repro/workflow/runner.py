@@ -151,7 +151,6 @@ def run_training(
     delayed_restart: bool | None = None,
     delta: float = 0.1,
     max_epochs: int = 400,
-    use_real_sgd: bool = False,
     profile: ProfileResult | None = None,
     straggler_factors: dict[int, float] | None = None,
     fault_plan: object | None = None,
@@ -190,7 +189,6 @@ def run_training(
         budget_usd=budget_usd,
         qos_s=qos_s,
         max_epochs=max_epochs,
-        use_real_sgd=use_real_sgd,
         seed=seed,
     )
     executor = TrainingExecutor(

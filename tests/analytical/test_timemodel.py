@@ -1,9 +1,11 @@
 """Tests for the execution-time model (paper Eq. 2-3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import InfeasibleAllocationError
 from repro.common.types import Allocation, StorageKind
+from repro.config import DEFAULT_PLATFORM
 from repro.analytical.timemodel import (
     check_feasible,
     compute_speedup,
@@ -11,7 +13,25 @@ from repro.analytical.timemodel import (
     is_feasible,
     sync_time_per_iteration,
 )
-from repro.ml.models import workload
+from repro.ml.models import WORKLOADS
+
+
+def _fig5_transfers(kind: StorageKind, n: int) -> int:
+    """Walk one BSP round of Fig. 5 and count its model-sized transfers.
+
+    Rank 0 aggregates. A VM parameter server merges the gradients itself;
+    a passive store needs rank 0 to pull them, merge and publish the result.
+    """
+    puts = gets = 0
+    for _rank in range(1, n):
+        puts += 1  # each other rank sends its gradient
+    if kind is not StorageKind.VMPS:
+        for _rank in range(1, n):
+            gets += 1  # rank 0 pulls each gradient
+        puts += 1  # rank 0 publishes the merged model
+    for _rank in range(1, n):
+        gets += 1  # each other rank pulls the merged model
+    return puts + gets
 
 
 class TestFeasibility:
@@ -58,17 +78,21 @@ class TestSyncTime:
         vmps = sync_time_per_iteration(lr_higgs, Allocation(10, 1769, StorageKind.VMPS))
         assert vmps < s3
 
-    def test_transfer_counts_eq3(self, lr_higgs):
-        """Sync time must scale as (3n-2) for passive and (2n-2) for VM-PS."""
-        from repro.config import DEFAULT_PLATFORM
-
-        for storage, expected in ((StorageKind.S3, lambda n: 3 * n - 2),
-                                  (StorageKind.VMPS, lambda n: 2 * n - 2)):
-            cfg = DEFAULT_PLATFORM.storage_config(storage)
-            per_transfer = lr_higgs.model_mb / cfg.bandwidth_mb_s + cfg.latency_s
-            for n in (2, 5, 20):
-                t = sync_time_per_iteration(lr_higgs, Allocation(n, 1769, storage))
-                assert t == pytest.approx(expected(n) * per_transfer)
+    @given(
+        name=st.sampled_from(sorted(WORKLOADS)),
+        kind=st.sampled_from(list(StorageKind)),
+        n=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_transfer_counts_eq3(self, name, kind, n):
+        """Sync time is Fig. 5's transfer count times one model transfer."""
+        w = WORKLOADS[name]
+        cfg = DEFAULT_PLATFORM.storage_config(kind)
+        per_transfer = w.model_mb / cfg.bandwidth_mb_s + cfg.latency_s
+        t = sync_time_per_iteration(w, Allocation(n, 1769, kind))
+        assert t == pytest.approx(_fig5_transfers(kind, n) * per_transfer)
+        if kind is StorageKind.VMPS and n == 1:
+            assert t == 0.0
 
     def test_single_function_vmps_no_sync(self, lr_higgs):
         assert sync_time_per_iteration(

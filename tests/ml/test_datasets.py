@@ -1,11 +1,9 @@
 """Unit tests for the synthetic dataset generators."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ValidationError
-from repro.ml.datasets import CIFAR10, DATASETS, HIGGS, IMDB, YFCC, DatasetSpec, get_dataset
+from repro.ml.datasets import CIFAR10, DATASETS, HIGGS, IMDB, YFCC, DatasetSpec
 
 
 class TestSpecs:
@@ -26,63 +24,6 @@ class TestSpecs:
     def test_size_mb_positive_and_ordered(self):
         assert HIGGS.size_mb > CIFAR10.size_mb > IMDB.size_mb > 0
 
-    def test_get_dataset_unknown(self):
-        with pytest.raises(ValidationError):
-            get_dataset("imagenet")
-
-    def test_scaled_reduces_rows(self):
-        small = HIGGS.scaled(0.01)
-        assert small.n_samples == 110_000
-        assert small.n_features == HIGGS.n_features
-
-    def test_scaled_rejects_bad_fraction(self):
-        with pytest.raises(ValidationError):
-            HIGGS.scaled(0.0)
-        with pytest.raises(ValidationError):
-            HIGGS.scaled(1.5)
-
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValidationError):
             DatasetSpec(name="bad", n_samples=0, n_features=5)
-
-
-class TestMaterialize:
-    def test_shapes(self):
-        x, y = HIGGS.materialize(100, seed=0)
-        assert x.shape == (100, 28)
-        assert y.shape == (100,)
-
-    def test_labels_are_plus_minus_one(self):
-        _, y = HIGGS.materialize(500, seed=0)
-        assert set(np.unique(y)) <= {-1.0, 1.0}
-
-    def test_deterministic_in_seed(self):
-        x1, y1 = YFCC.materialize(50, seed=3)
-        x2, y2 = YFCC.materialize(50, seed=3)
-        np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(y1, y2)
-
-    def test_different_seeds_differ(self):
-        x1, _ = YFCC.materialize(50, seed=3)
-        x2, _ = YFCC.materialize(50, seed=4)
-        assert not np.array_equal(x1, x2)
-
-    def test_problem_is_learnable(self):
-        """A linear separator along the generating direction must beat chance."""
-        x, y = HIGGS.materialize(4000, seed=1)
-        # Fisher-style direction estimate from class means.
-        mu_pos = x[y > 0].mean(axis=0)
-        mu_neg = x[y < 0].mean(axis=0)
-        w = mu_pos - mu_neg
-        acc = np.mean(np.sign(x @ w) == y)
-        assert acc > 0.6
-
-    def test_rejects_zero_rows(self):
-        with pytest.raises(ValidationError):
-            HIGGS.materialize(0)
-
-    @given(st.integers(min_value=1, max_value=200))
-    @settings(max_examples=20, deadline=None)
-    def test_any_row_count(self, n):
-        x, y = CIFAR10.materialize(n, seed=0)
-        assert len(x) == len(y) == n

@@ -10,11 +10,6 @@ class TestProfiles:
     def test_all_families_present(self):
         assert set(MODELS) == set(ModelFamily)
 
-    def test_linear_families(self):
-        assert ModelFamily.LR.is_linear
-        assert ModelFamily.SVM.is_linear
-        assert not ModelFamily.BERT.is_linear
-
     def test_fixed_model_sizes_match_paper(self):
         assert MODELS[ModelFamily.MOBILENET].fixed_model_mb == 12.0
         assert MODELS[ModelFamily.RESNET50].fixed_model_mb == 89.0
@@ -68,12 +63,6 @@ class TestWorkloads:
             assert params.loss_at(w.nominal_epochs) == pytest.approx(
                 w.target_loss, rel=1e-6
             )
-
-    def test_scaled_keeps_curve(self):
-        w = workload("lr-higgs")
-        s = w.scaled(0.1)
-        assert s.dataset.n_samples == pytest.approx(w.dataset.n_samples * 0.1, rel=0.01)
-        assert s.curve_params().alpha == pytest.approx(w.curve_params().alpha)
 
     def test_name_format(self):
         assert workload("lr-higgs").name == "lr-higgs"

@@ -1,18 +1,14 @@
 """The hot paths actually report into the profiler, with full attribution.
 
-These tests drive the real planner / scheduler / storage code under an
+These tests drive the real planner and scheduler code under an
 installed profiler (the ``profiler`` fixture) and pin the acceptance
 criteria: planner wall time is >= 95% attributed to named child frames,
 and the per-site ``candidates_evaluated`` counters sum exactly to the
 planner's own ``PlannerStats``.
 """
 
-import numpy as np
 import pytest
 
-from repro.storage.catalog import make_service
-from repro.storage.sync import BSPSynchronizer
-from repro.common.types import StorageKind
 from repro.telemetry import set_registry
 from repro.telemetry.metrics import MetricsRegistry
 from repro.tuning.greedy_planner import GreedyHeuristicPlanner
@@ -99,21 +95,3 @@ class TestSchedulerFrames:
         assert init.counters["candidates_considered"] > 0
         epoch = profiler.frames[("train/run", "train/execute_epoch")]
         assert epoch.counters["functions"] > 0
-
-
-class TestStorageFrames:
-    def test_sync_round_frame_and_transfer_counter(self, profiler):
-        sync = BSPSynchronizer(make_service(StorageKind.S3), 4)
-        rng = np.random.default_rng(0)
-        sync.run_round([rng.standard_normal(16) for _ in range(4)])
-        stat = profiler.frames[("storage/sync_round",)]
-        assert stat.n_calls == 1
-        # Passive storage: N puts + N*(N-1) gets... whatever the model
-        # says, the counter must mirror the report exactly.
-        merged, report = sync.run_round(
-            [rng.standard_normal(16) for _ in range(4)]
-        )
-        assert (
-            profiler.frames[("storage/sync_round",)].counters["transfers"]
-            >= report.transfers
-        )

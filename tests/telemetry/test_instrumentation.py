@@ -5,12 +5,9 @@ component, and asserts the expected metric families and spans appear with
 values consistent with the component's returned results.
 """
 
-import numpy as np
 import pytest
 
-from repro.common.types import StorageKind
 from repro.faas.platform import EpochExecution, FaaSPlatform
-from repro.storage.catalog import make_service
 from repro.tuning.plan import Objective
 from repro.workflow.job import training_envelope
 from repro.workflow.runner import profile_workload, run_training
@@ -93,35 +90,6 @@ class TestWarmPoolMetrics:
         p = FaaSPlatform(seed=0)
         p.prewarm("g", 5)
         assert registry.get("repro_faas_warm_pool_prewarmed_total").value == 5
-
-
-class TestStorageMetrics:
-    def test_requests_labeled_by_kind_and_op(self, registry):
-        svc = make_service(StorageKind.S3)
-        svc.put("k", np.zeros(1000))
-        svc.get("k")
-        snap = registry.get("repro_storage_requests_total").snapshot()
-        ops = {(s.labels["kind"], s.labels["op"]): s.value for s in snap.samples}
-        assert ops[("s3", "put")] == 1
-        assert ops[("s3", "get")] == 1
-
-    def test_bytes_and_latency_match_legacy_metrics(self, registry):
-        svc = make_service(StorageKind.DYNAMODB)
-        svc.put("k", np.zeros(500))
-        svc.get("k")
-        mb = registry.get("repro_storage_transferred_mb_total").snapshot()
-        assert mb.samples[0].value == svc.metrics.transferred_mb
-        lat = registry.get("repro_storage_op_latency_seconds").snapshot()
-        assert lat.samples[0].sum == svc.metrics.busy_time_s
-
-    def test_vmps_aggregate_op(self, registry):
-        svc = make_service(StorageKind.VMPS)
-        svc.put("a", np.ones(100))
-        svc.put("b", np.ones(100))
-        svc.server_aggregate(["a", "b"], "out")
-        snap = registry.get("repro_storage_requests_total").snapshot()
-        ops = {(s.labels["kind"], s.labels["op"]): s.value for s in snap.samples}
-        assert ops[("vmps", "aggregate")] == 1
 
 
 class TestSchedulerAndPlannerMetrics:

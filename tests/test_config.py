@@ -32,7 +32,7 @@ class TestLambdaConfig:
         assert cfg.vcpu_share(20480) == cfg.vcpu_share(10240)
 
 
-class TestStorageCatalog:
+class TestStorageProfiles:
     def test_all_services_present(self):
         cat = default_storage_catalog()
         assert set(cat) == set(StorageKind)

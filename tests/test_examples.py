@@ -25,7 +25,6 @@ def _load(name: str):
         "hyperparameter_tuning",
         "storage_selection",
         "adaptive_training_trace",
-        "distributed_sgd_on_storage",
         "bohb_tuning",
         "full_workflow",
         "telemetry_capture",

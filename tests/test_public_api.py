@@ -21,7 +21,7 @@ class TestPublicAPI:
     @pytest.mark.parametrize(
         "module",
         [
-            "repro.common", "repro.config", "repro.storage", "repro.faas",
+            "repro.common", "repro.config", "repro.faas",
             "repro.ml", "repro.analytical", "repro.tuning", "repro.training",
             "repro.baselines", "repro.workflow", "repro.experiments",
             "repro.telemetry", "repro.slo", "repro.faults", "repro.profiling",

@@ -8,8 +8,6 @@ from repro.tuning.plan import Objective
 from repro.training.adaptive_scheduler import AdaptiveScheduler
 from repro.training.delayed_restart import DelayedRestartPlanner
 from repro.training.executor import (
-    SGDLossProvider,
-    SurrogateLossProvider,
     TrainingExecutor,
     TrainingJobSpec,
 )
@@ -47,18 +45,6 @@ class TestSpecValidation:
     def test_cost_min_needs_qos(self, mobilenet):
         with pytest.raises(ValidationError):
             TrainingJobSpec(mobilenet, Objective.MIN_COST_GIVEN_QOS)
-
-    def test_loss_provider_selection(self, lr_higgs, mobilenet):
-        real = TrainingJobSpec(
-            lr_higgs, Objective.MIN_JCT_GIVEN_BUDGET, budget_usd=1.0,
-            use_real_sgd=True,
-        ).make_loss_provider()
-        assert isinstance(real, SGDLossProvider)
-        surrogate = TrainingJobSpec(
-            mobilenet, Objective.MIN_JCT_GIVEN_BUDGET, budget_usd=1.0,
-            use_real_sgd=True,
-        ).make_loss_provider()
-        assert isinstance(surrogate, SurrogateLossProvider)
 
 
 class TestExecution:
@@ -106,21 +92,6 @@ class TestExecution:
         result = TrainingExecutor(spec=spec, scheduler=sched).run()
         assert len(result.epochs) == 3
         assert not result.converged
-
-    def test_real_sgd_path(self, lr_higgs, lr_profile):
-        """Linear models can train with genuine numpy SGD end to end."""
-        budget = training_envelope(lr_higgs, lr_profile).budget(2.5)
-        sched = AdaptiveScheduler(
-            workload=lr_higgs, candidates=lr_profile.pareto,
-            objective=Objective.MIN_JCT_GIVEN_BUDGET, budget_usd=budget, seed=0,
-        )
-        spec = TrainingJobSpec(
-            workload=lr_higgs, objective=Objective.MIN_JCT_GIVEN_BUDGET,
-            budget_usd=budget, use_real_sgd=True, max_epochs=25, seed=0,
-        )
-        result = TrainingExecutor(spec=spec, scheduler=sched).run()
-        losses = [e.loss for e in result.epochs]
-        assert losses[-1] < losses[0]  # SGD genuinely learns
 
     def test_restarts_marked_in_records(self, mobilenet, mobilenet_profile, budget):
         result = _run(mobilenet, mobilenet_profile, budget, delta=0.01)

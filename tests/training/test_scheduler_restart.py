@@ -1,10 +1,12 @@
 """Tests for Algorithm 2 (adaptive scheduler), selection, delayed restart."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConstraintError
 from repro.common.types import Allocation, StorageKind
-from repro.ml.models import workload
+from repro.config import DEFAULT_PLATFORM
+from repro.ml.models import WORKLOADS, workload
 from repro.tuning.plan import Objective
 from repro.training.adaptive_scheduler import (
     AdaptiveScheduler,
@@ -165,3 +167,30 @@ class TestDelayedRestart:
         epoch = lead * 2
         plan = planner.plan_restart(lr_higgs, alloc, overlap_epoch_duration_s=epoch)
         assert plan.launch_offset_s + lead == pytest.approx(epoch)
+
+    @given(
+        data=st.data(),
+        name=st.sampled_from(sorted(WORKLOADS)),
+        overlap=st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+        enabled=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_plan_accounts_for_the_whole_lead_time(self, data, name, overlap, enabled):
+        """Fig. 8: the overlapped epoch hides min(lead, epoch) of the switch."""
+        w = WORKLOADS[name]
+        n = data.draw(st.integers(min_value=1, max_value=256))
+        memory = data.draw(
+            st.integers(w.min_memory_mb(n), DEFAULT_PLATFORM.limits.max_memory_mb)
+        )
+        storage = data.draw(st.sampled_from([
+            k for k in StorageKind
+            if w.model_mb <= DEFAULT_PLATFORM.storage_config(k).object_limit_mb
+        ]))
+        planner = DelayedRestartPlanner(enabled=enabled)
+        alloc = Allocation(n, memory, storage)
+        plan = planner.plan_restart(w, alloc, overlap_epoch_duration_s=overlap)
+        lead = planner.lead_time_s(w, alloc)
+        assert plan.lead_time_s == lead
+        assert plan.hidden_overhead_s + plan.visible_overhead_s == pytest.approx(lead)
+        assert plan.hidden_overhead_s == (min(lead, overlap) if enabled else 0.0)
+        assert plan.launch_offset_s >= 0.0
