@@ -41,7 +41,7 @@ def main() -> None:
     point = decision.point
     for epoch in range(1, 200):
         t = epoch_time(w, point.allocation)
-        loss = provider.epoch_loss(point.allocation.n_functions)
+        loss = provider.epoch_loss()
         decision = scheduler.on_epoch_end(loss, point.cost_usd, t.total_s)
         note = ""
         if decision.restart:

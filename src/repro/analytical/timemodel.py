@@ -44,7 +44,6 @@ def sync_time_per_iteration(
         if not alloc.storage.is_passive
         else 3 * alloc.n_functions - 2
     )
-    transfers = max(0, transfers)  # n=1 with VM-PS: nothing to synchronize
     return transfers * (workload.model_mb / svc.bandwidth_mb_s + svc.latency_s)
 
 

@@ -52,7 +52,7 @@ class SurrogateLossProvider:
             anchor_target=workload.target_loss,
         )
 
-    def epoch_loss(self, n_workers: int) -> float:
+    def epoch_loss(self) -> float:
         return self._sampler.next_loss()
 
 
@@ -282,7 +282,7 @@ class TrainingExecutor:
             stor_usd = storage_cost(w, alloc, epoch_wall, self.platform_config)
             platform.meter.bill_storage(stor_usd)
             epoch_cost = result.billed_usd + stor_usd
-            loss = provider.epoch_loss(alloc.n_functions)
+            loss = provider.epoch_loss()
             jct = kernel.credit_job_time(epoch_wall)
             cost += epoch_cost
             if journal is not None:

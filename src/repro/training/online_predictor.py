@@ -141,7 +141,9 @@ def _fit_ipl_grid(
 # hyperbolic curve rewritten as c / (k*e + 1) + l_inf (k = a/b, c = 1/b).
 # For a grid of rates the box-bounded two-parameter least squares has a
 # closed form, so the fit is a 1-D search over the rate: a log-spaced grid,
-# then repeated zooms onto the best point's neighbours.
+# then repeated zooms onto the best point's neighbours. A refit that starts
+# from the previous fit's rates skips the grid and most zooms (see
+# _fit_rate_families).
 #
 # family -> log10 rate range: alpha in [1e-3, 10] and beta in [1e-6, 10],
 # the bounds the raw forms have always been fitted within. k has no bound
@@ -157,11 +159,19 @@ _HYP_PARAM_MIN = 1e-9  # lower bound on the raw hyperbolic a and b
 _GRID = np.linspace(0.0, 1.0, 33)  # first pass, over the whole log10 range
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # each zoom, between the best's neighbours
 _ZOOM_ROUNDS = 6
+_WARM_ROUNDS = 3  # a warm start runs zoom rounds 1 to 3 only
+
+
+def _log_rate(fit: CurveFit) -> float:
+    """The log10 rate a raw-family fit won (k = a/b for the hyperbolic)."""
+    p = fit.params
+    return math.log10(p[0] / p[1] if fit.family == "hyperbolic" else p[2])
 
 
 def _fit_rate_families(
-    e: np.ndarray, y: np.ndarray, families: list[str]
-) -> dict[str, CurveFit]:
+    e: np.ndarray, y: np.ndarray, families: list[str],
+    start: list[float] | None = None,
+) -> dict[str, CurveFit] | None:
     """Fit the raw families by variable projection, all in one stacked pass.
 
     Per (family, rate) row, ``y ~ floor + amp * phi`` is least squares with
@@ -169,6 +179,14 @@ def _fit_rate_families(
     SSE is a convex quadratic, so its box minimum is the unconstrained one
     when that is feasible, else the best of the four edges, each minimized
     in 1-D and clipped. Each zoom round fills the same preallocated buffers.
+
+    The cold search (no ``start``) runs the whole-range grid, then
+    ``_ZOOM_ROUNDS`` zooms. ``start`` holds one log10 rate per family,
+    normally the previous refit's winners: the search then skips the grid
+    and centres zoom round 1 (one grid step either side) on it, and stops
+    after round ``_WARM_ROUNDS``. If a family's best point in that first
+    window is on its edge, the optimum may lie outside it, and the warm
+    search gives up: it returns None and the caller reruns cold.
     """
     y_min = float(y.min())
     if not families or y_min <= 0:
@@ -196,11 +214,15 @@ def _fit_rate_families(
     hyp_amp_hi = amp_hi.reshape(nf, g)[hyp:hyp + 1]
     fl_edge, amp_edge = floors[3:], amps[1:3]  # floor at amp's bounds, amp at floor's
     rows = np.arange(nf)
-    log_rate = lo + (hi - lo) * _GRID
     step = (hi - lo) / (g - 1)
-    for round_ in range(_ZOOM_ROUNDS + 1):
+    if start is None:
+        log_rate = lo + (hi - lo) * _GRID
+        rounds = range(_ZOOM_ROUNDS + 1)
+    else:
+        centre = np.array(start)[:, None]
+        rounds = range(1, _WARM_ROUNDS + 1)
+    for round_ in rounds:
         if round_:
-            centre = log_rate[rows, best][:, None]
             # Clips are maximum then minimum (no np.clip wrapper). The two
             # differ only on -0.0 against the floor's 0.0 bound, and
             # y_mean - amp * p_mean is never -0.0 (y_mean > 0).
@@ -236,6 +258,9 @@ def _fit_rate_families(
         extra[0] = np.where(feasible, 0.0, np.inf)
         # The column minimum is the argmin's entry, NaN included.
         best = (sse0 + np.minimum.reduce(extra, axis=0)).reshape(nf, g).argmin(axis=1)
+        if start is not None and round_ == 1 and ((best == 0) | (best == g - 1)).any():
+            return None
+        centre = log_rate[rows, best][:, None]
     cols = rows * g + best
     pick = extra[:, cols].argmin(axis=0)
     fits = {}
@@ -252,7 +277,9 @@ class OnlinePredictor:
 
     Usage: call :meth:`observe` after every epoch, then
     :meth:`predict_total_epochs`. Needs ``min_points`` observations before
-    the first prediction (raises :class:`PredictionError` earlier).
+    the first prediction (raises :class:`PredictionError` earlier). Every
+    refit after the first starts the raw families' rate searches from the
+    previous refit's rates.
     """
 
     def __init__(
@@ -287,6 +314,7 @@ class OnlinePredictor:
         self.prior_weight = prior_weight
         self._epochs: list[float] = []
         self._losses: list[float] = []
+        self._rate_fits: dict[str, CurveFit] = {}  # the last refit's, to start the next
         self.last_fit: CurveFit | None = None
 
     @property
@@ -317,9 +345,16 @@ class OnlinePredictor:
             )
         e = np.asarray(self._epochs)
         y = np.asarray(self._losses)
-        fitted = _fit_rate_families(
-            e, y, [f for f in dict.fromkeys(self.families) if f != "ipl_grid"]
-        )
+        families = [f for f in dict.fromkeys(self.families) if f != "ipl_grid"]
+        rate_fits = None
+        if self._rate_fits:
+            rate_fits = _fit_rate_families(
+                e, y, families, start=[_log_rate(self._rate_fits[f]) for f in families]
+            )
+        if rate_fits is None:
+            rate_fits = _fit_rate_families(e, y, families)
+        self._rate_fits = rate_fits
+        fitted = dict(rate_fits)
         if "ipl_grid" in self.families:
             fitted["ipl_grid"] = _fit_ipl_grid(
                 e, y, prior=self._prior, prior_weight=self.prior_weight

@@ -1,9 +1,13 @@
 """Tests for Algorithm 2 (adaptive scheduler), selection, delayed restart."""
 
+import functools
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConstraintError
+from repro.analytical.profiler import ParetoProfiler
+from repro.common.errors import ConstraintError, PredictionError
 from repro.common.types import Allocation, StorageKind
 from repro.config import DEFAULT_PLATFORM
 from repro.ml.models import WORKLOADS, workload
@@ -60,6 +64,174 @@ class TestSelectBestAllocation:
         with pytest.raises(ConstraintError):
             select_best_allocation([], Objective.MIN_JCT_GIVEN_BUDGET, 1,
                                    budget_usd=1.0)
+
+
+@functools.cache
+def _profile(name):
+    return ParetoProfiler().profile(WORKLOADS[name])
+
+
+WORKLOAD_NAMES = st.sampled_from(sorted(WORKLOADS))
+OBJECTIVES = st.sampled_from(list(Objective))
+
+
+@given(name=WORKLOAD_NAMES, objective=OBJECTIVES,
+       remaining=st.floats(0.0, 500.0), position=st.floats(-1.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_selection_over_pareto_is_the_optimum_over_the_full_space(
+    name, objective, remaining, position
+):
+    """Pareto soundness: whenever some profiled point meets the projected
+    constraint, searching 𝒫 finds the best of the whole space."""
+    profile = _profile(name)
+    horizon = max(remaining, 1.0)
+    if objective is Objective.MIN_JCT_GIVEN_BUDGET:
+        spend, gain = (lambda p: p.cost_usd), (lambda p: p.time_s)
+    else:
+        spend, gain = (lambda p: p.time_s), (lambda p: p.cost_usd)
+    # A constraint from well under the cheapest projection to over the dearest.
+    lo, hi = (f(horizon * spend(p) for p in profile.all_points) for f in (min, max))
+    limit = lo * (hi / lo) ** position
+    key = "budget_usd" if objective is Objective.MIN_JCT_GIVEN_BUDGET else "qos_s"
+    chosen = select_best_allocation(profile.pareto, objective, remaining, **{key: limit})
+    assert chosen in profile.pareto
+    feasible = [p for p in profile.all_points if horizon * spend(p) <= limit]
+    if feasible:
+        assert horizon * spend(chosen) <= limit
+        assert gain(chosen) == min(gain(p) for p in feasible)
+
+
+@st.composite
+def scheduler_runs(draw):
+    """A scheduler over one workload's 𝒫 and the epochs fed to it.
+
+    Losses follow the workload's nominal curve at one drawn speed up to a
+    drawn epoch and at another after it, with per-epoch noise, so the
+    online prediction drifts both ways, early and late."""
+    name = draw(WORKLOAD_NAMES)
+    w, profile = WORKLOADS[name], _profile(name)
+    objective = draw(OBJECTIVES)
+    multiple = draw(st.floats(0.3, 3.0))
+    if objective is Objective.MIN_JCT_GIVEN_BUDGET:
+        unit = profile.cheapest().cost_usd
+        constraint = {"budget_usd": multiple * w.nominal_epochs * unit}
+    else:
+        unit = profile.fastest().time_s
+        constraint = {"qos_s": multiple * w.nominal_epochs * unit}
+    sched = AdaptiveScheduler(
+        workload=w, candidates=profile.pareto, objective=objective,
+        delta=draw(st.floats(0.01, 0.5)),
+        adjust_every_epoch=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)), **constraint,
+    )
+    params = w.curve_params()
+    # The first speed reaches the target loss after 3 to 25 epochs, often
+    # after 8 to 16: drift first seen there, at the first fits, can come with
+    # 3 or fewer epochs left. The run stops from a few epochs before the
+    # target to a few after.
+    reach = draw(st.floats(8.0, 16.0) | st.floats(3.0, 25.0))
+    speed = params.epochs_to(w.target_loss) / reach
+    speeds = (speed, speed * draw(st.floats(0.3, 3.0)))
+    n = max(1, round(reach) + draw(st.integers(-3, 8)))
+    switch = draw(st.integers(0, n))
+    noise = draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+    spend = st.floats(0.0, 2.0 * unit)
+    epochs = [
+        (params.loss_at(speeds[0] * min(e, switch) + speeds[1] * max(e - switch, 0))
+         * (1.0 + z), draw(spend), draw(spend))
+        for e, z in enumerate(noise, start=1)
+    ]
+    return sched, epochs
+
+
+class _State(NamedTuple):
+    predicted: float
+    searches: int
+    current: object
+    spent: float
+    elapsed: float
+
+
+def _state(sched):
+    return _State(sched.predicted_total_epochs, sched.n_searches, sched.current,
+                  sched.spent_usd, sched.elapsed_s)
+
+
+def _drive(sched, epochs):
+    """Run the epochs; per epoch, the raw online prediction (None when the
+    predictor raised), the scheduler state before and after, and the
+    decision."""
+    predict = sched.online.predict_total_epochs
+    raw = []
+
+    def spy():
+        try:
+            value = predict()
+        except PredictionError:
+            raw.append(None)
+            raise
+        raw.append(value)
+        return value
+
+    sched.online.predict_total_epochs = spy
+    sched.initial_decision()
+    trace = []
+    for loss, cost, time_s in epochs:
+        before = _state(sched)
+        decision = sched.on_epoch_end(loss, cost, time_s)
+        trace.append((raw[-1], before, _state(sched), decision))
+    return trace
+
+
+@given(run=scheduler_runs())
+@settings(max_examples=150, deadline=None)
+def test_restart_needs_two_drifted_epochs_and_work_left(run):
+    """Alg. 2 acts (re-selects, maybe restarts) only after two consecutive
+    predictions whose median-of-three drifts more than δ from the acted-on
+    one, with more than 3 predicted epochs left; Siren's
+    ``adjust_every_epoch`` acts on every prediction. An epoch without a
+    prediction holds and leaves the streak as it was."""
+    sched, epochs = run
+    trace = _drive(sched, epochs)
+    acted_on = trace[0][1].predicted  # the offline prediction
+    history, streak = [], 0
+    for epoch, (value, before, after, decision) in enumerate(trace, 1):
+        acted = after.searches > before.searches
+        if decision.restart:
+            assert acted and decision.point.allocation != before.current.allocation
+        if value is None:
+            assert not acted
+            continue
+        history.append(value)
+        recent = sorted(history[-3:])
+        smoothed = recent[len(recent) // 2]
+        drift = abs(smoothed - acted_on) / max(acted_on, 1e-9)
+        streak = streak + 1 if drift > sched.delta else 0
+        assert acted == (sched.adjust_every_epoch
+                         or (streak >= 2 and smoothed - epoch > 3.0))
+        if acted:
+            acted_on = smoothed
+
+
+@given(run=scheduler_runs())
+@settings(max_examples=60, deadline=None)
+def test_predicted_total_changes_only_on_acted_on_epochs(run):
+    sched, epochs = run
+    for _, before, after, decision in _drive(sched, epochs):
+        if after.predicted != before.predicted:
+            assert after.searches > before.searches
+        assert decision.predicted_total_epochs == after.predicted
+
+
+@given(run=scheduler_runs())
+@settings(max_examples=60, deadline=None)
+def test_spend_and_elapsed_are_left_to_right_sums(run):
+    sched, epochs = run
+    spent = elapsed = 0.0
+    for (_, cost, time_s), (_, _, after, _) in zip(epochs, _drive(sched, epochs)):
+        spent += cost
+        elapsed += time_s
+        assert (after.spent, after.elapsed) == (spent, elapsed)
 
 
 class TestAdaptiveScheduler:
