@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 from repro.common.errors import SLOError
 from repro.common.meta import coerce_meta
-from repro.slo.alerts import Alert
 from repro.slo.events import EventLog
-from repro.slo.guard import SLOGuard
+from repro.slo.guard import Alert, BudgetState, SLOGuard
 from repro.slo.spec import SLOSpec
 
 REPORT_SCHEMA = "repro-slo-report/v1"
@@ -37,25 +36,12 @@ def _r(value: float | None, digits: int = 9) -> float | None:
 
 
 @dataclass(frozen=True, slots=True)
-class ObjectiveResult:
-    """Final judgement for one SLO dimension."""
-
-    dimension: str
-    limit: float
-    consumed: float
-    projected: float | None
-    burn_rate: float | None
-    status: str
-    violated: bool
-
-
-@dataclass(frozen=True, slots=True)
 class SLOReport:
     """One spec evaluated against one run."""
 
     meta: dict
     spec: SLOSpec
-    objectives: tuple[ObjectiveResult, ...]
+    objectives: tuple[BudgetState, ...]
     alerts: tuple[Alert, ...]
 
     @property
@@ -141,22 +127,10 @@ class SLOReport:
 
 def evaluate_guard(guard: SLOGuard, meta: dict | None = None) -> SLOReport:
     """Judge a spec from a guard's final budget states."""
-    objectives = tuple(
-        ObjectiveResult(
-            dimension=st.dimension,
-            limit=st.limit,
-            consumed=st.consumed,
-            projected=st.projected,
-            burn_rate=st.burn_rate,
-            status=st.status,
-            violated=st.consumed >= st.limit,
-        )
-        for st in guard.accountant.states()
-    )
     return SLOReport(
         meta=coerce_meta(meta),
         spec=guard.spec,
-        objectives=objectives,
+        objectives=guard.states(),
         alerts=guard.alerts,
     )
 
@@ -191,46 +165,23 @@ def evaluate_summary(
     """Coarse final-state judgement from a run summary (no event stream).
 
     Only the end-to-end deadline and budget can be checked — per-stage
-    splits, projections and burn rates need the event log.
+    splits, projections and burn rates need the event log. A spec of which
+    the summary can judge nothing is an :class:`SLOError`, not a pass.
     """
-    objectives: list[ObjectiveResult] = []
+    objectives = []
     if spec.deadline_s is not None:
-        status = (
-            "exhausted"
-            if jct_s >= spec.deadline_s
-            else "warn"
-            if jct_s > spec.warn_ratio * spec.deadline_s
-            else "ok"
-        )
-        objectives.append(
-            ObjectiveResult(
-                dimension="deadline",
-                limit=spec.deadline_s,
-                consumed=jct_s,
-                projected=None,
-                burn_rate=None,
-                status=status,
-                violated=jct_s >= spec.deadline_s,
-            )
-        )
+        objectives.append(BudgetState.judge(
+            "deadline", spec.deadline_s, jct_s, None, None, spec.warn_ratio
+        ))
     if spec.budget_usd is not None and cost_usd is not None:
-        status = (
-            "exhausted"
-            if cost_usd >= spec.budget_usd
-            else "warn"
-            if cost_usd > spec.warn_ratio * spec.budget_usd
-            else "ok"
-        )
-        objectives.append(
-            ObjectiveResult(
-                dimension="budget",
-                limit=spec.budget_usd,
-                consumed=cost_usd,
-                projected=None,
-                burn_rate=None,
-                status=status,
-                violated=cost_usd >= spec.budget_usd,
-            )
+        objectives.append(BudgetState.judge(
+            "budget", spec.budget_usd, cost_usd, None, None, spec.warn_ratio
+        ))
+    if not objectives:
+        raise SLOError(
+            "a run summary can judge none of this spec's objectives: stage "
+            "sub-budgets, and a budget without a billed cost, need the run's "
+            "event log (write it with --events PATH)"
         )
     return SLOReport(
         meta=coerce_meta(meta),

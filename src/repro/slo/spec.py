@@ -4,9 +4,9 @@ An :class:`SLOSpec` states what a run promised: an end-to-end deadline, a
 spend budget, optional per-stage sub-budgets for SHA tuning stages, and
 thresholds for the two leading indicators the paper's scheduler itself
 watches — online-predictor drift (Algorithm 2's δ) and worker straggling.
-The spec is pure data: the burn-rate accountant and alert engine interpret
-it, the CLI loads it from JSON, and the schema registry
-(``repro.common.schemas``) pins its key set.
+The spec is pure data: the guard (``repro.slo.guard``) interprets it, the
+CLI loads it from JSON, and the schema registry (``repro.common.schemas``)
+pins its key set.
 """
 
 from __future__ import annotations
@@ -177,10 +177,3 @@ class SLOSpec:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())
-
-    def stage_budget_usd(self, stage: int) -> float | None:
-        """The sub-budget for one SHA stage, if declared."""
-        for idx, limit_usd in self.stage_budgets_usd:
-            if idx == stage:
-                return limit_usd
-        return None

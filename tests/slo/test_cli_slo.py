@@ -132,6 +132,23 @@ class TestSloOutputs:
         assert main(["slo", "--spec", str(spec), "--capture", str(telemetry)]) == 2
         assert "no run summary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "objectives",
+        [{"stage_budgets_usd": {0: 0.05}}, {"budget_usd": 1.0}],
+        ids=["stage-budget-only", "budget-without-cost"],
+    )
+    def test_summary_that_judges_nothing_exits_two(self, tmp_path, objectives, capsys):
+        """A summary has no stage splits, and this one no cost: judging no
+        objective is an input error, not a met SLO."""
+        telemetry = tmp_path / "telemetry.json"
+        telemetry.write_text(to_json((), run={"jct_s": 10.0}, meta={"seed": 0}))
+        spec = _spec_file(tmp_path, "s", **objectives)
+        assert main(["slo", "--spec", str(spec), "--capture", str(telemetry)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro slo:") and captured.err.count("\n") == 1
+        assert "event log" in captured.err
+
 
 class TestGuardedRun:
     """`repro train --slo` guards a run live; `repro slo --capture` on its
@@ -150,6 +167,19 @@ class TestGuardedRun:
         assert replay == live
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert verdict["violated"] is bool(live)
+
+    def test_stage_budget_judged_from_the_log_not_the_summary(self, tmp_path, capsys):
+        """Stage 0 of this SHA run spends about 0.64 USD: its event log
+        violates a 0.05 USD sub-budget; its telemetry cannot judge it."""
+        spec = _spec_file(tmp_path, "stage", stage_budgets_usd={0: 0.05})
+        events, telemetry = tmp_path / "events.jsonl", tmp_path / "telemetry.json"
+        assert main(["tune", "lr-higgs", "--trials", "16", "--seed", "0",
+                     "--telemetry", str(telemetry), "--events", str(events)]) == 0
+        capsys.readouterr()
+        assert main(["slo", "--spec", str(spec), "--capture", str(events)]) == 1
+        assert "verdict: VIOLATED (stage:0)" in capsys.readouterr().out
+        assert main(["slo", "--spec", str(spec), "--capture", str(telemetry)]) == 2
+        assert "--events" in capsys.readouterr().err
 
 
 class TestReportErrorPaths:

@@ -175,11 +175,10 @@ class TestGuardUnit:
             )
         for event in log.events:
             guard.on_event(event)
-        acct = guard.accountant
-        assert acct.epochs_done == 2
-        assert acct.elapsed_s == 4.0
-        assert acct.billed_usd == 0.1
-        assert acct.projected_jct_s() == 8.0
+        assert guard.epochs_done == 2
+        assert guard.elapsed_s == 4.0
+        assert guard.billed_usd == 0.1
+        assert guard.projected_jct_s() == 8.0
 
     def test_alert_lines_mirrored_into_the_log(self):
         guard = SLOGuard(SLOSpec(name="u", deadline_s=1.0))

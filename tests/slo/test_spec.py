@@ -45,8 +45,8 @@ class TestValidation:
     def test_stage_budget_dict_normalized_to_sorted_pairs(self):
         spec = SLOSpec(stage_budgets_usd={2: 0.3, 0: 0.1})
         assert spec.stage_budgets_usd == ((0, 0.1), (2, 0.3))
-        assert spec.stage_budget_usd(2) == 0.3
-        assert spec.stage_budget_usd(1) is None
+        assert dict(spec.stage_budgets_usd).get(2) == 0.3
+        assert dict(spec.stage_budgets_usd).get(1) is None
 
 
 class TestRoundTrip:
