@@ -156,11 +156,6 @@ class BudgetState:
         )
 
     @property
-    def fraction(self) -> float:
-        """Consumed fraction of the limit."""
-        return self.consumed / self.limit if self.limit > 0 else 0.0
-
-    @property
     def violated(self) -> bool:
         """True once the dimension is exhausted: the promise is broken."""
         return self.status == "exhausted"
@@ -183,11 +178,6 @@ class Alert:
     def active(self) -> bool:
         """True while the underlying condition still holds."""
         return self.resolved_t_s is None
-
-    @property
-    def key(self) -> tuple[str, str]:
-        """The structural dedup key."""
-        return (self.rule, self.scope)
 
     def to_payload(self) -> dict:
         """JSON-serializable view used by SLO reports."""

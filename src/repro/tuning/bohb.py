@@ -113,12 +113,9 @@ class BOHBEngine(SHAEngine):
         opt_lr = self.workload.learning_rate
         lr_dist = abs(math.log10(lr) - math.log10(opt_lr))
         mom_dist = abs(momentum - 0.9)
-        quality = float(
-            np.clip(math.exp(-0.6 * lr_dist - 0.8 * mom_dist), 0.05, 1.0)
-        )
-        params = self.workload.curve_params()
+        quality = min(max(math.exp(-0.6 * lr_dist - 0.8 * mom_dist), 0.05), 1.0)
         sampler = LossCurveSampler(
-            params,
+            self._curve,
             seed=self.seed,
             run_label=("bohb-trial", self.spec.bracket_index, index),
             anchor_target=self.workload.target_loss,

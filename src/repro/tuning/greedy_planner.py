@@ -26,11 +26,23 @@ dimension S (cost resp. time):
    violate the constraint (the paper's A2') before taking the best one.
 
 A plan is held as a vector of ladder indices and the stage contributions
-as a (stage × candidate) array, so each round scores all of its candidate
-moves in one array pass. Candidate totals are added stage by stage in the
-order :func:`~repro.tuning.plan.stage_sum` adds a plan's own total, which
-keeps every comparison — and so every chosen plan — bit-identical to
-evaluating the candidate plans one by one.
+as a (stage × candidate) array. The starts are refined in lockstep: their
+plans are the rows of one (B × n_stages) index array, and each phase-1
+step scores the one-step moves of every row still refining, and each
+phase-2 round all n × L replacements of every such row, in one array
+pass. A row's direction and skipped stage come from its own state
+(recycling, or reinvesting after recycling stage i), and a row leaves
+the batch exactly where a start refined on its own would stop: no move
+left, an improvement of at most δ or an infeasible plan, or the round cap
+of its phase. The first strict minimum over the rows, in start order,
+wins. Starts are independent, so they are refined in batches of at most
+``MAX_BATCH_ROWS`` rows: every Pareto ladder fits in one, and a WO-pa
+ladder's working set stays a few MB. Candidate totals are added stage by
+stage in the order :func:`~repro.tuning.plan.stage_sum` adds a plan's own
+total, and each pick is the first maximum in stage-major ladder order,
+which keeps every comparison — and so every chosen plan and counter —
+bit-identical to evaluating the candidate plans one by one, start after
+start.
 
 Planner instrumentation (candidates evaluated, wall time) feeds the
 scheduling-overhead experiment (Fig. 21a).
@@ -59,6 +71,12 @@ from repro.tuning.sha import SHASpec
 from repro.tuning.static_planner import optimal_static_plan
 from repro.telemetry import get_registry
 from repro.slo.events import get_event_bus
+
+# Starts refined together in one batch. Every Pareto ladder (a few dozen
+# points) fits in one; a WO-pa ladder (hundreds of starts × 576 points) is
+# split into batches of this many rows, which keeps phase 2's
+# (2 × rows × n × L) candidate totals to a few MB.
+MAX_BATCH_ROWS = 40
 
 
 @dataclass
@@ -110,26 +128,30 @@ class GreedyHeuristicPlanner:
                 terms[:, i, j] = stage_terms(q, r, point, self.platform)
         self._terms = terms
         self._stages = np.arange(spec.n_stages)
-        # [k, 0, i]: stage k of the plan that moves stage i is the moved one.
-        self._diagonal = np.eye(spec.n_stages, dtype=bool)[:, None, :]
 
     def _totals(self, x: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """(JCT, cost) totals of plan ``x`` with stage i replaced by ``cand[:, i]``.
+        """(JCT, cost) totals of each row of ``x`` with stage i replaced by ``cand``.
 
-        ``cand`` is (2, n) for one move per stage or (2, n, L) for every
-        move. The candidate plans' stage terms are laid out stage-first and
-        added by :func:`stage_sum`, so each total is
-        ((a_0 + a_1) + … + cand_i) + … + a_{n-1}, bit-identical to the
-        candidate plan's own total (``np.sum``'s pairwise order is not).
+        ``x`` is (B, n) ladder indices. ``cand`` is (2, B, n) for one move
+        per stage of each row, or (2, 1, n, L) for every move of every row;
+        the result has ``cand``'s shape broadcast over the B rows. Each
+        total is ((a_0 + a_1) + … + cand_i) + … + a_{n-1}, the order
+        :func:`stage_sum` adds the candidate plan's own total in: the
+        prefix before stage i is a running sum, and the stages after it
+        are added one at a time.
         """
-        pad = (1,) * (cand.ndim - 2)
-        own = self._terms[:, self._stages, x].T[:, :, None]
-        moved = self._diagonal.reshape(self._diagonal.shape + pad)
-        return stage_sum(np.where(moved, cand, own.reshape(own.shape + pad)))
+        extra = (None,) * (cand.ndim - 3)
+        own = self._terms[:, self._stages, x]
+        tot = np.broadcast_to(cand, own.shape + cand.shape[3:]).copy()
+        # np.cumsum accumulates in order: element i is (a_0 + … + a_i).
+        tot[:, :, 1:] += np.cumsum(own, axis=2)[(..., slice(None, -1), *extra)]
+        for k in range(1, own.shape[2]):
+            tot[:, :, :k] += own[(..., slice(k, k + 1), *extra)]
+        return tot
 
     def _total(self, x: np.ndarray) -> np.ndarray:
-        """(JCT, cost) totals of plan ``x``."""
-        return stage_sum(self._terms[:, self._stages, x].T)
+        """(JCT, cost) totals of the plans ``x``: (2,) for one, (2, B) for B rows."""
+        return stage_sum(np.moveaxis(self._terms[:, self._stages, x], -1, 0))
 
     def _feasible(self, tot: np.ndarray) -> np.ndarray:
         """The constraint on (JCT, cost) totals of any shape."""
@@ -149,35 +171,40 @@ class GreedyHeuristicPlanner:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Eq. (10)/(12): objective improvement per unit of extra spend.
 
+        ``cur`` holds each row's (2, B) totals and ``tot`` its candidates'.
         Returns the benefit and the mask of moves that improve the
         objective with a positive benefit. Moves that improve the
         objective *and* reduce spend (possible via concurrency-wave
         effects) get an infinite benefit — always take them first.
         """
         o, s = self._obj, 1 - self._obj
+        cur = cur.reshape(cur.shape + (1,) * (tot.ndim - cur.ndim))
         gain = cur[o] - tot[o]
         spend = tot[s] - cur[s]
         benefit = np.divide(gain, spend, out=np.full_like(gain, math.inf), where=spend > 0)
         return benefit, (gain > 0) & (benefit > 0)
 
     @staticmethod
-    def _first_best(benefit: np.ndarray, ok: np.ndarray) -> int | None:
-        """Flat index of the first maximum benefit among ``ok`` moves."""
-        k = int(np.argmax(np.where(ok, benefit, -math.inf)))
-        return k if ok.flat[k] else None
+    def _first_best(benefit: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the flat index of the first maximum benefit among ``ok``
+        moves, and whether the row has any ``ok`` move at all."""
+        rows = len(ok)
+        k = np.where(ok, benefit, -math.inf).reshape(rows, -1).argmax(axis=1)
+        return k, ok.reshape(rows, -1)[np.arange(rows), k]
 
-    def _step(self, x: np.ndarray, direction: int, skip: int | None = None):
-        """Totals of the one-step ladder moves x_i → x_i + direction.
+    def _step(
+        self, x: np.ndarray, direction: np.ndarray, skip: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Totals of the one-step ladder moves x[b, i] → x[b, i] + direction[b].
 
-        ``direction=+1`` moves a stage to the next more expensive (faster)
-        point, ``-1`` to the next cheaper one. Returns the totals and the
-        mask of the moves that exist (stage ``skip`` excluded).
+        ``+1`` moves a stage to the next more expensive (faster) point,
+        ``-1`` to the next cheaper one. Returns the (2, B, n) totals and
+        the mask of the moves that exist, stage ``skip[b]`` excluded
+        (``-1`` excludes none).
         """
         n_points = self._terms.shape[2]
-        to = x + direction
-        moves = (to >= 0) & (to < n_points)
-        if skip is not None:
-            moves[skip] = False
+        to = x + direction[:, None]
+        moves = (to >= 0) & (to < n_points) & (self._stages != skip[:, None])
         # Off-ladder moves wrap to a valid index; the mask drops them.
         cand = self._terms[:, self._stages, to % n_points]
         return self._totals(x, cand), moves
@@ -225,13 +252,18 @@ class GreedyHeuristicPlanner:
                 best = np.full(spec.n_stages, w)
                 best_tot = self._total(best)
                 feasible = bool(self._feasible(best_tot))
-                starts = self._warm_starts(w, stats) if feasible else []
+                starts = self._warm_starts(w, stats) if feasible else np.empty(0, int)
                 ph.add("candidates_evaluated", stats.candidates_evaluated)
 
-            for j in starts:
-                x, tot = self._improve(np.full(spec.n_stages, j), stats)
-                if tot[self._obj] < best_tot[self._obj]:
-                    best, best_tot = x, tot
+            # Starts are independent, so they are refined in chunks; the
+            # first strict minimum in start order wins, as if each start
+            # were refined and compared in turn.
+            for chunk in range(0, len(starts), MAX_BATCH_ROWS):
+                x = np.repeat(starts[chunk:chunk + MAX_BATCH_ROWS, None], spec.n_stages, 1)
+                x, tot = self._improve(x, stats)
+                b = int(np.argmin(tot[self._obj]))
+                if tot[self._obj, b] < best_tot[self._obj]:
+                    best, best_tot = x[b], tot[:, b]
         best_plan = PartitionPlan(tuple(ladder[j] for j in best.tolist()))
         best_ev = self._evaluation(best)
         stats.wall_time_s = host_clock_s() - start
@@ -261,29 +293,29 @@ class GreedyHeuristicPlanner:
             feasible=feasible,
         )
 
-    def _warm_starts(self, w: int, stats: PlannerStats) -> list[int]:
+    def _warm_starts(self, w: int, stats: PlannerStats) -> np.ndarray:
         """Ladder indices of every feasible uniform plan, warm start first.
 
         Greedy refinement is a local search; multi-starting it from each
-        point of 𝒫 (a few dozen starts, each refining in microseconds)
-        closes most of the optimality gap against the exact DP at a cost
-        that is still a small fraction of one cold start."""
+        point of 𝒫 (a few dozen starts, refined together) closes most of
+        the optimality gap against the exact DP at a cost that is still a
+        small fraction of one cold start."""
         stats.candidates_evaluated += self._terms.shape[2]
         ok = self._feasible(stage_sum(self._terms.swapaxes(0, 1)))
         ok[w] = False
-        return [w, *np.flatnonzero(ok).tolist()]
+        return np.concatenate(([w], np.flatnonzero(ok)))
 
     def _improve(
         self, x: np.ndarray, stats: PlannerStats
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Both refinement phases for every row of ``x``: (plans, totals)."""
         # Counter deltas credit each refinement phase with exactly the plan
         # evaluations it performed, so the per-frame "candidates_evaluated"
         # counters sum to stats.candidates_evaluated.
         with profile_phase("planner/recycle_reinvest") as ph:
             before = stats.candidates_evaluated
-            stats.candidates_evaluated += 1
-            tot = self._total(x)
-            x, tot = self._recycle_and_reinvest(x, tot, stats)
+            stats.candidates_evaluated += len(x)
+            x, tot = self._recycle_and_reinvest(x, self._total(x), stats)
             ph.add("candidates_evaluated", stats.candidates_evaluated - before)
         with profile_phase("planner/spend_remainder") as ph:
             before = stats.candidates_evaluated
@@ -299,60 +331,94 @@ class GreedyHeuristicPlanner:
         # JCT-min (direction -1), faster points for cost-min (+1).
         o, s = self._obj, 1 - self._obj
         recycle_dir = -1 if o == 0 else +1
-        spend_cap = best_tot[s]
-        for _ in range(64):  # bounded outer loop; converges much earlier
-            stats.greedy_iterations += 1
-            tot, ok = self._step(best, recycle_dir)
+        best, best_tot = best.copy(), best_tot.copy()
+        # Each row steps from a_l: its best plan while it recycles, and
+        # that plan with stage `recycled` moved while it reinvests.
+        a_l, a_l_tot = best.copy(), best_tot.copy()
+        spend_cap = best_tot[s].copy()
+        recycled = np.full(len(best), -1)
+        rounds = np.zeros(len(best), dtype=int)
+        active = np.ones(len(best), dtype=bool)
+        while active.any():
+            recycling = recycled < 0
+            starting = recycling & active
+            stats.greedy_iterations += int(np.count_nonzero(starting))
+            rounds += starting
+            direction = np.where(recycling, recycle_dir, -recycle_dir)
+            tot, ok = self._step(a_l, direction, recycled)
+            ok &= active[:, None]
             stats.candidates_evaluated += int(np.count_nonzero(ok))
-            # Spend freed per unit of objective damage (the recycling metric).
-            freed = best_tot[s] - tot[s]
-            benefit = freed / np.maximum(tot[o] - best_tot[o], 1e-12)
-            recycled = self._first_best(benefit, ok & (freed > 0) & (benefit > 0))
-            if recycled is None:
-                break
-            a_l, a_l_tot = best.copy(), tot[:, recycled]
-            a_l[recycled] += recycle_dir
-            while True:
-                tot, ok = self._step(a_l, -recycle_dir, skip=recycled)
-                stats.candidates_evaluated += int(np.count_nonzero(ok))
-                benefit, improving = self._benefit(a_l_tot, tot)
-                k = self._first_best(benefit, ok & improving & (tot[s] <= spend_cap))
-                if k is None:
-                    break
-                a_l[k] -= recycle_dir
-                a_l_tot = tot[:, k]
+            # A recycling row scores the spend freed per unit of objective
+            # damage (the recycling metric); a reinvesting row the Eq.
+            # (10)/(12) benefit of the moves that keep its start's spend.
+            freed = a_l_tot[s, :, None] - tot[s]
+            recycle = freed / np.maximum(tot[o] - a_l_tot[o, :, None], 1e-12)
+            reinvest, improving = self._benefit(a_l_tot, tot)
+            ok &= np.where(
+                recycling[:, None],
+                (freed > 0) & (recycle > 0),
+                improving & (tot[s] <= spend_cap[:, None]),
+            )
+            k, found = self._first_best(
+                np.where(recycling[:, None], recycle, reinvest), ok
+            )
+            moved = np.flatnonzero(found)
+            a_l[moved, k[moved]] += direction[moved]
+            a_l_tot[:, moved] = tot[:, moved, k[moved]]
+            started = found & recycling
+            recycled[started] = k[started]
+            # A reinvesting row with no move left ends its round: it keeps
+            # a_l when a_l improves on its best by more than δ and is
+            # feasible, and starts the next round by recycling again.
+            ended = active & ~found & ~recycling
             improvement = best_tot[o] - a_l_tot[o]
-            if improvement <= self.delta * abs(best_tot[o]):
-                break
-            if not self._feasible(a_l_tot):
-                break
-            best, best_tot = a_l, a_l_tot
+            kept = ended & (improvement > self.delta * np.abs(best_tot[o]))
+            kept &= self._feasible(a_l_tot)
+            best[kept] = a_l[kept]
+            best_tot[:, kept] = a_l_tot[:, kept]
+            recycled[ended] = -1
+            # A row stops when recycling finds no move, when a round is not
+            # kept, or after its 64th round (bounded; converges much earlier).
+            active &= found | (kept & (rounds < 64))
         return best, best_tot
 
     # -- phase 2: spend the remaining headroom (Alg. 1 lines 15-25) ----------
     def _spend_remainder(
         self, best: np.ndarray, best_tot: np.ndarray, stats: PlannerStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        stats.greedy_iterations += 1  # phase 2 counts as one estimation round
+        # Phase 2 counts as one estimation round per row.
+        stats.greedy_iterations += len(best)
         n, n_points = self._terms.shape[1:]
+        best, best_tot = best.copy(), best_tot.copy()
+        live = np.arange(len(best))
+        x, x_tot = best.copy(), best_tot.copy()
+        everything = self._terms[:, None]
         for _ in range(512):
             # Phase 2 considers *every* (stage, candidate) replacement, not
             # just ladder neighbours: the boundary has cliffs (e.g. the
             # cheap DynamoDB tail vs the fast VM-PS cluster) that one-step
             # moves cannot cross, and the knapsack optimum routinely jumps
             # them. Moves that would break the constraint are masked (A2').
-            stats.candidates_evaluated += n * (n_points - 1)
-            tot = self._totals(best, self._terms)
-            benefit, ok = self._benefit(best_tot, tot)
+            stats.candidates_evaluated += live.size * n * (n_points - 1)
+            tot = self._totals(x, everything)
+            benefit, ok = self._benefit(x_tot, tot)
             ok &= self._feasible(tot)
-            ok[self._stages, best] = False
-            k = self._first_best(benefit, ok)
-            if k is None:
-                break
+            rows = np.arange(live.size)
+            ok[rows[:, None], self._stages, x] = False
+            k, found = self._first_best(benefit, ok)
             # Individual moves can be small, so phase 2 runs until no
             # strictly improving feasible move remains (δ governs the
             # coarser phase-1 rounds).
-            i, j = divmod(k, n_points)
-            best[i] = j
-            best_tot = tot[:, i, j]
+            i, j = np.divmod(k, n_points)
+            x[rows[found], i[found]] = j[found]
+            x_tot[:, found] = tot[:, rows[found], i[found], j[found]]
+            if not found.all():
+                done = ~found
+                best[live[done]] = x[done]
+                best_tot[:, live[done]] = x_tot[:, done]
+                live, x, x_tot = live[found], x[found], x_tot[:, found]
+                if not live.size:
+                    break
+        best[live] = x
+        best_tot[:, live] = x_tot
         return best, best_tot

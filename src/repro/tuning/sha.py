@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 from repro.common.errors import ValidationError
 from repro.common.rng import stream_for
 from repro.ml.curves import LossCurveSampler
@@ -141,6 +139,7 @@ class SHAEngine:
         self.workload = workload
         self.seed = seed
         self._rng = stream_for(seed, "sha", workload.name)
+        self._curve = workload.curve_params()
         self.trials = [self._make_trial(i) for i in range(spec.n_trials)]
         self.stage = 0
 
@@ -157,10 +156,9 @@ class SHAEngine:
         opt_lr = self.workload.learning_rate
         lr_dist = abs(math.log10(lr) - math.log10(opt_lr))
         mom_dist = abs(momentum - 0.9)
-        quality = float(np.clip(math.exp(-0.6 * lr_dist - 0.8 * mom_dist), 0.05, 1.0))
-        params = self.workload.curve_params()
+        quality = min(max(math.exp(-0.6 * lr_dist - 0.8 * mom_dist), 0.05), 1.0)
         sampler = LossCurveSampler(
-            params,
+            self._curve,
             seed=self.seed,
             run_label=("trial", index),
             anchor_target=self.workload.target_loss,

@@ -1,11 +1,13 @@
 """Tests for the partitioning plan, static planners and Algorithm 1."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analytical.profiler import ParetoProfiler
 from repro.common.errors import ConstraintError, ValidationError
 from repro.tuning.greedy_planner import GreedyHeuristicPlanner, PlannerStats
 from repro.tuning.plan import (
@@ -22,6 +24,7 @@ from repro.tuning.static_planner import (
     optimal_static_plan,
     static_plan,
 )
+from repro.workflow.job import tuning_envelope
 
 
 @pytest.fixture(scope="module")
@@ -435,3 +438,30 @@ class TestArrayPlannerMatchesScalar:
         assert res.feasible == feasible
         assert res.stats.candidates_evaluated == stats.candidates_evaluated
         assert res.stats.greedy_iterations == stats.greedy_iterations
+
+
+class TestBatchWorkingSet:
+    def test_wo_pa_plan_memory_bounded(self, lr_higgs):
+        """Starts are refined in batches of at most MAX_BATCH_ROWS rows, so a
+        WO-pa ladder (every one of 576 grid points a candidate and a
+        start) keeps a working set of a few MB instead of one that grows
+        with the number of starts."""
+        profile = ParetoProfiler(use_pareto=False).profile(lr_higgs)
+        assert len(profile.candidates) == 576
+        spec = SHASpec(16, 2, 1)
+        budget = tuning_envelope(profile, spec).budget(8.0)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            res = GreedyHeuristicPlanner().plan(
+                profile.candidates, spec, Objective.MIN_JCT_GIVEN_BUDGET,
+                budget_usd=budget,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert res.stats.candidates_evaluated == 33_107_614
+        assert peak <= 8_000_000
