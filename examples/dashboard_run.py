@@ -60,8 +60,7 @@ def main() -> None:
     # 3. High-water marks — the peaks of the `repro diagnose` breakdown.
     peaks = peaks_summary(ins.sampler)
     print(f"\npeak concurrency {peaks['concurrency']:g}, "
-          f"peak warm pool {peaks['warm_pool']:g}, "
-          f"peak storage bandwidth {peaks['storage_bandwidth_mb_s']:g} MB/s")
+          f"peak warm pool {peaks['warm_pool']:g}")
 
     # 4. Anomaly scan (clean run -> usually empty) and a self-compare
     #    through the one compare engine (`repro timeseries diff`).

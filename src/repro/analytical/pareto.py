@@ -9,7 +9,7 @@ to a few dozen (the Fig. 21 overhead reduction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.common.types import Allocation, EpochCostBreakdown, EpochTimeBreakdown
 
@@ -55,13 +55,6 @@ def pareto_front(
         ):
             front.append(p)
     return front
-
-
-def dominated_fraction(points: Sequence[ProfiledAllocation]) -> float:
-    """Fraction of points pruned by the Pareto boundary (reporting helper)."""
-    if not points:
-        return 0.0
-    return 1.0 - len(pareto_front(points)) / len(points)
 
 
 def is_dominated(p: ProfiledAllocation, others: Iterable[ProfiledAllocation]) -> bool:

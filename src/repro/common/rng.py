@@ -15,13 +15,6 @@ from typing import Iterator
 
 import numpy as np
 
-DEFAULT_SEED = 20230515  # IPDPS 2023 conference date, used as the global default
-
-
-def make_rng(seed: int | None = None) -> np.random.Generator:
-    """Create a root generator from an integer seed (library default if None)."""
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
 
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child generators from ``rng``."""
@@ -237,13 +230,6 @@ def _pcg64_first_double(pool: np.ndarray) -> np.ndarray:
     x = hi ^ lo
     x = (x >> rot) | (x << ((64 - rot) & 63))
     return (x >> 11) * (1.0 / 9007199254740992.0)
-
-
-def lognormal_factor(rng: np.random.Generator, sigma: float) -> float:
-    """A multiplicative noise factor with median 1.0 and log-std ``sigma``."""
-    if sigma <= 0.0:
-        return 1.0
-    return float(rng.lognormal(mean=0.0, sigma=sigma))
 
 
 def iter_seeds(base_seed: int, n: int) -> Iterator[int]:

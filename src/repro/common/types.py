@@ -67,10 +67,6 @@ class Allocation:
         if not isinstance(self.storage, StorageKind):
             raise ValidationError(f"storage must be a StorageKind, got {self.storage!r}")
 
-    def with_storage(self, storage: StorageKind) -> "Allocation":
-        """A copy of this allocation with a different storage service."""
-        return Allocation(self.n_functions, self.memory_mb, storage)
-
     def describe(self) -> str:
         """Compact human-readable form, e.g. ``10fn/1769MB/s3``."""
         return f"{self.n_functions}fn/{self.memory_mb}MB/{self.storage.value}"

@@ -3,7 +3,7 @@
 Internally the library uses a single convention:
 
 * time     — seconds (float)
-* data     — megabytes (float); helpers convert from and to bytes
+* data     — megabytes (float)
 * memory   — megabytes (int, Lambda-style 1 MB granularity)
 * money    — US dollars (float)
 * bandwidth — megabytes per second
@@ -12,24 +12,9 @@ Internally the library uses a single convention:
 from __future__ import annotations
 
 
-def mb_from_bytes(n_bytes: float) -> float:
-    """Convert a byte count to megabytes."""
-    return n_bytes / (1024.0 * 1024.0)
-
-
-def bytes_from_mb(mb: float) -> int:
-    """Convert megabytes to a whole number of bytes."""
-    return int(round(mb * 1024.0 * 1024.0))
-
-
 def gb_seconds(memory_mb: float, seconds: float) -> float:
     """Lambda's billing unit: memory in GB multiplied by duration in seconds."""
     return (memory_mb / 1024.0) * seconds
-
-
-def usd_per_million(count: float, price_per_million: float) -> float:
-    """Cost of ``count`` events priced per million events."""
-    return count * price_per_million / 1e6
 
 
 def format_usd(x: float) -> str:

@@ -12,41 +12,12 @@ from repro.common.errors import ValidationError
 T = TypeVar("T")
 
 
-def require_positive(value: float, name: str) -> float:
-    """Raise :class:`ValidationError` unless ``value`` > 0."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def require_non_negative(value: float, name: str) -> float:
-    """Raise :class:`ValidationError` unless ``value`` >= 0."""
-    if value < 0:
-        raise ValidationError(f"{name} must be non-negative, got {value!r}")
-    return value
-
-
-def require_in_range(value: float, lo: float, hi: float, name: str) -> float:
-    """Raise unless ``lo <= value <= hi``."""
-    if not (lo <= value <= hi):
-        raise ValidationError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-    return value
-
-
 def require_non_empty(items: Iterable[T], name: str) -> list[T]:
     """Materialize ``items`` and raise if the collection is empty."""
     out = list(items)
     if not out:
         raise ValidationError(f"{name} must not be empty")
     return out
-
-
-def require_one_of(value: T, options: Iterable[T], name: str) -> T:
-    """Raise unless ``value`` is one of ``options``."""
-    opts = list(options)
-    if value not in opts:
-        raise ValidationError(f"{name} must be one of {opts}, got {value!r}")
-    return value
 
 
 def is_number(value: object) -> TypeGuard[float]:

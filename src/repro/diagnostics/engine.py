@@ -4,7 +4,7 @@
 model drift, ex-post regret — over a :class:`RunObservation` and distills
 them into ranked :class:`Finding`s, next to the run's :class:`Breakdown`
 of cost, activity and peaks. The result serializes to a versioned JSON
-document (schema ``repro-diagnostics/v2``) and renders as a terminal
+document (schema ``repro-diagnostics/v3``) and renders as a terminal
 table, both deterministic: same run, same report, byte for byte. No
 timestamps, no environment — diffable across commits, so CI can treat a
 diagnosis as an artifact.
@@ -29,7 +29,7 @@ from repro.diagnostics.stragglers import StragglerAnalysis, detect_stragglers
 from repro.diagnostics.timeline import CONCURRENCY_PEAK, RunObservation
 from repro.ml.models import Workload, workload as lookup_workload
 
-JSON_SCHEMA = "repro-diagnostics/v2"
+JSON_SCHEMA = "repro-diagnostics/v3"
 
 #: Eq. (4)'s billed components, reported even at zero so breakdowns stay
 #: comparable; any other observed component follows, sorted.
@@ -43,7 +43,6 @@ ACTIVITY = (
     ("warm_pool_evictions", "warm-pool evictions",
      "repro_faas_warm_pool_evictions_total"),
     ("billed_gb_seconds", "billed GB-seconds", "repro_faas_billed_gb_seconds_total"),
-    ("storage_requests", "storage requests", "repro_storage_requests_total"),
     ("scheduler_reallocations", "scheduler reallocations",
      "repro_scheduler_reallocations_total"),
     ("planner_candidates_evaluated", "planner candidates evaluated",
@@ -54,7 +53,6 @@ ACTIVITY = (
 PEAKS = (
     ("concurrency", "peak concurrency in use", ""),
     ("warm_pool", "peak warm pool", ""),
-    ("storage_bandwidth_mb_s", "peak storage bandwidth", " MB/s"),
 )
 
 #: Finding severities, in increasing order of concern.

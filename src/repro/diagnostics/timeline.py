@@ -247,6 +247,11 @@ def _check_event(e: object) -> None:
     for key in _NUMERIC_ARGS:
         if args.get(key) is not None and not is_finite(args[key]):
             raise ValidationError(f"trace span args.{key} must be a finite number")
+    for key in ("epoch", "rank"):
+        if args.get(key) is not None and not float(args[key]).is_integer():
+            raise ValidationError(
+                f"trace span args.{key} must be an integer, got {args[key]!r}"
+            )
 
 
 def _chrome_spans(trace: dict) -> list[dict]:

@@ -37,11 +37,6 @@ class NoiseModel:
         # can verify it is drawing the same noise sequence.
         self.draws = 0
 
-    def compute_factor(self) -> float:
-        """Multiplicative jitter for a compute phase."""
-        self.draws += 1
-        return float(self._rng.lognormal(0.0, self.compute_sigma))
-
     def network_factor(self) -> float:
         """Multiplicative jitter for a network phase, with rare spikes."""
         base = float(self._rng.lognormal(0.0, self.network_sigma))

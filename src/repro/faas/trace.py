@@ -159,10 +159,6 @@ class TraceRecorder:
         """Events, optionally filtered by category, in start order."""
         return sorted(self._expand(category), key=lambda e: (e.start_s, e.track))
 
-    def total_time(self, category: str) -> float:
-        """Summed duration of one category's spans."""
-        return sum(e.duration_s for e in self.spans(category))
-
     def to_chrome_trace(self) -> str:
         """Chrome trace-event JSON ('X' complete events, µs timestamps).
 

@@ -16,7 +16,7 @@ byte-identical to runs without any plan at all.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ValidationError
@@ -276,11 +276,6 @@ class FaultPlan:
         if spec is None:
             spec = self.storage.get(ANY_STORAGE)
         return spec
-
-    def without_permanent_loss(self) -> "FaultPlan":
-        """A copy with the permanent-loss schedule cleared (tuning phases
-        have no per-epoch gang to lose)."""
-        return replace(self, permanent_loss=())
 
     # ------------------------------------------------------------------ payload
     def to_payload(self) -> dict:

@@ -13,7 +13,7 @@ allocation instead of aborting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import CheckpointError, ConstraintError
 from repro.common.types import Allocation, StorageKind
@@ -45,7 +45,6 @@ class CheckpointStore:
     last_epoch: int = 0
     n_restores: int = 0
     restore_overhead_total_s: float = 0.0
-    _restored_epochs: list[int] = field(default_factory=list)
 
     def save(self, epoch: int) -> None:
         """Mark ``epoch`` completed (its state is durable in storage)."""
@@ -62,13 +61,7 @@ class CheckpointStore:
             )
         self.n_restores += 1
         self.restore_overhead_total_s += overhead_s
-        self._restored_epochs.append(epoch)
         return overhead_s
-
-    @property
-    def restored_epochs(self) -> tuple[int, ...]:
-        return tuple(self._restored_epochs)
-
 
 def select_degraded_allocation(
     candidates: list,

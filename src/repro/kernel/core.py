@@ -42,14 +42,14 @@ class Priority(IntEnum):
     """Dispatch order for events sharing one timestamp (lower fires first).
 
     ``FAULT`` precedes ``EXECUTION`` so an injected failure lands before
-    the work it kills; ``STORAGE`` and ``SCHEDULER`` follow execution so
-    sync completions and reallocation points observe a finished epoch;
-    ``SLO`` evaluates last, once the timestamp's state is final.
+    the work it kills; ``SCHEDULER`` follows execution so reallocation
+    points observe a finished epoch; ``SLO`` evaluates last, once the
+    timestamp's state is final. Value 2 belonged to a storage class that
+    nothing scheduled; the other values keep their numbers.
     """
 
     FAULT = 0
     EXECUTION = 1
-    STORAGE = 2
     SCHEDULER = 3
     SLO = 4
 

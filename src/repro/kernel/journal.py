@@ -168,11 +168,6 @@ class RunJournal:
         records appended since open."""
         return len(self._expected) + self._appended
 
-    @property
-    def replay_remaining(self) -> int:
-        """Epoch boundaries still to be validated before appending resumes."""
-        return max(0, len(self._expected) - self._cursor)
-
     # ------------------------------------------------------------------ write
     def _append(self, record: dict) -> None:
         if self._fh is None:

@@ -67,11 +67,6 @@ def set_profiler(profiler) -> None:
     _profiler = profiler if profiler is not None else _NULL_PROFILER
 
 
-def profiling_enabled() -> bool:
-    """True when a real profiler is installed."""
-    return _profiler.enabled
-
-
 def profile_phase(name: str):
     """A context manager timing one frame of the installed profiler.
 
@@ -120,7 +115,6 @@ __all__ = [
     "load_capture",
     "profile_phase",
     "profiled",
-    "profiling_enabled",
     "render_capture",
     "set_profiler",
     "to_collapsed",

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.common.meta import coerce_meta
 from repro.common.schemas import SCHEMA_KEYS
+from repro.common.validation import is_number, require_object
 from repro.runs.provenance import ProvenanceStamp
 
 BUNDLE_SCHEMA = "repro-bundle/v1"
@@ -46,6 +48,8 @@ HOST_TIMED_KINDS = frozenset({"profile", "flamegraph"})
 _ARTIFACT_KEYS = frozenset(
     {"kind", "filename", "sha256", "n_bytes", "artifact_schema", "deterministic"}
 )
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 def sha256_text(text: str) -> str:
@@ -161,8 +165,14 @@ def load_manifest(text: str) -> dict:
     return payload
 
 
-def validate_manifest(payload: dict) -> None:
-    """Raise :class:`ValidationError` unless ``payload`` matches the schema."""
+def validate_manifest(payload: object) -> None:
+    """Raise :class:`ValidationError` unless ``payload`` matches the schema.
+
+    Every field a reader uses is checked, so ``runs show``, ``list``,
+    ``compare``, ``export`` and ``gc`` never act on a value they did not
+    write: an artifact's filename, schema and determinism must be the
+    ones its kind implies, its digest a sha256 and its size a count.
+    """
     if not isinstance(payload, dict):
         raise ValidationError("manifest must be a JSON object")
     schema = payload.get("schema")
@@ -176,22 +186,71 @@ def validate_manifest(payload: dict) -> None:
             f"manifest top-level keys {sorted(payload)} do not match the "
             f"{BUNDLE_SCHEMA} contract {sorted(keys)}"
         )
+    _check_meta(require_object(payload["meta"], "manifest 'meta'"))
+    summary = require_object(payload["summary"], "manifest 'summary'")
+    for key in ("jct_s", "cost_usd"):
+        if summary.get(key) is not None and not is_number(summary[key]):
+            raise ValidationError(f"manifest summary {key!r} must be a number")
     if not isinstance(payload["artifacts"], list):
         raise ValidationError("manifest 'artifacts' must be a list")
+    seen = set()
     for entry in payload["artifacts"]:
-        missing = _ARTIFACT_KEYS - set(entry)
-        if missing:
-            raise ValidationError(
-                f"manifest artifact {entry.get('kind')!r} lacks keys "
-                f"{sorted(missing)}"
-            )
-        if entry["kind"] not in ARTIFACT_KINDS:
-            raise ValidationError(
-                f"manifest names unknown artifact kind {entry['kind']!r}"
-            )
+        _check_entry(require_object(entry, "manifest artifact"), seen)
     run_id = payload.get("run_id", "")
     if not (isinstance(run_id, str) and run_id.startswith("r") and len(run_id) == 13):
-        raise ValidationError(f"malformed run id {run_id!r}")
+        raise ValidationError(f"malformed run id {run_id!r:.40}")
+
+
+def _check_meta(meta: dict) -> None:
+    for key in ("command", "workload", "method"):
+        if not isinstance(meta.get(key, ""), str):
+            raise ValidationError(f"manifest meta {key!r} must be a string")
+    seed = meta.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValidationError(f"manifest meta 'seed' must be an integer, got {seed!r:.40}")
+    prov = require_object(meta.get("provenance") or {}, "manifest meta 'provenance'")
+    argv = prov.get("argv", [])
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise ValidationError("manifest provenance 'argv' must be a list of strings")
+
+
+def _check_entry(entry: dict, seen: set) -> None:
+    """Check one artifact row against what its kind implies."""
+    missing = _ARTIFACT_KEYS - set(entry)
+    if missing:
+        raise ValidationError(
+            f"manifest artifact {entry.get('kind')!r:.40} lacks keys "
+            f"{sorted(missing)}"
+        )
+    kind = entry["kind"]
+    if not isinstance(kind, str) or kind not in ARTIFACT_KINDS:
+        raise ValidationError(f"manifest names unknown artifact kind {kind!r:.40}")
+    if kind in seen:
+        raise ValidationError(f"manifest names artifact kind {kind!r} twice")
+    seen.add(kind)
+    filename, schema = ARTIFACT_KINDS[kind]
+    for key, want in (
+        ("filename", filename),
+        ("artifact_schema", schema),
+        ("deterministic", kind not in HOST_TIMED_KINDS),
+    ):
+        if type(entry[key]) is not type(want) or entry[key] != want:
+            raise ValidationError(
+                f"manifest artifact {kind!r} {key} must be {want!r}, "
+                f"got {entry[key]!r:.40}"
+            )
+    sha = entry["sha256"]
+    if not (isinstance(sha, str) and _SHA256.fullmatch(sha)):
+        raise ValidationError(
+            f"manifest artifact {kind!r} sha256 must be 64 lowercase hex "
+            f"digits, got {sha!r:.40}"
+        )
+    n_bytes = entry["n_bytes"]
+    if not isinstance(n_bytes, int) or isinstance(n_bytes, bool) or n_bytes < 0:
+        raise ValidationError(
+            f"manifest artifact {kind!r} n_bytes must be a non-negative "
+            f"integer, got {n_bytes!r:.40}"
+        )
 
 
 def render_manifest(manifest: dict) -> str:

@@ -161,23 +161,3 @@ class ProvenanceStamp:
             "package_version": self.package_version,
             "config_hash": self.config_hash,
         }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "ProvenanceStamp":
-        """Rebuild a stamp from a capture's meta block (best effort)."""
-        prov = dict(meta.get("provenance") or {})
-        return cls(
-            command=str(meta.get("command", "")),
-            workload=str(meta.get("workload", "")),
-            method=str(meta.get("method", "")),
-            seed=int(meta.get("seed", 0) or 0),
-            package_version=str(prov.get("package_version", "")),
-            config_hash=str(prov.get("config_hash", "")),
-            argv=tuple(str(a) for a in prov.get("argv", [])),
-            schema_versions=tuple(
-                sorted(
-                    (str(k), str(v))
-                    for k, v in dict(prov.get("schema_versions") or {}).items()
-                )
-            ),
-        )

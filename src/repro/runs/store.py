@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.common.errors import ValidationError
 from repro.runs.bundle import (
+    ARTIFACT_KINDS,
     RunBundle,
     load_manifest,
     manifest_to_json,
@@ -135,7 +136,7 @@ class RunStore:
         written.append(manifest_path)
         for entry in manifest["artifacts"]:
             text = self.read_artifact(manifest, entry["kind"])
-            path = dest_dir / entry["filename"]
+            path = dest_dir / ARTIFACT_KINDS[entry["kind"]][0]
             path.write_text(text, encoding="utf-8")
             written.append(path)
         return written

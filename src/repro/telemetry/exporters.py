@@ -15,7 +15,7 @@ from typing import Iterable
 
 from repro.common.meta import coerce_meta
 from repro.common.validation import is_number
-from repro.telemetry.metrics import MetricSnapshot, Sample
+from repro.telemetry.metrics import MetricSnapshot
 
 JSON_SCHEMA = "repro-telemetry/v1"
 
@@ -99,38 +99,6 @@ def snapshots_to_payload(snapshots: Iterable[MetricSnapshot]) -> list[dict]:
                     {"labels": dict(sample.labels), "value": sample.value}
                 )
         out.append(entry)
-    return out
-
-
-def payload_to_snapshots(metrics: list[dict]) -> list[MetricSnapshot]:
-    """Inverse of :func:`snapshots_to_payload`."""
-    out = []
-    for entry in metrics:
-        samples = []
-        for s in entry.get("samples", []):
-            if entry["type"] == "histogram":
-                samples.append(
-                    Sample(
-                        labels=dict(s["labels"]),
-                        sum=float(s["sum"]),
-                        count=int(s["count"]),
-                        buckets=tuple(int(n) for n in s["buckets"]),
-                    )
-                )
-            else:
-                samples.append(
-                    Sample(labels=dict(s["labels"]), value=float(s["value"]))
-                )
-        out.append(
-            MetricSnapshot(
-                name=entry["name"],
-                type=entry["type"],
-                help=entry.get("help", ""),
-                labelnames=tuple(entry.get("labelnames", [])),
-                bucket_bounds=tuple(entry.get("bucket_bounds", [])),
-                samples=tuple(samples),
-            )
-        )
     return out
 
 

@@ -72,11 +72,6 @@ def set_sampler(sampler) -> None:
     _sampler = sampler if sampler is not None else _NULL_SAMPLER
 
 
-def sampling_enabled() -> bool:
-    """True when a real sampler is installed."""
-    return _sampler.enabled
-
-
 __all__ = [
     "Anomaly",
     "Marker",
@@ -91,7 +86,6 @@ __all__ = [
     "peaks_summary",
     "render_capture",
     "render_dashboard",
-    "sampling_enabled",
     "set_sampler",
     "to_json",
     "validate_capture",

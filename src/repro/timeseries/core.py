@@ -172,12 +172,7 @@ def peaks_summary(sampler: TimeSeriesSampler) -> dict:
     when sampling was on — sampler-off runs keep their pre-existing byte
     output.
     """
-    storage_peak = 0.0
-    for name in sorted(sampler.series):
-        if name.startswith("storage.") and name.endswith(".bandwidth_mb_s"):
-            storage_peak = max(storage_peak, sampler.high_water(name))
     return {
         "concurrency": sampler.high_water("platform.inflight"),
         "warm_pool": sampler.high_water("platform.warm_pool"),
-        "storage_bandwidth_mb_s": storage_peak,
     }

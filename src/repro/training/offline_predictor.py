@@ -21,7 +21,6 @@ from repro.common.errors import PredictionError
 from repro.common.rng import stream_for
 from repro.ml.curves import LossCurveSampler
 from repro.ml.models import Workload
-from repro.training.online_predictor import OnlinePredictor
 
 
 @dataclass
@@ -97,29 +96,3 @@ class OfflinePredictor:
             if sampler.next_loss() <= self.workload.target_loss:
                 return float(e)
         return float(max_epochs)
-
-    def extrapolate_from_pilot(self) -> float:
-        """Alternative estimate: fit the short pilot trajectory and
-        extrapolate (the curve-fitting variant of the offline method;
-        strictly less stable than running the pilot to the target)."""
-        losses = self.run_pilot()
-        predictor = OnlinePredictor(
-            target_loss=self.workload.target_loss,
-            min_points=3,
-            families=("inverse_power_law",),
-        )
-        for loss in losses:
-            predictor.observe(loss)
-        try:
-            return predictor.predict_total_epochs()
-        except PredictionError:
-            first, last = losses[0], losses[-1]
-            slope = (first - last) / max(len(losses) - 1, 1)
-            if slope <= 0:
-                return float(self.pilot_epochs * 10)
-            return float(
-                max(
-                    self.pilot_epochs,
-                    (first - self.workload.target_loss) / slope,
-                )
-            )

@@ -1,6 +1,5 @@
 """Hyperparameter tuning: SHA/HyperBand/BOHB, partitioning, Algorithm 1."""
 
-from repro.tuning.asha import ASHAEngine, ASHASpec
 from repro.tuning.bohb import BOHBEngine, BOHBResult, BOHBRunner, TPESampler
 from repro.tuning.exact import ExactResult, solve_exact
 from repro.tuning.executor import TuningExecutor, TuningRunResult
@@ -15,8 +14,6 @@ from repro.tuning.static_planner import (
 )
 
 __all__ = [
-    "ASHAEngine",
-    "ASHASpec",
     "BOHBEngine",
     "BOHBResult",
     "BOHBRunner",

@@ -17,7 +17,7 @@ from repro.common.rng import stream_for
 from repro.common.types import Allocation
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.tuning.plan import PartitionPlan, stage_waves
-from repro.tuning.sha import SHAEngine, SHASpec, StageShape, Trial
+from repro.tuning.sha import SHAEngine, StageShape, Trial
 from repro.ml.models import Workload
 from repro.profiling import profile_phase
 from repro.telemetry import get_tracer
@@ -37,12 +37,6 @@ class StageRecord:
     cost_usd: float
     sync_s: float
     waves: int
-
-    @property
-    def cost_per_trial_usd(self) -> float:
-        """Average spend per trial in this stage (Fig. 11's y-axis)."""
-        return self.cost_usd / self.n_trials
-
 
 @dataclass
 class TuningRunResult:

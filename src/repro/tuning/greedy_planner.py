@@ -78,6 +78,12 @@ from repro.slo.events import get_event_bus
 # (2 × rows × n × L) candidate totals to a few MB.
 MAX_BATCH_ROWS = 40
 
+# Round caps: a start stops after this many recycle-and-reinvest rounds
+# (phase 1) and this many spend-remainder moves (phase 2). Both bound the
+# loops; the catalogue's ladders converge long before either.
+MAX_RECYCLE_ROUNDS = 64
+MAX_SPEND_ROUNDS = 512
+
 
 @dataclass
 class PlannerStats:
@@ -378,8 +384,8 @@ class GreedyHeuristicPlanner:
             best_tot[:, kept] = a_l_tot[:, kept]
             recycled[ended] = -1
             # A row stops when recycling finds no move, when a round is not
-            # kept, or after its 64th round (bounded; converges much earlier).
-            active &= found | (kept & (rounds < 64))
+            # kept, or after its MAX_RECYCLE_ROUNDS-th round.
+            active &= found | (kept & (rounds < MAX_RECYCLE_ROUNDS))
         return best, best_tot
 
     # -- phase 2: spend the remaining headroom (Alg. 1 lines 15-25) ----------
@@ -393,7 +399,7 @@ class GreedyHeuristicPlanner:
         live = np.arange(len(best))
         x, x_tot = best.copy(), best_tot.copy()
         everything = self._terms[:, None]
-        for _ in range(512):
+        for _ in range(MAX_SPEND_ROUNDS):
             # Phase 2 considers *every* (stage, candidate) replacement, not
             # just ladder neighbours: the boundary has cliffs (e.g. the
             # cheap DynamoDB tail vs the fast VM-PS cluster) that one-step

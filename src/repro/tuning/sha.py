@@ -208,9 +208,3 @@ class SHAEngine:
             raise ValidationError("SHA run has not finished yet")
         alive = self.alive_trials
         return max(alive, key=lambda t: t.score)
-
-    def run_to_completion(self) -> Trial:
-        """Run every remaining stage and return the winner."""
-        while not self.finished:
-            self.run_stage()
-        return self.winner()

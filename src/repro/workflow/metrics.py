@@ -18,13 +18,6 @@ def normalize(values: Mapping[str, float], base: str) -> dict[str, float]:
     return {k: v / denom for k, v in values.items()}
 
 
-def improvement_pct(baseline: float, ours: float) -> float:
-    """Relative reduction of ``ours`` vs ``baseline`` in percent."""
-    if baseline <= 0:
-        raise ValidationError(f"baseline must be positive, got {baseline}")
-    return (1.0 - ours / baseline) * 100.0
-
-
 @dataclass
 class ComparisonTable:
     """A tiny column-oriented table with aligned text rendering.
@@ -69,6 +62,3 @@ class ComparisonTable:
         for r in cells:
             lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
         return "\n".join(lines)
-
-    def as_dicts(self) -> list[dict[str, object]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]

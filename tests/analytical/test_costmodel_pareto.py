@@ -12,7 +12,6 @@ from repro.common.types import (
 from repro.analytical.costmodel import epoch_cost, function_price_per_second, storage_cost
 from repro.analytical.pareto import (
     ProfiledAllocation,
-    dominated_fraction,
     is_dominated,
     pareto_front,
 )
@@ -111,10 +110,6 @@ class TestPareto:
         pts = [_pt(1, 1), _pt(2, 2)]
         assert is_dominated(pts[1], pts)
         assert not is_dominated(pts[0], pts)
-
-    def test_dominated_fraction(self):
-        pts = [_pt(1, 1), _pt(2, 2), _pt(3, 3), _pt(0.5, 4)]
-        assert dominated_fraction(pts) == pytest.approx(0.5)
 
     @given(
         st.lists(

@@ -36,13 +36,6 @@ class TestAllocation:
         with pytest.raises(ValidationError):
             Allocation(1, 1769, "s3")  # type: ignore[arg-type]
 
-    def test_with_storage_copies(self):
-        a = Allocation(10, 1769, StorageKind.S3)
-        b = a.with_storage(StorageKind.VMPS)
-        assert b.storage is StorageKind.VMPS
-        assert b.n_functions == a.n_functions
-        assert a.storage is StorageKind.S3
-
     def test_describe(self):
         assert Allocation(10, 1769, StorageKind.S3).describe() == "10fn/1769MB/s3"
 

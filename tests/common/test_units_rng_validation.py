@@ -6,28 +6,13 @@ from hypothesis import given, strategies as st
 
 from repro.common import units
 from repro.common.errors import ValidationError
-from repro.common.rng import iter_seeds, lognormal_factor, make_rng, spawn, stream_for
-from repro.common.validation import (
-    require_in_range,
-    require_non_empty,
-    require_non_negative,
-    require_one_of,
-    require_positive,
-)
+from repro.common.rng import iter_seeds, spawn, stream_for
+from repro.common.validation import require_non_empty
 
 
 class TestUnits:
-    def test_mb_from_bytes(self):
-        assert units.mb_from_bytes(1024 * 1024) == pytest.approx(1.0)
-
-    def test_bytes_roundtrip(self):
-        assert units.mb_from_bytes(units.bytes_from_mb(3.5)) == pytest.approx(3.5)
-
     def test_gb_seconds(self):
         assert units.gb_seconds(1024, 10) == pytest.approx(10.0)
-
-    def test_usd_per_million(self):
-        assert units.usd_per_million(2_000_000, 0.20) == pytest.approx(0.4)
 
     def test_format_usd_large(self):
         assert units.format_usd(1234.5) == "$1,234.50"
@@ -43,13 +28,6 @@ class TestUnits:
 
 
 class TestRng:
-    def test_default_seed_deterministic(self):
-        assert make_rng().random() == make_rng().random()
-
-    def test_explicit_seed(self):
-        assert make_rng(7).random() == make_rng(7).random()
-        assert make_rng(7).random() != make_rng(8).random()
-
     def test_stream_for_stable(self):
         a = stream_for(1, "x", 2).random()
         b = stream_for(1, "x", 2).random()
@@ -59,16 +37,9 @@ class TestRng:
         assert stream_for(1, "x").random() != stream_for(1, "y").random()
 
     def test_spawn_children_independent(self):
-        children = spawn(make_rng(0), 3)
+        children = spawn(np.random.default_rng(0), 3)
         values = {c.random() for c in children}
         assert len(values) == 3
-
-    def test_lognormal_factor_zero_sigma(self):
-        assert lognormal_factor(make_rng(0), 0.0) == 1.0
-
-    def test_lognormal_factor_positive(self):
-        rng = make_rng(0)
-        assert all(lognormal_factor(rng, 0.3) > 0 for _ in range(100))
 
     def test_iter_seeds_distinct(self):
         seeds = list(iter_seeds(0, 10))
@@ -81,29 +52,7 @@ class TestRng:
 
 
 class TestValidation:
-    def test_require_positive_ok(self):
-        assert require_positive(1.5, "x") == 1.5
-
-    def test_require_positive_rejects_zero(self):
-        with pytest.raises(ValidationError):
-            require_positive(0, "x")
-
-    def test_require_non_negative(self):
-        assert require_non_negative(0, "x") == 0
-        with pytest.raises(ValidationError):
-            require_non_negative(-1, "x")
-
-    def test_require_in_range(self):
-        assert require_in_range(5, 0, 10, "x") == 5
-        with pytest.raises(ValidationError):
-            require_in_range(11, 0, 10, "x")
-
     def test_require_non_empty(self):
         assert require_non_empty([1], "x") == [1]
         with pytest.raises(ValidationError):
             require_non_empty([], "x")
-
-    def test_require_one_of(self):
-        assert require_one_of("a", ["a", "b"], "x") == "a"
-        with pytest.raises(ValidationError):
-            require_one_of("c", ["a", "b"], "x")

@@ -82,7 +82,6 @@ class TestBreakdown:
         assert activity["cold_starts"] == 10
         assert activity["scheduler_reallocations"] == 3
         assert activity["billed_gb_seconds"] == 333.0
-        assert activity["storage_requests"] == 0.0
 
     def test_total_cost_falls_back_to_billed_sum(self):
         run = {k: v for k, v in RUN.items() if k != "cost_usd"}
@@ -93,15 +92,15 @@ class TestBreakdown:
     def test_peaks_fall_back_to_the_concurrency_gauge(self):
         reg = _registry_for_run()
         reg.gauge("repro_faas_concurrency_peak_in_use").set(12.0)
-        assert _diagnose(reg).breakdown.peaks == {
-            "concurrency": 12.0, "warm_pool": 0.0, "storage_bandwidth_mb_s": 0.0,
-        }
+        assert _diagnose(reg).breakdown.peaks == {"concurrency": 12.0, "warm_pool": 0.0}
+        # A capture written before the storage-bandwidth peak was dropped
+        # still carries it: it loads, and the breakdown leaves it out.
         sampled = dict(RUN, peaks={"concurrency": 0.0, "warm_pool": 3.0,
                                    "storage_bandwidth_mb_s": 40.0})
         assert _diagnose(reg, run=sampled).breakdown.peaks["concurrency"] == 12.0
         sampled["peaks"]["concurrency"] = 9.0
         assert _diagnose(reg, run=sampled).breakdown.peaks == {
-            "concurrency": 9.0, "warm_pool": 3.0, "storage_bandwidth_mb_s": 40.0,
+            "concurrency": 9.0, "warm_pool": 3.0,
         }
 
     def test_empty_capture_renders_without_error(self):
@@ -148,12 +147,10 @@ REPORT_ROWS = {
         ("warm-pool hits", "11100.0", None),
         ("warm-pool evictions", "0.0", None),
         ("billed GB-seconds", "93025.7", None),
-        ("storage requests", "0.0", None),
         ("scheduler reallocations", "0.0", None),
         ("planner candidates evaluated", "0.0", None),
         ("peak concurrency in use", "300.0", None),
         ("peak warm pool", "0.0", None),
-        ("peak storage bandwidth", "0.0 MB/s", None),
     ],
     "tune": [
         ("critical path (JCT", "252.403 s", None),
@@ -171,12 +168,10 @@ REPORT_ROWS = {
         ("warm-pool hits", "0.0", None),
         ("warm-pool evictions", "0.0", None),
         ("billed GB-seconds", "0.0", None),
-        ("storage requests", "0.0", None),
         ("scheduler reallocations", "0.0", None),
         ("planner candidates evaluated", "32405.0", None),
         ("peak concurrency in use", "0.0", None),
         ("peak warm pool", "0.0", None),
-        ("peak storage bandwidth", "0.0 MB/s", None),
     ],
 }
 
@@ -206,6 +201,9 @@ class TestCaptures:
             line = next(line for line in lines if line.startswith(prefix))
             assert value in line, (prefix, line)
             assert share is None or share in line, (prefix, line)
+        # Nothing records storage requests or storage bandwidth: no such rows.
+        assert not [line for line in lines
+                    if line.startswith(("storage requests", "peak storage bandwidth"))]
 
     def test_totals_agree_with_the_timeline(self, captures):
         telemetry = json.loads((captures / "train.json").read_text())
@@ -228,7 +226,7 @@ class TestCaptures:
         sync = next(c for c in payload["critical_path"]["components"]
                     if c["component"] == "sync")
         assert sync["seconds"] == round(run["comm_overhead_s"], 9) > 0
-        assert payload["schema"] == "repro-diagnostics/v2"
+        assert payload["schema"] == "repro-diagnostics/v3"
 
     @pytest.mark.parametrize("kinds", [{"telemetry"}, {"telemetry", "timeseries"}],
                              ids=["gauge", "sampler"])

@@ -86,12 +86,12 @@ class TestNoiseModel:
     def test_deterministic(self):
         a = NoiseModel(1, "x")
         b = NoiseModel(1, "x")
-        assert a.compute_factor() == b.compute_factor()
+        assert (a.compute_factors(4) == b.compute_factors(4)).all()
         assert a.network_factor() == b.network_factor()
 
     def test_factors_positive(self):
         n = NoiseModel(0)
-        assert all(n.compute_factor() > 0 for _ in range(50))
+        assert (n.compute_factors(50) > 0).all()
         assert all(n.network_factor() > 0 for _ in range(50))
 
     def test_compute_factors_vector(self):
@@ -104,7 +104,7 @@ class TestNoiseModel:
         import numpy as np
 
         n = NoiseModel(3)
-        samples = [n.compute_factor() for _ in range(500)]
+        samples = n.compute_factors(500)
         assert abs(np.median(samples) - 1.0) < 0.05
 
 

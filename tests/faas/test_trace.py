@@ -34,7 +34,6 @@ class TestRecorder:
         rec.record("a", "compute", 0.0, 2.0, "t")
         rec.record("b", "compute", 2.0, 3.0, "t")
         rec.record("c", "sync", 5.0, 1.0, "t")
-        assert rec.total_time("compute") == pytest.approx(5.0)
         assert rec.summary() == {"compute": 5.0, "sync": 1.0}
 
     def test_chrome_trace_valid_json(self):
@@ -254,8 +253,6 @@ class TestColumnarWorkerBlocks:
         for e in events:
             summary[e.category] = summary.get(e.category, 0.0) + e.duration_s
         assert repr(rec.summary()) == repr(summary)
-        want = sum(e.duration_s for e in rec.spans("worker"))
-        assert repr(rec.total_time("worker")) == repr(want)
 
     def test_block_rejects_negative_and_non_finite(self):
         rec = TraceRecorder()

@@ -89,12 +89,6 @@ class TestStorageLookup:
         plan = FaultPlan(storage={"s3": StorageFaultSpec(transient_prob=0.3)})
         assert plan.storage_spec("dynamodb") is None
 
-    def test_without_permanent_loss(self):
-        plan = FaultPlan.default_profile()
-        stripped = plan.without_permanent_loss()
-        assert stripped.permanent_loss == ()
-        assert stripped.crash_prob == plan.crash_prob
-
 
 class TestBackoffMath:
     def test_backoff_grows_geometrically(self):

@@ -41,7 +41,6 @@ class TestCheckpointStore:
         assert store.restore(3, 1.25) == 1.25
         assert store.n_restores == 1
         assert store.restore_overhead_total_s == pytest.approx(1.25)
-        assert store.restored_epochs == (3,)
 
     def test_restore_budget_exhaustion(self):
         store = CheckpointStore(max_restores=2)

@@ -13,11 +13,10 @@ class TestPriorityDispatch:
         # Scheduled worst-first: the heap must reorder them by class.
         kernel.schedule(1.0, lambda: order.append("slo"), Priority.SLO)
         kernel.schedule(1.0, lambda: order.append("sched"), Priority.SCHEDULER)
-        kernel.schedule(1.0, lambda: order.append("storage"), Priority.STORAGE)
         kernel.schedule(1.0, lambda: order.append("exec"), Priority.EXECUTION)
         kernel.schedule(1.0, lambda: order.append("fault"), Priority.FAULT)
         kernel.run()
-        assert order == ["fault", "exec", "storage", "sched", "slo"]
+        assert order == ["fault", "exec", "sched", "slo"]
 
     def test_same_priority_keeps_scheduling_order(self):
         kernel = EventKernel()

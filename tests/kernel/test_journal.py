@@ -104,11 +104,10 @@ class TestReplayValidation:
     def test_matching_replay_then_append(self, journal_path):
         _write_journal(journal_path, 2)
         with RunJournal.open_resume(journal_path) as j:
-            assert j.replay_remaining == 2
             j.record_epoch(**_fields(1))
-            assert j.replay_remaining == 1
             j.record_epoch(**_fields(2))
-            assert j.replay_remaining == 0
+            # Replayed boundaries are validated, not appended again.
+            assert j.n_epochs_journaled == 2
             j.record_epoch(**_fields(3))  # past the prefix: appended
             j.commit()
         reopened = RunJournal.open_resume(journal_path)

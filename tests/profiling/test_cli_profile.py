@@ -171,8 +171,8 @@ class TestInlineProfileFlags:
         assert {1, 2} <= pids
 
     def test_profiler_uninstalled_without_flag(self, capsys):
-        from repro.profiling import profiling_enabled
+        from repro.profiling import get_profiler
 
         rc = main(["train", "lr-higgs", "--budget-multiple", "2.5"])
         assert rc == 0
-        assert not profiling_enabled()
+        assert not get_profiler().enabled

@@ -10,7 +10,6 @@ from repro.profiling import (
     get_profiler,
     profile_phase,
     profiled,
-    profiling_enabled,
     set_profiler,
 )
 from repro.profiling.core import NULL_PHASE, UNATTRIBUTED
@@ -102,7 +101,7 @@ class TestCounterAttribution:
 class TestGlobalInstall:
     def test_default_is_null_and_hooks_are_noops(self):
         assert isinstance(get_profiler(), NullProfiler)
-        assert not profiling_enabled()
+        assert not get_profiler().enabled
         assert profile_phase("anything") is NULL_PHASE
         with profile_phase("anything") as ph:
             ph.add("ignored", 5)  # must not raise, must not record
@@ -112,13 +111,13 @@ class TestGlobalInstall:
         prof = Profiler(clock=FakeClock())
         set_profiler(prof)
         try:
-            assert profiling_enabled()
+            assert get_profiler().enabled
             with profile_phase("a"):
                 pass
             assert ("a",) in prof.frames
         finally:
             set_profiler(None)
-        assert not profiling_enabled()
+        assert not get_profiler().enabled
         assert isinstance(get_profiler(), NullProfiler)
 
     def test_null_profiler_state_is_empty_and_shared_safely(self):

@@ -1,7 +1,12 @@
 """RunStore: the content-addressed registry under .repro/runs."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.common.errors import ValidationError
 from repro.runs import ProvenanceStamp, RunBundle, RunStore
 
@@ -105,3 +110,60 @@ class TestMaintenance:
 
     def test_gc_on_empty_store(self, store):
         assert store.gc() == {"n_removed": 0, "n_kept": 0, "n_runs": 0}
+
+
+def _entry(kind: str):
+    return lambda m: next(e for e in m["artifacts"] if e["kind"] == kind)
+
+
+#: Manifest edits a reader must refuse: each one used to end in exit 0
+#: or a traceback in at least one `repro runs` action.
+TAMPERED = {
+    "filename-escape": lambda m: _entry("trace")(m).update(filename="../escape.json"),
+    "filename-other-kind": lambda m: _entry("trace")(m).update(filename="telemetry.json"),
+    "meta-int": lambda m: m.update(meta=7),
+    "meta-seed-list": lambda m: m["meta"].update(seed=[1]),
+    "meta-provenance-list": lambda m: m["meta"].update(provenance=[1]),
+    "summary-list": lambda m: m.update(summary=[1]),
+    "summary-jct-list": lambda m: m["summary"].update(jct_s=[1]),
+    "artifact-int": lambda m: m["artifacts"].append(5),
+    "sha256-null": lambda m: _entry("trace")(m).update(sha256=None),
+    "sha256-upper": lambda m: _entry("trace")(m).update(
+        sha256=_entry("trace")(m)["sha256"].upper()),
+    "sha256-path": lambda m: _entry("trace")(m).update(sha256="../" * 21 + "x"),
+    "n_bytes-bool": lambda m: _entry("trace")(m).update(n_bytes=True),
+    "n_bytes-negative": lambda m: _entry("trace")(m).update(n_bytes=-1),
+    "n_bytes-float": lambda m: _entry("trace")(m).update(n_bytes=1.5),
+    "schema-wrong": lambda m: _entry("trace")(m).update(artifact_schema="repro-events/v1"),
+    "deterministic-wrong": lambda m: _entry("trace")(m).update(deterministic=False),
+    "deterministic-int": lambda m: _entry("trace")(m).update(deterministic=1),
+    "kind-list": lambda m: _entry("trace")(m).update(kind=["trace"]),
+    "kind-twice": lambda m: m["artifacts"].append(dict(_entry("trace")(m))),
+}
+
+
+class TestTamperedManifest:
+    """A manifest is checked field by field before any action reads it:
+    every `repro runs` action exits 2 with one stderr line, export writes
+    nothing, and gc deletes no object."""
+
+    @pytest.mark.parametrize("case", sorted(TAMPERED))
+    def test_every_action_refuses(self, case, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        run_id = store.save(_bundle())
+        path = store.manifest_dir / f"{run_id}.json"
+        manifest = json.loads(path.read_text())
+        TAMPERED[case](manifest)
+        path.write_text(json.dumps(manifest))
+        objects = sorted(store.object_dir.rglob("*"))
+        dest = tmp_path / "dest"
+        for argv in (["show", run_id], ["list"], ["compare", run_id, run_id],
+                     ["export", run_id, str(dest)], ["gc"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["runs", *argv, "--store", str(store.root)])
+            assert rc == 2, (argv, out.getvalue())
+            assert err.getvalue().startswith("repro runs: manifest")
+            assert err.getvalue().count("\n") == 1
+        assert sorted(store.object_dir.rglob("*")) == objects
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]

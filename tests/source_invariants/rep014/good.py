@@ -6,7 +6,7 @@ from repro.kernel import EventKernel, Priority
 def run_round(actions: list) -> float:
     kernel = EventKernel()
     for delay, action in actions:
-        kernel.schedule(delay, action, priority=Priority.STORAGE)
+        kernel.schedule(delay, action, priority=Priority.SCHEDULER)
     return kernel.run()
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.telemetry.exporters import (
     from_json_payload,
-    payload_to_snapshots,
     snapshots_to_payload,
     to_json,
     to_prometheus_text,
@@ -76,11 +75,8 @@ class TestPrometheusText:
 
 class TestJsonRoundTrip:
     def test_snapshots_survive_round_trip(self):
-        snaps = _populated_registry().snapshot()
-        restored = payload_to_snapshots(
-            json.loads(json.dumps(snapshots_to_payload(snaps)))
-        )
-        assert restored == snaps
+        payload = snapshots_to_payload(_populated_registry().snapshot())
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_document_round_trip(self):
         reg = _populated_registry()
@@ -92,7 +88,7 @@ class TestJsonRoundTrip:
         payload = from_json_payload(doc)
         assert payload["run"]["jct_s"] == 12.5
         assert payload["meta"]["command"] == "train"
-        assert payload_to_snapshots(payload["metrics"]) == reg.snapshot()
+        assert payload["metrics"] == snapshots_to_payload(reg.snapshot())
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):

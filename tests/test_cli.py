@@ -8,6 +8,7 @@ from pathlib import Path
 
 import contextlib
 import io
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ import repro
 from repro.cli import build_parser, main
 from repro.faults import FaultLedger, FaultPlan
 from repro.faults.ledger import RECORD_KINDS, SUMMARY_NUMBERS
+from repro.runs import ProvenanceStamp, RunBundle, RunStore, load_manifest
 from repro.slo.events import EVENT_KINDS, EventLog
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.exporters import to_json
@@ -158,6 +160,17 @@ def _events_with(row) -> str:
     return json.dumps({"schema": "repro-events/v1", "meta": {}}) + "\n" + json.dumps(row)
 
 
+def _trace_with(*span_args) -> dict:
+    """A Chrome trace: one epoch span with the first ``span_args``, then one
+    worker span for each further one."""
+    first, *rest = span_args
+    spans = [{"ph": "X", "name": "epoch 1", "cat": "epoch", "tid": 1, "ts": 0.0,
+              "dur": 2e6, "args": first}]
+    spans += [{"ph": "X", "name": "worker 0", "cat": "worker", "tid": 2, "ts": 0.0,
+               "dur": 1e6, "args": args} for args in rest]
+    return {"traceEvents": spans}
+
+
 def _journal(header) -> str:
     """An uncommitted repro-journal/v1 holding only a header with ``header``'s fields."""
     return json.dumps({"schema": "repro-journal/v1", "kind": "header", "meta": {}, **header}) + "\n"
@@ -179,6 +192,11 @@ MALFORMED_FILES = {
     "spec.json": {"schema": "repro-slo/v1", "deadline_s": "x"},
     "telemetry.json": {"schema": "repro-telemetry/v1"},
     "trace.json": {"traceEvents": []},
+    # A valid capture, and traces whose epoch or rank is not an integer.
+    "telemetry-ok.json": {"schema": "repro-telemetry/v1", "meta": {}, "metrics": [],
+                          "run": {"jct_s": 2.0, "cost_usd": 0.1}},
+    "trace-epoch.json": _trace_with({"epoch": 2.7}),
+    "trace-rank.json": _trace_with({"epoch": 1}, {"rank": 0.5}),
     "slo-ok.json": {"schema": "repro-slo/v1", "name": "ok", "deadline_s": 300.0},
     "events-nokind.jsonl": _events_with({"seq": 0, "t_s": 1.0, "data": {}}),
     "events-row.jsonl": _events_with([1, 2]),
@@ -240,6 +258,8 @@ class TestMalformedInput:
             ["train", "lr-higgs", "--slo", "spec.json"],
             ["diagnose", "array.json"],
             ["diagnose", "telemetry.json", "--trace", "trace.json"],
+            ["diagnose", "telemetry-ok.json", "--trace", "trace-epoch.json"],
+            ["diagnose", "telemetry-ok.json", "--trace", "trace-rank.json"],
             ["train", "lr-higgs", "--budget", "2.0", "--seed", "-1"],
             ["tune", "lr-higgs", "--seed", "x"],
             ["slo", "--spec", "slo-ok.json", "--capture", "events-nokind.jsonl"],
@@ -352,8 +372,6 @@ class TestMalformedInput:
         """An output path whose directory does not exist is bad input: it
         is rejected before the job runs, not when the capture or report is
         written."""
-        from repro.runs import ProvenanceStamp, RunBundle, RunStore
-
         (tmp_path / "spec.json").write_text(
             (Path(__file__).resolve().parents[1] / "examples" / "slo_spec.json").read_text()
         )
@@ -587,7 +605,14 @@ def _trace_bytes(draw) -> bytes:
     ) | _json_values
     doc = draw(st.fixed_dictionaries(
         {"traceEvents": st.lists(event, max_size=4) | _json_values}) | _json_values)
-    return _mangled(draw, _valid_trace(), st.just(json.dumps(doc).encode()))
+    # The valid trace with its epoch span's epoch or its worker's rank
+    # replaced by a number, integral or not.
+    renumbered = json.loads(_valid_trace())
+    span, key = draw(st.sampled_from([(1, "epoch"), (3, "rank")]))
+    renumbered["traceEvents"][span]["args"][key] = draw(
+        st.sampled_from([1, 2.0, 2.7]) | st.floats(0, 5))
+    shaped = st.sampled_from([json.dumps(doc).encode(), json.dumps(renumbered).encode()])
+    return _mangled(draw, _valid_trace(), shaped)
 
 
 def _valid_fault_report() -> bytes:
@@ -702,9 +727,63 @@ def _journal_bytes(draw, valid: bytes) -> bytes:
     return _mangled(draw, valid, st.just(shaped.encode()))
 
 
-def _run_in_process(argv: list[str]) -> None:
-    """Run the CLI; any exit but 0/1/2, or exit 2 without one stderr line,
-    fails."""
+#: Values a fuzzed manifest field may take: paths that leave DEST, digests
+#: of the wrong shape, a count that is a bool, or any JSON value.
+_MANIFEST_VALUES = st.sampled_from(
+    ["../escape.json", "sub/x.json", "trace.json", "A" * 64, "0" * 64, -1, True]
+) | _json_values
+
+
+@st.composite
+def _manifest_bytes(draw, valid: bytes) -> bytes:
+    """``valid`` with one field of its manifest replaced or one artifact row
+    added or dropped, or truncated, or byte-mutated."""
+    doc = json.loads(valid)
+    value = draw(_MANIFEST_VALUES)
+    where = draw(st.sampled_from(["top", "meta", "provenance", "summary", "entry",
+                                  "append", "drop"]))
+    rows = doc["artifacts"]
+    if where == "top":
+        doc[draw(st.sampled_from(sorted(doc)))] = value
+    elif where == "meta":
+        doc["meta"][draw(st.sampled_from(["command", "workload", "seed", "provenance"]))] = value
+    elif where == "provenance":
+        doc["meta"]["provenance"][draw(st.sampled_from(["argv", "package_version"]))] = value
+    elif where == "summary":
+        doc["summary"][draw(st.sampled_from(["jct_s", "cost_usd", "converged"]))] = value
+    elif where == "entry":
+        entry = rows[draw(st.integers(0, len(rows) - 1))]
+        entry[draw(st.sampled_from(sorted(entry)))] = value
+    elif where == "append":
+        rows.append(dict(rows[draw(st.integers(0, len(rows) - 1))])
+                    if draw(st.booleans()) else value)
+    else:
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    return _mangled(draw, valid, st.just(json.dumps(doc).encode()))
+
+
+def _has_fractional_index(data: bytes) -> bool:
+    """Whether a trace document holds a span whose args.epoch or args.rank
+    is a finite number that is not an integer."""
+    try:
+        events = json.loads(data).get("traceEvents")
+    except (ValueError, AttributeError):
+        return False
+    return isinstance(events, list) and any(
+        isinstance(e, dict) and e.get("ph") == "X" and isinstance(e.get("args"), dict)
+        and any(isinstance(v, float) and v - v == 0 and not v.is_integer()
+                for v in (e["args"].get("epoch"), e["args"].get("rank")))
+        for e in events
+    )
+
+
+def _tree(root: Path) -> set[Path]:
+    return set(root.rglob("*"))
+
+
+def _run_in_process(argv: list[str]) -> int:
+    """Run the CLI and return its exit code; any exit but 0/1/2, or exit 2
+    without one stderr line, fails."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -714,12 +793,13 @@ def _run_in_process(argv: list[str]) -> None:
         assert err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+    return rc
 
 
 class TestCaptureFuzz:
     """Any event log, telemetry, profile, timeseries, trace, fault plan,
-    fault report, SLO spec or run journal ends in exit 0, 1 or 2, never a
-    traceback."""
+    fault report, SLO spec, run-store manifest or run journal ends in exit
+    0, 1 or 2, never a traceback."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -768,9 +848,13 @@ class TestCaptureFuzz:
     @given(data=_trace_bytes())
     @settings(max_examples=200, deadline=None)
     def test_diagnose_survives_any_trace(self, workdir, data):
+        """A span whose epoch or rank is not an integer is rejected, not
+        rounded down."""
         path = str(workdir / "fuzz-trace.json")
         (workdir / "fuzz-trace.json").write_bytes(data)
-        _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--trace", path])
+        rc = _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--trace", path])
+        if _has_fractional_index(data):
+            assert rc == 2
 
     @given(data=_fault_plan_bytes())
     @settings(max_examples=200, deadline=None)
@@ -795,6 +879,43 @@ class TestCaptureFuzz:
         path.write_bytes(data)
         _run_in_process(["slo", "--spec", str(path), "--capture",
                          str(workdir / "events.jsonl")])
+
+    @pytest.fixture(scope="class")
+    def run_store(self, workdir) -> Path:
+        """A store holding one run with an event log, telemetry and trace."""
+        stamp = ProvenanceStamp.collect("train", workload="lr-higgs", seed=0,
+                                        argv=["train", "lr-higgs"])
+        texts = {"events": _valid_events(), "telemetry": _valid_telemetry(),
+                 "trace": _valid_trace()}
+        RunStore(workdir / "template-store").save(RunBundle(
+            stamp, {kind: text.decode() for kind, text in texts.items()},
+            summary={"jct_s": 84.0, "cost_usd": 1.2, "converged": True}))
+        return workdir / "template-store"
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_runs_readers_survive_any_manifest(self, workdir, run_store, data):
+        """No action writes outside DEST, and gc deletes no object while the
+        manifest is malformed."""
+        store, dest = workdir / "fuzz-store", workdir / "fuzz-dest"
+        shutil.rmtree(store, ignore_errors=True)
+        shutil.rmtree(dest, ignore_errors=True)
+        shutil.copytree(run_store, store)
+        (path,) = (store / "manifests").glob("*.json")
+        path.write_bytes(data.draw(_manifest_bytes(path.read_bytes())))
+        try:
+            load_manifest(path.read_text(encoding="utf-8"))
+            malformed = False
+        except ValueError:
+            malformed = True
+        objects = _tree(store / "objects")
+        before = _tree(workdir)
+        for argv in (["show", path.stem], ["list"], ["compare", path.stem, path.stem],
+                     ["export", path.stem, str(dest)], ["gc"]):
+            _run_in_process(["runs", *argv, "--store", str(store)])
+        assert all(p == dest or dest in p.parents for p in _tree(workdir) - before)
+        if malformed:
+            assert _tree(store / "objects") == objects
 
     @pytest.fixture(scope="class")
     def committed_journal(self, workdir) -> bytes:

@@ -5,7 +5,6 @@ from repro.timeseries import (
     SeriesBuffer,
     TimeSeriesSampler,
     get_sampler,
-    sampling_enabled,
     set_sampler,
 )
 
@@ -93,7 +92,7 @@ class TestGlobalSampler:
     def test_default_is_null_and_inert(self):
         sampler = get_sampler()
         assert isinstance(sampler, NullSampler)
-        assert not sampling_enabled()
+        assert not sampler.enabled
         sampler.sample("a", 0.0, 1.0)
         sampler.mark("k", 0.0)
         assert sampler.series == {}
@@ -105,10 +104,10 @@ class TestGlobalSampler:
         set_sampler(mine)
         try:
             assert get_sampler() is mine
-            assert sampling_enabled()
+            assert get_sampler().enabled
         finally:
             set_sampler(prev)
-        assert not sampling_enabled()
+        assert not get_sampler().enabled
 
     def test_set_none_reinstalls_null(self):
         set_sampler(TimeSeriesSampler())

@@ -90,17 +90,7 @@ class TestPeaksSummary:
         s.sample("platform.inflight", 0.0, 10.0)
         s.sample("platform.inflight", 1.0, 300.0)
         s.sample("platform.warm_pool", 1.0, 42.0)
-        s.sample("storage.s3.bandwidth_mb_s", 0.5, 120.0)
-        s.sample("storage.vmps.bandwidth_mb_s", 0.5, 340.0)
-        assert peaks_summary(s) == {
-            "concurrency": 300.0,
-            "warm_pool": 42.0,
-            "storage_bandwidth_mb_s": 340.0,
-        }
+        assert peaks_summary(s) == {"concurrency": 300.0, "warm_pool": 42.0}
 
     def test_empty_sampler_yields_zeros(self):
-        assert peaks_summary(TimeSeriesSampler()) == {
-            "concurrency": 0.0,
-            "warm_pool": 0.0,
-            "storage_bandwidth_mb_s": 0.0,
-        }
+        assert peaks_summary(TimeSeriesSampler()) == {"concurrency": 0.0, "warm_pool": 0.0}

@@ -319,7 +319,3 @@ class TestOfflinePredictor:
     def test_pilot_trajectory_length(self):
         w = workload("lr-higgs")
         assert len(OfflinePredictor(w, pilot_epochs=7).run_pilot()) == 7
-
-    def test_extrapolate_variant_positive(self):
-        w = workload("mobilenet-cifar10")
-        assert OfflinePredictor(w, seed=1).extrapolate_from_pilot() > 0

@@ -56,9 +56,6 @@ class TestTuningExecutor:
         for i, rec in enumerate(result.stages):
             assert rec.n_trials == spec.trials_in_stage(i)
             assert rec.epochs_per_trial == spec.epochs_in_stage(i)
-            assert rec.cost_per_trial_usd == pytest.approx(
-                rec.cost_usd / rec.n_trials
-            )
 
     def test_comm_overhead_positive(self, lr_higgs, spec, plan):
         result = TuningExecutor(lr_higgs, spec, seed=0).run(plan)

@@ -10,6 +10,7 @@ from repro.tuning.hyperband import BracketSpec, HyperBandSpec
 from repro.tuning.plan import Objective, evaluate_plan
 from repro.tuning.executor import TuningExecutor
 from repro.tuning.sha import SHAEngine
+from tests.tuning.test_sha import run_to_completion
 
 
 class TestBracketSpec:
@@ -119,7 +120,7 @@ class TestBOHB:
         sampler = TPESampler(seed=0)
         bracket = BracketSpec(n_trials=8, reduction_factor=2, initial_epochs=1)
         engine = BOHBEngine(bracket, mobilenet, sampler, seed=0)
-        engine.run_to_completion()
+        run_to_completion(engine)
         engine.report_to_sampler()
         assert sampler.n_observations == 8
 

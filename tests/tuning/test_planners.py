@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analytical.profiler import ParetoProfiler
 from repro.common.errors import ConstraintError, ValidationError
+from repro.tuning import greedy_planner
 from repro.tuning.greedy_planner import GreedyHeuristicPlanner, PlannerStats
 from repro.tuning.plan import (
     Objective,
@@ -24,7 +25,9 @@ from repro.tuning.static_planner import (
     optimal_static_plan,
     static_plan,
 )
+from repro.ml.models import workload
 from repro.workflow.job import tuning_envelope
+from tests.tuning.test_planner_golden import CASES
 
 
 @pytest.fixture(scope="module")
@@ -192,10 +195,13 @@ class ScalarGreedyPlanner:
     kept here (without instrumentation) to pin the array version's
     plans, evaluations and counters. Its stage totals use ``stage_sum``,
     the same left-to-right order as ``evaluate_plan``, so the comparison
-    is exact on every Python version.
+    is exact on every Python version. It reads the planner module's round
+    caps when it runs, and counts the starts each cap stopped in
+    ``capped``.
     """
 
     delta: float = 0.001
+    capped: dict = field(default_factory=lambda: {"recycle": 0, "spend": 0})
 
     def _build_cache(self, ladder, spec):
         self._index = {p.allocation: j for j, p in enumerate(ladder)}
@@ -335,7 +341,7 @@ class ScalarGreedyPlanner:
     ):
         recycle_dir = -1 if objective is Objective.MIN_JCT_GIVEN_BUDGET else +1
         spend_cap = self._spend_value(best_ev, objective)
-        for _ in range(64):
+        for _ in range(greedy_planner.MAX_RECYCLE_ROUNDS):
             stats.greedy_iterations += 1
             scored = []
             for stage_idx, cand in self._neighbors(best, ladder, recycle_dir):
@@ -367,6 +373,8 @@ class ScalarGreedyPlanner:
             if not self._within_constraint(a_l_ev, objective, budget_usd, qos_s):
                 break
             best, best_ev = a_l, a_l_ev
+        else:
+            self.capped["recycle"] += 1
         return best, best_ev
 
     def _spend_remainder(
@@ -374,7 +382,7 @@ class ScalarGreedyPlanner:
     ):
         tabu = set()
         stats.greedy_iterations += 1
-        for _ in range(512):
+        for _ in range(greedy_planner.MAX_SPEND_ROUNDS):
             scored = []
             for stage_idx in range(len(best.stages)):
                 current = best.stages[stage_idx]
@@ -399,6 +407,8 @@ class ScalarGreedyPlanner:
             _, cand, cev = max(scored, key=lambda s: s[0])
             best, best_ev = cand, cev
             tabu.clear()
+        else:
+            self.capped["spend"] += 1
         return best, best_ev
 
 
@@ -438,6 +448,38 @@ class TestArrayPlannerMatchesScalar:
         assert res.feasible == feasible
         assert res.stats.candidates_evaluated == stats.candidates_evaluated
         assert res.stats.greedy_iterations == stats.greedy_iterations
+
+
+class TestRoundCaps:
+    def test_low_caps_match_scalar_and_bind(self, monkeypatch):
+        """With both round caps lowered, the array planner still matches the
+        scalar reference bit for bit on every catalogue ladder, and some
+        start stops at each cap, so an off-by-one in either cap shows."""
+        monkeypatch.setattr(greedy_planner, "MAX_RECYCLE_ROUNDS", 2)
+        monkeypatch.setattr(greedy_planner, "MAX_SPEND_ROUNDS", 3)
+        scalar = ScalarGreedyPlanner()
+        for model, objective, (trials, eta), multiple, use_pareto in CASES:
+            if not use_pareto:
+                continue
+            profile = ParetoProfiler().profile(workload(model))
+            spec = SHASpec(trials, eta, 1)
+            env = tuning_envelope(profile, spec)
+            if objective is Objective.MIN_JCT_GIVEN_BUDGET:
+                kwargs = {"budget_usd": env.budget(multiple)}
+            else:
+                kwargs = {"qos_s": env.qos(multiple)}
+            res = GreedyHeuristicPlanner().plan(profile.candidates, spec, objective, **kwargs)
+            plan, ev, static_ev, stats, feasible = scalar.plan(
+                profile.candidates, spec, objective, **kwargs
+            )
+            assert res.plan == plan
+            assert res.evaluation == ev
+            assert res.static_evaluation == static_ev
+            assert res.feasible == feasible
+            assert res.stats.candidates_evaluated == stats.candidates_evaluated
+            assert res.stats.greedy_iterations == stats.greedy_iterations
+        assert scalar.capped["recycle"] > 0
+        assert scalar.capped["spend"] > 0
 
 
 class TestBatchWorkingSet:

@@ -8,6 +8,14 @@ from repro.ml.models import workload
 from repro.tuning.sha import SHAEngine, SHASpec
 
 
+def run_to_completion(engine: SHAEngine):
+    """Run every remaining stage, as the tuning executor does, and return
+    the winner."""
+    while not engine.finished:
+        engine.run_stage()
+    return engine.winner()
+
+
 class TestSHASpec:
     def test_paper_headline_shape(self):
         spec = SHASpec.paper_headline()
@@ -72,14 +80,14 @@ class TestSHAEngine:
 
     def test_run_to_completion_single_winner(self):
         eng = self._engine()
-        winner = eng.run_to_completion()
+        winner = run_to_completion(eng)
         assert eng.finished
         assert len(eng.alive_trials) == 1
         assert winner.alive
 
     def test_cannot_run_past_end(self):
         eng = self._engine()
-        eng.run_to_completion()
+        run_to_completion(eng)
         with pytest.raises(ValidationError):
             eng.run_stage()
 
@@ -89,8 +97,8 @@ class TestSHAEngine:
             eng.winner()
 
     def test_deterministic(self):
-        w1 = self._engine(seed=7).run_to_completion()
-        w2 = self._engine(seed=7).run_to_completion()
+        w1 = run_to_completion(self._engine(seed=7))
+        w2 = run_to_completion(self._engine(seed=7))
         assert w1.index == w2.index
 
     def test_winner_quality_above_median(self):
@@ -102,7 +110,7 @@ class TestSHAEngine:
         for seed in range(8):
             eng = self._engine(n=64, seed=seed)
             median_q = float(np.median([t.quality for t in eng.trials]))
-            if eng.run_to_completion().quality > median_q:
+            if run_to_completion(eng).quality > median_q:
                 better += 1
         assert better >= 7
 

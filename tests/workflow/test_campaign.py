@@ -8,6 +8,7 @@ from repro.tuning.sha import SHASpec
 from repro.workflow.campaign import effective_workload, run_workflow
 from repro.workflow.job import tuning_envelope
 from repro.workflow.runner import profile_workload
+from tests.tuning.test_sha import run_to_completion
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ class TestEffectiveWorkload:
         from repro.tuning.sha import SHAEngine
 
         eng = SHAEngine(SHASpec(16, 2, 1), mobilenet, seed=0)
-        winner = eng.run_to_completion()
+        winner = run_to_completion(eng)
         w2 = effective_workload(mobilenet, winner)
         assert w2.learning_rate == winner.learning_rate
         assert w2.nominal_epochs >= mobilenet.nominal_epochs
@@ -32,7 +33,7 @@ class TestEffectiveWorkload:
         from repro.tuning.sha import SHAEngine
 
         eng = SHAEngine(SHASpec(16, 2, 1), mobilenet, seed=0)
-        winner = eng.run_to_completion()
+        winner = run_to_completion(eng)
         object.__setattr__(winner, "quality", 1.0)
         w2 = effective_workload(mobilenet, winner)
         assert w2.nominal_epochs == pytest.approx(mobilenet.nominal_epochs)

@@ -8,7 +8,7 @@ from repro.ml.models import workload
 from repro.tuning.plan import Objective
 from repro.tuning.sha import SHASpec
 from repro.workflow.job import TABLE_IV, training_envelope, tuning_envelope
-from repro.workflow.metrics import ComparisonTable, improvement_pct, normalize
+from repro.workflow.metrics import ComparisonTable, normalize
 from repro.workflow.runner import (
     TRAINING_METHODS,
     TUNING_METHODS,
@@ -51,9 +51,6 @@ class TestMetrics:
         with pytest.raises(ValidationError):
             normalize({"a": 0.0}, base="a")
 
-    def test_improvement_pct(self):
-        assert improvement_pct(100.0, 40.0) == pytest.approx(60.0)
-
     def test_table_rendering(self):
         t = ComparisonTable(columns=["name", "value"], title="T")
         t.add_row("x", 1.5)
@@ -64,12 +61,6 @@ class TestMetrics:
         t = ComparisonTable(columns=["a", "b"])
         with pytest.raises(ValidationError):
             t.add_row(1)
-
-    def test_table_as_dicts(self):
-        t = ComparisonTable(columns=["a", "b"])
-        t.add_row(1, 2)
-        assert t.as_dicts() == [{"a": 1, "b": 2}]
-
 
 class TestRunners:
     def test_unknown_training_method(self, mobilenet):
