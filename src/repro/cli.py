@@ -5,8 +5,8 @@ Usage examples::
     python -m repro list-workloads
     python -m repro profile mobilenet-cifar10
     python -m repro train lr-higgs --budget 2.0 --method ce-scaling
-    python -m repro train lr-higgs --telemetry out.json --trace out.trace.json
-    python -m repro diagnose out.json --trace out.trace.json
+    python -m repro train lr-higgs --telemetry out.json --events out.events.jsonl
+    python -m repro diagnose out.json --events out.events.jsonl
     python -m repro diagnose lr-higgs --budget 2.0 --format json
     python -m repro tune lr-higgs --trials 256 --budget-multiple 1.3
     python -m repro train lr-higgs --timeseries ts.json
@@ -493,6 +493,25 @@ def _constraint(args, env) -> tuple[Objective, float | None, float | None]:
     return Objective.MIN_JCT_GIVEN_BUDGET, budget, None
 
 
+def _train_summary(r, objective: Objective, budget, qos) -> dict:
+    """A training run's telemetry ``run`` block."""
+    return {
+        "jct_s": r.jct_s,
+        "cost_usd": r.cost_usd,
+        "converged": r.converged,
+        "n_epochs": len(r.epochs),
+        "n_restarts": r.n_restarts,
+        "comm_overhead_s": r.comm_overhead_s,
+        "scheduling_overhead_s": r.scheduling_overhead_s,
+        "storage_cost_usd": r.storage_cost_usd,
+        # Constraint context, so `repro diagnose` on this capture can
+        # re-judge the scheduler's decisions (ex-post regret).
+        "objective": objective.value,
+        "budget_usd": budget,
+        "qos_s": qos,
+    }
+
+
 def cmd_train(args, journal=None) -> int:
     try:
         w = workload(args.workload)
@@ -521,21 +540,7 @@ def cmd_train(args, journal=None) -> int:
         )
         r = run.result
         ins.set_run_summary(
-            {
-                "jct_s": r.jct_s,
-                "cost_usd": r.cost_usd,
-                "converged": r.converged,
-                "n_epochs": len(r.epochs),
-                "n_restarts": r.n_restarts,
-                "comm_overhead_s": r.comm_overhead_s,
-                "scheduling_overhead_s": r.scheduling_overhead_s,
-                "storage_cost_usd": r.storage_cost_usd,
-                # Constraint context, so `repro diagnose` on this capture
-                # can re-judge the scheduler's decisions (ex-post regret).
-                "objective": objective.value,
-                "budget_usd": budget,
-                "qos_s": qos,
-            },
+            _train_summary(r, objective, budget, qos),
             ledger=run.fault_ledger, plan=plan,
         )
     print(f"method={args.method}  converged={r.converged}  "
@@ -764,13 +769,10 @@ def cmd_timeseries(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    import json
-
     from repro.diagnostics import RunObservation, diagnose
     from repro.faults import FaultLedger
-    from repro.slo import SLOSpec
+    from repro.slo import EventLog, SLOSpec
     from repro.timeseries import load_capture
-    from repro.timeseries.core import peaks_summary
 
     if _bad_out("diagnose", args.out):
         return 2
@@ -781,15 +783,16 @@ def cmd_diagnose(args) -> int:
         fault_plan = _fault_plan(args)
         if args.fault_report:
             # A saved repro-faults-report/v1 (written with --fault-report
-            # on the original run) supplies the fault attribution.
-            _, report = FaultLedger.load(args.fault_report)
-            faults = dict(report.get("summary") or {})
+            # on the original run) supplies the fault attribution; its
+            # records give the recovery totals a live run reports.
+            ledger, report = FaultLedger.load(args.fault_report)
+            faults = {**ledger.recovery_counts(), **(report.get("summary") or {})}
         if target.exists():
             # Capture mode: a telemetry JSON written by --telemetry, plus
-            # (optionally) the matching Chrome trace for the epoch timeline
+            # (optionally) the same run's event log for the epoch timeline
             # and a saved repro-timeseries/v1 capture for the anomaly rules.
-            trace = json.loads(Path(args.trace).read_text()) if args.trace else None
-            obs = RunObservation.from_capture(from_json_payload(target.read_text()), trace)
+            log = EventLog.from_jsonl(Path(args.events).read_text()) if args.events else None
+            obs = RunObservation.from_capture(from_json_payload(target.read_text()), log)
             if args.timeseries:
                 ts_payload = load_capture(Path(args.timeseries).read_text())
         elif target.suffix in (".json", ".jsonl") or "/" in args.target:
@@ -801,13 +804,14 @@ def cmd_diagnose(args) -> int:
             # --timeseries samples the live run into that path.
             ins = Instruments(
                 _stamp(args, "diagnose", workload_name=args.target),
-                kinds={"telemetry"}, paths={"timeseries": args.timeseries},
+                kinds={"telemetry", "events"}, paths={"timeseries": args.timeseries},
             )
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("diagnose", exc)
     if ins is not None:
-        # Live mode: run the training job here, then diagnose it in full
-        # fidelity (per-worker timings, restart split, Pareto candidates).
+        # Live mode: run the training job here under the same collectors a
+        # `train --telemetry --events` capture uses, then read them back
+        # through the one builder; live mode adds the Pareto candidates.
         profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
         objective, budget, qos = _constraint(args, training_envelope(w, profile))
         with ins:
@@ -818,11 +822,9 @@ def cmd_diagnose(args) -> int:
                 straggler_factors=dict(args.straggler),
                 fault_plan=fault_plan,
             )
+            ins.set_run_summary(_train_summary(run.result, objective, budget, qos))
         ts_payload = ins.payloads.get("timeseries")
-        obs = RunObservation.from_training_run(
-            run, registry=ins.registry,
-            peaks=peaks_summary(ins.sampler) if ins.sampler is not None else None,
-        )
+        obs = RunObservation.from_capture(from_json_payload(ins.texts["telemetry"]), ins.log)
         candidates = run.profile.candidates
         faults = run.result.extra.get("faults", faults)
     report = diagnose(
@@ -1150,12 +1152,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "TARGET is either a workload name (the job runs here, "
                     "then gets diagnosed) or a telemetry JSON file saved "
                     "with --telemetry by train, tune or workflow (pair a "
-                    "train capture with its --trace for the epoch timeline).",
+                    "train capture with its --events log for the epoch "
+                    "timeline).",
     )
     p.add_argument("target", metavar="TARGET",
                    help="workload name, or path to a saved telemetry JSON")
-    p.add_argument("--trace", metavar="PATH",
-                   help="Chrome trace saved alongside the telemetry capture")
+    p.add_argument("--events", metavar="PATH",
+                   help="repro-events/v1 log saved alongside the telemetry "
+                        "capture, for the epoch timeline")
     p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
     p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
     p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5)

@@ -16,14 +16,6 @@ from typing import Iterator
 import numpy as np
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``."""
-    seq = rng.bit_generator.seed_seq  # type: ignore[attr-defined]
-    if not isinstance(seq, np.random.SeedSequence):  # pragma: no cover - defensive
-        seq = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
-    return [np.random.default_rng(s) for s in seq.spawn(n)]
-
-
 def stream_for(seed: int, *labels: object) -> np.random.Generator:
     """A named independent stream: same (seed, labels) -> same stream.
 

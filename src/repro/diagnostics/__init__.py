@@ -1,13 +1,21 @@
 """Run diagnostics: critical path, breakdown, stragglers, drift, regret.
 
-The engine turns a finished run — live (:class:`TrainingRun`) or captured
-(telemetry JSON + Chrome trace) — into structured, deterministic findings:
+The engine turns a finished run into structured, deterministic findings.
+A run is read through one builder, :meth:`RunObservation.from_capture`:
+its telemetry document plus, for the epoch timeline, its event log, whose
+``epoch_done`` rows carry each epoch's record. A saved capture and a live
+run under :class:`~repro.runs.Instruments` take the same path:
 
+>>> import json
 >>> from repro.diagnostics import RunObservation, diagnose
+>>> from repro.runs import Instruments
 >>> from repro.workflow import run_training
->>> run = run_training("lr-higgs", budget_usd=2.0)        # doctest: +SKIP
->>> report = diagnose(RunObservation.from_training_run(run))  # doctest: +SKIP
->>> print(report.render())                                # doctest: +SKIP
+>>> with Instruments(kinds={"telemetry", "events"}) as ins:   # doctest: +SKIP
+...     run = run_training("lr-higgs", budget_usd=2.0)
+...     ins.set_run_summary({"jct_s": run.result.jct_s})
+>>> obs = RunObservation.from_capture(                       # doctest: +SKIP
+...     json.loads(ins.texts["telemetry"]), ins.log)
+>>> print(diagnose(obs).render())                            # doctest: +SKIP
 """
 
 from repro.diagnostics.critical_path import (

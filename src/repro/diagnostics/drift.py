@@ -100,9 +100,9 @@ def audit_model_drift(
     """Replay each epoch's allocation through the analytical models.
 
     ``workload`` defaults to the one named in the observation's metadata.
-    Epochs whose allocation could not be recovered (unparseable trace
-    label) or is infeasible under ``platform`` are counted in
-    ``skipped_epochs`` rather than silently dropped.
+    Epochs without an allocation or whose allocation is infeasible under
+    ``platform`` are counted in ``skipped_epochs`` rather than silently
+    dropped.
     """
     if workload is None:
         if not obs.workload_name:

@@ -277,7 +277,7 @@ class DiagnosticsReport:
         if cp.accounted_s < cp.jct_s - 5e-4:
             lines.append(
                 f"  accounted {cp.accounted_s:.3f} s of {cp.jct_s:.3f} s"
-                " (no epoch timeline: load and compute not separated)"
+                " (load and compute come only from the epochs of an --events log)"
             )
         lines.append(
             f"  restarts: {cp.n_restarts}  overhead hidden {cp.restart.hidden_s:.3f} s"

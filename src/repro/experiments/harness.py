@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.common.errors import ValidationError
 from repro.common.rng import iter_seeds
 from repro.tuning.sha import SHASpec
@@ -108,13 +106,3 @@ class ExperimentResult:
         if self.notes:
             parts.append(f"notes: {self.notes}")
         return "\n".join(parts)
-
-
-def summarize(values: list[float]) -> dict[str, float]:
-    """Mean/min/max summary used throughout the experiment modules."""
-    arr = np.asarray(values, dtype=float)
-    return {
-        "mean": float(arr.mean()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }

@@ -174,6 +174,19 @@ class FaultLedger:
             "by_kind": counts,
         }
 
+    def recovery_counts(self) -> dict:
+        """The training executor's recovery totals, read from the records
+        alone: checkpoint restores, their overhead, and degraded
+        allocations. A saved report therefore reproduces them exactly."""
+        restores = [r.lost_s for r in self.records if r.kind == "checkpoint-restore"]
+        return {
+            "checkpoint_restores": len(restores),
+            "restore_overhead_s": sum(restores, 0.0),
+            "degraded_allocations": sum(
+                1 for r in self.records if r.kind == "degraded-allocation"
+            ),
+        }
+
     def extend(self, other: "FaultLedger") -> None:
         """Append another ledger's records (workflow = tune + train)."""
         self.records.extend(other.records)

@@ -38,9 +38,6 @@ site is :func:`repro.profiling.clock.host_clock_s`.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable
-
 from repro.profiling.capture import (
     capture_payload,
     load_capture,
@@ -81,29 +78,6 @@ def profile_phase(name: str):
     return p.phase(name)
 
 
-def profiled(name: str | None = None) -> Callable:
-    """Decorator form of :func:`profile_phase`.
-
-    ``name`` defaults to the wrapped function's qualified name. When
-    profiling is off the wrapper adds a single truthiness check.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            p = _profiler
-            if not p.enabled:
-                return fn(*args, **kwargs)
-            with p.phase(label):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
 __all__ = [
     "FrameStat",
     "NullProfiler",
@@ -114,7 +88,6 @@ __all__ = [
     "host_clock_s",
     "load_capture",
     "profile_phase",
-    "profiled",
     "render_capture",
     "set_profiler",
     "to_collapsed",

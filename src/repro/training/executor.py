@@ -318,31 +318,42 @@ class TrainingExecutor:
                 epoch=epoch_idx, allocation=alloc.describe(), loss=loss,
                 cost_usd=epoch_cost,
             )
-            records.append(
-                EpochRecord(
-                    index=epoch_idx,
-                    allocation=alloc,
-                    time=result.time,
-                    cost=EpochCostBreakdown(
-                        invocation_usd=alloc.n_functions
-                        * self.platform_config.pricing.usd_per_invocation,
-                        compute_usd=result.billed_usd
-                        - alloc.n_functions
-                        * self.platform_config.pricing.usd_per_invocation,
-                        storage_usd=stor_usd,
-                    ),
-                    loss=loss,
-                    cold_start_s=result.cold_start_s,
-                    queue_wait_s=result.queue_wait_s,
-                    worker_durations_s=result.worker_durations_s,
-                )
+            record = EpochRecord(
+                index=epoch_idx,
+                allocation=alloc,
+                time=result.time,
+                cost=EpochCostBreakdown(
+                    invocation_usd=alloc.n_functions
+                    * self.platform_config.pricing.usd_per_invocation,
+                    compute_usd=result.billed_usd
+                    - alloc.n_functions
+                    * self.platform_config.pricing.usd_per_invocation,
+                    storage_usd=stor_usd,
+                ),
+                loss=loss,
+                cold_start_s=result.cold_start_s,
+                queue_wait_s=result.queue_wait_s,
+                worker_durations_s=result.worker_durations_s,
             )
+            records.append(record)
             if bus.enabled:
+                # The epoch's record, as far as it is known here; its
+                # restart fields ride on the plan_chosen / restart_begun
+                # rows that follow (diagnostics.timeline.read_epochs).
                 bus.emit(
                     "epoch_done", jct, scope="train",
                     epoch=epoch_idx, wall_s=epoch_wall, cost_usd=epoch_cost,
                     loss=loss, allocation=alloc.describe(),
                     straggler_slowdown=_gang_slowdown(result.worker_durations_s),
+                    load_s=record.time.load_s,
+                    compute_s=record.time.compute_s,
+                    sync_s=record.time.sync_s,
+                    cold_start_s=record.cold_start_s,
+                    queue_wait_s=record.queue_wait_s,
+                    invocation_usd=record.cost.invocation_usd,
+                    compute_usd=record.cost.compute_usd,
+                    storage_usd=record.cost.storage_usd,
+                    worker_durations_s=record.worker_durations_s,
                 )
             if ts.enabled:
                 # Epoch-boundary samples on the scheduler's job-time clock:
@@ -448,11 +459,8 @@ class TrainingExecutor:
 
         extra: dict = {}
         if injector is not None:
-            summary = injector.ledger.summary()
-            summary["checkpoint_restores"] = checkpoints.n_restores
-            summary["restore_overhead_s"] = checkpoints.restore_overhead_total_s
-            summary["degraded_allocations"] = len(excluded_allocations)
-            extra["faults"] = summary
+            ledger = injector.ledger
+            extra["faults"] = {**ledger.summary(), **ledger.recovery_counts()}
         return JobResult(
             jct_s=jct,
             cost_usd=cost,

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.common import units
 from repro.common.errors import ValidationError
-from repro.common.rng import iter_seeds, spawn, stream_for
+from repro.common.rng import iter_seeds, stream_for
 from repro.common.validation import require_non_empty
 
 
@@ -35,11 +35,6 @@ class TestRng:
 
     def test_stream_for_distinct_labels(self):
         assert stream_for(1, "x").random() != stream_for(1, "y").random()
-
-    def test_spawn_children_independent(self):
-        children = spawn(np.random.default_rng(0), 3)
-        values = {c.random() for c in children}
-        assert len(values) == 3
 
     def test_iter_seeds_distinct(self):
         seeds = list(iter_seeds(0, 10))

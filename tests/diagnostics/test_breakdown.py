@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.diagnostics import RunObservation, diagnose
 from repro.runs import Instruments
+from repro.slo import EventLog
 from repro.telemetry.exporters import to_json
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workflow.runner import run_training
@@ -178,11 +179,11 @@ REPORT_ROWS = {
 
 @pytest.fixture(scope="module")
 def captures(tmp_path_factory):
-    """A `train --trace` and a `tune` telemetry capture of lr-higgs."""
+    """A `train --events` and a `tune` telemetry capture of lr-higgs."""
     out = tmp_path_factory.mktemp("breakdown")
     assert main(["train", "lr-higgs", "--budget", "2.0", "--seed", "0",
                  "--telemetry", str(out / "train.json"),
-                 "--trace", str(out / "train.trace.json")]) == 0
+                 "--events", str(out / "train.events.jsonl")]) == 0
     assert main(["tune", "lr-higgs", "--trials", "16", "--seed", "0",
                  "--telemetry", str(out / "tune.json")]) == 0
     return out
@@ -194,7 +195,7 @@ class TestCaptures:
         capsys.readouterr()
         argv = ["diagnose", str(captures / f"{kind}.json")]
         if kind == "train":
-            argv += ["--trace", str(captures / "train.trace.json")]
+            argv += ["--events", str(captures / "train.events.jsonl")]
         assert main(argv) == 0
         lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
         for prefix, value, share in REPORT_ROWS[kind]:
@@ -207,11 +208,9 @@ class TestCaptures:
 
     def test_totals_agree_with_the_timeline(self, captures):
         telemetry = json.loads((captures / "train.json").read_text())
-        trace = json.loads((captures / "train.trace.json").read_text())
+        log = EventLog.from_jsonl((captures / "train.events.jsonl").read_text())
         totals = diagnose(RunObservation.from_capture(telemetry)).critical_path
-        timeline = diagnose(
-            RunObservation.from_capture(telemetry, trace)
-        ).critical_path
+        timeline = diagnose(RunObservation.from_capture(telemetry, log)).critical_path
         by_totals = {c.component: c.seconds for c in totals.components}
         for c in timeline.components:
             if c.component in ("queue", "cold-start", "sync", "scheduling"):
@@ -233,19 +232,19 @@ class TestCaptures:
     def test_live_matches_capture(
         self, kinds, tmp_path, lr_higgs, lr_profile
     ):
-        from repro.timeseries.core import peaks_summary
-
+        """Live `diagnose` (the rendered telemetry plus the in-memory event
+        log) and the saved telemetry file alone give the same breakdown:
+        the epoch timeline does not feed it."""
         path = tmp_path / "telemetry.json"
-        with Instruments({"workload": "lr-higgs"}, kinds=kinds,
+        with Instruments({"workload": "lr-higgs"}, kinds=kinds | {"events"},
                          paths={"telemetry": path}) as ins:
             run = run_training(lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile)
             r = run.result
             ins.set_run_summary({"jct_s": r.jct_s, "cost_usd": r.cost_usd,
                                  "comm_overhead_s": r.comm_overhead_s,
                                  "scheduling_overhead_s": r.scheduling_overhead_s})
-        peaks = peaks_summary(ins.sampler) if ins.sampler is not None else None
-        live = diagnose(RunObservation.from_training_run(
-            run, registry=ins.registry, peaks=peaks))
+        live = diagnose(RunObservation.from_capture(
+            json.loads(ins.texts["telemetry"]), ins.log))
         saved = diagnose(RunObservation.from_capture(json.loads(path.read_text())))
         assert live.breakdown == saved.breakdown
         assert (live.to_payload()["breakdown"]

@@ -6,36 +6,36 @@ import pytest
 
 from repro.diagnostics import DiagnosticsReport, RunObservation, diagnose
 from repro.diagnostics.engine import JSON_SCHEMA, SEVERITIES
+from repro.slo import EventLog
 from repro.telemetry import get_registry, get_tracer
 from repro.runs import Instruments
 from repro.workflow.runner import run_training
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical_json(self, lr_higgs, lr_profile, lr_run):
+    def test_same_seed_byte_identical_json(self, lr_higgs, lr_profile, lr_obs,
+                                           observe):
         """Acceptance: same seed, same report, byte for byte."""
-        rerun = run_training(
-            lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile
-        )
-        a = diagnose(RunObservation.from_training_run(lr_run),
-                     candidates=lr_profile.candidates)
-        b = diagnose(RunObservation.from_training_run(rerun),
-                     candidates=lr_profile.candidates)
+        _, rerun = observe(lr_higgs, lr_profile, budget_usd=2.0, seed=0)
+        a = diagnose(lr_obs, candidates=lr_profile.candidates)
+        b = diagnose(rerun, candidates=lr_profile.candidates)
         assert a.to_json() == b.to_json()
 
     def test_telemetry_capture_does_not_perturb_simulation(
         self, tmp_path, lr_higgs, lr_profile, lr_run
     ):
         """Acceptance: telemetry on or off, the simulation is identical."""
+        plain = run_training(lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile)
         with Instruments(
             paths={"telemetry": tmp_path / "t.json", "trace": tmp_path / "t.trace"}
         ):
             observed = run_training(
                 lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile
             )
-        assert observed.result.jct_s == lr_run.result.jct_s
-        assert observed.result.cost_usd == lr_run.result.cost_usd
-        assert len(observed.result.epochs) == len(lr_run.result.epochs)
+        for run in (observed, lr_run):
+            assert run.result.jct_s == plain.result.jct_s
+            assert run.result.cost_usd == plain.result.cost_usd
+            assert len(run.result.epochs) == len(plain.result.epochs)
 
     def test_collectors_restored_after_capture(self, tmp_path, lr_higgs,
                                                lr_profile):
@@ -49,12 +49,12 @@ class TestDeterminism:
 class TestCaptureRoundTrip:
     @pytest.fixture(scope="class")
     def capture(self, tmp_path_factory, lr_higgs, lr_profile):
-        """Telemetry + trace files written the way `repro train` writes them."""
+        """Telemetry + event-log files written the way `repro train` writes them."""
         out = tmp_path_factory.mktemp("capture")
         with Instruments(
             {"command": "train", "workload": lr_higgs.name,
              "method": "ce-scaling", "seed": 0},
-            paths={"telemetry": out / "telemetry.json", "trace": out / "trace.json"},
+            paths={"telemetry": out / "telemetry.json", "events": out / "events.jsonl"},
         ) as ins:
             run = run_training(
                 lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile
@@ -74,8 +74,8 @@ class TestCaptureRoundTrip:
                 }
             )
         telemetry = json.loads((out / "telemetry.json").read_text())
-        trace = json.loads((out / "trace.json").read_text())
-        return run, RunObservation.from_capture(telemetry, trace=trace)
+        log = EventLog.from_jsonl((out / "events.jsonl").read_text())
+        return run, RunObservation.from_capture(telemetry, log)
 
     def test_run_context_survives(self, capture):
         run, obs = capture
@@ -85,16 +85,16 @@ class TestCaptureRoundTrip:
         assert obs.jct_s == run.result.jct_s
         assert obs.converged == run.result.converged
 
-    def test_timeline_reconstructed_span_by_span(self, capture):
+    def test_timeline_read_from_the_event_log(self, capture):
         run, obs = capture
         assert len(obs.epochs) == len(run.result.epochs)
         for rec, e in zip(run.result.epochs, obs.epochs):
             assert e.index == rec.index
             assert e.alloc_label == rec.allocation.describe()
-            assert e.compute_s == pytest.approx(rec.time.compute_s, abs=1e-9)
-            assert e.sync_s == pytest.approx(rec.time.sync_s, abs=1e-9)
-            assert e.wall_s == pytest.approx(rec.wall_s, abs=1e-9)
-            assert len(e.worker_durations_s) == len(rec.worker_durations_s)
+            assert e.compute_s == rec.time.compute_s
+            assert e.sync_s == rec.time.sync_s
+            assert e.wall_s == rec.wall_s
+            assert e.worker_durations_s == rec.worker_durations_s
 
     def test_capture_diagnosis_matches_live(self, capture, lr_obs, lr_profile):
         """The saved capture must tell the same critical-path story."""

@@ -4,7 +4,6 @@ import pytest
 
 from repro.diagnostics import RunObservation, detect_stragglers
 from repro.diagnostics.timeline import EpochObservation
-from repro.workflow.runner import run_training
 
 
 class TestCleanRun:
@@ -19,12 +18,12 @@ class TestCleanRun:
 
 class TestInjectedStraggler:
     @pytest.fixture(scope="class")
-    def faulty_obs(self, lr_higgs, lr_profile):
-        run = run_training(
-            lr_higgs, budget_usd=2.0, seed=0, profile=lr_profile,
+    def faulty_obs(self, lr_higgs, lr_profile, observe):
+        _, obs = observe(
+            lr_higgs, lr_profile, budget_usd=2.0, seed=0,
             straggler_factors={3: 4.0},
         )
-        return RunObservation.from_training_run(run)
+        return obs
 
     def test_seeded_rank_flagged(self, faulty_obs):
         """Acceptance: a fault-seeded worker must be detected."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.experiments.harness import SCALES, ExperimentResult, get_scale, summarize
+from repro.experiments.harness import SCALES, ExperimentResult, get_scale
 from repro.workflow.metrics import ComparisonTable
 
 
@@ -43,12 +43,6 @@ class TestExperimentResult:
         text = r.render()
         assert "figX" in text and "demo" in text
         assert "a note" in text
-
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s["mean"] == pytest.approx(2.0)
-        assert s["min"] == 1.0
-        assert s["max"] == 3.0
 
 
 class TestReportGenerator:

@@ -138,7 +138,6 @@ class TestWorkerSpanRoundTrip:
         """Per-worker spans written by the platform round-trip through the
         Chrome JSON: parsed back, they match the InvocationResult exactly."""
         from repro.config import DEFAULT_PLATFORM
-        from repro.diagnostics.timeline import _chrome_spans
         from repro.faas.platform import EpochExecution, FaaSPlatform
         from repro.telemetry import get_tracer, set_tracer
         from repro.telemetry.spans import Tracer
@@ -156,7 +155,11 @@ class TestWorkerSpanRoundTrip:
             trace = json.loads(platform.tracer.to_chrome_trace())
         finally:
             set_tracer(prev)
-        workers = [s for s in _chrome_spans(trace) if s["cat"] == "worker"]
+        workers = [
+            {"duration_s": e["dur"] / 1e6, "args": e["args"]}
+            for e in trace["traceEvents"]
+            if e["ph"] == "X" and e["cat"] == "worker"
+        ]
         workers.sort(key=lambda s: int(s["args"]["rank"]))
         assert [int(s["args"]["rank"]) for s in workers] == list(range(8))
         for span, duration in zip(workers, result.worker_durations_s):

@@ -9,6 +9,7 @@ from repro.config import PlatformConfig
 from repro.experiments.harness import get_scale
 from repro.faas.noise import NoiseModel
 from repro.faas.platform import EpochExecution, FaaSPlatform
+from repro.faults import FaultLedger
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ANY_STORAGE,
@@ -217,6 +218,11 @@ class TestResilientTraining:
         assert summary["checkpoint_restores"] >= 1
         assert summary["restore_overhead_s"] > 0.0
         assert run.result.converged
+        # A saved report's records reproduce the recovery totals bit for
+        # bit, so `repro diagnose --fault-report` attributes what live did.
+        payload = json.loads(run.fault_ledger.to_json(plan.to_payload()))
+        saved = FaultLedger.from_payload(payload)
+        assert {**payload["summary"], **saved.recovery_counts()} == summary
 
     def test_restore_budget_exhaustion_raises(self, lr_higgs, lr_profile):
         plan = FaultPlan(

@@ -9,7 +9,6 @@ from repro.profiling import (
     Profiler,
     get_profiler,
     profile_phase,
-    profiled,
     set_profiler,
 )
 from repro.profiling.core import NULL_PHASE, UNATTRIBUTED
@@ -127,34 +126,6 @@ class TestGlobalInstall:
         assert null.frames == {}
         assert null.events == []
         assert null.phase("p") is NULL_PHASE
-
-
-class TestProfiledDecorator:
-    def test_decorator_records_when_installed(self):
-        prof = Profiler(clock=FakeClock())
-
-        @profiled("decorated/fn")
-        def fn(x):
-            return x + 1
-
-        set_profiler(prof)
-        try:
-            assert fn(1) == 2
-        finally:
-            set_profiler(None)
-        assert prof.frames[("decorated/fn",)].n_calls == 1
-
-    def test_decorator_bypasses_when_off(self):
-        calls = []
-
-        @profiled()
-        def fn():
-            calls.append(1)
-            return "ok"
-
-        assert fn() == "ok"
-        assert calls == [1]
-        assert fn.__name__ == "fn"  # functools.wraps preserved
 
 
 class TestMemorySampling:

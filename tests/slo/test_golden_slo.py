@@ -8,7 +8,10 @@ slo --format json``. The sha256 of the log and of the
 before the burn-rate accountant, the alert engine and the guard became
 one :class:`~repro.slo.guard.SLOGuard`. Any change to an alert's firing
 time, its message, the order of the mirrored lines or a state's last
-digit moves a hash.
+digit moves a hash. Later, ``epoch_done`` rows gained the epoch's
+``EpochRecord`` fields (:data:`RECORD_KEYS`): the log pins hash the log
+with those keys dropped, so they stay the pre-merge constants, and
+:data:`FULL_EVENT_PINS` pins the whole log.
 
 Together the cases fire every rule in :data:`repro.slo.RULES`:
 
@@ -77,8 +80,35 @@ PINS = {
 }
 
 
+#: The ``epoch_done`` keys added after :data:`PINS` were recorded.
+RECORD_KEYS = ("load_s", "compute_s", "sync_s", "cold_start_s", "queue_wait_s",
+               "invocation_usd", "compute_usd", "storage_usd", "worker_durations_s")
+
+#: sha256 of each whole log, ``epoch_done`` record fields included.
+FULL_EVENT_PINS = {
+    "train": "c81c6fed508417afc0e2b097d5eafc666575bf3a582c37a664434fe05128ac54",
+    "faulted": "58230749e4a995f8fc9b0cfd43d78cd1958389b3e6759b2e636d0371150e6047",
+    "tune": "b8442b6fda98ac0c72d1844eaa0f49211aaa0934a75609e1365df6bb4f9f32a8",
+    "workflow": "52101b1e6ce02e858dbfc9e13549cb0ca151260e0f38e0ef9285fcc5c8fda722",
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _without_record_keys(events: str) -> str:
+    """The log with :data:`RECORD_KEYS` dropped from every ``epoch_done``
+    row (each must hold them), re-rendered as the log renders rows."""
+    header, *rows = events.splitlines()
+    out = [header]
+    for line in rows:
+        row = json.loads(line)
+        if row["kind"] == "epoch_done":
+            for key in RECORD_KEYS:
+                del row["data"][key]
+        out.append(json.dumps(row, sort_keys=True))
+    return "\n".join(out) + "\n"
 
 
 def _guarded_run(case: str, tmp_path: Path) -> tuple[str, str]:
@@ -105,7 +135,8 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_guard_output_bytes(case, outputs):
     events, report = outputs[case]
-    assert {"events": _sha(events), "report": _sha(report)} == PINS[case]
+    assert {"events": _sha(_without_record_keys(events)), "report": _sha(report)} == PINS[case]
+    assert _sha(events) == FULL_EVENT_PINS[case]
 
 
 def test_pinned_runs_fire_every_rule(outputs):

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.cli import build_parser, main
+from repro.common.errors import ValidationError
+from repro.common.types import Allocation
 from repro.faults import FaultLedger, FaultPlan
 from repro.faults.ledger import RECORD_KINDS, SUMMARY_NUMBERS
 from repro.runs import ProvenanceStamp, RunBundle, RunStore, load_manifest
@@ -108,16 +110,18 @@ class TestCommands:
 
 class TestTelemetryFlags:
     def test_train_capture_then_report(self, tmp_path, capsys):
-        """Acceptance path: train --telemetry/--trace, then the breakdown
-        from repro diagnose."""
+        """Acceptance path: train --telemetry/--trace/--events, then the
+        breakdown from repro diagnose."""
         import json
 
         metrics = tmp_path / "out.json"
         trace = tmp_path / "out.trace.json"
+        events = tmp_path / "out.events.jsonl"
         assert main(
             [
                 "train", "lr-higgs", "--budget-multiple", "2.5",
                 "--telemetry", str(metrics), "--trace", str(trace),
+                "--events", str(events),
             ]
         ) == 0
         capsys.readouterr()
@@ -133,7 +137,7 @@ class TestTelemetryFlags:
         spans = [e for e in chrome["traceEvents"] if e.get("ph") == "X"]
         assert spans and all("ts" in e and "dur" in e for e in spans)
 
-        assert main(["diagnose", str(metrics), "--trace", str(trace)]) == 0
+        assert main(["diagnose", str(metrics), "--events", str(events)]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "breakdown (cost $" in out
@@ -160,15 +164,21 @@ def _events_with(row) -> str:
     return json.dumps({"schema": "repro-events/v1", "meta": {}}) + "\n" + json.dumps(row)
 
 
-def _trace_with(*span_args) -> dict:
-    """A Chrome trace: one epoch span with the first ``span_args``, then one
-    worker span for each further one."""
-    first, *rest = span_args
-    spans = [{"ph": "X", "name": "epoch 1", "cat": "epoch", "tid": 1, "ts": 0.0,
-              "dur": 2e6, "args": first}]
-    spans += [{"ph": "X", "name": "worker 0", "cat": "worker", "tid": 2, "ts": 0.0,
-               "dur": 1e6, "args": args} for args in rest]
-    return {"traceEvents": spans}
+#: One well-formed epoch_done payload: the EpochRecord fields the timeline
+#: reads, plus the keys only the SLO guard reads.
+_EPOCH_ROW = {"epoch": 1, "allocation": "4fn/1024MB/s3", "loss": 0.5,
+              "load_s": 0.2, "compute_s": 1.5, "sync_s": 0.3, "cold_start_s": 0.25,
+              "queue_wait_s": 0.0, "invocation_usd": 1e-06, "compute_usd": 0.01,
+              "storage_usd": 0.002, "worker_durations_s": [1.9, 1.95, 2.0, 1.7],
+              "wall_s": 2.25, "cost_usd": 0.012001, "straggler_slowdown": 1.05}
+
+
+def _epoch_log_with(**fields) -> str:
+    """A repro-events/v1 log whose one epoch_done row is :data:`_EPOCH_ROW`
+    with ``fields`` replaced (a ``None`` value drops the field)."""
+    data = {k: v for k, v in {**_EPOCH_ROW, **fields}.items() if v is not None}
+    return _events_with({"seq": 0, "t_s": 2.25, "kind": "epoch_done", "scope": "train",
+                         "data": data})
 
 
 def _journal(header) -> str:
@@ -191,12 +201,17 @@ MALFORMED_FILES = {
     },
     "spec.json": {"schema": "repro-slo/v1", "deadline_s": "x"},
     "telemetry.json": {"schema": "repro-telemetry/v1"},
-    "trace.json": {"traceEvents": []},
-    # A valid capture, and traces whose epoch or rank is not an integer.
+    # A valid capture, and event logs whose timeline diagnose cannot read:
+    # no epoch_done row, a non-integral epoch, a NaN component, a
+    # worker list that is not a list, a missing field.
     "telemetry-ok.json": {"schema": "repro-telemetry/v1", "meta": {}, "metrics": [],
                           "run": {"jct_s": 2.0, "cost_usd": 0.1}},
-    "trace-epoch.json": _trace_with({"epoch": 2.7}),
-    "trace-rank.json": _trace_with({"epoch": 1}, {"rank": 0.5}),
+    "events-no-epochs.jsonl": _events_with({"seq": 0, "t_s": 1.0, "kind": "stage_done",
+                                            "scope": "tune", "data": {"stage": 0}}),
+    "events-epoch.jsonl": _epoch_log_with(epoch=2.7),
+    "events-nan.jsonl": _epoch_log_with(compute_s=float("nan")),
+    "events-workers.jsonl": _epoch_log_with(worker_durations_s=1.9),
+    "events-missing.jsonl": _epoch_log_with(sync_s=None),
     "slo-ok.json": {"schema": "repro-slo/v1", "name": "ok", "deadline_s": 300.0},
     "events-nokind.jsonl": _events_with({"seq": 0, "t_s": 1.0, "data": {}}),
     "events-row.jsonl": _events_with([1, 2]),
@@ -257,9 +272,12 @@ class TestMalformedInput:
             ["slo", "--spec", "spec.json"],
             ["train", "lr-higgs", "--slo", "spec.json"],
             ["diagnose", "array.json"],
-            ["diagnose", "telemetry.json", "--trace", "trace.json"],
-            ["diagnose", "telemetry-ok.json", "--trace", "trace-epoch.json"],
-            ["diagnose", "telemetry-ok.json", "--trace", "trace-rank.json"],
+            ["diagnose", "telemetry.json", "--events", "events.jsonl"],
+            ["diagnose", "telemetry-ok.json", "--events", "events-no-epochs.jsonl"],
+            ["diagnose", "telemetry-ok.json", "--events", "events-epoch.jsonl"],
+            ["diagnose", "telemetry-ok.json", "--events", "events-nan.jsonl"],
+            ["diagnose", "telemetry-ok.json", "--events", "events-workers.jsonl"],
+            ["diagnose", "telemetry-ok.json", "--events", "events-missing.jsonl"],
             ["train", "lr-higgs", "--budget", "2.0", "--seed", "-1"],
             ["tune", "lr-higgs", "--seed", "x"],
             ["slo", "--spec", "slo-ok.json", "--capture", "events-nokind.jsonl"],
@@ -394,7 +412,7 @@ class TestMalformedInput:
             ["dash", "--replay", "ts-series.json"],
             ["profile", "--diff", "p-total.json", "p-total.json"],
             ["profile", "--diff", "p-frames.json", "p-frames.json"],
-            ["diagnose", "tel.json", "--trace", "trace-5.json"],
+            ["diagnose", "tel.json", "--events", "events-5.jsonl"],
         ],
         ids=" ".join,
     )
@@ -412,7 +430,7 @@ class TestMalformedInput:
         profile["frames"] = [3]
         (tmp_path / "p-frames.json").write_text(json.dumps(profile))
         (tmp_path / "tel.json").write_bytes(_valid_telemetry())
-        (tmp_path / "trace-5.json").write_text(json.dumps({"traceEvents": [5]}))
+        (tmp_path / "events-5.jsonl").write_text(_epoch_log_with(worker_durations_s=[5, "a"]))
         _assert_one_line_exit_two(argv, tmp_path)
 
 
@@ -589,30 +607,69 @@ def _timeseries_bytes(draw) -> bytes:
     return _mangled(draw, _valid_timeseries(), st.just(json.dumps(doc).encode()))
 
 
+def _valid_epoch_log() -> bytes:
+    """A train event log whose timeline diagnose reads: two epochs, the
+    first followed by its re-plan and restart."""
+    log = EventLog(meta={"seed": 0})
+    log.append("plan_chosen", 0.0, scope="train", allocation="4fn/1024MB/s3",
+               search_overhead_s=0.4)
+    log.append("epoch_done", 2.25, scope="train", **_EPOCH_ROW)
+    log.append("plan_chosen", 2.45, scope="train", epoch=1, allocation="8fn/1024MB/s3",
+               search_overhead_s=0.2)
+    log.append("restart_begun", 2.5, scope="train", epoch=1, visible_s=0.05,
+               hidden_s=1.1, target="8fn/1024MB/s3")
+    log.append("epoch_done", 4.0, scope="train",
+               **dict(_EPOCH_ROW, epoch=2, allocation="8fn/1024MB/s3"))
+    return log.to_jsonl().encode()
+
+
+#: Values a fuzzed epoch_done field may take, well-formed or not.
+_EPOCH_VALUES = (st.sampled_from([1, 2.0, 2.7, -1, True, "1", [1.0, "x"], [1.0, 2.0],
+                                  "4fn/1024MB/s3", "0fn/1024MB/s3", "4fn"])
+                 | st.floats(allow_nan=True, allow_infinity=True) | _json_values)
+
+
 @st.composite
-def _trace_bytes(draw) -> bytes:
-    event = st.fixed_dictionaries(
-        {"ph": st.sampled_from(["X", "M"]) | _json_values},
-        optional={"name": st.sampled_from(["thread_name", "epoch 1"]) | _json_values,
-                  "cat": st.sampled_from(["epoch", "worker", "scheduling"]) | _json_values,
-                  "ts": st.floats(0, 1e6) | _json_values,
-                  "dur": st.floats(0, 1e6) | _json_values,
-                  "tid": st.integers(0, 2) | _json_values,
-                  "args": st.dictionaries(
-                      st.sampled_from(["name", "epoch", "rank", "loss", "cost_usd",
-                                       "allocation", "hidden"]),
-                      _json_values) | _json_values},
-    ) | _json_values
-    doc = draw(st.fixed_dictionaries(
-        {"traceEvents": st.lists(event, max_size=4) | _json_values}) | _json_values)
-    # The valid trace with its epoch span's epoch or its worker's rank
-    # replaced by a number, integral or not.
-    renumbered = json.loads(_valid_trace())
-    span, key = draw(st.sampled_from([(1, "epoch"), (3, "rank")]))
-    renumbered["traceEvents"][span]["args"][key] = draw(
-        st.sampled_from([1, 2.0, 2.7]) | st.floats(0, 5))
-    shaped = st.sampled_from([json.dumps(doc).encode(), json.dumps(renumbered).encode()])
-    return _mangled(draw, _valid_trace(), shaped)
+def _epoch_log_bytes(draw) -> tuple[bytes, bool | None]:
+    """An event log and whether its timeline is well formed (``None`` when
+    the test does not judge it): the valid log with one field of one
+    epoch_done row replaced or dropped, any event log, or a mangled one."""
+    valid = _valid_epoch_log()
+    kind = draw(st.sampled_from(["field", "field", "shaped"]))
+    if kind == "shaped":
+        return _mangled(draw, valid, _events_bytes()), None
+    header, *rows = valid.decode().splitlines()
+    docs = [json.loads(row) for row in rows]
+    data = docs[draw(st.sampled_from([1, 4]))]["data"]
+    key = draw(st.sampled_from(sorted(data)))
+    if draw(st.booleans()):
+        del data[key]
+    else:
+        data[key] = draw(_EPOCH_VALUES)
+    text = "\n".join([header, *(json.dumps(d) for d in docs)]) + "\n"
+    return text.encode(), all(_epoch_row_ok(d["data"]) for d in docs
+                              if d["kind"] == "epoch_done")
+
+
+def _epoch_row_ok(data: dict) -> bool:
+    """Whether an epoch_done payload holds every field the timeline reads,
+    each of the right shape (the test's own oracle for the reader)."""
+    def finite(v):
+        return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+    numbers = ("loss", "load_s", "compute_s", "sync_s", "cold_start_s", "queue_wait_s",
+               "invocation_usd", "compute_usd", "storage_usd")
+    workers = data.get("worker_durations_s")
+    if not (all(finite(data.get(k)) for k in numbers + ("epoch",))
+            and float(data["epoch"]).is_integer()
+            and isinstance(workers, list) and all(finite(v) for v in workers)
+            and isinstance(data.get("allocation"), str)):
+        return False
+    try:
+        Allocation.parse(data["allocation"])
+    except ValidationError:
+        return False
+    return True
 
 
 def _valid_fault_report() -> bytes:
@@ -762,21 +819,6 @@ def _manifest_bytes(draw, valid: bytes) -> bytes:
     return _mangled(draw, valid, st.just(json.dumps(doc).encode()))
 
 
-def _has_fractional_index(data: bytes) -> bool:
-    """Whether a trace document holds a span whose args.epoch or args.rank
-    is a finite number that is not an integer."""
-    try:
-        events = json.loads(data).get("traceEvents")
-    except (ValueError, AttributeError):
-        return False
-    return isinstance(events, list) and any(
-        isinstance(e, dict) and e.get("ph") == "X" and isinstance(e.get("args"), dict)
-        and any(isinstance(v, float) and v - v == 0 and not v.is_integer()
-                for v in (e["args"].get("epoch"), e["args"].get("rank")))
-        for e in events
-    )
-
-
 def _tree(root: Path) -> set[Path]:
     return set(root.rglob("*"))
 
@@ -797,7 +839,7 @@ def _run_in_process(argv: list[str]) -> int:
 
 
 class TestCaptureFuzz:
-    """Any event log, telemetry, profile, timeseries, trace, fault plan,
+    """Any event log, telemetry, profile, timeseries, fault plan,
     fault report, SLO spec, run-store manifest or run journal ends in exit
     0, 1 or 2, never a traceback."""
 
@@ -845,16 +887,17 @@ class TestCaptureFuzz:
         _run_in_process(["timeseries", "diff", str(workdir / "timeseries.json"), path])
         _run_in_process(["dash", "--replay", path])
 
-    @given(data=_trace_bytes())
+    @given(case=_epoch_log_bytes())
     @settings(max_examples=200, deadline=None)
-    def test_diagnose_survives_any_trace(self, workdir, data):
-        """A span whose epoch or rank is not an integer is rejected, not
-        rounded down."""
-        path = str(workdir / "fuzz-trace.json")
-        (workdir / "fuzz-trace.json").write_bytes(data)
-        rc = _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--trace", path])
-        if _has_fractional_index(data):
-            assert rc == 2
+    def test_diagnose_survives_any_event_log(self, workdir, case):
+        """An epoch_done row with a missing or malformed field is rejected,
+        never rounded or skipped; a well-formed timeline is read."""
+        data, well_formed = case
+        path = str(workdir / "fuzz-epochs.jsonl")
+        (workdir / "fuzz-epochs.jsonl").write_bytes(data)
+        rc = _run_in_process(["diagnose", str(workdir / "telemetry.json"), "--events", path])
+        if well_formed is not None:
+            assert rc == (0 if well_formed else 2)
 
     @given(data=_fault_plan_bytes())
     @settings(max_examples=200, deadline=None)
