@@ -140,13 +140,18 @@ def _instruments(args, command: str) -> Instruments:
     """The capture context of one run command (inert without flags).
 
     ``--save-run`` adds the bundle's default kinds; ``--slo`` loads the
-    spec here, so a bad spec file fails before the run starts.
+    spec here and ``--save-run`` opens its store, so a bad spec file or
+    store root fails before the run starts.
     """
     spec = None
     if args.slo:
         from repro.slo import SLOSpec
 
         spec = SLOSpec.load(args.slo)
+    if args.save_run:
+        from repro.runs import RunStore
+
+        RunStore(args.save_run)
     kinds = ("telemetry", "trace", "events", "profile", "flamegraph", "timeseries")
     paths = {kind: getattr(args, kind) for kind in kinds}
     paths["faults"] = args.fault_report
@@ -937,8 +942,8 @@ def cmd_runs(args) -> int:
     """``repro runs``: the local run registry and cross-run observatory."""
     from repro.runs import RunStore, load_run, manifest_to_json, render_manifest
 
-    store = RunStore(args.store)
     try:
+        store = RunStore(args.store)
         if args.action == "list":
             manifests = store.list()
             if args.format == "ids":

@@ -14,7 +14,7 @@ from __future__ import annotations
 SCHEMA_KEYS: dict[str, frozenset[str]] = {
     "repro-telemetry/v1": frozenset({"schema", "meta", "run", "metrics"}),
     "repro-journal/v1": frozenset({"schema", "kind", "run", "meta"}),
-    "repro-diagnostics/v3": frozenset(
+    "repro-diagnostics/v4": frozenset(
         {
             "schema", "meta", "critical_path", "breakdown", "stragglers",
             "drift", "regret", "findings",

@@ -137,20 +137,18 @@ class EpochRecord:
     # part of the switch Fig. 8 hides off the critical path. Not included
     # in scheduling_overhead_s, which is the *visible* overhead only.
     hidden_restart_overlap_s: float = 0.0
-    # Critical-path components outside t'(θ): the cold-start window paid by
-    # this epoch's gang (zero when warm) and the wait for account-concurrency
-    # slots. ``time.total_s`` deliberately excludes both so it stays
-    # comparable to the analytical Eq. (2) estimate.
+    # The critical-path component outside t'(θ): the cold-start window paid
+    # by this epoch's gang (zero when warm). ``time.total_s`` deliberately
+    # excludes it so it stays comparable to the analytical Eq. (2) estimate.
     cold_start_s: float = 0.0
-    queue_wait_s: float = 0.0
     # Per-worker body durations (cold start + load + jittered compute), in
     # rank order — the straggler detector's input.
     worker_durations_s: tuple[float, ...] = ()
 
     @property
     def wall_s(self) -> float:
-        """Critical-path wall time of this epoch (incl. cold start + queue)."""
-        return self.queue_wait_s + self.cold_start_s + self.time.total_s
+        """Critical-path wall time of this epoch (incl. cold start)."""
+        return self.cold_start_s + self.time.total_s
 
 
 @dataclass(slots=True)

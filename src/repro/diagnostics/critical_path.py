@@ -1,18 +1,18 @@
 """Critical-path extraction: where did the JCT actually go?
 
-Decomposes a run's job completion time into the six components that can
-sit on the critical path — queue wait, cold start, dataset load, gradient
-compute, parameter sync, and visible scheduling/restart overhead — and
+Decomposes a run's job completion time into the five components that can
+sit on the critical path — cold start, dataset load, gradient compute,
+parameter sync, and visible scheduling/restart overhead — and
 ranks the individual (epoch, component) spans so the top-k bottlenecks
 are immediately visible. Also splits restart overhead into its hidden
 (overlapped, Fig. 8) and visible shares, quantifying how much the
 delayed-restart mechanism actually saved.
 
-The decomposition is exact for live runs: the six component totals sum to
-the JCT (queue + cold + load + compute + sync per epoch equals the epoch's
-wall time, and the scheduler's search/restart time is the only other thing
-the executor adds to the clock). A run observed without an epoch timeline
-takes queue, cold-start and sync from its telemetry totals; load and
+The decomposition is exact for live runs: the five component totals sum to
+the JCT (cold + load + compute + sync per epoch equals the epoch's wall
+time, and the scheduler's search/restart time is the only other thing the
+executor adds to the clock). A run observed without an epoch timeline
+takes cold-start and sync from its telemetry totals; load and
 compute stay 0, so ``accounted_s`` falls short of the JCT.
 """
 
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.diagnostics.timeline import COLD_START_S, QUEUE_WAIT, RunObservation
+from repro.diagnostics.timeline import COLD_START_S, RunObservation
 
 #: Order in which components appear in reports (roughly: per-epoch
 #: lifecycle order, scheduling last).
-COMPONENT_ORDER = ("queue", "cold-start", "load", "compute", "sync", "scheduling")
+COMPONENT_ORDER = ("cold-start", "load", "compute", "sync", "scheduling")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +92,6 @@ def analyze_critical_path(obs: RunObservation, top_k: int = 5) -> CriticalPathAn
     jct = obs.jct_s if obs.jct_s > 0 else 1e-12
     for e in obs.epochs:
         per_epoch = (
-            ("queue", e.queue_wait_s),
             ("cold-start", e.cold_start_s),
             ("load", e.load_s),
             ("compute", e.compute_s),
@@ -115,7 +114,6 @@ def analyze_critical_path(obs: RunObservation, top_k: int = 5) -> CriticalPathAn
     # for restarted epochs.
     totals["scheduling"] = obs.scheduling_overhead_s
     if not obs.epochs:
-        totals["queue"] = obs.metrics.get(QUEUE_WAIT, 0.0)
         totals["cold-start"] = obs.metrics.get(COLD_START_S, 0.0)
         totals["sync"] = obs.comm_overhead_s
     for e in obs.epochs:

@@ -8,8 +8,8 @@ gate. Residuals beyond the drift threshold δ flag the epoch; a drifting
 model means the scheduler's selections were made on stale estimates.
 
 The audit compares against :attr:`EpochObservation.model_time_s`
-(load + compute + sync), *not* wall time: cold starts and queue waits are
-platform effects the analytical t'(θ) deliberately does not model.
+(load + compute + sync), *not* wall time: cold starts are a platform
+effect the analytical t'(θ) deliberately does not model.
 
 When drift is found, the audit also refits the workload's compute
 constant from the observed epochs

@@ -4,7 +4,7 @@
 model drift, ex-post regret — over a :class:`RunObservation` and distills
 them into ranked :class:`Finding`s, next to the run's :class:`Breakdown`
 of cost, activity and peaks. The result serializes to a versioned JSON
-document (schema ``repro-diagnostics/v3``) and renders as a terminal
+document (schema ``repro-diagnostics/v4``) and renders as a terminal
 table, both deterministic: same run, same report, byte for byte. No
 timestamps, no environment — diffable across commits, so CI can treat a
 diagnosis as an artifact.
@@ -29,7 +29,7 @@ from repro.diagnostics.stragglers import StragglerAnalysis, detect_stragglers
 from repro.diagnostics.timeline import CONCURRENCY_PEAK, RunObservation
 from repro.ml.models import Workload, workload as lookup_workload
 
-JSON_SCHEMA = "repro-diagnostics/v3"
+JSON_SCHEMA = "repro-diagnostics/v4"
 
 #: Eq. (4)'s billed components, reported even at zero so breakdowns stay
 #: comparable; any other observed component follows, sorted.
@@ -534,19 +534,6 @@ def _distill(
                         " — consider Pareto pruning or a larger δ"
                     ),
                     data={"share": _r(sched.share)},
-                )
-            )
-        queue = next(c for c in cp.components if c.component == "queue")
-        if queue.share > 0.05:
-            findings.append(
-                Finding(
-                    kind="bottleneck",
-                    severity="warning",
-                    message=(
-                        f"gang queue wait is {queue.share * 100.0:.1f}% of JCT"
-                        " — the account concurrency limit is binding"
-                    ),
-                    data={"share": _r(queue.share)},
                 )
             )
     if cp.restart.total_s > 0:

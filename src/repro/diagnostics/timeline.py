@@ -29,7 +29,6 @@ from repro.slo.events import EventLog
 from repro.tuning.plan import Objective
 
 #: Telemetry families the diagnostics read by name.
-QUEUE_WAIT = "repro_faas_queue_wait_seconds"
 COLD_START_S = "repro_faas_cold_start_seconds_total"
 BILLED_USD = "repro_faas_billed_usd_total"
 CONCURRENCY_PEAK = "repro_faas_concurrency_peak_in_use"
@@ -48,7 +47,6 @@ class EpochObservation:
     compute_s: float
     sync_s: float
     cold_start_s: float
-    queue_wait_s: float
     wall_s: float
     loss: float | None = None
     cost_usd: float | None = None
@@ -59,7 +57,7 @@ class EpochObservation:
 
     @property
     def model_time_s(self) -> float:
-        """The part of the epoch the analytical t'(θ) models (no cold/queue)."""
+        """The part of the epoch the analytical t'(θ) models (no cold start)."""
         return self.load_s + self.compute_s + self.sync_s
 
 
@@ -98,10 +96,13 @@ class RunObservation:
         event log for the epoch timeline.
 
         Raises :class:`ValidationError` when ``events`` holds no
-        ``epoch_done`` row or a malformed one.
+        ``epoch_done`` row or a malformed one, or when its header ``meta``
+        differs from the telemetry's (the two come from different runs).
         """
         run = dict(telemetry.get("run", {}))
         meta = dict(telemetry.get("meta", {}))
+        if events is not None:
+            _same_run(meta, events.meta)
         metrics, billed = read_metrics(telemetry.get("metrics", []))
         epochs = read_epochs(events) if events is not None else []
         objective = None
@@ -133,6 +134,18 @@ class RunObservation:
             billed_usd=billed,
             peaks=dict(run.get("peaks") or {}),
         )
+
+
+def _same_run(telemetry_meta: dict, log_meta: dict) -> None:
+    """Raise :class:`ValidationError` naming the first ``meta`` key on
+    which a telemetry document and an event log disagree."""
+    for key in sorted(set(telemetry_meta) | set(log_meta)):
+        if telemetry_meta.get(key) != log_meta.get(key):
+            raise ValidationError(
+                f"event log meta '{key}' is {log_meta.get(key)!r:.60} but the "
+                f"telemetry's is {telemetry_meta.get(key)!r:.60}; pass the "
+                "--events log written by the same run"
+            )
 
 
 # --------------------------------------------------------------------------- readers
@@ -216,7 +229,6 @@ def _epoch_from_row(data: dict, name: str) -> EpochObservation:
     time = EpochTimeBreakdown(*(number_field(data, k, name) for k in _TIME_FIELDS))
     cost = EpochCostBreakdown(*(number_field(data, k, name) for k in _COST_FIELDS))
     cold_s = number_field(data, "cold_start_s", name)
-    queue_s = number_field(data, "queue_wait_s", name)
     return EpochObservation(
         index=int(index),
         alloc_label=label,
@@ -225,8 +237,7 @@ def _epoch_from_row(data: dict, name: str) -> EpochObservation:
         compute_s=time.compute_s,
         sync_s=time.sync_s,
         cold_start_s=cold_s,
-        queue_wait_s=queue_s,
-        wall_s=queue_s + cold_s + time.total_s,
+        wall_s=cold_s + time.total_s,
         loss=number_field(data, "loss", name),
         cost_usd=cost.total_usd,
         worker_durations_s=tuple(float(v) for v in workers),

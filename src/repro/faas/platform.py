@@ -1,9 +1,10 @@
 """The serverless platform simulator (AWS Lambda stand-in).
 
 Executes *epochs* of BSP-synchronized function groups on the discrete-event
-kernel's clock: every function holds an account-concurrency slot, pays a
-cold start unless its group is warm, loads its dataset partition, computes
-with per-function jitter, and the group synchronizes after a barrier.
+kernel's clock: every function of the group runs at once (the account
+concurrency limit bounds the group size), pays a cold start unless its
+group is warm, loads its dataset partition, computes with per-function
+jitter, and the group synchronizes after a barrier.
 Function durations feed the billing meter. A fault-free epoch is computed
 in closed form; a faulted one runs only its faulty workers as kernel
 processes.
@@ -25,7 +26,7 @@ from repro.common.errors import FaultError, RetryExhaustedError, SimulationError
 from repro.common.types import EpochTimeBreakdown
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.faas.billing import BillingMeter
-from repro.kernel import Acquire, EventKernel, Join, Priority, Release, Resource
+from repro.kernel import EventKernel, Join
 from repro.faas.function import WarmPool
 from repro.faas.noise import NoiseModel
 from repro.telemetry import get_registry, get_tracer
@@ -71,7 +72,6 @@ class InvocationResult:
     wall_time_s: float
     time: EpochTimeBreakdown
     cold_starts: int
-    queue_wait_s: float
     billed_usd: float
     # Per-worker body durations (cold start + load + jittered compute) in
     # rank order; the barrier makes max(worker_durations_s) the gang's
@@ -105,9 +105,9 @@ class FaaSPlatform:
 
     def __post_init__(self) -> None:
         self.sim = EventKernel()
-        self.concurrency = Resource(
-            self.platform.limits.max_concurrency, name="account-concurrency"
-        )
+        # Highest gang size run so far: one gang holds the account's
+        # concurrency at a time, so this is the peak slot usage.
+        self.peak_in_use = 0
         self.meter = BillingMeter(platform=self.platform)
         self._noise = NoiseModel(self.seed, "platform", self.platform)
         self.pool = WarmPool(ttl_s=self.warm_ttl_s)
@@ -123,10 +123,6 @@ class FaaSPlatform:
             "repro_faas_cold_start_seconds_total",
             "Critical-path cold-start time (cold functions of one epoch "
             "start in parallel, so each cold epoch pays one window)",
-        )
-        self._m_queue_wait = registry.histogram(
-            "repro_faas_queue_wait_seconds",
-            "Gang wait for account-concurrency slots, per epoch",
         )
         self._m_epoch_wall = registry.histogram(
             "repro_faas_epoch_wall_seconds", "Wall time of executed epochs"
@@ -187,7 +183,7 @@ class FaaSPlatform:
         kernel.
 
         With an injector attached the epoch additionally sees
-        permanent-loss detection (a :attr:`Priority.FAULT` kernel event
+        permanent-loss detection (one detection window on the clock
         before the gang launches), per-worker bounded retry (crashes,
         timeouts, cold-start failures — each failed attempt is billed and
         re-run after a jittered backoff), and storage transient/throttle
@@ -202,8 +198,9 @@ class FaaSPlatform:
         only this epoch.
 
         Both paths take the warm pool and draw the noise the same way.
-        A malformed spec raises :class:`SimulationError` before either
-        touches the pool, the noise streams or the clock.
+        A malformed spec, or a gang larger than the account concurrency
+        limit, raises :class:`SimulationError` before either touches the
+        pool, the noise streams or the clock.
         """
         if spec.n_functions < 1:
             raise SimulationError("epoch needs at least one function")
@@ -215,6 +212,14 @@ class FaaSPlatform:
                 raise SimulationError(
                     f"epoch {phase} must be finite and >= 0, got {value}"
                 )
+        limit = self.platform.limits.max_concurrency
+        if spec.n_functions > limit:
+            # BSP needs every worker alive simultaneously: n above the
+            # account limit is an infeasible allocation, not a queue.
+            raise SimulationError(
+                f"acquire({spec.n_functions}) exceeds capacity {limit} "
+                "of account-concurrency"
+            )
         if self.fault_injector is None:
             return self._execute_closed_form(spec)
         return self._execute_gang(spec, self.fault_injector)
@@ -252,7 +257,6 @@ class FaaSPlatform:
         start: float,
         n_cold: int,
         cold_s: float,
-        queue_wait: float,
         invocations: int,
         extra_cold: int = 0,
     ) -> float:
@@ -267,23 +271,16 @@ class FaaSPlatform:
             self._m_cold_seconds.inc(cold_s)
         if extra_cold:
             self._m_cold_starts.inc(extra_cold)
-        self._m_queue_wait.observe(queue_wait)
         self._m_epoch_wall.observe(wall)
+        self.peak_in_use = max(self.peak_in_use, spec.n_functions)
         self._m_occupancy.set(spec.n_functions)
-        self._m_occupancy_peak.set(self.concurrency.peak_in_use)
+        self._m_occupancy_peak.set(self.peak_in_use)
         self._sample_epoch(spec, start, n_cold)
         return wall
 
     def _execute_closed_form(self, spec: EpochExecution) -> InvocationResult:
         """The fault-free epoch as array arithmetic on the kernel's clock."""
         n = spec.n_functions
-        gang = self.concurrency
-        if n > gang.capacity:
-            # BSP needs every worker alive simultaneously: n above the
-            # account limit is an infeasible allocation, not a queue.
-            raise SimulationError(
-                f"acquire({n}) exceeds capacity {gang.capacity} of {gang.name}"
-            )
         sim = self.sim
         start = sim.now
         n_warm, n_cold, cold_s, factors, load_factor, sync_factor = self._launch(spec)
@@ -297,13 +294,12 @@ class FaaSPlatform:
         ends = (body + load_s) + spec.compute_s * factors
         barrier = float(ends.max())
         durations = ends - start
-        gang.peak_in_use = max(gang.peak_in_use, gang.in_use + n)
         # The event-driven gang dispatches 4 driver steps (launch, acquire,
         # sync, release) and, per rank, a launch, a load, a compute and a
         # join wake-up, plus a cold-start sleep on each cold rank.
         sim.advance(barrier + sync_s, 4 + 4 * n + n_cold)
         billed = self.meter.bill_gang(spec.memory_mb, durations + sync_s)
-        wall = self._finish_epoch(spec, start, n_cold, cold_s, 0.0, n)
+        wall = self._finish_epoch(spec, start, n_cold, cold_s, n)
         consumed = durations.tolist()
         measured = EpochTimeBreakdown(
             load_s=load_s,
@@ -330,7 +326,6 @@ class FaaSPlatform:
             wall_time_s=wall,
             time=measured,
             cold_starts=n_cold,
-            queue_wait_s=0.0,
             billed_usd=billed,
             worker_durations_s=tuple(consumed),
             cold_start_s=cold_s,
@@ -348,11 +343,10 @@ class FaaSPlatform:
         losses = injector.pending_losses(epoch, spec.n_functions)
         if losses:
             # The platform notices the dead instances when their invokes
-            # time out — one detection window on the critical path,
-            # dispatched ahead of any execution event at its timestamp.
+            # time out: one detection window (one event) on the critical
+            # path, before the gang launches.
             detect_s = injector.plan.invocation_timeout_s or cold_base
-            sim.schedule(detect_s, lambda: None, priority=Priority.FAULT)
-            sim.run()
+            sim.advance(sim.now + detect_s, 1)
             for loss in losses:
                 injector.record(
                     "permanent-loss", sim.now, epoch=epoch, rank=loss.rank,
@@ -386,10 +380,13 @@ class FaaSPlatform:
         )
         n_healthy = n - int(np.count_nonzero(faulty))
 
-        waits: list[float] = []
-        starts = [0.0] * n
-        durations = [0.0] * n  # final successful attempt
-        consumed = [0.0] * n   # body start -> final outcome
+        # A healthy rank runs its planned first attempt from the gang's
+        # start and ends where a worker would; faulty ranks run as
+        # workers and overwrite their own entries.
+        took = ((start + planned) - start).tolist()
+        starts = [start] * n
+        durations = list(took)  # final successful attempt
+        consumed = list(took)   # body start -> final outcome
         failed = [False] * n
         extra_attempts: list[float] = []      # failed-attempt runtimes (billed)
         extra_cold = [0]                      # retry + failed cold windows
@@ -481,20 +478,6 @@ class FaaSPlatform:
         outcome: dict[str, float] = {}
 
         def epoch_driver():
-            # BSP needs every worker alive simultaneously, so the epoch
-            # acquires its n concurrency slots as a gang; n above the
-            # account limit is an infeasible allocation, not a queue.
-            arrive = sim.now
-            yield Acquire(self.concurrency, n)
-            body_start = sim.now
-            waits.append(body_start - arrive)
-            # A healthy rank runs its planned first attempt from body_start
-            # and ends where a worker would; faulty ranks run as workers
-            # and overwrite their own entries.
-            took = ((body_start + planned) - body_start).tolist()
-            starts[:] = [body_start] * n
-            durations[:] = took
-            consumed[:] = took
             tasks = [sim.spawn(worker_proc(r)) for r in np.flatnonzero(faulty).tolist()]
             if n_healthy:
                 # One task stands in for the healthy ranks: it ends at
@@ -516,16 +499,16 @@ class FaaSPlatform:
                     outcome["sync_faults"] = float(
                         penalty.n_transient + (1 if penalty.throttled_s else 0)
                     )
-            yield Release(self.concurrency, n)
 
         driver = sim.spawn(epoch_driver())
         sim.run()
         if not driver.done:
             raise SimulationError("epoch driver did not complete; engine stall")
-        if n_healthy:
-            # Each healthy rank's worker dispatched a launch, a planned
-            # wake-up and a join wake-up; the stand-in made three.
-            sim.advance(sim.now, 3 * n_healthy - 3)
+        # Like the closed form's 4 driver steps, the count keeps the
+        # gang's acquire and release steps; and each healthy rank's worker
+        # dispatched a launch, a planned wake-up and a join wake-up, of
+        # which the stand-in made three.
+        sim.advance(sim.now, 2 + max(3 * n_healthy - 3, 0))
 
         sync_s = outcome.get("sync_s", 0.0)
         sync_extra = outcome.get("sync_extra_s", 0.0)
@@ -537,7 +520,6 @@ class FaaSPlatform:
         billed = self.meter.bill_gang(spec.memory_mb, extra_attempts + [
             d + tail for d, lost in zip(durations, failed) if not lost
         ])
-        queue_wait = max(waits) if waits else 0.0
         n_faults = (
             len(extra_attempts)
             + cold_failures[0]
@@ -545,7 +527,7 @@ class FaaSPlatform:
             + (1 if "storage_failed" in outcome else 0)
         )
         wall = self._finish_epoch(
-            spec, start, n_cold, cold_s, queue_wait,
+            spec, start, n_cold, cold_s,
             spec.n_functions + len(extra_attempts), extra_cold[0],
         )
 
@@ -571,15 +553,9 @@ class FaaSPlatform:
         tracer = self.tracer
         if tracer.enabled:
             track = f"group:{spec.group}"
-            body_start = start + queue_wait
-            if queue_wait > 0:
-                tracer.span(
-                    "queue-wait", "queue", start, queue_wait, track,
-                    gang=spec.n_functions,
-                )
             if n_cold:
                 tracer.span(
-                    "cold-start", "cold", body_start, cold_s, track,
+                    "cold-start", "cold", start, cold_s, track,
                     cold=n_cold, warm=n_warm,
                 )
             if fault_overhead > 0:
@@ -596,7 +572,6 @@ class FaaSPlatform:
             wall_time_s=wall,
             time=measured,
             cold_starts=n_cold,
-            queue_wait_s=queue_wait,
             billed_usd=billed,
             worker_durations_s=tuple(consumed),
             cold_start_s=cold_s,

@@ -1,13 +1,13 @@
-"""The unified discrete-event kernel: one clock, one heap, one journal.
+"""The discrete-event kernel and the run journal.
 
-Every simulated subsystem — platform epoch execution, storage sync
-rounds, scheduler reallocation points, SLO burn-rate evaluation, fault
-injection — runs on one :class:`EventKernel`. The kernel owns both
-timelines of a run:
+Each platform owns one :class:`EventKernel`. Its event loop runs the
+faulted gang's sleeps and joins; closed-form work (a fault-free epoch,
+the healthy ranks of a faulted one, a permanent-loss detection window)
+advances its clock directly. The kernel owns both timelines of a run:
 
-* the **event clock** (``now``): simulated resource time advanced by the
-  binary-heap event loop, with deterministic ``(time, priority, seq)``
-  tie-breaks;
+* the **event clock** (``now``): simulated resource time, advanced by
+  the binary-heap event loop with deterministic ``(time, seq)``
+  tie-breaks or by :meth:`EventKernel.advance`;
 * the **job clock** (``job_clock_s``): the job-time ledger (JCT) that
   additionally accumulates zero-event-time scheduling work — planner
   searches, checkpoint restores, visible restart overhead — via
@@ -20,16 +20,7 @@ replays it so an interrupted run continues to a bundle byte-identical
 to an uninterrupted one.
 """
 
-from repro.kernel.core import (
-    Acquire,
-    EventKernel,
-    Join,
-    Priority,
-    Process,
-    Release,
-    Resource,
-    Task,
-)
+from repro.kernel.core import EventKernel, Join, Process, Task
 from repro.kernel.journal import (
     JOURNAL_SCHEMA,
     JournalError,
@@ -38,15 +29,11 @@ from repro.kernel.journal import (
 )
 
 __all__ = [
-    "Acquire",
     "EventKernel",
     "JOURNAL_SCHEMA",
     "Join",
     "JournalError",
-    "Priority",
     "Process",
-    "Release",
-    "Resource",
     "RunJournal",
     "Task",
     "epoch_record_digest",

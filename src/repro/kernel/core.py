@@ -1,22 +1,20 @@
 """The discrete-event kernel: generator processes on one binary heap.
 
-Processes are Python generators that yield *effects*:
+The event loop runs the platform's faulted gang
+(:meth:`repro.faas.platform.FaaSPlatform.execute_epoch` with a fault
+injector attached): the epoch driver and each faulty rank are generator
+processes that yield *effects*:
 
 * a ``float`` — sleep for that many simulated seconds;
-* ``Acquire(resource, amount)`` — block until the resource grants capacity;
-* ``Release(resource, amount)`` — return capacity (never blocks);
 * ``Join(tasks)`` — block until every task (from ``EventKernel.spawn``) is
-  done;
-* another generator — run it as a sub-process and wait for its completion.
+  done.
 
-The kernel is deterministic: heap entries are ``(time, priority, seq)``
-tuples, so events at equal timestamps fire first by priority class and
-then in scheduling order (a monotonically increasing sequence number
-breaks the final tie). Every scheduling call defaults to
-:attr:`Priority.EXECUTION`, which keeps the dispatch order of plain
-process code identical to a priority-free ``(time, seq)`` heap; the
-other classes exist so cross-subsystem events landing on the same
-timestamp resolve by design rather than by insertion accident.
+The kernel is deterministic: heap entries are ``(time, seq, action)``
+tuples, so events at equal timestamps fire in scheduling order (a
+monotonically increasing sequence number breaks the tie). Work simulated
+in closed form — a fault-free epoch, the healthy ranks of a faulted one,
+the permanent-loss detection window — moves an idle kernel's clock with
+:meth:`EventKernel.advance`, counting the events it stands for.
 
 Besides the event clock the kernel owns the run's *job clock*: the
 JCT ledger that also accumulates scheduling work which costs job time
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Any, Callable, Generator, Sequence
 
 from repro.common.errors import SimulationError
@@ -38,70 +35,13 @@ from repro.common.errors import SimulationError
 Process = Generator[Any, Any, Any]
 
 
-class Priority(IntEnum):
-    """Dispatch order for events sharing one timestamp (lower fires first).
-
-    ``FAULT`` precedes ``EXECUTION`` so an injected failure lands before
-    the work it kills; ``SCHEDULER`` follows execution so reallocation
-    points observe a finished epoch; ``SLO`` evaluates last, once the
-    timestamp's state is final. Value 2 belonged to a storage class that
-    nothing scheduled; the other values keep their numbers.
-    """
-
-    FAULT = 0
-    EXECUTION = 1
-    SCHEDULER = 3
-    SLO = 4
-
-
-class Resource:
-    """A counted resource with a FIFO wait queue (e.g. account concurrency)."""
-
-    def __init__(self, capacity: int, name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.available = capacity
-        self.name = name
-        self._waiters: list[tuple[int, "Task"]] = []
-        self.peak_in_use = 0
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - self.available
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Resource({self.name}, {self.available}/{self.capacity})"
-
-
-@dataclass(frozen=True, slots=True)
-class Acquire:
-    """Effect: block until ``amount`` units of ``resource`` are available."""
-
-    resource: Resource
-    amount: int = 1
-
-
-@dataclass(frozen=True, slots=True)
-class Release:
-    """Effect: return ``amount`` units to ``resource``."""
-
-    resource: Resource
-    amount: int = 1
-
-
 class Task:
     """Handle for a spawned process; exposes completion state and result."""
 
-    __slots__ = (
-        "gen", "parent", "waiting_child", "done", "result", "_joiners",
-        "_join_pending",
-    )
+    __slots__ = ("gen", "done", "result", "_joiners", "_join_pending")
 
-    def __init__(self, gen: Process, parent: "Task | None" = None) -> None:
+    def __init__(self, gen: Process) -> None:
         self.gen = gen
-        self.parent = parent
-        self.waiting_child: Task | None = None
         self.done = False
         self.result: Any = None
         self._joiners: list[Task] = []
@@ -125,25 +65,20 @@ class EventKernel:
     def __init__(self) -> None:
         self.now = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self.events_processed = 0
         # The job-time ledger: scheduling work that takes no simulated
         # resource time but real job time (JCT). Executors credit it in
         # the exact order the overheads occur, so it is bit-reproducible.
         self.job_clock_s = 0.0
 
-    def schedule(
-        self,
-        delay: float,
-        action: Callable[[], None],
-        priority: Priority = Priority.EXECUTION,
-    ) -> None:
+    def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Run ``action`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         heapq.heappush(
-            self._heap, (self.now + delay, int(priority), self._seq, action)
+            self._heap, (self.now + delay, self._seq, action)
         )
 
     def credit_job_time(self, dt_s: float) -> float:
@@ -162,11 +97,11 @@ class EventKernel:
         """Move an idle kernel's clock to ``until`` as if ``events`` had run.
 
         For work simulated in closed form (a fault-free platform epoch,
-        or the healthy ranks of a faulted one):
-        the caller computed the timeline itself and only needs the clock
-        and the dispatch count to read as if the events had been drained
-        through :meth:`run`. Pending events would be skipped, so a
-        non-idle heap is refused, as is a time in the past.
+        the healthy ranks of a faulted one, a permanent-loss detection
+        window): the caller computed the timeline itself and only needs
+        the clock and the dispatch count to read as if the events had
+        been drained through :meth:`run`. Pending events would be
+        skipped, so a non-idle heap is refused, as is a time in the past.
         """
         if self._heap:
             raise SimulationError(
@@ -174,26 +109,22 @@ class EventKernel:
             )
         if not until >= self.now:
             raise SimulationError(
-                f"cannot advance into the past (until={until}, now={self.now})"
+                f"cannot advance into the past (to {until}, now {self.now})"
             )
         if events < 0:
             raise SimulationError(f"cannot count negative events ({events})")
         self.now = until
         self.events_processed += events
 
-    def spawn(self, gen: Process, priority: Priority = Priority.EXECUTION) -> Task:
-        """Start a top-level process immediately; returns its handle."""
+    def spawn(self, gen: Process) -> Task:
+        """Start a process immediately; returns its handle."""
         task = Task(gen)
-        self.schedule(0.0, lambda: self._step(task, None), priority)
+        self.schedule(0.0, lambda: self._step(task, None))
         return task
 
     def _finish(self, task: Task, result: Any) -> None:
         task.done = True
         task.result = result
-        parent = task.parent
-        if parent is not None and parent.waiting_child is task:
-            parent.waiting_child = None
-            self.schedule(0.0, lambda: self._step(parent, result))
         for joiner in task._joiners:
             self.schedule(0.0, lambda j=joiner: self._maybe_resume_joiner(j))
         task._joiners.clear()
@@ -212,16 +143,8 @@ class EventKernel:
         except StopIteration as stop:
             self._finish(task, stop.value)
             return
-        self._dispatch(task, effect)
-
-    def _dispatch(self, task: Task, effect: Any) -> None:
         if isinstance(effect, (int, float)):
             self.schedule(float(effect), lambda: self._step(task, None))
-        elif isinstance(effect, Acquire):
-            self._acquire(task, effect.resource, effect.amount)
-        elif isinstance(effect, Release):
-            self._release(effect.resource, effect.amount)
-            self.schedule(0.0, lambda: self._step(task, None))
         elif isinstance(effect, Join):
             if all(t.done for t in effect.tasks):
                 self.schedule(
@@ -232,46 +155,17 @@ class EventKernel:
                 for t in effect.tasks:
                     if not t.done:
                         t._joiners.append(task)
-        elif isinstance(effect, Generator):
-            child = Task(effect, parent=task)
-            task.waiting_child = child
-            self.schedule(0.0, lambda: self._step(child, None))
         else:
             raise SimulationError(f"process yielded unsupported effect {effect!r}")
 
-    def _acquire(self, task: Task, resource: Resource, amount: int) -> None:
-        if amount > resource.capacity:
-            raise SimulationError(
-                f"acquire({amount}) exceeds capacity {resource.capacity} "
-                f"of {resource.name}"
-            )
-        if resource.available >= amount and not resource._waiters:
-            resource.available -= amount
-            resource.peak_in_use = max(resource.peak_in_use, resource.in_use)
-            self.schedule(0.0, lambda: self._step(task, None))
-        else:
-            resource._waiters.append((amount, task))
-
-    def _release(self, resource: Resource, amount: int) -> None:
-        resource.available = min(resource.capacity, resource.available + amount)
-        while resource._waiters and resource._waiters[0][0] <= resource.available:
-            amt, waiter = resource._waiters.pop(0)
-            resource.available -= amt
-            resource.peak_in_use = max(resource.peak_in_use, resource.in_use)
-            self.schedule(0.0, lambda w=waiter: self._step(w, None))
-
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
+    def run(self, max_events: int = 10_000_000) -> float:
         """Drain the event heap; returns the final simulated time."""
         while self._heap:
-            t, _, _, action = self._heap[0]
-            if until is not None and t > until:
-                break
+            t, _, action = self._heap[0]
             heapq.heappop(self._heap)
             self.now = t
             self.events_processed += 1
             if self.events_processed > max_events:
                 raise SimulationError(f"exceeded {max_events} events; likely a livelock")
             action()
-        if until is not None and self.now < until and not self._heap:
-            self.now = until
         return self.now

@@ -31,10 +31,20 @@ DEFAULT_STORE_ROOT = ".repro/runs"
 
 
 class RunStore:
-    """A directory of content-addressed run bundles."""
+    """A directory of content-addressed run bundles.
+
+    A root that exists but is not a directory, or that lies under a file,
+    raises :class:`ValidationError` here, before anything is run or read.
+    """
 
     def __init__(self, root: str | Path = DEFAULT_STORE_ROOT) -> None:
         self.root = Path(root)
+        for path in (self.root, *self.root.parents):
+            if path.exists():
+                if not path.is_dir():
+                    where = "is" if path == self.root else f"lies under {path}, which is"
+                    raise ValidationError(f"run store {self.root} {where} not a directory")
+                break
 
     @property
     def manifest_dir(self) -> Path:

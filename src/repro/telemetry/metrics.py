@@ -186,7 +186,7 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Distribution over fixed buckets (latencies, queue waits, drifts)."""
+    """Distribution over fixed buckets (latencies, wall times, drifts)."""
 
     kind = "histogram"
 

@@ -1,7 +1,7 @@
 """Live span tracing: feed the TraceRecorder *during* simulation.
 
 The :class:`Tracer` lets the platform and executors emit spans as they
-happen, so the trace shows gang queue waits, cold-start windows and the
+happen, so the trace shows cold-start windows, fault recovery and the
 delayed-restart overlap hidden under a running epoch.
 
 Timebase: spans are recorded in the platform simulator's clock plus a

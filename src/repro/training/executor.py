@@ -332,7 +332,6 @@ class TrainingExecutor:
                 ),
                 loss=loss,
                 cold_start_s=result.cold_start_s,
-                queue_wait_s=result.queue_wait_s,
                 worker_durations_s=result.worker_durations_s,
             )
             records.append(record)
@@ -349,7 +348,6 @@ class TrainingExecutor:
                     compute_s=record.time.compute_s,
                     sync_s=record.time.sync_s,
                     cold_start_s=record.cold_start_s,
-                    queue_wait_s=record.queue_wait_s,
                     invocation_usd=record.cost.invocation_usd,
                     compute_usd=record.cost.compute_usd,
                     storage_usd=record.cost.storage_usd,

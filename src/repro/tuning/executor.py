@@ -67,11 +67,6 @@ class TuningExecutor:
     # per-worker crash/retry machinery lives in the training executor's
     # discrete-event epochs.
     fault_injector: object | None = None
-    # A repro.kernel.EventKernel, or None. When set, each stage's wall
-    # time is dispatched as a SCHEDULER-priority event so tuning stages
-    # advance the same unified timeline as platform execution, instead
-    # of the stage loop keeping a private total_jct-only clock.
-    kernel: object | None = None
 
     def run(
         self,
@@ -163,13 +158,6 @@ class TuningExecutor:
                 )
                 total_jct += stage_jct
                 total_cost += stage_cost
-                if self.kernel is not None:
-                    from repro.kernel import Priority
-
-                    self.kernel.schedule(
-                        stage_jct, lambda: None, priority=Priority.SCHEDULER
-                    )
-                    self.kernel.run()
                 if bus.enabled:
                     bus.emit(
                         "stage_done", total_jct, scope="tune",

@@ -1,6 +1,6 @@
 """The breakdown of `repro diagnose`: where the time and the money went.
 
-Without an epoch timeline the critical path's queue, cold-start, sync and
+Without an epoch timeline the critical path's cold-start, sync and
 scheduling come from the telemetry totals; the breakdown block holds the
 cost split by billed component, the activity counters and the peaks.
 """
@@ -28,7 +28,6 @@ def _registry_for_run() -> MetricsRegistry:
     usd.labels(component="invocation").inc(0.01)
     usd.labels(component="compute").inc(0.08)
     usd.labels(component="storage").inc(0.01)
-    reg.histogram("repro_faas_queue_wait_seconds", buckets=(1.0,)).observe(2.5)
     reg.counter("repro_scheduler_reallocations_total").inc(3)
     reg.counter("repro_scheduler_restart_hidden_seconds_total").inc(4.0)
     return reg
@@ -51,11 +50,11 @@ class TestBreakdown:
         rows = {c.component: c for c in cp.components}
         assert cp.jct_s == 100.0
         assert rows["cold-start"].share == 0.05
-        assert rows["queue"].seconds == 2.5
+        assert "queue" not in rows
         assert rows["sync"].share == 0.2
         assert rows["scheduling"].share == 0.02
         assert rows["load"].seconds == rows["compute"].seconds == 0.0
-        assert cp.accounted_s == 5.0 + 2.5 + 20.0 + 2.0
+        assert cp.accounted_s == 5.0 + 20.0 + 2.0
         assert cp.restart.hidden_s == 4.0
 
     def test_cost_split_by_component(self):
@@ -117,7 +116,7 @@ class TestBreakdown:
         ).render()
         assert "diagnostics: workload=lr-higgs" in text
         assert "critical path (JCT 100.000 s)" in text
-        assert "accounted 29.500 s of 100.000 s" in text
+        assert "accounted 27.000 s of 100.000 s" in text
         assert "breakdown (cost $0.100000)" in text
         assert "(  5.0%)" in text  # cold-start share of JCT
         assert "$0.080000  ( 80.0%)" in text
@@ -131,11 +130,11 @@ class TestBreakdown:
 
 #: The rows `repro report` printed for the two captures below before it
 #: was folded into `repro diagnose`: (diagnose line prefix, value, share).
+#: Its `queue` row, always 0.000 s, is gone with the queue wait.
 REPORT_ROWS = {
     "train": [
         ("critical path (JCT", "80.377 s", None),
         ("cold-start", "1.847 s", "(  2.3%)"),
-        ("queue", "0.000 s", "(  0.0%)"),
         ("sync", "49.173 s", "( 61.2%)"),
         ("scheduling", "1.440 s", "(  1.8%)"),
         ("restarts:", "hidden 0.000 s", None),
@@ -156,7 +155,6 @@ REPORT_ROWS = {
     "tune": [
         ("critical path (JCT", "252.403 s", None),
         ("cold-start", "0.000 s", "(  0.0%)"),
-        ("queue", "0.000 s", "(  0.0%)"),
         ("sync", "64.698 s", "( 25.6%)"),
         ("scheduling", "1.800 s", "(  0.7%)"),
         ("restarts:", "hidden 0.000 s", None),
@@ -204,7 +202,8 @@ class TestCaptures:
             assert share is None or share in line, (prefix, line)
         # Nothing records storage requests or storage bandwidth: no such rows.
         assert not [line for line in lines
-                    if line.startswith(("storage requests", "peak storage bandwidth"))]
+                    if line.startswith(("queue", "storage requests",
+                                        "peak storage bandwidth"))]
 
     def test_totals_agree_with_the_timeline(self, captures):
         telemetry = json.loads((captures / "train.json").read_text())
@@ -213,7 +212,7 @@ class TestCaptures:
         timeline = diagnose(RunObservation.from_capture(telemetry, log)).critical_path
         by_totals = {c.component: c.seconds for c in totals.components}
         for c in timeline.components:
-            if c.component in ("queue", "cold-start", "sync", "scheduling"):
+            if c.component in ("cold-start", "sync", "scheduling"):
                 assert by_totals[c.component] == pytest.approx(c.seconds, abs=1e-6)
         assert by_totals["sync"] > 0
 
@@ -225,7 +224,7 @@ class TestCaptures:
         sync = next(c for c in payload["critical_path"]["components"]
                     if c["component"] == "sync")
         assert sync["seconds"] == round(run["comm_overhead_s"], 9) > 0
-        assert payload["schema"] == "repro-diagnostics/v3"
+        assert payload["schema"] == "repro-diagnostics/v4"
 
     @pytest.mark.parametrize("kinds", [{"telemetry"}, {"telemetry", "timeseries"}],
                              ids=["gauge", "sampler"])

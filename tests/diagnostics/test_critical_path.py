@@ -13,7 +13,7 @@ from repro.diagnostics.timeline import EpochObservation
 
 class TestDecomposition:
     def test_components_sum_to_jct(self, lr_obs):
-        """Acceptance: queue+cold+load+compute+sync+scheduling = JCT (±1%)."""
+        """Acceptance: cold+load+compute+sync+scheduling = JCT (±1%)."""
         analysis = analyze_critical_path(lr_obs)
         assert analysis.accounted_s == pytest.approx(lr_obs.jct_s, rel=0.01)
         # The identity is in fact exact for live runs.
@@ -85,6 +85,6 @@ def _epoch(index: int, scheduling: float = 0.0, restarted: bool = False,
     return EpochObservation(
         index=index, alloc_label="4fn/1769MB/s3", allocation=None,
         load_s=1.0, compute_s=5.0, sync_s=2.0, cold_start_s=0.0,
-        queue_wait_s=0.0, wall_s=8.0, scheduling_overhead_s=scheduling,
+        wall_s=8.0, scheduling_overhead_s=scheduling,
         hidden_restart_overlap_s=hidden, restarted=restarted,
     )

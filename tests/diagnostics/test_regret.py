@@ -96,7 +96,7 @@ class TestValidation:
                     index=i, alloc_label=point.allocation.describe(),
                     allocation=point.allocation, load_s=0.1,
                     compute_s=point.time_s, sync_s=0.1, cold_start_s=0.0,
-                    queue_wait_s=0.0, wall_s=point.time_s + 0.2,
+                    wall_s=point.time_s + 0.2,
                     cost_usd=point.cost_usd,
                 )
             )

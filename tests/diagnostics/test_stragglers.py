@@ -81,5 +81,5 @@ def _epoch(index: int, workers: tuple[float, ...]) -> EpochObservation:
     return EpochObservation(
         index=index, alloc_label="8fn/1769MB/s3", allocation=None,
         load_s=0.0, compute_s=max(workers), sync_s=0.0, cold_start_s=0.0,
-        queue_wait_s=0.0, wall_s=max(workers), worker_durations_s=workers,
+        wall_s=max(workers), worker_durations_s=workers,
     )

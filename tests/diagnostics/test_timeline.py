@@ -34,7 +34,6 @@ def _expected(r: EpochRecord) -> EpochObservation:
         compute_s=r.time.compute_s,
         sync_s=r.time.sync_s,
         cold_start_s=r.cold_start_s,
-        queue_wait_s=r.queue_wait_s,
         wall_s=r.wall_s,
         loss=r.loss,
         cost_usd=r.cost.total_usd,

@@ -17,7 +17,7 @@ from repro.common.types import EpochTimeBreakdown
 from repro.faas.platform import EpochExecution, FaaSPlatform, InvocationResult
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.kernel import Acquire, EventKernel, Join, Release
+from repro.kernel import EventKernel, Join
 
 
 class EventDrivenPlatform(FaaSPlatform):
@@ -30,7 +30,6 @@ class EventDrivenPlatform(FaaSPlatform):
         n_warm, n_cold, cold_s, compute_factors, load_factor, sync_factor = (
             self._launch(spec)
         )
-        waits: list[float] = []
         durations = [0.0] * n
         outcome: dict[str, float] = {}
 
@@ -43,14 +42,12 @@ class EventDrivenPlatform(FaaSPlatform):
             durations[rank] = sim.now - body_start
 
         def epoch_driver():
-            arrive = sim.now
-            yield Acquire(self.concurrency, n)
-            waits.append(sim.now - arrive)
+            yield 0.0  # the gang's acquire step
             yield Join.of([sim.spawn(worker_proc(r)) for r in range(n)])
             sync_s = spec.sync_s * sync_factor
             yield sync_s
             outcome["sync_s"] = sync_s
-            yield Release(self.concurrency, n)
+            yield 0.0  # the gang's release step
 
         driver = sim.spawn(epoch_driver())
         sim.run()
@@ -59,8 +56,7 @@ class EventDrivenPlatform(FaaSPlatform):
         billed = 0.0
         for d in durations:
             billed += self.meter.bill_invocation(spec.memory_mb, d + sync_s).total_usd
-        queue_wait = max(waits)
-        wall = self._finish_epoch(spec, start, n_cold, cold_s, queue_wait, n)
+        wall = self._finish_epoch(spec, start, n_cold, cold_s, n)
         return InvocationResult(
             wall_time_s=wall,
             time=EpochTimeBreakdown(
@@ -69,7 +65,6 @@ class EventDrivenPlatform(FaaSPlatform):
                 sync_s=sync_s,
             ),
             cold_starts=n_cold,
-            queue_wait_s=queue_wait,
             billed_usd=billed,
             worker_durations_s=tuple(durations),
             cold_start_s=cold_s,
@@ -83,8 +78,7 @@ def _state(p: FaaSPlatform) -> tuple:
         p.sim.now, p.sim.events_processed, p.noise_draws,
         meter.compute_usd, meter.invocation_usd, meter.invocation_count,
         meter.total_usd, pool.cold_starts, pool.warm_reuses, pool.expired,
-        pool.total_warm(p.sim.now), p.concurrency.peak_in_use,
-        p.concurrency.available,
+        pool.total_warm(p.sim.now), p.peak_in_use,
     ))
 
 

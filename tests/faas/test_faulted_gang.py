@@ -23,7 +23,7 @@ from repro.faults.plan import (
     StorageFaultSpec,
     ThrottleWindow,
 )
-from repro.kernel import Acquire, Join, Priority, Release
+from repro.kernel import Join
 
 from tests.faas.test_closed_form import _state
 
@@ -41,7 +41,7 @@ class KernelGangPlatform(FaaSPlatform):
         losses = injector.pending_losses(epoch, spec.n_functions)
         if losses:
             detect_s = injector.plan.invocation_timeout_s or cold_base
-            sim.schedule(detect_s, lambda: None, priority=Priority.FAULT)
+            sim.schedule(detect_s, lambda: None)
             sim.run()
             for loss in losses:
                 injector.record(
@@ -66,7 +66,6 @@ class KernelGangPlatform(FaaSPlatform):
         timeout_s = injector.plan.invocation_timeout_s
         cold_sigma = self.platform.cold_start_noise_sigma
 
-        waits: list[float] = []
         starts = [0.0] * spec.n_functions
         durations = [0.0] * spec.n_functions
         consumed = [0.0] * spec.n_functions
@@ -150,9 +149,7 @@ class KernelGangPlatform(FaaSPlatform):
         outcome: dict[str, float] = {}
 
         def epoch_driver():
-            arrive = sim.now
-            yield Acquire(self.concurrency, spec.n_functions)
-            waits.append(sim.now - arrive)
+            yield 0.0  # the gang's acquire step
             tasks = [sim.spawn(worker_proc(r)) for r in range(spec.n_functions)]
             yield Join.of(tasks)
             outcome["barrier_at"] = sim.now
@@ -170,7 +167,7 @@ class KernelGangPlatform(FaaSPlatform):
                     outcome["sync_faults"] = float(
                         penalty.n_transient + (1 if penalty.throttled_s else 0)
                     )
-            yield Release(self.concurrency, spec.n_functions)
+            yield 0.0  # the gang's release step
 
         driver = sim.spawn(epoch_driver())
         sim.run()
@@ -183,7 +180,6 @@ class KernelGangPlatform(FaaSPlatform):
         billed = self.meter.bill_gang(spec.memory_mb, extra_attempts + [
             d + tail for d, lost in zip(durations, failed) if not lost
         ])
-        queue_wait = max(waits) if waits else 0.0
         n_faults = (
             len(extra_attempts)
             + cold_failures[0]
@@ -191,7 +187,7 @@ class KernelGangPlatform(FaaSPlatform):
             + (1 if "storage_failed" in outcome else 0)
         )
         wall = self._finish_epoch(
-            spec, start, n_cold, cold_s, queue_wait,
+            spec, start, n_cold, cold_s,
             spec.n_functions + len(extra_attempts), extra_cold[0],
         )
         if gang_failed:
@@ -216,7 +212,6 @@ class KernelGangPlatform(FaaSPlatform):
                 sync_s=sync_s + sync_extra,
             ),
             cold_starts=n_cold,
-            queue_wait_s=queue_wait,
             billed_usd=billed,
             worker_durations_s=tuple(consumed),
             cold_start_s=cold_s,

@@ -1,22 +1,14 @@
-"""The unified event kernel: priorities, clocks, and the faas shim."""
+"""The event kernel: dispatch order, clocks, and the faas shim."""
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.kernel import Acquire, EventKernel, Join, Priority, Release, Resource
+from repro.kernel import EventKernel
 
 
 class TestPriorityDispatch:
-    def test_equal_time_fires_by_priority_class(self):
-        kernel = EventKernel()
-        order = []
-        # Scheduled worst-first: the heap must reorder them by class.
-        kernel.schedule(1.0, lambda: order.append("slo"), Priority.SLO)
-        kernel.schedule(1.0, lambda: order.append("sched"), Priority.SCHEDULER)
-        kernel.schedule(1.0, lambda: order.append("exec"), Priority.EXECUTION)
-        kernel.schedule(1.0, lambda: order.append("fault"), Priority.FAULT)
-        kernel.run()
-        assert order == ["fault", "exec", "sched", "slo"]
+    """The heap key is ``(time, seq)``: the scheduling order is the only
+    priority among events at one timestamp."""
 
     def test_same_priority_keeps_scheduling_order(self):
         kernel = EventKernel()
@@ -29,10 +21,11 @@ class TestPriorityDispatch:
     def test_time_beats_priority(self):
         kernel = EventKernel()
         order = []
-        kernel.schedule(1.0, lambda: order.append("early-slo"), Priority.SLO)
-        kernel.schedule(2.0, lambda: order.append("late-fault"), Priority.FAULT)
+        # Scheduled late-first: the heap must reorder them by time.
+        kernel.schedule(2.0, lambda: order.append("late"))
+        kernel.schedule(1.0, lambda: order.append("early"))
         kernel.run()
-        assert order == ["early-slo", "late-fault"]
+        assert order == ["early", "late"]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
@@ -69,26 +62,6 @@ class TestJobClock:
 
 
 class TestProcesses:
-    def test_gang_with_resource_and_join(self):
-        kernel = EventKernel()
-        pool = Resource(2, name="slots")
-        done = []
-
-        def worker(i):
-            yield 1.0 * (i + 1)
-            done.append(i)
-
-        def driver():
-            yield Acquire(pool, 2)
-            tasks = [kernel.spawn(worker(i)) for i in range(2)]
-            yield Join.of(tasks)
-            yield Release(pool, 2)
-
-        task = kernel.spawn(driver())
-        kernel.run()
-        assert task.done and done == [0, 1]
-        assert pool.available == 2 and pool.peak_in_use == 2
-
     def test_events_processed_counts_dispatches(self):
         kernel = EventKernel()
         for _ in range(3):

@@ -9,7 +9,10 @@ The two telemetry pins were re-recorded when the run summary's peaks
 lost ``storage_bandwidth_mb_s``, a high-water mark that read 0 in every
 run; nothing else in those captures moved. The two events pins were
 re-recorded when ``epoch_done`` rows gained the epoch's ``EpochRecord``
-fields; dropping those keys gives the earlier bytes. Any change to a
+fields; dropping those keys gives the earlier bytes. The events and
+telemetry pins were re-recorded again when the always-zero queue wait
+went: adding back each ``epoch_done`` row's ``queue_wait_s`` and the
+``repro_faas_queue_wait_seconds`` family gives the earlier bytes. Any change to a
 capture's rendering, its row order or a float's last digit moves a hash.
 """
 
@@ -27,14 +30,14 @@ FAULT_PLAN = Path(__file__).resolve().parents[2] / "examples" / "fault_plan.json
 
 BUNDLE_PINS = {
     "clean": {
-        "events": "98f7219456c2a9741b5052d072dec652d4995f5be270d499b95f7223ca12e4c9",
-        "telemetry": "6c7b015e31c6625c55ff1a723a4345b59a3ca452b28cd9072ad21d8d7b5a815d",
+        "events": "f7fadb1eb7d344a0152ec6e2b2c46704a296e9397df39e6d954df80018c39911",
+        "telemetry": "73c1207b7dcab79d54a5d6beecc51e22abaa999383d6693a4cddb961d2c292d8",
         "timeseries": "507e94ccd9d9ed44dfbe41664968b23e96ec703f855979bdd4aa4aff122bb208",
         "trace": "d5b4db0ba7648570a012236bbd1a6f2648fb054e5c62c3310b77be1dfadc2987",
     },
     "faulted": {
-        "events": "85aa272390564fb184f6287e96e1ad01c565375c5b8a29be4473645b6beca3b4",
-        "telemetry": "60b0589b64cfe1e8e816a5900c1b6383f245b23a651424543f901fc6f794a1a2",
+        "events": "a74c634f8c263fa776df3e8c83981ac64bf2098f1da21cc7b0e55f2c8137b9b8",
+        "telemetry": "d4756feefa7cb860b3f05eec72032f7feebed3a5c90dd7162b1f7566b5a9f20a",
         "timeseries": "9f7218a911552167b9e1c84fed8f552870038f969af70a7419becc31d387fe30",
         "trace": "26f470ca3a72f075baf2c8cb397376c9e8b1d91c02351ffa0a99e151c6b2e08d",
     },

@@ -1,12 +1,12 @@
 """REP014 negative fixture: scheduling goes through the event kernel."""
 
-from repro.kernel import EventKernel, Priority
+from repro.kernel import EventKernel
 
 
 def run_round(actions: list) -> float:
     kernel = EventKernel()
     for delay, action in actions:
-        kernel.schedule(delay, action, priority=Priority.SCHEDULER)
+        kernel.schedule(delay, action)
     return kernel.run()
 
 

@@ -159,26 +159,27 @@ class TestTelemetryFlags:
         assert doc["run"]["jct_s"] > 0
 
 
-def _events_with(row) -> str:
+def _events_with(row, meta: dict | None = None) -> str:
     """A repro-events/v1 log whose one event line is ``row``."""
-    return json.dumps({"schema": "repro-events/v1", "meta": {}}) + "\n" + json.dumps(row)
+    header = {"schema": "repro-events/v1", "meta": meta or {}}
+    return json.dumps(header) + "\n" + json.dumps(row)
 
 
 #: One well-formed epoch_done payload: the EpochRecord fields the timeline
 #: reads, plus the keys only the SLO guard reads.
 _EPOCH_ROW = {"epoch": 1, "allocation": "4fn/1024MB/s3", "loss": 0.5,
               "load_s": 0.2, "compute_s": 1.5, "sync_s": 0.3, "cold_start_s": 0.25,
-              "queue_wait_s": 0.0, "invocation_usd": 1e-06, "compute_usd": 0.01,
+              "invocation_usd": 1e-06, "compute_usd": 0.01,
               "storage_usd": 0.002, "worker_durations_s": [1.9, 1.95, 2.0, 1.7],
               "wall_s": 2.25, "cost_usd": 0.012001, "straggler_slowdown": 1.05}
 
 
-def _epoch_log_with(**fields) -> str:
+def _epoch_log_with(meta: dict | None = None, **fields) -> str:
     """A repro-events/v1 log whose one epoch_done row is :data:`_EPOCH_ROW`
     with ``fields`` replaced (a ``None`` value drops the field)."""
     data = {k: v for k, v in {**_EPOCH_ROW, **fields}.items() if v is not None}
     return _events_with({"seq": 0, "t_s": 2.25, "kind": "epoch_done", "scope": "train",
-                         "data": data})
+                         "data": data}, meta)
 
 
 def _journal(header) -> str:
@@ -321,6 +322,13 @@ class TestMalformedInput:
             ["resume", "journal-argv-seed.journal"],
             ["resume", "journal-argv-method.journal"],
             ["resume", "journal-argv-tune.journal"],
+            # A run store root that is a file, or lies under one: refused
+            # before the run starts, and by every `repro runs` action.
+            ["train", "lr-higgs", "--budget", "2.0", "--save-run", "array.json"],
+            ["tune", "lr-higgs", "--trials", "16", "--save-run", "array.json/store"],
+            ["workflow", "lr-higgs", "--trials", "16", "--save-run", "array.json"],
+            ["runs", "list", "--store", "array.json"],
+            ["runs", "gc", "--store", "array.json/store"],
         ],
         ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
     )
@@ -331,6 +339,20 @@ class TestMalformedInput:
         proc = _assert_one_line_exit_two(argv, tmp_path)
         assert proc.stdout == ""
         assert not (tmp_path / "out.json").exists()
+
+    def test_event_log_of_another_run(self, tmp_path):
+        """A telemetry capture paired with the event log of another run
+        (here: another seed) is refused, naming the first meta key that
+        differs, instead of diagnosing a mixed timeline."""
+        for seed in ("0", "1"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["train", "lr-higgs", "--budget-multiple", "2.0",
+                             "--seed", seed, "--telemetry", str(tmp_path / f"t{seed}.json"),
+                             "--events", str(tmp_path / f"e{seed}.jsonl")]) == 0
+        proc = _assert_one_line_exit_two(
+            ["diagnose", "t0.json", "--events", "e1.jsonl"], tmp_path
+        )
+        assert "'seed'" in proc.stderr and proc.stdout == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -430,7 +452,9 @@ class TestMalformedInput:
         profile["frames"] = [3]
         (tmp_path / "p-frames.json").write_text(json.dumps(profile))
         (tmp_path / "tel.json").write_bytes(_valid_telemetry())
-        (tmp_path / "events-5.jsonl").write_text(_epoch_log_with(worker_durations_s=[5, "a"]))
+        (tmp_path / "events-5.jsonl").write_text(
+            _epoch_log_with(meta={"seed": 0}, worker_durations_s=[5, "a"])
+        )
         _assert_one_line_exit_two(argv, tmp_path)
 
 
@@ -469,7 +493,7 @@ def _valid_telemetry() -> bytes:
     registry = MetricsRegistry()
     registry.counter("repro_faas_billed_usd_total", "spend", labelnames=("component",)) \
         .labels(component="compute").inc(0.5)
-    registry.histogram("repro_faas_queue_wait_seconds", "wait").observe(0.2)
+    registry.histogram("repro_faas_epoch_wall_seconds", "wall").observe(0.2)
     run = {"jct_s": 84.0, "cost_usd": 1.2, "objective": "min_jct", "budget_usd": 2.0,
            "qos_s": None, "peaks": {"concurrency": 4.0}}
     return to_json(registry.snapshot(), run=run, meta={"seed": 0}).encode()
@@ -657,7 +681,7 @@ def _epoch_row_ok(data: dict) -> bool:
     def finite(v):
         return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
-    numbers = ("loss", "load_s", "compute_s", "sync_s", "cold_start_s", "queue_wait_s",
+    numbers = ("loss", "load_s", "compute_s", "sync_s", "cold_start_s",
                "invocation_usd", "compute_usd", "storage_usd")
     workers = data.get("worker_durations_s")
     if not (all(finite(data.get(k)) for k in numbers + ("epoch",))
