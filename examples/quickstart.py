@@ -19,7 +19,7 @@ def main() -> None:
     #    analytical time/cost models (Eq. 2-5) over (n, memory, storage)
     #    and keeps only the Pareto-optimal points.
     profile = profile_workload(w)
-    print(f"\nprofiled {len(profile.all_points)} feasible allocations "
+    print(f"\nprofiled {profile.feasible.sum()} feasible allocations "
           f"-> {len(profile.pareto)} on the Pareto boundary "
           f"({profile.profile_time_s * 1e3:.1f} ms)")
     fastest, cheapest = profile.fastest(), profile.cheapest()

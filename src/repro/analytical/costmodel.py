@@ -13,6 +13,10 @@ depends on the service's pricing pattern (Eq. 5):
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+import numpy as np
+
 from repro.common.types import (
     Allocation,
     EpochCostBreakdown,
@@ -22,6 +26,9 @@ from repro.common.types import (
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.analytical.timemodel import epoch_time
 from repro.ml.models import Workload
+
+if TYPE_CHECKING:
+    from repro.analytical.space import AllocationSpace
 
 
 def function_price_per_second(
@@ -67,4 +74,40 @@ def epoch_cost(
     storage = storage_cost(workload, alloc, t.total_s, platform)
     return EpochCostBreakdown(
         invocation_usd=invocation, compute_usd=compute, storage_usd=storage
+    )
+
+
+def epoch_cost_grid(
+    workload: Workload,
+    space: AllocationSpace,
+    total_s: np.ndarray,
+    platform: PlatformConfig = DEFAULT_PLATFORM,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`epoch_cost` over the whole grid: flat ``(invocation_usd,
+    compute_usd, storage_usd)`` columns in :meth:`AllocationSpace.enumerate`
+    order, pricing the epoch times ``total_s`` (same order).
+
+    Bit for bit :func:`epoch_cost` at every point, by the same term-for-term
+    construction as :func:`~repro.analytical.timemodel.epoch_time_grid`.
+    """
+    counts, memories = space.function_counts, space.memory_grid
+    shape = (len(space.storages), len(counts), len(memories))
+    total = total_s.reshape(shape)
+    n = np.asarray(counts)
+    invocation = n * platform.pricing.usd_per_invocation
+    price = np.array([function_price_per_second(x, platform) for x in memories])
+    compute = n[:, None] * total * price
+    k = np.array([workload.iterations_per_epoch(x) for x in counts])
+    requests = k * (10 * n + 2)
+    storage = np.empty(shape)
+    for i, kind in enumerate(space.storages):
+        svc = platform.storage_config(kind)
+        if svc.pricing is PricingPattern.REQUEST:
+            storage[i] = (requests * svc.request_price_usd(workload.model_mb))[:, None]
+        else:
+            storage[i] = (total[i] / 60.0 + 1.0) * svc.usd_per_minute
+    return (
+        np.broadcast_to(invocation[None, :, None], shape).ravel(),
+        compute.ravel(),
+        storage.ravel(),
     )

@@ -31,14 +31,11 @@ class ProfiledAllocation:
         return self.cost.total_usd
 
 
-def pareto_front(
-    points: Iterable[ProfiledAllocation], strict: bool = True
-) -> list[ProfiledAllocation]:
+def pareto_front(points: Iterable[ProfiledAllocation]) -> list[ProfiledAllocation]:
     """The Pareto-optimal subset minimizing (time, cost), sorted by time.
 
     A point survives if no other point is <= in both dimensions and < in at
-    least one. With ``strict=False``, duplicated (time, cost) pairs all
-    survive; by default only the first of each duplicate group is kept.
+    least one; of duplicated (time, cost) pairs only the first survives.
 
     O(n log n): sort by (time, cost) ascending, keep points whose cost is a
     new running minimum.
@@ -50,10 +47,6 @@ def pareto_front(
         if p.cost_usd < best_cost:
             front.append(p)
             best_cost = p.cost_usd
-        elif not strict and p.cost_usd == best_cost and front and (
-            p.time_s == front[-1].time_s
-        ):
-            front.append(p)
     return front
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from repro.common.errors import ValidationError
 from repro.common.types import Allocation, StorageKind
 from repro.common.validation import require_non_empty
-from repro.config import DEFAULT_PLATFORM, PlatformConfig
-from repro.analytical.timemodel import is_feasible
-from repro.ml.models import Workload
 
 DEFAULT_MEMORY_GRID: tuple[int, ...] = (
     512, 1024, 1769, 2048, 3072, 4096, 6144, 8192, 10240,
@@ -45,6 +45,11 @@ class AllocationSpace:
         require_non_empty(self.function_counts, "function_counts")
         require_non_empty(self.memory_grid, "memory_grid")
         require_non_empty(self.storages, "storages")
+        # Allocation's own bounds, checked once for the whole grid.
+        if min(self.function_counts) < 1 or min(self.memory_grid) < 128:
+            raise ValidationError(
+                "function_counts must be >= 1 and memory_grid >= 128 MB"
+            )
 
     def __len__(self) -> int:
         return len(self.function_counts) * len(self.memory_grid) * len(self.storages)
@@ -56,11 +61,15 @@ class AllocationSpace:
                 for m in self.memory_grid:
                     yield Allocation(n_functions=n, memory_mb=m, storage=s)
 
-    def feasible(
-        self, workload: Workload, platform: PlatformConfig = DEFAULT_PLATFORM
-    ) -> list[Allocation]:
-        """Grid points that satisfy every hard limit for ``workload``."""
-        return [a for a in self.enumerate() if is_feasible(workload, a, platform)]
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All grid points as flat ``(storage, n, m)`` columns, in
+        :meth:`enumerate` order (storage is an object column)."""
+        s, n, m = len(self.storages), len(self.function_counts), len(self.memory_grid)
+        return (
+            np.repeat(np.array(self.storages, dtype=object), n * m),
+            np.tile(np.repeat(self.function_counts, m), s),
+            np.tile(self.memory_grid, s * n),
+        )
 
     def restrict_storage(self, *kinds: StorageKind) -> "AllocationSpace":
         """A copy limited to the given storage services (Fig. 16-18 pinning)."""

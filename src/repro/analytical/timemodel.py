@@ -15,10 +15,17 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+import numpy as np
+
 from repro.common.errors import InfeasibleAllocationError
 from repro.common.types import Allocation, EpochTimeBreakdown
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.ml.models import Workload
+
+if TYPE_CHECKING:
+    from repro.analytical.space import AllocationSpace
 
 
 def compute_speedup(
@@ -107,3 +114,59 @@ def epoch_time(
     compute_s = partition_mb * u  # = k * (per-iteration batch MB) * u
     sync_s = k * sync_time_per_iteration(workload, alloc, platform)
     return EpochTimeBreakdown(load_s=load_s, compute_s=compute_s, sync_s=sync_s)
+
+
+def feasible_grid(
+    workload: Workload, space: AllocationSpace, platform: PlatformConfig = DEFAULT_PLATFORM
+) -> np.ndarray:
+    """:func:`is_feasible` over the whole grid: a flat mask in
+    :meth:`AllocationSpace.enumerate` order."""
+    lim = platform.limits
+    n = np.asarray(space.function_counts)
+    m = np.asarray(space.memory_grid)
+    floor = np.array([workload.min_memory_mb(x) for x in space.function_counts])
+    fits = np.array([
+        not workload.model_mb > platform.storage_config(s).object_limit_mb
+        for s in space.storages
+    ])
+    n_m = (
+        (n <= lim.max_concurrency)[:, None]
+        & ((m >= lim.min_memory_mb) & (m <= lim.max_memory_mb))[None, :]
+        & (m[None, :] >= floor[:, None])
+    )
+    return (fits[:, None, None] & n_m[None]).ravel()
+
+
+def epoch_time_grid(
+    workload: Workload, space: AllocationSpace, platform: PlatformConfig = DEFAULT_PLATFORM
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`epoch_time` over the whole grid: flat ``(load_s, compute_s,
+    sync_s)`` columns in :meth:`AllocationSpace.enumerate` order.
+
+    Term for term the scalar arithmetic, so each feasible point's
+    components equal :func:`epoch_time`'s bit for bit: k, the memory floor
+    and the CPU share come from the scalar helpers once per axis value,
+    and the cross terms are elementwise products in the scalar order.
+    Infeasible points get finite values that :func:`feasible_grid` masks.
+    """
+    counts, memories = space.function_counts, space.memory_grid
+    shape = (len(space.storages), len(counts), len(memories))
+    n = np.asarray(counts)
+    k = np.array([workload.iterations_per_epoch(x) for x in counts])
+    partition_mb = workload.dataset_mb / n
+    load_s = partition_mb / platform.limits.dataset_load_bandwidth_mb_s
+    u = np.array([
+        workload.profile.compute_s_per_mb / compute_speedup(workload, x, platform)
+        for x in memories
+    ])
+    compute_s = partition_mb[:, None] * u[None, :]
+    sync_s = np.empty(shape[:2])
+    for i, kind in enumerate(space.storages):
+        svc = platform.storage_config(kind)
+        transfers = 3 * n - 2 if kind.is_passive else 2 * n - 2
+        sync_s[i] = k * (transfers * (workload.model_mb / svc.bandwidth_mb_s + svc.latency_s))
+    return (
+        np.broadcast_to(load_s[None, :, None], shape).ravel(),
+        np.broadcast_to(compute_s[None], shape).ravel(),
+        np.broadcast_to(sync_s[:, :, None], shape).ravel(),
+    )

@@ -45,6 +45,7 @@ from repro.workflow.runner import (
     profile_workload,
     run_training,
     run_tuning,
+    workload_profiler,
 )
 
 
@@ -465,11 +466,12 @@ def cmd_profile(args) -> int:
         )
         return 2
     try:
-        w = workload(args.workload)
+        profile = profile_workload(
+            workload(args.workload), storage_pin=_parse_storage(args.storage)
+        )
     except ReproError as exc:
         return _capture_error("profile", exc)
-    profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
-    print(f"{len(profile.all_points)} feasible allocations, "
+    print(f"{profile.feasible.sum()} feasible allocations, "
           f"{len(profile.pareto)} on the Pareto boundary "
           f"({profile.profile_time_s * 1e3:.1f} ms)\n")
     print(f"{'allocation':28s} {'epoch time':>12s} {'epoch cost':>12s}")
@@ -520,6 +522,9 @@ def _train_summary(r, objective: Objective, budget, qos) -> dict:
 def cmd_train(args, journal=None) -> int:
     try:
         w = workload(args.workload)
+        # A storage pin with no feasible point fails here, before any
+        # capture, bundle or journal file exists.
+        workload_profiler(storage_pin=_parse_storage(args.storage)).require_feasible(w)
         ins = _instruments(args, "train")
         plan = _fault_plan(args)
         journal_path = getattr(args, "journal", None)
@@ -806,6 +811,7 @@ def cmd_diagnose(args) -> int:
             raise ValidationError(f"capture file {args.target} does not exist")
         else:
             w = workload(args.target)
+            profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
             # --timeseries samples the live run into that path.
             ins = Instruments(
                 _stamp(args, "diagnose", workload_name=args.target),
@@ -817,7 +823,6 @@ def cmd_diagnose(args) -> int:
         # Live mode: run the training job here under the same collectors a
         # `train --telemetry --events` capture uses, then read them back
         # through the one builder; live mode adds the Pareto candidates.
-        profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
         objective, budget, qos = _constraint(args, training_envelope(w, profile))
         with ins:
             run = run_training(

@@ -19,7 +19,6 @@ from pathlib import PurePath
 from repro.common.errors import ValidationError
 from repro.common.types import JobResult, StorageKind
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
-from repro.analytical.pareto import pareto_front
 from repro.analytical.profiler import ParetoProfiler, ProfileResult
 from repro.analytical.space import AllocationSpace, default_space
 from repro.baselines.cirrus import CirrusScheduler, cirrus_tuning_plan
@@ -57,6 +56,20 @@ def _make_injector(fault_plan, seed: int, scope: str):
     return FaultInjector(fault_plan, seed=seed, scope=scope)
 
 
+def workload_profiler(
+    platform: PlatformConfig = DEFAULT_PLATFORM,
+    space: AllocationSpace | None = None,
+    storage_pin: StorageKind | None = None,
+    use_pareto: bool = True,
+) -> ParetoProfiler:
+    """The profiler of a workload's allocation space (optionally
+    storage-pinned)."""
+    space = space or default_space()
+    if storage_pin is not None:
+        space = space.restrict_storage(storage_pin)
+    return ParetoProfiler(platform=platform, space=space, use_pareto=use_pareto)
+
+
 def profile_workload(
     w: Workload | str,
     platform: PlatformConfig = DEFAULT_PLATFORM,
@@ -65,11 +78,8 @@ def profile_workload(
     use_pareto: bool = True,
 ) -> ProfileResult:
     """Profile a workload's allocation space (optionally storage-pinned)."""
-    w = _resolve_workload(w)
-    space = space or default_space()
-    if storage_pin is not None:
-        space = space.restrict_storage(storage_pin)
-    return ParetoProfiler(platform=platform, space=space, use_pareto=use_pareto).profile(w)
+    profiler = workload_profiler(platform, space, storage_pin, use_pareto)
+    return profiler.profile(_resolve_workload(w))
 
 
 @dataclass
@@ -110,13 +120,9 @@ def make_training_scheduler(
     """
     candidates = profile.candidates
     if method == "siren":
-        candidates = pareto_front(
-            [p for p in profile.all_points if p.allocation.storage is StorageKind.S3]
-        ) or profile.all_points
+        candidates = profile.front(StorageKind.S3) or profile.all_points
     elif method in ("cirrus", "cirrus-static"):
-        candidates = pareto_front(
-            [p for p in profile.all_points if p.allocation.storage is StorageKind.VMPS]
-        ) or profile.all_points
+        candidates = profile.front(StorageKind.VMPS) or profile.all_points
     common = dict(
         workload=w,
         candidates=candidates,
@@ -253,17 +259,13 @@ def make_tuning_plan(
         )
         return plan, None, 0.05 * len(candidates)
     if method == "siren":
-        pinned = pareto_front(
-            [p for p in profile.all_points if p.allocation.storage is StorageKind.S3]
-        )
+        pinned = profile.front(StorageKind.S3)
         plan = siren_tuning_plan(
             pinned or candidates, spec, objective, budget_usd=budget_usd, qos_s=qos_s
         )
         return plan, None, 0.05 * len(pinned or candidates)
     if method == "cirrus":
-        pinned = pareto_front(
-            [p for p in profile.all_points if p.allocation.storage is StorageKind.VMPS]
-        )
+        pinned = profile.front(StorageKind.VMPS)
         plan = cirrus_tuning_plan(
             pinned or candidates, spec, objective, budget_usd=budget_usd, qos_s=qos_s
         )

@@ -146,11 +146,18 @@ class TestSpaceAndProfiler:
         space = default_space(max_functions=20)
         assert max(space.function_counts) <= 20
 
+    @pytest.mark.parametrize("axes", [{"function_counts": (0, 4)}, {"memory_grid": (64,)}])
+    def test_allocation_bounds_checked_at_construction(self, axes):
+        from repro.common.errors import ValidationError
+
+        with pytest.raises(ValidationError):
+            AllocationSpace(**axes)
+
     def test_feasible_filters(self, bert):
-        allocs = default_space().feasible(bert)
-        assert allocs
-        assert all(a.memory_mb >= 4096 for a in allocs)
-        assert all(a.storage is not StorageKind.DYNAMODB for a in allocs)
+        prof = ParetoProfiler().profile(bert)
+        assert prof.feasible.any()
+        assert (prof.m[prof.feasible] >= 4096).all()
+        assert not (prof.storage[prof.feasible] == StorageKind.DYNAMODB).any()
 
     def test_profiler_front_subset_of_points(self, lr_profile):
         ids = {p.allocation for p in lr_profile.all_points}
@@ -168,16 +175,6 @@ class TestSpaceAndProfiler:
     def test_wo_pa_keeps_everything(self, lr_higgs):
         prof = ParetoProfiler(use_pareto=False).profile(lr_higgs)
         assert len(prof.pareto) == len(prof.all_points)
-
-    def test_lookup(self, lr_profile):
-        p = lr_profile.pareto[0]
-        assert lr_profile.lookup(p.allocation) is p
-
-    def test_lookup_missing(self, lr_profile):
-        from repro.common.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            lr_profile.lookup(Allocation(1234, 512, StorageKind.S3))
 
     @given(
         name=st.sampled_from(sorted(WORKLOADS)),

@@ -393,6 +393,27 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["profile", "bert-imdb", "--storage", "dynamodb"],
+            ["train", "resnet50-cifar10", "--storage", "dynamodb", "--seed", "0",
+             "--journal", "j.jsonl", "--telemetry", "t.json", "--events", "e.jsonl",
+             "--save-run", "store"],
+            ["train", "mobilenet-cifar10", "--storage", "dynamodb", "--journal", "j.jsonl"],
+            ["diagnose", "bert-imdb", "--storage", "dynamodb", "--timeseries", "ts.json",
+             "--out", "d.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_storage_pin_without_feasible_point_exits_two(self, argv, tmp_path):
+        """Table II's "N/A" cells (a model over DynamoDB's object limit,
+        storage pinned): one line, exit 2, and no capture, bundle or
+        journal file exists afterwards."""
+        proc = _assert_one_line_exit_two(argv, tmp_path)
+        assert "no feasible allocation" in proc.stderr and proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["train", "lr-higgs", "--budget", "2.0", "--telemetry", "missing/t.json"],
             ["train", "lr-higgs", "--budget", "2.0", "--trace", "missing/t.json"],
             ["train", "lr-higgs", "--budget", "2.0", "--events", "missing/e.jsonl"],
