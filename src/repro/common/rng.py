@@ -42,18 +42,51 @@ def keyed_uniforms(seed: int, prefix: tuple, values, suffix: tuple = ()) -> np.n
     values = np.asarray(values).reshape(-1)
     if values.size and (values.dtype.kind not in "iu" or values.min() < 0):
         raise ValueError("keyed_uniforms values must be non-negative ints")
-    values = values.astype(np.int64, copy=False)
+    pool = _row_pools(seed, prefix, _int_crcs(values.astype(np.int64, copy=False)), suffix)
+    lo, hi = _pcg64_state(_state_words(pool), _FIRST_DRAW)
+    # PCG64's XSL-RR output of that state, as Generator.random()'s double.
+    rot = hi >> 58
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11) * (1.0 / 9007199254740992.0)
+
+
+def seeded_pcg64_states(
+    seed: int, prefix: tuple, labels, suffix: tuple = ()
+) -> tuple[list[int], list[int]]:
+    """The freshly seeded PCG64 ``(state, inc)`` of
+    ``stream_for(seed, *prefix, label, *suffix)`` for every ``label``.
+
+    The same replay as :func:`keyed_uniforms`, stopped before the first
+    draw, for labels of any kind (a tuple label's word is the CRC of its
+    ``str``). Loading a row into a PCG64's ``state`` gives that stream's
+    generator without a ``SeedSequence`` per row.
+    """
+    crcs = np.array([_label_crc(lbl) for lbl in labels], dtype=np.uint32)
+    words = _state_words(_row_pools(seed, prefix, crcs, suffix))
+    lo, hi = _pcg64_state(words, _SEEDED)
+    # inc = 2*initseq + 1, initseq's limbs being words 4..7.
+    seq = words[:, 4:].astype(np.uint64)
+    seq_lo, seq_hi = seq[:, 0] | seq[:, 1] << 32, seq[:, 2] | seq[:, 3] << 32
+    return _u128(hi, lo), _u128(seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+
+
+def _u128(hi: np.ndarray, lo: np.ndarray) -> list[int]:
+    return [h << 64 | low for h, low in zip(hi.tolist(), lo.tolist())]
+
+
+def _row_pools(seed: int, prefix: tuple, crcs: np.ndarray, suffix: tuple) -> np.ndarray:
+    """``mix_entropy``'s pool for each row's entropy ``[seed, *prefix,
+    crc, *suffix]``, ``crcs`` holding the varying word."""
     head = tuple(_seed_words(seed) + [_label_crc(lbl) for lbl in prefix])
-    rows = [_int_crcs(values)[:, None]] + [_label_crc(lbl) for lbl in suffix]
+    rows = [crcs[:, None]] + [_label_crc(lbl) for lbl in suffix]
     if len(head) >= 4:
-        pool = _absorb(_head_pool(head), rows, 4 * len(head))
-    else:
-        # The varying word lands in the pool's first four: mix in full.
-        words = np.empty((values.size, len(head) + len(rows)), dtype=np.uint32)
-        for i, row in enumerate(list(head) + rows):
-            words[:, i:i + 1] = row
-        pool = _mix_pool(words)
-    return _pcg64_first_double(pool)
+        return _absorb(_head_pool(head), rows, 4 * len(head))
+    # The varying word lands in the pool's first four: mix in full.
+    words = np.empty((crcs.size, len(head) + len(rows)), dtype=np.uint32)
+    for i, row in enumerate(list(head) + rows):
+        words[:, i:i + 1] = row
+    return _mix_pool(words)
 
 
 # numpy's SeedSequence constants (bit_generator.pyx). Each hashmix call
@@ -175,20 +208,21 @@ def _limbs(x: int, bits: int, n: int) -> list[int]:
     return [(x >> (bits * i)) & ((1 << bits) - 1) for i in range(n)]
 
 
-def _pcg64_consts() -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 seeding plus one step, as one linear map.
+def _pcg64_consts(draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 seeding plus ``draws`` steps, as one linear map.
 
     From state 0, seeding steps to ``inc = 2*initseq + 1``, adds
-    ``initstate`` and steps again; the first draw steps once more. So the
-    state it outputs is ``initstate*M^2 + initseq*2K + K`` mod 2^128 with
-    ``K = M^2 + M + 1``. On the 16-bit limbs of (initstate, initseq) that
-    is a matrix whose product gives the state's four 32-bit columns with
-    their carries unresolved, each below 2^54.
+    ``initstate`` and steps again; each draw steps once more. So the state
+    is ``initstate*A + initseq*2K + K`` mod 2^128 with ``A = M^(draws+1)``
+    and ``K = M^0 + ... + M^(draws+1)``. On the 16-bit limbs of
+    (initstate, initseq) that is a matrix whose product gives the state's
+    four 32-bit columns with their carries unresolved, each below 2^54.
     """
+    mod = 1 << 128
     m = (2549297995355413924 << 64) + 4865540595714422341
-    m2 = m * m % (1 << 128)
-    k = (m2 + m + 1) % (1 << 128)
-    a, b = _limbs(m2, 16, 8), _limbs(2 * k % (1 << 128), 16, 8)
+    powers = [pow(m, i, mod) for i in range(draws + 2)]
+    k = sum(powers) % mod
+    a, b = _limbs(powers[-1], 16, 8), _limbs(2 * k % mod, 16, 8)
     matrix = np.zeros((16, 4), dtype=np.uint64)
     for out in range(8):
         scale = 1 << (16 * (out % 2))
@@ -198,7 +232,8 @@ def _pcg64_consts() -> tuple[np.ndarray, np.ndarray]:
     return matrix, np.array(_limbs(k, 32, 4), dtype=np.uint64)
 
 
-_PCG_MATRIX, _PCG_OFFSET = _pcg64_consts()
+#: The state a freshly seeded PCG64 holds, and the one its first draw outputs.
+_SEEDED, _FIRST_DRAW = _pcg64_consts(0), _pcg64_consts(1)
 # generate_state's words w0..w7 form the uint64s (s0, s1, i0, i1), and
 # PCG64 seeds from initstate = s0<<64 | s1 and initseq = i0<<64 | i1:
 # low-to-high 32-bit limbs w2 w3 w0 w1 and w6 w7 w4 w5.
@@ -208,20 +243,25 @@ _GEN_XOR = _HASH_B[_LIMB_WORDS]
 _GEN_MUL = _HASH_B[_LIMB_WORDS + 1]
 
 
-def _pcg64_first_double(pool: np.ndarray) -> np.ndarray:
-    """The first ``Generator.random()`` of PCG64 seeded from each pool row."""
-    state = pool.take(_GEN_SRC, axis=1) ^ _GEN_XOR
-    state *= _GEN_MUL
-    state ^= state >> 16
-    limbs = state.astype("<u4", copy=False).view("<u2")
-    q = limbs.astype(np.uint64) @ _PCG_MATRIX + _PCG_OFFSET
+def _state_words(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(4, uint64)`` of each pool row, as the low-to-high
+    32-bit limbs of (initstate, initseq)."""
+    words = pool.take(_GEN_SRC, axis=1) ^ _GEN_XOR
+    words *= _GEN_MUL
+    words ^= words >> 16
+    return words
+
+
+def _pcg64_state(words: np.ndarray, consts) -> tuple[np.ndarray, np.ndarray]:
+    """The (low, high) uint64 halves of the PCG64 state that ``consts``
+    maps each row of ``_state_words`` to."""
+    matrix, offset = consts
+    limbs = words.astype("<u4", copy=False).view("<u2")
+    q = limbs.astype(np.uint64) @ matrix + offset
     mid = q[:, 1] << 32
     lo = q[:, 0] + mid
     hi = q[:, 2] + (q[:, 3] << 32) + (q[:, 1] >> 32) + (lo < mid)
-    rot = hi >> 58
-    x = hi ^ lo
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11) * (1.0 / 9007199254740992.0)
+    return lo, hi
 
 
 def iter_seeds(base_seed: int, n: int) -> Iterator[int]:

@@ -13,7 +13,9 @@ the JCT (cold + load + compute + sync per epoch equals the epoch's wall
 time, and the scheduler's search/restart time is the only other thing the
 executor adds to the clock). A run observed without an epoch timeline
 takes cold-start and sync from its telemetry totals; load and
-compute stay 0, so ``accounted_s`` falls short of the JCT.
+compute stay 0, so ``accounted_s`` falls short of the JCT. Sync is never
+less than the run's ``comm_overhead_s``, which also counts a workflow's
+tuning stages, whose sync no epoch row carries.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ def analyze_critical_path(obs: RunObservation, top_k: int = 5) -> CriticalPathAn
     totals["scheduling"] = obs.scheduling_overhead_s
     if not obs.epochs:
         totals["cold-start"] = obs.metrics.get(COLD_START_S, 0.0)
-        totals["sync"] = obs.comm_overhead_s
+    # The run-level sync total covers sync off the epoch timeline too (a
+    # workflow's tuning stages); on a train run it is the epochs' own sum.
+    totals["sync"] = max(totals["sync"], obs.comm_overhead_s)
     for e in obs.epochs:
         if e.scheduling_overhead_s > 0:
             spans.append(

@@ -21,7 +21,6 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.common.rng import stream_for
 from repro.analytical.pareto import ProfiledAllocation
-from repro.ml.curves import LossCurveSampler
 from repro.ml.models import Workload
 from repro.tuning.executor import TuningExecutor, TuningRunResult
 from repro.tuning.greedy_planner import GreedyHeuristicPlanner
@@ -105,29 +104,15 @@ class BOHBEngine(SHAEngine):
         sampler: TPESampler,
         seed: int = 0,
     ) -> None:
-        self._sampler_model = sampler  # must exist before _make_trial runs
+        self._sampler_model = sampler  # must exist before the configs are sampled
         super().__init__(spec, workload, seed=seed)
 
-    def _make_trial(self, index: int) -> Trial:
-        lr, momentum = self._sampler_model.sample()
-        opt_lr = self.workload.learning_rate
-        lr_dist = abs(math.log10(lr) - math.log10(opt_lr))
-        mom_dist = abs(momentum - 0.9)
-        quality = min(max(math.exp(-0.6 * lr_dist - 0.8 * mom_dist), 0.05), 1.0)
-        sampler = LossCurveSampler(
-            self._curve,
-            seed=self.seed,
-            run_label=("bohb-trial", self.spec.bracket_index, index),
-            anchor_target=self.workload.target_loss,
-        )
-        sampler.alpha *= quality
-        return Trial(
-            index=index,
-            learning_rate=lr,
-            momentum=momentum,
-            quality=quality,
-            sampler=sampler,
-        )
+    def _sample_configs(self, n: int) -> tuple[list[float], list[float]]:
+        configs = [self._sampler_model.sample() for _ in range(n)]
+        return [lr for lr, _ in configs], [m for _, m in configs]
+
+    def _curve_label(self, index: int) -> tuple:
+        return ("bohb-trial", self.spec.bracket_index, index)
 
     def report_to_sampler(self) -> None:
         """Feed every scored trial back into the TPE model."""

@@ -10,6 +10,15 @@ Each trial owns a hyperparameter configuration (learning rate, momentum)
 whose distance from a hidden optimum determines its convergence speed — so
 SHA's ranking has signal, early stages genuinely weed out bad configs, and
 the "winner" is meaningful.
+
+The engine holds its trials as columns: configuration, quality, curve
+exponent, AR(1) noise state, a trials × epochs loss matrix and an alive
+mask, the population-of-curves layout of LC-net. Trial ``i`` follows the
+curve a :class:`~repro.ml.curves.LossCurveSampler` labelled ``("trial", i)``
+would emit, draw for draw: one array pass
+(:func:`~repro.common.rng.seeded_pcg64_states`) seeds every trial's stream,
+and one shared PCG64, loaded with each seeded state in turn, draws that
+trial's normals. A :class:`Trial` is built only when one is asked for.
 """
 
 from __future__ import annotations
@@ -18,10 +27,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.common.errors import ValidationError
-from repro.common.rng import stream_for
-from repro.ml.curves import LossCurveSampler
+from repro.common.rng import seeded_pcg64_states, stream_for
 from repro.ml.models import Workload
+
+#: ``LossCurveSampler``'s defaults, which every trial's curve uses: the
+#: run-level lognormal sigma, the epoch noise sigma and its AR(1) rho.
+_RUN_SIGMA, _NOISE_SIGMA, _RHO = 0.15, 0.02, 0.6
+_AR_GAIN = math.sqrt(1.0 - _RHO**2)
 
 
 @runtime_checkable
@@ -103,13 +118,13 @@ class SHASpec:
 
 @dataclass(slots=True)
 class Trial:
-    """One hyperparameter configuration being tuned."""
+    """One hyperparameter configuration being tuned: a row of the engine's
+    columns, copied out."""
 
     index: int
     learning_rate: float
     momentum: float
     quality: float  # in (0, 1]; 1 = at the hidden optimum
-    sampler: LossCurveSampler = field(repr=False)
     losses: list[float] = field(default_factory=list)
     alive: bool = True
     epochs_trained: int = 0
@@ -118,12 +133,6 @@ class Trial:
     def score(self) -> float:
         """Validation score used for ranking (higher = better)."""
         return -self.losses[-1] if self.losses else -float("inf")
-
-    def train_epochs(self, n: int) -> None:
-        """Advance the trial by ``n`` epochs."""
-        for _ in range(n):
-            self.losses.append(self.sampler.next_loss())
-        self.epochs_trained += n
 
 
 class SHAEngine:
@@ -134,77 +143,133 @@ class SHAEngine:
     costs) lives in :mod:`repro.tuning.executor`.
     """
 
-    def __init__(self, spec: SHASpec, workload: Workload, seed: int = 0) -> None:
+    def __init__(self, spec: StageShape, workload: Workload, seed: int = 0) -> None:
         self.spec = spec
         self.workload = workload
         self.seed = seed
         self._rng = stream_for(seed, "sha", workload.name)
-        self._curve = workload.curve_params()
-        self.trials = [self._make_trial(i) for i in range(spec.n_trials)]
+        n = spec.n_trials
+        lrs, momenta = self._sample_configs(n)
+        # Quality decays with log-distance from a hidden optimal learning
+        # rate and distance from an optimal momentum.
+        log_opt = math.log10(workload.learning_rate)
+        quality = [
+            min(max(math.exp(-0.6 * abs(math.log10(lr) - log_opt) - 0.8 * abs(m - 0.9)),
+                    0.05), 1.0)
+            for lr, m in zip(lrs, momenta)
+        ]
+        self.learning_rate = np.array(lrs)
+        self.momentum = np.array(momenta)
+        self.quality = np.array(quality)
+        horizon = sum(spec.epochs_in_stage(s) for s in range(spec.n_stages))
+        # Column 0 sets each run's speed, column 1 + e its epoch-e noise.
+        self._z = _curve_normals(seed, [self._curve_label(i) for i in range(n)], 1 + horizon)
+        # LossCurveSampler's anchored run: the run reaches the target after
+        # epochs_to(target) * lognormal(0, run_sigma) epochs. The trial's
+        # curve then decays ``quality`` times as fast (slower for poor configs).
+        curve = workload.curve_params()
+        target = workload.target_loss
+        nominal = curve.epochs_to(target)
+        log_ratio = math.log(curve.amplitude / (target - curve.floor_loss))
+        self.alpha = np.array([
+            log_ratio / math.log(max(1.0, nominal * math.exp(_RUN_SIGMA * z)) + 1.0) * q
+            for z, q in zip(self._z[:, 0].tolist(), quality)
+        ])
+        self._amplitude = curve.amplitude
+        self._floor = curve.floor_loss
+        self._ar = np.zeros(n)
+        self.losses = np.zeros((n, horizon))
+        self.epochs_trained = np.zeros(n, dtype=np.int64)
+        self.alive = np.ones(n, dtype=bool)
         self.stage = 0
 
-    def _make_trial(self, index: int) -> Trial:
-        """Sample a hyperparameter config and derive its convergence quality.
+    def _sample_configs(self, n: int) -> tuple[list[float], list[float]]:
+        """(learning rates, momenta): log-uniform lr in [1e-5, 10^-0.5] and
+        uniform momentum in [0, 0.99], drawn alternately (numpy's
+        ``uniform`` is ``low + (high - low) * u``)."""
+        u = self._rng.random(2 * n).tolist()
+        return [10 ** (-5.0 + 4.5 * x) for x in u[0::2]], [0.99 * x for x in u[1::2]]
 
-        Quality decays with log-distance from a hidden optimal learning rate
-        and distance from an optimal momentum; the trial's loss curve decays
-        ``quality`` times as fast as the workload's nominal curve.
-        """
-        rng = self._rng
-        lr = float(10 ** rng.uniform(-5, -0.5))
-        momentum = float(rng.uniform(0.0, 0.99))
-        opt_lr = self.workload.learning_rate
-        lr_dist = abs(math.log10(lr) - math.log10(opt_lr))
-        mom_dist = abs(momentum - 0.9)
-        quality = min(max(math.exp(-0.6 * lr_dist - 0.8 * mom_dist), 0.05), 1.0)
-        sampler = LossCurveSampler(
-            self._curve,
-            seed=self.seed,
-            run_label=("trial", index),
-            anchor_target=self.workload.target_loss,
-        )
-        sampler.alpha *= quality  # slower decay for poor configs
+    def _curve_label(self, index: int) -> tuple:
+        return ("trial", index)
+
+    def _trial(self, i: int) -> Trial:
+        k = int(self.epochs_trained[i])
         return Trial(
-            index=index,
-            learning_rate=lr,
-            momentum=momentum,
-            quality=quality,
-            sampler=sampler,
+            index=i,
+            learning_rate=float(self.learning_rate[i]),
+            momentum=float(self.momentum[i]),
+            quality=float(self.quality[i]),
+            losses=self.losses[i, :k].tolist(),
+            alive=bool(self.alive[i]),
+            epochs_trained=k,
         )
 
     @property
+    def trials(self) -> list[Trial]:
+        return [self._trial(i) for i in range(self.spec.n_trials)]
+
+    @property
     def alive_trials(self) -> list[Trial]:
-        return [t for t in self.trials if t.alive]
+        return [self._trial(i) for i in np.flatnonzero(self.alive).tolist()]
 
     @property
     def finished(self) -> bool:
         return self.stage >= self.spec.n_stages
 
-    def run_stage(self) -> list[Trial]:
+    def run_stage(self) -> list[int]:
         """Train survivors for this stage's epochs, halve, advance.
 
-        Returns the trials that were *terminated* at the end of the stage.
+        Returns the indices of the trials terminated at the end of the
+        stage, best first.
         """
         if self.finished:
             raise ValidationError("SHA run already finished")
-        survivors = self.alive_trials
-        r = self.spec.epochs_in_stage(self.stage)
-        for t in survivors:
-            t.train_epochs(r)
+        idx = np.flatnonzero(self.alive)
+        start = int(self.epochs_trained[idx[0]])  # every survivor trained alike
+        end = start + self.spec.epochs_in_stage(self.stage)
+        alpha = (-self.alpha[idx]).tolist()
+        ar = self._ar[idx]
+        # LossCurveSampler.next_loss: gap-relative AR(1) noise. pow and exp
+        # stay per-element math calls, as the sampler makes them.
+        for e in range(start, end):
+            base = e + 2.0
+            gap = self._amplitude * np.array([base**a for a in alpha])
+            ar = _RHO * ar + _AR_GAIN * (_NOISE_SIGMA * self._z[idx, 1 + e])
+            noise = np.array([math.exp(x) for x in ar.tolist()])
+            self.losses[idx, e] = self._floor + gap * noise
+        self._ar[idx] = ar
+        self.epochs_trained[idx] = end
         self.stage += 1
-        if self.stage >= self.spec.n_stages:
-            keep = 1
-        else:
-            keep = self.spec.trials_in_stage(self.stage)
-        ranked = sorted(survivors, key=lambda t: t.score, reverse=True)
+        keep = 1 if self.finished else self.spec.trials_in_stage(self.stage)
+        # Lowest last loss first, ties in trial order.
+        ranked = idx[np.argsort(self.losses[idx, end - 1], kind="stable")]
         terminated = ranked[keep:]
-        for t in terminated:
-            t.alive = False
-        return terminated
+        self.alive[terminated] = False
+        return terminated.tolist()
 
     def winner(self) -> Trial:
         """The surviving trial after the final stage."""
         if not self.finished:
             raise ValidationError("SHA run has not finished yet")
-        alive = self.alive_trials
-        return max(alive, key=lambda t: t.score)
+        idx = np.flatnonzero(self.alive)
+        last = self.losses[idx, self.epochs_trained[idx[0]] - 1]
+        return self._trial(int(idx[np.argmin(last)]))
+
+
+def _curve_normals(seed: int, labels: list, k: int) -> np.ndarray:
+    """The first ``k`` standard normals of ``stream_for(seed, "loss-curve",
+    label)`` for each label, one row per label."""
+    states, incs = seeded_pcg64_states(seed, ("loss-curve",), labels)
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    z = np.empty((len(labels), k))
+    for row, state, inc in zip(z, states, incs):
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=row)
+    return z

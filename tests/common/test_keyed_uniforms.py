@@ -1,9 +1,11 @@
-"""The batched keyed-uniform kernel against its reference, ``stream_for``.
+"""The batched seeding replays against their reference, ``stream_for``.
 
-``keyed_uniforms`` replays numpy's ``SeedSequence`` and PCG64 bit streams
-in array form. Every property here compares it bit for bit with one
-``stream_for(...).random()`` per value, so a numpy change to either
-stream fails these tests rather than drifting the fault draws silently.
+``keyed_uniforms`` and ``seeded_pcg64_states`` replay numpy's
+``SeedSequence`` and PCG64 seeding in array form. Every property here
+compares them bit for bit with one ``stream_for(...)`` per value (its
+first ``random()``, or its seeded ``bit_generator.state``), so a numpy
+change to either stream fails these tests rather than drifting the fault
+draws or the SHA trial curves silently.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import rng
-from repro.common.rng import keyed_uniforms, stream_for
+from repro.common.rng import keyed_uniforms, seeded_pcg64_states, stream_for
 
 seeds = st.one_of(
     st.sampled_from([0, 1, 2**32 - 1, 2**32]),
@@ -82,3 +84,40 @@ def test_negative_seed_raises_like_stream_for():
 def test_non_int_or_negative_values_are_rejected(vals):
     with pytest.raises(ValueError, match="non-negative ints"):
         keyed_uniforms(0, ("faults",), vals)
+
+
+row_labels = st.lists(
+    st.one_of(
+        labels,
+        st.tuples(st.just("trial"), st.integers(0, 2**20)),
+        st.tuples(st.just("bohb-trial"), st.integers(0, 8), st.integers(0, 5000)),
+    ),
+    max_size=8,
+)
+
+
+@given(
+    seed=seeds,
+    prefix=st.lists(labels, max_size=6).map(tuple),
+    rows=row_labels,
+    suffix=st.lists(labels, max_size=3).map(tuple),
+)
+@settings(max_examples=300, deadline=None)
+def test_seeded_states_equal_stream_for(seed, prefix, rows, suffix):
+    states, incs = seeded_pcg64_states(seed, prefix, rows, suffix)
+    ref = [stream_for(seed, *prefix, r, *suffix).bit_generator.state["state"] for r in rows]
+    assert list(zip(states, incs)) == [(s["state"], s["inc"]) for s in ref]
+    assert all(type(v) is int for v in states + incs)
+
+
+def test_a_loaded_state_continues_the_stream():
+    # The SHA engine's use: load a row into one shared PCG64, then draw.
+    labels_ = [("trial", i) for i in range(5)]
+    states, incs = seeded_pcg64_states(7, ("loss-curve",), labels_)
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    for label, state, inc in zip(labels_, states, incs):
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        ref = stream_for(7, "loss-curve", label)
+        assert gen.standard_normal(9).tolist() == ref.standard_normal(9).tolist()

@@ -1,7 +1,10 @@
 """Critical-path extraction: the decomposition must account for the JCT."""
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.diagnostics import (
     COMPONENT_ORDER,
     RunObservation,
@@ -9,6 +12,7 @@ from repro.diagnostics import (
 )
 from repro.diagnostics.critical_path import RestartOverheadSplit
 from repro.diagnostics.timeline import EpochObservation
+from repro.slo import EventLog
 
 
 class TestDecomposition:
@@ -88,3 +92,26 @@ def _epoch(index: int, scheduling: float = 0.0, restarted: bool = False,
         wall_s=8.0, scheduling_overhead_s=scheduling,
         hidden_restart_overlap_s=hidden, restarted=restarted,
     )
+
+
+class TestWorkflowSync:
+    def test_tuning_sync_survives_the_event_log(self, tmp_path, capsys):
+        """A workflow's tuning stages sync off the epoch timeline: the sync
+        row equals ``comm_overhead_s`` with or without ``--events``."""
+        tel, events = tmp_path / "w.json", tmp_path / "w.jsonl"
+        assert main(["workflow", "lr-higgs", "--trials", "16", "--budget", "25",
+                     "--seed", "0", "--telemetry", str(tel), "--events", str(events)]) == 0
+        capsys.readouterr()
+        telemetry = json.loads(tel.read_text())
+        log = EventLog.from_jsonl(events.read_text())
+        comm = telemetry["run"]["comm_overhead_s"]
+        with_log = RunObservation.from_capture(telemetry, log)
+        assert 0.0 < sum(e.sync_s for e in with_log.epochs) < comm
+        for obs in (RunObservation.from_capture(telemetry), with_log):
+            sync = dict((c.component, c.seconds) for c in analyze_critical_path(obs).components)
+            assert sync["sync"] == comm
+
+    def test_epoch_sync_without_a_run_total_is_kept(self):
+        obs = RunObservation(epochs=[_epoch(1), _epoch(2)], jct_s=16.0)
+        sync = analyze_critical_path(obs).components[COMPONENT_ORDER.index("sync")]
+        assert sync.seconds == 4.0

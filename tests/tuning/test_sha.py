@@ -77,6 +77,23 @@ class TestSHAEngine:
         terminated = eng.run_stage()
         assert len(terminated) == 16
         assert len(eng.alive_trials) == 16
+        assert not any(eng.trials[i].alive for i in terminated)
+        # Best first: the terminated trials' last losses ascend.
+        last = [eng.trials[i].losses[-1] for i in terminated]
+        assert last == sorted(last)
+        assert max(t.losses[-1] for t in eng.alive_trials) <= last[0]
+
+    def test_ties_rank_in_trial_order(self):
+        """Equal losses keep trial order, as a stable descending sort on the
+        score does: the lowest indices survive and the first one wins."""
+        eng = self._engine(n=64)
+        # Even trials follow trial 0's curve, odd ones trial 1's.
+        eng._z[:] = eng._z[[0, 1] * 32]
+        eng.alpha[:] = eng.alpha[[0, 1] * 32]
+        terminated = eng.run_stage()
+        worse = terminated[0] % 2
+        assert terminated == list(range(worse, 64, 2))
+        assert run_to_completion(eng).index == 1 - worse
 
     def test_run_to_completion_single_winner(self):
         eng = self._engine()
