@@ -8,7 +8,8 @@ cumulative spend — then shows the three surfaces built on the capture:
 
 * the terminal dashboard (``repro dash --replay`` renders the same thing
   byte-for-byte, because rendering is a pure function of the document),
-* the high-water marks that become the peaks of ``repro diagnose``'s breakdown,
+* the high-water marks of its series, which equal the platform's peak
+  gauges that ``repro diagnose``'s breakdown reads,
 * the EWMA/MAD anomaly detector that feeds ``repro diagnose``.
 
 The sampler is observational: it never consumes randomness or branches
@@ -26,7 +27,6 @@ from repro.runs import compare, render_compare
 from repro.timeseries import (
     detect_anomalies,
     load_capture,
-    peaks_summary,
     render_dashboard,
 )
 from repro.tuning.plan import Objective
@@ -58,9 +58,8 @@ def main() -> None:
     print(f"replay it with: python -m repro dash --replay {capture_path}")
 
     # 3. High-water marks — the peaks of the `repro diagnose` breakdown.
-    peaks = peaks_summary(ins.sampler)
-    print(f"\npeak concurrency {peaks['concurrency']:g}, "
-          f"peak warm pool {peaks['warm_pool']:g}")
+    print(f"\npeak concurrency {ins.sampler.high_water('platform.inflight'):g}, "
+          f"peak warm pool {ins.sampler.high_water('platform.warm_pool'):g}")
 
     # 4. Anomaly scan (clean run -> usually empty) and a self-compare
     #    through the one compare engine (`repro timeseries diff`).

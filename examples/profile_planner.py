@@ -4,8 +4,9 @@ Installs the deterministic hot-path profiler (`repro.profiling`), runs
 Algorithm 1 on a real Pareto ladder, and shows the three export
 surfaces:
 
-* the per-frame table (`repro profile WORKLOAD --run tune` renders the
-  same thing) with attributed counters — candidates evaluated per call
+* the per-frame table (`repro tune WORKLOAD --profile PATH` writes a run's
+  capture, `repro profile --validate PATH` renders the same table) with
+  attributed counters — candidates evaluated per call
   site, and candidates/second per frame,
 * the ``repro-profile/v1`` JSON capture (compare two of them later with
   ``repro profile --diff``, which writes a ``repro-compare/v2`` report),

@@ -251,6 +251,20 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    """The training job's flags, shared by ``train`` and live ``diagnose``."""
+    parser.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
+    parser.add_argument("--budget", type=_positive("--budget"),
+                        help="absolute budget in USD")
+    parser.add_argument("--budget-multiple", type=_positive("--budget-multiple"),
+                        default=2.5,
+                        help="budget as multiple of the cheapest possible spend")
+    parser.add_argument("--qos-multiple", type=_positive("--qos-multiple"),
+                        help="switch to cost-min with this deadline multiple")
+    parser.add_argument("--storage", choices=[s.value for s in StorageKind])
+    parser.add_argument("--seed", type=_seed, default=0)
+
+
 def cmd_list_workloads(_args) -> int:
     print(f"{'name':20s} {'model MB':>10s} {'dataset MB':>12s} "
           f"{'batch':>8s} {'target loss':>12s}")
@@ -365,8 +379,9 @@ def _compare(kind: str, args, load, base: str, target: str, **params) -> int:
 
 
 def _profile_validate(args) -> int:
-    """``repro profile --validate PATH``: check a capture's schema contract."""
-    from repro.profiling import load_capture
+    """``repro profile --validate PATH``: check a capture's schema contract
+    and print its frame table."""
+    from repro.profiling import load_capture, render_capture
 
     try:
         payload = load_capture(Path(args.validate).read_text())
@@ -378,70 +393,7 @@ def _profile_validate(args) -> int:
         f"{totals['n_calls']} call(s), "
         f"{format_duration(totals['wall_s'])} attributed"
     )
-    return 0
-
-
-def _profile_run(args) -> int:
-    """``repro profile WORKLOAD --run MODE``: profile one entry point."""
-    from repro.profiling import render_capture
-
-    if not args.workload:
-        print(
-            f"repro profile: --run {args.run} needs a workload name",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        ins = Instruments(
-            _stamp(args, f"profile --run {args.run}"),
-            kinds={"profile"},
-            paths={"profile": args.out, "flamegraph": args.flamegraph},
-            sample_memory=args.memory,
-        )
-        with ins:
-            if args.run == "train":
-                w = workload(args.workload)
-                wprofile = profile_workload(
-                    w, storage_pin=_parse_storage(args.storage)
-                )
-                env = training_envelope(w, wprofile)
-                budget = (
-                    args.budget if args.budget is not None
-                    else env.budget(args.budget_multiple or 2.5)
-                )
-                run_training(
-                    w, method=args.method,
-                    objective=Objective.MIN_JCT_GIVEN_BUDGET,
-                    budget_usd=budget, seed=args.seed, profile=wprofile,
-                    storage_pin=_parse_storage(args.storage),
-                )
-            elif args.run == "tune":
-                w = workload(args.workload)
-                spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
-                wprofile = profile_workload(w)
-                env = tuning_envelope(wprofile, spec)
-                budget = (
-                    args.budget if args.budget is not None
-                    else env.budget(args.budget_multiple or 1.3)
-                )
-                run_tuning(
-                    w, spec, method=args.method,
-                    objective=Objective.MIN_JCT_GIVEN_BUDGET,
-                    budget_usd=budget, seed=args.seed, profile=wprofile,
-                )
-            else:  # workflow
-                from repro.workflow.campaign import run_workflow
-
-                spec = SHASpec(args.trials, args.eta, args.epochs_per_stage)
-                run_workflow(
-                    args.workload, spec,
-                    budget_usd=args.budget if args.budget is not None else 25.0,
-                    tuning_fraction=args.tuning_fraction, seed=args.seed,
-                )
-    except (OSError, ValueError, ReproError) as exc:
-        print(f"repro profile: {exc}", file=sys.stderr)
-        return 2
-    print(render_capture(ins.payloads["profile"], top=args.top))
+    print(render_capture(payload, top=args.top))
     return 0
 
 
@@ -456,8 +408,6 @@ def cmd_profile(args) -> int:
         )
     if args.validate:
         return _profile_validate(args)
-    if args.run:
-        return _profile_run(args)
     if not args.workload:
         print(
             "repro profile: a workload name is required unless --diff or "
@@ -519,12 +469,42 @@ def _train_summary(r, objective: Objective, budget, qos) -> dict:
     }
 
 
+def _train_workload(args, name: str):
+    """The workload ``name``, once it is known to have a feasible point
+    under ``--storage``: a pin that has none fails here, before any
+    capture, bundle or journal file exists."""
+    w = workload(name)
+    workload_profiler(storage_pin=_parse_storage(args.storage)).require_feasible(w)
+    return w
+
+
+def _run_train(args, ins: Instruments, w, plan, **run_options):
+    """``train``'s run step, shared with live ``diagnose``: profile ``w``,
+    resolve the constraint, run the job under ``ins`` and attach its run
+    summary. Returns ``(run, budget, qos)``.
+
+    ``run_training`` is looked up as this module's global at call time,
+    so a caller that wraps ``repro.cli.run_training`` sees every run.
+    """
+    with ins:
+        storage = _parse_storage(args.storage)
+        profile = profile_workload(w, storage_pin=storage)
+        objective, budget, qos = _constraint(args, training_envelope(w, profile))
+        run = run_training(
+            w, method=args.method, objective=objective, budget_usd=budget,
+            qos_s=qos, seed=args.seed, profile=profile, storage_pin=storage,
+            fault_plan=plan, **run_options,
+        )
+        ins.set_run_summary(
+            _train_summary(run.result, objective, budget, qos),
+            ledger=run.fault_ledger, plan=plan,
+        )
+    return run, budget, qos
+
+
 def cmd_train(args, journal=None) -> int:
     try:
-        w = workload(args.workload)
-        # A storage pin with no feasible point fails here, before any
-        # capture, bundle or journal file exists.
-        workload_profiler(storage_pin=_parse_storage(args.storage)).require_feasible(w)
+        w = _train_workload(args, args.workload)
         ins = _instruments(args, "train")
         plan = _fault_plan(args)
         journal_path = getattr(args, "journal", None)
@@ -536,23 +516,10 @@ def cmd_train(args, journal=None) -> int:
             )
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("train", exc)
-    with ins:
-        profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
-        objective, budget, qos = _constraint(args, training_envelope(w, profile))
-        print(f"objective: min cost, QoS {format_duration(qos)}" if qos is not None
-              else f"objective: min JCT, budget {format_usd(budget)}")
-        run = run_training(
-            w, method=args.method, objective=objective, budget_usd=budget,
-            qos_s=qos, seed=args.seed, profile=profile,
-            storage_pin=_parse_storage(args.storage),
-            fault_plan=plan,
-            journal=journal,
-        )
-        r = run.result
-        ins.set_run_summary(
-            _train_summary(r, objective, budget, qos),
-            ledger=run.fault_ledger, plan=plan,
-        )
+    run, budget, qos = _run_train(args, ins, w, plan, journal=journal)
+    r = run.result
+    print(f"objective: min cost, QoS {format_duration(qos)}" if qos is not None
+          else f"objective: min JCT, budget {format_usd(budget)}")
     print(f"method={args.method}  converged={r.converged}  "
           f"epochs={len(r.epochs)}  restarts={r.n_restarts}")
     print(f"JCT  {format_duration(r.jct_s)}   cost {format_usd(r.cost_usd)}")
@@ -810,8 +777,7 @@ def cmd_diagnose(args) -> int:
             # through to live mode on a typo'd filename.
             raise ValidationError(f"capture file {args.target} does not exist")
         else:
-            w = workload(args.target)
-            profile = profile_workload(w, storage_pin=_parse_storage(args.storage))
+            w = _train_workload(args, args.target)
             # --timeseries samples the live run into that path.
             ins = Instruments(
                 _stamp(args, "diagnose", workload_name=args.target),
@@ -820,19 +786,13 @@ def cmd_diagnose(args) -> int:
     except (OSError, ValueError, ReproError) as exc:
         return _capture_error("diagnose", exc)
     if ins is not None:
-        # Live mode: run the training job here under the same collectors a
-        # `train --telemetry --events` capture uses, then read them back
-        # through the one builder; live mode adds the Pareto candidates.
-        objective, budget, qos = _constraint(args, training_envelope(w, profile))
-        with ins:
-            run = run_training(
-                w, method=args.method, objective=objective, budget_usd=budget,
-                qos_s=qos, seed=args.seed, profile=profile,
-                storage_pin=_parse_storage(args.storage),
-                straggler_factors=dict(args.straggler),
-                fault_plan=fault_plan,
-            )
-            ins.set_run_summary(_train_summary(run.result, objective, budget, qos))
+        # Live mode: run the training job through train's own run step,
+        # under the collectors a `train --telemetry --events` capture uses,
+        # then read them back through the one builder; live mode adds the
+        # Pareto candidates.
+        run = _run_train(
+            args, ins, w, fault_plan, straggler_factors=dict(args.straggler)
+        )[0]
         ts_payload = ins.payloads.get("timeseries")
         obs = RunObservation.from_capture(from_json_payload(ins.texts["telemetry"]), ins.log)
         candidates = run.profile.candidates
@@ -1051,29 +1011,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="Pareto boundary, hot-path profiling runs, and profile diffs",
-        description="Without flags, print WORKLOAD's Pareto boundary. With "
-                    "--run MODE, execute that entry point under the "
-                    "deterministic hot-path profiler and print the frame "
-                    "table (write the repro-profile/v1 capture with --out). "
-                    "--diff compares two saved captures (exit 1 when a "
-                    "frame regressed past --threshold); --validate checks "
-                    "a capture against the schema registry.",
+        help="Pareto boundary, and validation and diffs of profiler captures",
+        description="Without flags, print WORKLOAD's Pareto boundary. "
+                    "--diff compares two saved repro-profile/v1 captures "
+                    "(exit 1 when a frame regressed past --threshold); "
+                    "--validate checks a capture against the schema "
+                    "registry and prints its frame table. Write a capture "
+                    "with `repro train|tune|workflow WORKLOAD --profile PATH`.",
     )
     p.add_argument("workload", nargs="?",
                    help="workload name (omit with --diff / --validate)")
     p.add_argument("--storage", choices=[s.value for s in StorageKind])
-    p.add_argument("--run", choices=("train", "tune", "workflow"),
-                   help="profile this entry point on WORKLOAD")
     p.add_argument("--out", metavar="PATH",
-                   help="write the repro-profile/v1 capture (--run) or the "
-                        "repro-compare/v2 report (--diff) to PATH")
-    p.add_argument("--flamegraph", metavar="PATH",
-                   help="write a collapsed-stack flamegraph to PATH (--run)")
-    p.add_argument("--memory", action="store_true",
-                   help="also sample tracemalloc peak memory per frame")
+                   help="--diff: also write the repro-compare/v2 report to PATH")
     p.add_argument("--top", type=int, default=20,
-                   help="frame-table rows to print (0 = all)")
+                   help="--validate: frame-table rows to print (0 = all)")
     p.add_argument("--diff", nargs=2, metavar=("BASE", "TARGET"),
                    help="compare two saved repro-profile/v1 captures")
     p.add_argument("--validate", metavar="PATH",
@@ -1085,29 +1037,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--diff: ignore timing deltas on frames whose base "
                         "time is below this (timer noise)")
     p.add_argument("--format", default="table", choices=("table", "json"))
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--method", default="ce-scaling",
-                   help="training/tuning method for --run")
-    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"),
-                   help="budget as a multiple of the cheapest spend "
-                        "(default: train 2.5, tune 1.3)")
-    p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--eta", type=int, default=2)
-    p.add_argument("--epochs-per-stage", type=int, default=1)
-    p.add_argument("--tuning-fraction", type=_tuning_fraction, default=0.4)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("train", help="run one training job")
     p.add_argument("workload")
-    p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5,
-                   help="budget as multiple of the cheapest possible spend")
-    p.add_argument("--qos-multiple", type=_positive("--qos-multiple"),
-                   help="switch to cost-min with this deadline multiple")
-    p.add_argument("--storage", choices=[s.value for s in StorageKind])
-    p.add_argument("--seed", type=_seed, default=0)
+    _add_train_flags(p)
     p.add_argument(
         "--journal", metavar="PATH",
         help="write the crash-consistent repro-journal/v1 write-ahead log "
@@ -1170,13 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", metavar="PATH",
                    help="repro-events/v1 log saved alongside the telemetry "
                         "capture, for the epoch timeline")
-    p.add_argument("--method", default="ce-scaling", choices=TRAINING_METHODS)
-    p.add_argument("--budget", type=_positive("--budget"), help="absolute budget in USD")
-    p.add_argument("--budget-multiple", type=_positive("--budget-multiple"), default=2.5)
-    p.add_argument("--qos-multiple", type=_positive("--qos-multiple"),
-                   help="switch to cost-min with this deadline multiple")
-    p.add_argument("--storage", choices=[s.value for s in StorageKind])
-    p.add_argument("--seed", type=_seed, default=0)
+    _add_train_flags(p)
     p.add_argument("--straggler", action="append", default=[], type=_straggler,
                    metavar="RANK:FACTOR",
                    help="inject a compute slowdown on one worker rank "

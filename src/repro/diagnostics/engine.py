@@ -26,7 +26,7 @@ from repro.diagnostics.critical_path import (
 from repro.diagnostics.drift import DriftAudit, audit_model_drift
 from repro.diagnostics.regret import RegretAudit, audit_regret
 from repro.diagnostics.stragglers import StragglerAnalysis, detect_stragglers
-from repro.diagnostics.timeline import CONCURRENCY_PEAK, RunObservation
+from repro.diagnostics.timeline import RunObservation
 from repro.ml.models import Workload, workload as lookup_workload
 
 JSON_SCHEMA = "repro-diagnostics/v4"
@@ -49,10 +49,10 @@ ACTIVITY = (
      "repro_planner_candidates_evaluated_total"),
 )
 
-#: The breakdown's high-water marks: (key, label, unit).
+#: The breakdown's high-water marks: (key, label, platform gauge).
 PEAKS = (
-    ("concurrency", "peak concurrency in use", ""),
-    ("warm_pool", "peak warm pool", ""),
+    ("concurrency", "peak concurrency in use", "repro_faas_concurrency_peak_in_use"),
+    ("warm_pool", "peak warm pool", "repro_faas_warm_pool_peak"),
 )
 
 #: Finding severities, in increasing order of concern.
@@ -82,19 +82,13 @@ class Breakdown:
     def of(cls, obs: RunObservation) -> "Breakdown":
         billed = obs.billed_usd
         components = list(COST_COMPONENTS) + sorted(set(billed) - set(COST_COMPONENTS))
-        peaks = {key: float(obs.peaks.get(key, 0.0)) for key, _, _ in PEAKS}
-        # Without a sampler the platform's occupancy-peak gauge still
-        # gives the concurrency peak.
-        peaks["concurrency"] = float(
-            obs.peaks.get("concurrency") or obs.metrics.get(CONCURRENCY_PEAK, 0.0)
-        )
         return cls(
             cost_usd=float(
                 obs.cost_usd if obs.cost_usd is not None else sum(billed.values())
             ),
             cost={c: billed.get(c, 0.0) for c in components},
             activity={key: obs.metrics.get(name, 0.0) for key, _, name in ACTIVITY},
-            peaks=peaks,
+            peaks={key: obs.metrics.get(name, 0.0) for key, _, name in PEAKS},
         )
 
     def share(self, usd: float) -> float | None:
@@ -119,7 +113,7 @@ class Breakdown:
         ]
         rows += [(label, f"{self.activity[key]:12.1f}", None) for key, label, _ in ACTIVITY]
         rows += [
-            (label, f"{self.peaks[key]:12.1f}{unit}", None) for key, label, unit in PEAKS
+            (label, f"{self.peaks[key]:12.1f}", None) for key, label, _ in PEAKS
         ]
         width = max(len(label) for label, _, _ in rows)
         lines = [f"breakdown (cost ${self.cost_usd:.6f})"]

@@ -31,7 +31,6 @@ from repro.tuning.plan import Objective
 #: Telemetry families the diagnostics read by name.
 COLD_START_S = "repro_faas_cold_start_seconds_total"
 BILLED_USD = "repro_faas_billed_usd_total"
-CONCURRENCY_PEAK = "repro_faas_concurrency_peak_in_use"
 RESTART_HIDDEN = "repro_scheduler_restart_hidden_seconds_total"
 RESTART_VISIBLE = "repro_scheduler_restart_visible_seconds_total"
 
@@ -66,8 +65,7 @@ class RunObservation:
     """A full run: epoch timeline + constraint context + overhead totals.
 
     ``metrics`` holds each telemetry family's total and ``billed_usd`` the
-    billed dollars by component (both empty without telemetry); ``peaks``
-    holds the sampler's high-water marks when one was on.
+    billed dollars by component (both empty without telemetry).
     """
 
     epochs: list[EpochObservation]
@@ -86,7 +84,6 @@ class RunObservation:
     comm_overhead_s: float = 0.0
     metrics: dict[str, float] = field(default_factory=dict)
     billed_usd: dict[str, float] = field(default_factory=dict)
-    peaks: dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def from_capture(
@@ -96,8 +93,11 @@ class RunObservation:
         event log for the epoch timeline.
 
         Raises :class:`ValidationError` when ``events`` holds no
-        ``epoch_done`` row or a malformed one, or when its header ``meta``
-        differs from the telemetry's (the two come from different runs).
+        ``epoch_done`` row or a malformed one, or when it comes from
+        another run: its header ``meta`` differs from the telemetry's, or,
+        for a training run, its epochs' costs do not sum to the run's
+        ``cost_usd`` (the sum is in emission order, so the run's own log
+        matches bit for bit).
         """
         run = dict(telemetry.get("run", {}))
         meta = dict(telemetry.get("meta", {}))
@@ -105,6 +105,8 @@ class RunObservation:
             _same_run(meta, events.meta)
         metrics, billed = read_metrics(telemetry.get("metrics", []))
         epochs = read_epochs(events) if events is not None else []
+        if epochs and "n_epochs" in run:
+            _same_cost(run.get("cost_usd"), epochs)
         objective = None
         if run.get("objective"):
             objective = Objective(run["objective"])
@@ -132,7 +134,6 @@ class RunObservation:
             comm_overhead_s=float(run.get("comm_overhead_s", 0.0)),
             metrics=metrics,
             billed_usd=billed,
-            peaks=dict(run.get("peaks") or {}),
         )
 
 
@@ -146,6 +147,19 @@ def _same_run(telemetry_meta: dict, log_meta: dict) -> None:
                 f"telemetry's is {telemetry_meta.get(key)!r:.60}; pass the "
                 "--events log written by the same run"
             )
+
+
+def _same_cost(cost_usd, epochs: list[EpochObservation]) -> None:
+    """Raise :class:`ValidationError` naming both values unless the epochs'
+    costs sum to a training run's ``cost_usd``: a clean and a faulted run
+    of the same arguments share their ``meta`` and may share their epoch
+    count, but not their bill."""
+    total = sum((e.cost_usd for e in epochs), 0.0)
+    if total != cost_usd:
+        raise ValidationError(
+            f"event log epochs cost {total!r} but the telemetry's run cost "
+            f"{cost_usd!r:.40}; pass the --events log written by the same run"
+        )
 
 
 # --------------------------------------------------------------------------- readers

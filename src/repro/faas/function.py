@@ -134,7 +134,11 @@ class WarmPool:
         return sum(count for _, count in self._groups.pop(group, ()))
 
     def total_warm(self, now: float) -> int:
-        self._expire(now)
+        """Instances warm at ``now`` across every group. A pure read: it
+        evicts nothing, so observing the pool never moves an eviction."""
         return sum(
-            count for batches in self._groups.values() for _, count in batches
+            count
+            for batches in self._groups.values()
+            for last_used, count in batches
+            if now - last_used <= self.ttl_s
         )

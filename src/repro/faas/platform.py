@@ -108,10 +108,13 @@ class FaaSPlatform:
         # Highest gang size run so far: one gang holds the account's
         # concurrency at a time, so this is the peak slot usage.
         self.peak_in_use = 0
+        # Most instances warm at any epoch end; kept only while metered.
+        self.peak_warm = 0
         self.meter = BillingMeter(platform=self.platform)
         self._noise = NoiseModel(self.seed, "platform", self.platform)
         self.pool = WarmPool(ttl_s=self.warm_ttl_s)
         registry = get_registry()
+        self._metered = registry.enabled
         self.tracer = get_tracer()
         self._m_invocations = registry.counter(
             "repro_faas_invocations_total", "Function invocations executed"
@@ -134,6 +137,10 @@ class FaaSPlatform:
         self._m_occupancy_peak = registry.gauge(
             "repro_faas_concurrency_peak_in_use",
             "Highest simultaneous concurrency-slot usage seen so far",
+        )
+        self._m_warm_peak = registry.gauge(
+            "repro_faas_warm_pool_peak",
+            "Most warm instances in the pool at any epoch end so far",
         )
 
     # ------------------------------------------------------------------ warm pool
@@ -275,6 +282,9 @@ class FaaSPlatform:
         self.peak_in_use = max(self.peak_in_use, spec.n_functions)
         self._m_occupancy.set(spec.n_functions)
         self._m_occupancy_peak.set(self.peak_in_use)
+        if self._metered:
+            self.peak_warm = max(self.peak_warm, self.pool.total_warm(now))
+            self._m_warm_peak.set(self.peak_warm)
         self._sample_epoch(spec, start, n_cold)
         return wall
 

@@ -12,8 +12,8 @@ paths cost one attribute check until a caller installs a real
     ...  # run jobs; planner/scheduler/storage frames aggregate as they go
     set_profiler(None)
 
-or, scoped, via :class:`repro.runs.Instruments` (what the CLI's
-``--profile`` flag and ``repro profile --run`` use). Like telemetry,
+or, scoped, via :class:`repro.runs.Instruments` (what the ``--profile``
+flag of ``repro train``, ``tune`` and ``workflow`` uses). Like telemetry,
 profiling is strictly observational: it never consumes randomness and
 never branches simulation logic, so simulated results are bit-identical
 with the profiler installed or not.

@@ -112,6 +112,13 @@ def validate_capture(payload: dict) -> None:
             )
         name = f"capture frame {frame['path']!r}"
         require_numbers(frame, ("depth", "n_calls", "total_s", "self_s"), name)
+        for key in ("depth", "n_calls"):
+            if not isinstance(frame[key], int):
+                raise ValidationError(
+                    f"{name} field {key!r} must be an integer, got {frame[key]!r:.40}"
+                )
+        if "peak_bytes" in frame:
+            require_numbers(frame, ("peak_bytes",), name)
         if not isinstance(frame["counters"], dict):
             raise ValidationError(f"{name}: 'counters' must be an object")
         require_numbers(frame["counters"], sorted(frame["counters"]), f"{name} counters")

@@ -48,7 +48,7 @@ from repro.telemetry.spans import Tracer
 from repro.timeseries import get_sampler, set_sampler
 from repro.timeseries import capture_payload as timeseries_payload
 from repro.timeseries import to_json as timeseries_json
-from repro.timeseries.core import TimeSeriesSampler, peaks_summary
+from repro.timeseries.core import TimeSeriesSampler
 
 #: The kinds a run bundle collects even when no file was asked for.
 BUNDLE_KINDS = frozenset({"telemetry", "trace", "events", "timeseries"})
@@ -66,7 +66,6 @@ class Instruments:
             directory does not exist raises :class:`ValidationError`.
         slo: an :class:`SLOSpec` to guard the run against (implies the
             ``slo`` and ``events`` captures).
-        sample_memory: also sample tracemalloc peaks in the profiler.
 
     With nothing requested the context installs nothing and writes
     nothing, so callers never branch. Collectors (``registry``,
@@ -91,7 +90,6 @@ class Instruments:
         kinds=(),
         paths: dict | None = None,
         slo: SLOSpec | None = None,
-        sample_memory: bool = False,
     ) -> None:
         self.paths = {kind: Path(p) for kind, p in (paths or {}).items() if p}
         self.kinds = frozenset(kinds) | frozenset(self.paths)
@@ -109,7 +107,6 @@ class Instruments:
             stamp = dataclasses.replace(stamp, argv=())
         self.meta = coerce_meta(stamp)
         self.spec = slo
-        self.sample_memory = sample_memory
         self.texts: dict[str, str] = {}
         self.payloads: dict[str, dict] = {}
         self._plan = None
@@ -118,10 +115,8 @@ class Instruments:
 
     def set_run_summary(self, summary: dict, ledger=None, plan=None) -> None:
         """Attach the run's headline numbers and, for a faulted run, its
-        fault ledger and plan. Adds the sampler's ``peaks`` when it is on."""
+        fault ledger and plan."""
         self._run_summary = dict(summary)
-        if self.sampler is not None:
-            self._run_summary["peaks"] = peaks_summary(self.sampler)
         self.ledger, self._plan = ledger, plan
 
     def save(self, store) -> RunBundle:
@@ -154,7 +149,7 @@ class Instruments:
                 bus.subscribe(self.log.record)
             self._install(get_event_bus, set_event_bus, bus)
         if kinds & {"profile", "flamegraph"}:
-            self.profiler = Profiler(sample_memory=self.sample_memory)
+            self.profiler = Profiler()
             self._install(get_profiler, set_profiler, self.profiler)
         if "timeseries" in kinds:
             sampler = self.sampler = TimeSeriesSampler()

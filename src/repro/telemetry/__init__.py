@@ -34,7 +34,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NullRegistry,
     Sample,
-    Timer,
 )
 from repro.telemetry.spans import NullTracer, Tracer
 from repro.telemetry.exporters import (
@@ -81,7 +80,6 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "Sample",
-    "Timer",
     "Tracer",
     "from_json_payload",
     "get_registry",

@@ -163,11 +163,6 @@ def _validate_payload(payload: dict) -> None:
         run.get("objective") is None or isinstance(run["objective"], str),
         "run 'objective' must be a string",
     )
-    peaks = run.get("peaks", {})
-    _require(
-        isinstance(peaks, dict) and all(is_number(v) for v in peaks.values()),
-        "run 'peaks' must map names to numbers",
-    )
     metrics = payload.get("metrics", [])
     _require(isinstance(metrics, list), "'metrics' must be a list")
     for entry in metrics:

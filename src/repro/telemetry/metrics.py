@@ -1,4 +1,4 @@
-"""Label-aware metrics: Counter, Gauge, Histogram, Timer, and the registry.
+"""Label-aware metrics: Counter, Gauge, Histogram, and the registry.
 
 The model follows the Prometheus client convention — a metric object is a
 *family*; ``labels(**kv)`` binds one child per label-value combination — but
@@ -14,7 +14,6 @@ logic, so results are bit-identical with telemetry on or off (pinned by
 from __future__ import annotations
 
 import bisect
-import time as _time
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
@@ -237,29 +236,6 @@ class Histogram(_Metric):
         )
 
 
-class Timer:
-    """Times a block of *host* code into a histogram (planner wall time).
-
-    Simulated durations should be observed directly via
-    ``histogram.observe(sim_seconds)``; the timer is for measuring the
-    reproduction's own compute, which never feeds back into simulation
-    state.
-    """
-
-    def __init__(self, histogram) -> None:
-        self._histogram = histogram
-        self._start: float | None = None
-        self.last_s: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = _time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.last_s = _time.perf_counter() - (self._start or 0.0)
-        self._histogram.observe(self.last_s)
-
-
 # --------------------------------------------------------------------------- registry
 @dataclass
 class MetricsRegistry:
@@ -338,12 +314,6 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
         pass
 
 

@@ -66,10 +66,6 @@ class Tracer:
         """Shift subsequent spans right by ``dt_s`` job-time seconds."""
         self.offset_s += dt_s
 
-    def now(self, sim_now_s: float) -> float:
-        """Job-time coordinate of the simulator clock value ``sim_now_s``."""
-        return sim_now_s + self.offset_s
-
     def to_chrome_trace(self) -> str:
         return self.recorder.to_chrome_trace()
 
@@ -97,9 +93,6 @@ class NullTracer:
 
     def advance(self, dt_s: float) -> None:
         pass
-
-    def now(self, sim_now_s: float) -> float:
-        return sim_now_s
 
     def to_chrome_trace(self) -> str:
         if NullTracer._empty_trace is None:

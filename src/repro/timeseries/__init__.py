@@ -53,7 +53,6 @@ from repro.timeseries.core import (
     NullSampler,
     SeriesBuffer,
     TimeSeriesSampler,
-    peaks_summary,
 )
 from repro.timeseries.dashboard import render_dashboard
 
@@ -83,7 +82,6 @@ __all__ = [
     "detect_anomalies",
     "get_sampler",
     "load_capture",
-    "peaks_summary",
     "render_capture",
     "render_dashboard",
     "set_sampler",

@@ -163,16 +163,3 @@ class NullSampler:
 
     def n_points(self) -> int:
         return 0
-
-
-def peaks_summary(sampler: TimeSeriesSampler) -> dict:
-    """High-water marks for the run summary / the ``repro diagnose`` peaks.
-
-    Derived purely from the sampler's series, so the summary exists only
-    when sampling was on — sampler-off runs keep their pre-existing byte
-    output.
-    """
-    return {
-        "concurrency": sampler.high_water("platform.inflight"),
-        "warm_pool": sampler.high_water("platform.warm_pool"),
-    }

@@ -89,18 +89,18 @@ class TestBreakdown:
             pytest.approx(0.1)
         )
 
-    def test_peaks_fall_back_to_the_concurrency_gauge(self):
+    def test_peaks_come_from_the_platform_gauges(self):
         reg = _registry_for_run()
+        assert _diagnose(reg).breakdown.peaks == {"concurrency": 0.0, "warm_pool": 0.0}
         reg.gauge("repro_faas_concurrency_peak_in_use").set(12.0)
-        assert _diagnose(reg).breakdown.peaks == {"concurrency": 12.0, "warm_pool": 0.0}
-        # A capture written before the storage-bandwidth peak was dropped
-        # still carries it: it loads, and the breakdown leaves it out.
-        sampled = dict(RUN, peaks={"concurrency": 0.0, "warm_pool": 3.0,
+        reg.gauge("repro_faas_warm_pool_peak").set(7.0)
+        assert _diagnose(reg).breakdown.peaks == {"concurrency": 12.0, "warm_pool": 7.0}
+        # A capture written while the sampler's peaks rode in the run
+        # summary still loads; the gauges alone give the peaks.
+        sampled = dict(RUN, peaks={"concurrency": 9.0, "warm_pool": 3.0,
                                    "storage_bandwidth_mb_s": 40.0})
-        assert _diagnose(reg, run=sampled).breakdown.peaks["concurrency"] == 12.0
-        sampled["peaks"]["concurrency"] = 9.0
         assert _diagnose(reg, run=sampled).breakdown.peaks == {
-            "concurrency": 9.0, "warm_pool": 3.0,
+            "concurrency": 12.0, "warm_pool": 7.0,
         }
 
     def test_empty_capture_renders_without_error(self):
@@ -130,7 +130,9 @@ class TestBreakdown:
 
 #: The rows `repro report` printed for the two captures below before it
 #: was folded into `repro diagnose`: (diagnose line prefix, value, share).
-#: Its `queue` row, always 0.000 s, is gone with the queue wait.
+#: Its `queue` row, always 0.000 s, is gone with the queue wait. Its train
+#: `peak warm pool` read 0.0 because the capture has no --timeseries; the
+#: peak is a platform gauge now, so it reads the pool's 300 instances.
 REPORT_ROWS = {
     "train": [
         ("critical path (JCT", "80.377 s", None),
@@ -150,7 +152,7 @@ REPORT_ROWS = {
         ("scheduler reallocations", "0.0", None),
         ("planner candidates evaluated", "0.0", None),
         ("peak concurrency in use", "300.0", None),
-        ("peak warm pool", "0.0", None),
+        ("peak warm pool", "300.0", None),
     ],
     "tune": [
         ("critical path (JCT", "252.403 s", None),
@@ -249,3 +251,10 @@ class TestCaptures:
         assert (live.to_payload()["breakdown"]
                 == saved.to_payload()["breakdown"])
         assert live.breakdown.peaks["concurrency"] > 0
+        assert live.breakdown.peaks["warm_pool"] > 0
+        if ins.sampler is not None:
+            # One source: the gauges equal the sampler's high-water marks.
+            assert live.breakdown.peaks == {
+                "concurrency": ins.sampler.high_water("platform.inflight"),
+                "warm_pool": ins.sampler.high_water("platform.warm_pool"),
+            }

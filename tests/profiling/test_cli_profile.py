@@ -10,12 +10,7 @@ from repro.profiling import load_capture
 
 def _run_capture(tmp_path, name="cap.json", extra=()):
     out = tmp_path / name
-    rc = main(
-        [
-            "profile", "lr-higgs", "--run", "train", "--seed", "0",
-            "--out", str(out), *extra,
-        ]
-    )
+    rc = main(["train", "lr-higgs", "--seed", "0", "--profile", str(out), *extra])
     assert rc == 0
     return out
 
@@ -32,6 +27,9 @@ class TestLegacyProfile:
 
 
 class TestProfileRun:
+    """A run is profiled by the command that runs it: ``train`` or
+    ``tune`` with ``--profile`` (and ``--flamegraph``)."""
+
     def test_train_capture_written_and_valid(self, tmp_path, capsys):
         out = _run_capture(tmp_path)
         payload = load_capture(out.read_text())
@@ -39,16 +37,16 @@ class TestProfileRun:
         assert "train/run" in paths
         assert "profiler/evaluate_space" in paths
         assert payload["meta"]["workload"] == "lr-higgs"
-        table = capsys.readouterr().out
-        assert "train/run" in table
+        capsys.readouterr()
+        assert main(["profile", "--validate", str(out)]) == 0
+        assert "train/run" in capsys.readouterr().out
 
     def test_tune_capture_contains_planner_frames(self, tmp_path):
         out = tmp_path / "tune.json"
         rc = main(
             [
-                "profile", "lr-higgs", "--run", "tune", "--seed", "0",
-                "--trials", "8", "--epochs-per-stage", "1",
-                "--out", str(out),
+                "tune", "lr-higgs", "--seed", "0", "--trials", "8",
+                "--epochs-per-stage", "1", "--profile", str(out),
             ]
         )
         assert rc == 0
@@ -66,10 +64,6 @@ class TestProfileRun:
             path, weight = line.rsplit(" ", 1)
             assert path
             int(weight)
-
-    def test_run_without_workload_is_usage_error(self, capsys):
-        assert main(["profile", "--run", "train"]) == 2
-        assert "needs a workload name" in capsys.readouterr().err
 
 
 class TestProfileDiff:
@@ -119,8 +113,11 @@ class TestProfileValidate:
     def test_good_capture_validates(self, tmp_path, capsys):
         cap = _run_capture(tmp_path)
         capsys.readouterr()
-        assert main(["profile", "--validate", str(cap)]) == 0
-        assert "valid repro-profile/v1" in capsys.readouterr().out
+        assert main(["profile", "--validate", str(cap), "--top", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("valid repro-profile/v1")
+        # The frame table follows: its summary, header and the 3 widest frames.
+        assert lines[1].startswith("profile: ") and len(lines) == 1 + 2 + 3
 
     def test_corrupt_capture_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

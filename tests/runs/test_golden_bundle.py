@@ -12,8 +12,12 @@ re-recorded when ``epoch_done`` rows gained the epoch's ``EpochRecord``
 fields; dropping those keys gives the earlier bytes. The events and
 telemetry pins were re-recorded again when the always-zero queue wait
 went: adding back each ``epoch_done`` row's ``queue_wait_s`` and the
-``repro_faas_queue_wait_seconds`` family gives the earlier bytes. Any change to a
-capture's rendering, its row order or a float's last digit moves a hash.
+``repro_faas_queue_wait_seconds`` family gives the earlier bytes. The two
+telemetry pins were re-recorded once more when the breakdown's peaks
+became platform gauges: dropping the ``repro_faas_warm_pool_peak`` family
+and adding back ``run.peaks`` (``concurrency`` and ``warm_pool``, the two
+peak gauges' values) gives the earlier bytes. Any change to a capture's
+rendering, its row order or a float's last digit moves a hash.
 """
 
 import contextlib
@@ -31,13 +35,13 @@ FAULT_PLAN = Path(__file__).resolve().parents[2] / "examples" / "fault_plan.json
 BUNDLE_PINS = {
     "clean": {
         "events": "f7fadb1eb7d344a0152ec6e2b2c46704a296e9397df39e6d954df80018c39911",
-        "telemetry": "73c1207b7dcab79d54a5d6beecc51e22abaa999383d6693a4cddb961d2c292d8",
+        "telemetry": "ac399268677100b5f7bebd7f76b2de40e928eb1f2ca7ec6ff436916184d2d840",
         "timeseries": "507e94ccd9d9ed44dfbe41664968b23e96ec703f855979bdd4aa4aff122bb208",
         "trace": "d5b4db0ba7648570a012236bbd1a6f2648fb054e5c62c3310b77be1dfadc2987",
     },
     "faulted": {
         "events": "a74c634f8c263fa776df3e8c83981ac64bf2098f1da21cc7b0e55f2c8137b9b8",
-        "telemetry": "d4756feefa7cb860b3f05eec72032f7feebed3a5c90dd7162b1f7566b5a9f20a",
+        "telemetry": "7018b626ae3eb97cff09e2cd88f419acc723f72d2cd9ecb3ea3b00da1a3af15f",
         "timeseries": "9f7218a911552167b9e1c84fed8f552870038f969af70a7419becc31d387fe30",
         "trace": "26f470ca3a72f075baf2c8cb397376c9e8b1d91c02351ffa0a99e151c6b2e08d",
     },

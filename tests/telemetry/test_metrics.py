@@ -8,7 +8,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    Timer,
 )
 
 
@@ -72,16 +71,6 @@ class TestHistogram:
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ValidationError):
             MetricsRegistry().histogram("lat", buckets=(5.0, 1.0))
-
-
-class TestTimer:
-    def test_observes_elapsed_wall_time(self):
-        h = MetricsRegistry().histogram("wall", buckets=(10.0,))
-        with Timer(h) as t:
-            pass
-        assert t.last_s >= 0.0
-        (sample,) = h.snapshot().samples
-        assert sample.count == 1
 
 
 class TestRegistry:

@@ -354,6 +354,22 @@ class TestMalformedInput:
         )
         assert "'seed'" in proc.stderr and proc.stdout == ""
 
+    def test_event_log_of_the_faulted_run(self, tmp_path):
+        """A clean run's telemetry and a faulted run's event log share their
+        meta and their epoch count (38), but not their bill: the log's epoch
+        costs sum to the other run's cost, so the pair is refused."""
+        plan = str(Path(__file__).resolve().parents[1] / "examples" / "fault_plan.json")
+        for name, faults in (("clean", []), ("faulted", ["--faults", plan])):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["train", "lr-higgs", "--budget", "2.0", "--seed", "0", *faults,
+                             "--telemetry", str(tmp_path / f"{name}.tel.json"),
+                             "--events", str(tmp_path / f"{name}.ev.jsonl")]) == 0
+        proc = _assert_one_line_exit_two(
+            ["diagnose", "clean.tel.json", "--events", "faulted.ev.jsonl"], tmp_path
+        )
+        assert "1.7115069656815474" in proc.stderr and "1.9982882824845445" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -365,7 +381,7 @@ class TestMalformedInput:
             ["tune", "lr-higgs", "--trials", "8", "--budget", "-3"],
             ["tune", "lr-higgs", "--budget", "nan"],
             ["workflow", "lr-higgs", "--budget", "nan"],
-            ["profile", "lr-higgs", "--run", "train", "--budget", "inf"],
+            ["train", "lr-higgs", "--budget", "inf"],
             ["diagnose", "lr-higgs", "--qos-multiple", "-1"],
             # Unknown models and SHA shapes.
             ["train", "nosuch"],
@@ -381,8 +397,7 @@ class TestMalformedInput:
             # Flag values with a shape: a fraction in (0, 1), RANK:FACTOR.
             ["workflow", "lr-higgs", "--budget", "2", "--tuning-fraction", "2"],
             ["workflow", "lr-higgs", "--tuning-fraction", "-1"],
-            ["profile", "lr-higgs", "--run", "workflow",
-             "--tuning-fraction", "nan"],
+            ["workflow", "lr-higgs", "--tuning-fraction", "nan"],
             ["diagnose", "lr-higgs", "--straggler", "x"],
         ],
         ids=" ".join,
@@ -419,7 +434,6 @@ class TestMalformedInput:
             ["train", "lr-higgs", "--budget", "2.0", "--events", "missing/e.jsonl"],
             ["train", "lr-higgs", "--budget", "2.0", "--timeseries", "missing/ts.json"],
             ["train", "lr-higgs", "--budget", "2.0", "--profile", "missing/p.json"],
-            ["profile", "lr-higgs", "--run", "train", "--out", "missing/p.json"],
             ["diagnose", "lr-higgs", "--timeseries", "missing/ts.json"],
             ["slo", "--spec", "spec.json", "--capture", "e.jsonl", "--out", "missing/r.json"],
             ["diagnose", "lr-higgs", "--out", "missing/d.json"],
@@ -455,6 +469,7 @@ class TestMalformedInput:
             ["dash", "--replay", "ts-series.json"],
             ["profile", "--diff", "p-total.json", "p-total.json"],
             ["profile", "--diff", "p-frames.json", "p-frames.json"],
+            ["profile", "--validate", "p-calls.json"],
             ["diagnose", "tel.json", "--events", "events-5.jsonl"],
         ],
         ids=" ".join,
@@ -468,6 +483,9 @@ class TestMalformedInput:
         ts["series"] = [5]
         (tmp_path / "ts-series.json").write_text(json.dumps(ts))
         profile = json.loads(_valid_profile())
+        profile["frames"][0]["n_calls"] = 1.5  # the frame table prints counts as integers
+        (tmp_path / "p-calls.json").write_text(json.dumps(profile))
+        profile["frames"][0]["n_calls"] = 1
         profile["frames"][0]["total_s"] = "x"
         (tmp_path / "p-total.json").write_text(json.dumps(profile))
         profile["frames"] = [3]

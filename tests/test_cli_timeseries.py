@@ -46,7 +46,9 @@ class TestSampledRun:
         assert main(["timeseries", "validate", str(capture_path)]) == 0
         assert "valid repro-timeseries/v1" in capsys.readouterr().out
 
-    def test_run_summary_gains_peaks(self, tmp_path, capsys):
+    def test_peaks_are_the_sampled_high_water_marks(self, tmp_path, capsys):
+        """The breakdown's peaks come from the platform gauges, and on a
+        sampled run they equal the high-water marks of its series."""
         ts = tmp_path / "ts.json"
         tel = tmp_path / "tel.json"
         assert main(
@@ -56,10 +58,15 @@ class TestSampledRun:
             ]
         ) == 0
         capsys.readouterr()
-        run = json.loads(tel.read_text())["run"]
-        assert run["peaks"]["concurrency"] > 0
-        assert main(["diagnose", str(tel)]) == 0
-        assert "peak concurrency in use" in capsys.readouterr().out
+        assert "peaks" not in json.loads(tel.read_text())["run"]
+        assert main(["diagnose", str(tel), "--format", "json"]) == 0
+        peaks = json.loads(capsys.readouterr().out)["breakdown"]["peaks"]
+        series = {e["name"]: e for e in load_capture(ts.read_text())["series"]}
+        assert peaks == {
+            "concurrency": series["platform.inflight"]["high_water"],
+            "warm_pool": series["platform.warm_pool"]["high_water"],
+        }
+        assert peaks["warm_pool"] > 0
 
     def test_summary_has_no_peaks_without_flag(self, tmp_path, capsys):
         tel = tmp_path / "tel.json"

@@ -14,7 +14,6 @@ from repro.timeseries import (
     TimeSeriesSampler,
     get_sampler,
     load_capture,
-    peaks_summary,
     set_sampler,
 )
 
@@ -85,12 +84,18 @@ class TestBusMarkers:
 
 
 class TestPeaksSummary:
+    """The high-water marks of the platform series; the breakdown's peaks
+    come from the platform gauges, which equal them on a sampled run
+    (``tests/diagnostics/test_breakdown.py``)."""
+
     def test_high_water_marks(self):
         s = TimeSeriesSampler()
         s.sample("platform.inflight", 0.0, 10.0)
         s.sample("platform.inflight", 1.0, 300.0)
         s.sample("platform.warm_pool", 1.0, 42.0)
-        assert peaks_summary(s) == {"concurrency": 300.0, "warm_pool": 42.0}
+        assert s.high_water("platform.inflight") == 300.0
+        assert s.high_water("platform.warm_pool") == 42.0
 
     def test_empty_sampler_yields_zeros(self):
-        assert peaks_summary(TimeSeriesSampler()) == {"concurrency": 0.0, "warm_pool": 0.0}
+        s = TimeSeriesSampler()
+        assert s.high_water("platform.inflight") == s.high_water("platform.warm_pool") == 0.0
