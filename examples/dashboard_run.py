@@ -58,8 +58,9 @@ def main() -> None:
     print(f"replay it with: python -m repro dash --replay {capture_path}")
 
     # 3. High-water marks — the peaks of the `repro diagnose` breakdown.
-    print(f"\npeak concurrency {ins.sampler.high_water('platform.inflight'):g}, "
-          f"peak warm pool {ins.sampler.high_water('platform.warm_pool'):g}")
+    peaks = {entry["name"]: entry["high_water"] for entry in payload["series"]}
+    print(f"\npeak concurrency {peaks['platform.inflight']:g}, "
+          f"peak warm pool {peaks['platform.warm_pool']:g}")
 
     # 4. Anomaly scan (clean run -> usually empty) and a self-compare
     #    through the one compare engine (`repro timeseries diff`).

@@ -916,11 +916,9 @@ def cmd_runs(args) -> int:
                     print(manifest["run_id"])
                 return 0
             if args.format == "json":
-                import json
+                from repro.common.jsontext import indented_json
 
-                print(
-                    json.dumps(manifests, indent=2, sort_keys=True)
-                )
+                print(indented_json(manifests))
                 return 0
             if not manifests:
                 print(f"no runs in {store.root}")

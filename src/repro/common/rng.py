@@ -9,6 +9,7 @@ from a single integer seed. Child streams are derived with
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import zlib
 from typing import Iterator
@@ -31,24 +32,15 @@ def stream_for(seed: int, *labels: object) -> np.random.Generator:
 def keyed_uniforms(seed: int, prefix: tuple, values, suffix: tuple = ()) -> np.ndarray:
     """``stream_for(seed, *prefix, v, *suffix).random()`` for every ``v``.
 
-    One array pass instead of one generator per value, bit for bit equal:
-    it replays numpy's ``SeedSequence`` entropy mixing, its
-    ``generate_state(4, uint64)``, PCG64 seeding and the first XSL-RR
-    output, with one row per value. ``values`` are non-negative ints. The
-    pool after the seed and ``prefix`` words does not depend on the value,
-    so it is mixed once and cached. ``stream_for`` stays the reference:
-    ``tests/common/test_keyed_uniforms.py`` holds the two equal.
+    One array pass instead of one generator per value, bit for bit equal
+    (see :func:`seed_rows`). ``values`` are non-negative ints.
+    ``stream_for`` stays the reference: ``tests/common/test_keyed_uniforms.py``
+    holds the two equal.
     """
     values = np.asarray(values).reshape(-1)
-    if values.size and (values.dtype.kind not in "iu" or values.min() < 0):
-        raise ValueError("keyed_uniforms values must be non-negative ints")
-    pool = _row_pools(seed, prefix, _int_crcs(values.astype(np.int64, copy=False)), suffix)
-    lo, hi = _pcg64_state(_state_words(pool), _FIRST_DRAW)
-    # PCG64's XSL-RR output of that state, as Generator.random()'s double.
-    rot = hi >> 58
-    x = hi ^ lo
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11) * (1.0 / 9007199254740992.0)
+    _check_int_labels(values, "keyed_uniforms values")
+    crcs = _int_crcs(values.astype(np.int64, copy=False))
+    return first_uniforms(_replay(seed, [(prefix, _tail(crcs, suffix))]))
 
 
 def seeded_pcg64_states(
@@ -57,16 +49,52 @@ def seeded_pcg64_states(
     """The freshly seeded PCG64 ``(state, inc)`` of
     ``stream_for(seed, *prefix, label, *suffix)`` for every ``label``.
 
-    The same replay as :func:`keyed_uniforms`, stopped before the first
-    draw, for labels of any kind (a tuple label's word is the CRC of its
-    ``str``). Loading a row into a PCG64's ``state`` gives that stream's
-    generator without a ``SeedSequence`` per row.
+    The same replay as :func:`keyed_uniforms`, for labels of any kind (a
+    tuple label's word is the CRC of its ``str``).
     """
     crcs = np.array([_label_crc(lbl) for lbl in labels], dtype=np.uint32)
-    words = _state_words(_row_pools(seed, prefix, crcs, suffix))
-    lo, hi = _pcg64_state(words, _SEEDED)
+    return pcg64_states(_replay(seed, [(prefix, _tail(crcs, suffix))]))
+
+
+def seed_rows(seed: int, blocks) -> np.ndarray:
+    """The seeding of ``stream_for(seed, *head, *row)`` for every row of
+    every ``(head, rows)`` block, blocks stacked in order.
+
+    ``rows`` is an ``(m, k)`` array of non-negative int labels; blocks may
+    differ in head and in ``k``, so rows of different entropy lengths
+    share one array pass. It replays numpy's ``SeedSequence`` entropy
+    mixing and ``generate_state(4, uint64)`` row by row and returns, per
+    row, the eight 32-bit limbs PCG64 seeds from. :func:`first_uniforms`
+    and :func:`pcg64_states` read the streams off them.
+    """
+    words: dict[int, np.ndarray] = {}  # blocks may share one rows array
+    tails = []
+    for head, rows in blocks:
+        if id(rows) not in words:
+            labels = np.asarray(rows)
+            _check_int_labels(labels, "seed_rows labels")
+            words[id(rows)] = _int_crcs(labels.astype(np.int64, copy=False))
+        tails.append((head, words[id(rows)]))
+    return _replay(seed, tails)
+
+
+def first_uniforms(seeded: np.ndarray) -> np.ndarray:
+    """Each seeded stream's first ``Generator.random()`` double."""
+    lo, hi = _pcg64_state(seeded, _FIRST_DRAW)
+    # PCG64's XSL-RR output of that state, as Generator.random()'s double.
+    rot = hi >> 58
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11) * (1.0 / 9007199254740992.0)
+
+
+def pcg64_states(seeded: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each seeded stream's PCG64 ``(state, inc)``. Loading a row into a
+    PCG64's ``state`` gives that stream's generator without a
+    ``SeedSequence`` per row."""
+    lo, hi = _pcg64_state(seeded, _SEEDED)
     # inc = 2*initseq + 1, initseq's limbs being words 4..7.
-    seq = words[:, 4:].astype(np.uint64)
+    seq = seeded[:, 4:].astype(np.uint64)
     seq_lo, seq_hi = seq[:, 0] | seq[:, 1] << 32, seq[:, 2] | seq[:, 3] << 32
     return _u128(hi, lo), _u128(seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
 
@@ -75,18 +103,73 @@ def _u128(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     return [h << 64 | low for h, low in zip(hi.tolist(), lo.tolist())]
 
 
-def _row_pools(seed: int, prefix: tuple, crcs: np.ndarray, suffix: tuple) -> np.ndarray:
-    """``mix_entropy``'s pool for each row's entropy ``[seed, *prefix,
-    crc, *suffix]``, ``crcs`` holding the varying word."""
-    head = tuple(_seed_words(seed) + [_label_crc(lbl) for lbl in prefix])
-    rows = [crcs[:, None]] + [_label_crc(lbl) for lbl in suffix]
-    if len(head) >= 4:
-        return _absorb(_head_pool(head), rows, 4 * len(head))
-    # The varying word lands in the pool's first four: mix in full.
-    words = np.empty((crcs.size, len(head) + len(rows)), dtype=np.uint32)
-    for i, row in enumerate(list(head) + rows):
-        words[:, i:i + 1] = row
-    return _mix_pool(words)
+def _check_int_labels(values: np.ndarray, what: str) -> None:
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0):
+        raise ValueError(f"{what} must be non-negative ints")
+
+
+def _tail(crcs: np.ndarray, suffix: tuple) -> np.ndarray:
+    """One varying word column followed by the suffix labels' words."""
+    tail = np.empty((crcs.size, 1 + len(suffix)), dtype=np.uint32)
+    tail[:, 0] = crcs
+    tail[:, 1:] = [_label_crc(lbl) for lbl in suffix]
+    return tail
+
+
+def _replay(seed: int, blocks: list) -> np.ndarray:
+    """``generate_state``'s limbs for the entropy ``[seed, *head, *row]``
+    of every row of every ``(head, CRC words (m, k))`` block.
+
+    The rows are laid out longest entropy first, so the rows that absorb
+    word ``w`` are always a leading slice of the pool. When every head
+    reaches four words, the pool up to the shortest head does not depend
+    on the row: it is mixed once per head and cached.
+    """
+    seed_words = _seed_words(seed)
+    heads = [tuple(seed_words + [_label_crc(lbl) for lbl in head]) for head, _ in blocks]
+    lengths = [len(h) + tail.shape[1] for h, (_, tail) in zip(heads, blocks)]
+    order = sorted(range(len(blocks)), key=lengths.__getitem__, reverse=True)
+    sizes = [blocks[b][1].shape[0] for b in order]
+    start = min(map(len, heads), default=0)
+    if start < 4:
+        start = 0  # the rows' own words reach the first four: mix them all
+    width = max(lengths + [4])
+    # Columns start.. of each row's entropy; entropy shorter than four
+    # words mixes as if zero-padded to four.
+    words = np.zeros((sum(sizes), width - start), dtype=np.uint32)
+    row = 0
+    for b, m in zip(order, sizes):
+        head = heads[b][start:]
+        if head:
+            words[row:row + m, :len(head)] = head
+        words[row:row + m, len(head):lengths[b] - start] = blocks[b][1]
+        row += m
+    if start:
+        pools = [_head_pool(heads[b][:start]) for b in order]
+        pool = np.repeat(pools[0] if len(pools) == 1 else np.concatenate(pools),
+                         sizes, axis=0)
+    else:
+        start, pool, words = 4, _first_mix(words[:, :4]), words[:, 4:]
+    if words.shape[1]:
+        # Each word's side of the mix does not depend on the pool: hash
+        # every absorbed word at once, then fold them in word by word.
+        ys = _hashmix(words.T[:, :, None], 4 * start, 4 * words.shape[1])
+        ys *= _MIX_R
+        # The rows whose entropy reaches word start + j lead the layout.
+        ends = dict(zip((lengths[b] for b in order), itertools.accumulate(sizes)))
+        for j in range(words.shape[1]):
+            n = max(end for length, end in ends.items() if length > start + j)
+            live = pool[:n]
+            live *= _MIX_L
+            live -= ys[j, :n]
+            live ^= live >> 16
+    seeded = _state_words(pool)
+    if order == sorted(order):
+        return seeded
+    at = dict(zip(order, itertools.accumulate(sizes, initial=0)))
+    return np.concatenate(
+        [seeded[at[b]:at[b] + tail.shape[0]] for b, (_, tail) in enumerate(blocks)]
+    )
 
 
 # numpy's SeedSequence constants (bit_generator.pyx). Each hashmix call
@@ -124,7 +207,14 @@ def _seed_words(seed: int) -> list[int]:
 
 
 def _label_crc(label: object) -> int:
+    if type(label) is str:
+        return _str_crc(label)
     return zlib.crc32(str(label).encode("utf-8")) & 0xFFFFFFFF
+
+
+@functools.lru_cache(maxsize=256)
+def _str_crc(label: str) -> int:
+    return zlib.crc32(label.encode("utf-8")) & 0xFFFFFFFF
 
 
 _CRC_TABLE = np.zeros(0, dtype=np.uint32)  # crc32(str(i)), grown on demand
@@ -135,7 +225,8 @@ def _int_crcs(values: np.ndarray) -> np.ndarray:
     global _CRC_TABLE
     top = int(values.max()) + 1 if values.size else 0
     if top > _CRC_TABLE_MAX:
-        return np.array([_label_crc(v) for v in values.tolist()], dtype=np.uint32)
+        crcs = [_label_crc(v) for v in values.reshape(-1).tolist()]
+        return np.array(crcs, dtype=np.uint32).reshape(values.shape)
     if top > _CRC_TABLE.size:
         size = 1 << (top - 1).bit_length()
         grown = [_label_crc(i) for i in range(_CRC_TABLE.size, size)]
@@ -145,57 +236,40 @@ def _int_crcs(values: np.ndarray) -> np.ndarray:
 
 def _hashmix(word, t: int, k: int) -> np.ndarray:
     """Hashmix calls t..t+k-1, each applied to ``word`` (an (n, 1) column
-    or a scalar), as k columns."""
+    or a scalar), as k columns. A (W, n, 1) block of W word columns takes
+    four consecutive calls per word, as (W, n, 4)."""
     global _HASH_A
     if t + k >= _HASH_A.size:
         _HASH_A = _powers(0x43B0D7E5, 0x931E8875, 2 * (t + k))
-    h = word ^ _HASH_A[t:t + k]
-    h *= _HASH_A[t + 1:t + k + 1]
-    return h ^ (h >> 16)
+    a, b = _HASH_A[t:t + k], _HASH_A[t + 1:t + k + 1]
+    if np.ndim(word) == 3:
+        a, b = a.reshape(-1, 1, 4), b.reshape(-1, 1, 4)
+    h = word ^ a
+    h *= b
+    h ^= h >> 16
+    return h
 
 
-def _mix_pool(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence.mix_entropy`` on each row of ``words`` (n, L)."""
-    n, length = words.shape
-    first = words[:, :4]
-    if length < 4:
-        first = np.hstack([first, np.zeros((n, 4 - length), np.uint32)])
+def _first_mix(first: np.ndarray) -> np.ndarray:
+    """``SeedSequence.mix_entropy``'s pool after the first four words, for
+    each row of ``first`` (n, 4)."""
     pool = _hashmix(first, 0, 4)
     for src, dst in enumerate(_OTHERS):
         y = _MIX_R * _hashmix(pool[:, src:src + 1], 4 + 3 * src, 3)
         mixed = _MIX_L * pool[:, dst] - y
         pool[:, dst] = mixed ^ (mixed >> 16)
-    return _absorb(pool, [words[:, w:w + 1] for w in range(4, length)], 16)
-
-
-def _absorb(pool: np.ndarray, words: list, t: int) -> np.ndarray:
-    """``mix_entropy``'s step for each word (an (n, 1) column or an int)
-    after the first four."""
-    for word in words:
-        if isinstance(word, np.ndarray):
-            y = _MIX_R * _hashmix(word, t, 4)
-        else:
-            y = _mixed_word(word, t)
-        pool = _MIX_L * pool - y
-        pool ^= pool >> 16
-        t += 4
     return pool
 
 
-@functools.lru_cache(maxsize=16)
-def _mixed_word(word: int, t: int) -> np.ndarray:
-    """An int word's side of the mix, which does not depend on the pool."""
-    return _frozen(_MIX_R * _hashmix(np.uint32(word), t, 4))
-
-
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=64)
 def _head_pool(head: tuple[int, ...]) -> np.ndarray:
-    return _frozen(_absorb(_first_pool(head[:4]), list(head[4:]), 16))
-
-
-@functools.lru_cache(maxsize=8)
-def _first_pool(first: tuple[int, ...]) -> np.ndarray:
-    return _frozen(_mix_pool(np.array([first], dtype=np.uint32)))
+    """The pool after a head of four or more words, shared by every row
+    that starts with it."""
+    pool = _first_mix(np.array([head[:4]], dtype=np.uint32))
+    for w, word in enumerate(head[4:], start=4):
+        pool = _MIX_L * pool - _MIX_R * _hashmix(np.uint32(word), 4 * w, 4)
+        pool ^= pool >> 16
+    return _frozen(pool)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

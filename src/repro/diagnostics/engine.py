@@ -12,12 +12,12 @@ diagnosis as an artifact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.analytical.pareto import ProfiledAllocation
 from repro.common.errors import ConstraintError
+from repro.common.jsontext import indented_json
 from repro.diagnostics.critical_path import (
     COMPONENT_ORDER,
     CriticalPathAnalysis,
@@ -249,7 +249,7 @@ class DiagnosticsReport:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        return indented_json(self.to_payload()) + "\n"
 
     # ------------------------------------------------------------------ rendering
     def render(self) -> str:

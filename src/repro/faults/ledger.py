@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ValidationError
+from repro.common.jsontext import indented_json
 from repro.common.meta import coerce_meta
 from repro.common.validation import (
     number_field, require_field, require_list, require_numbers, require_object,
@@ -239,9 +240,7 @@ class FaultLedger:
 
     def to_json(self, plan_payload: dict | None = None,
                 meta: dict | None = None) -> str:
-        return json.dumps(
-            self.to_payload(plan_payload, meta), indent=2, sort_keys=True
-        ) + "\n"
+        return indented_json(self.to_payload(plan_payload, meta)) + "\n"
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultLedger":

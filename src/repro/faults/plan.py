@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import ValidationError
+from repro.common.jsontext import indented_json
 from repro.common.types import StorageKind
 from repro.common.validation import number_field, require_list, require_object
 
@@ -295,7 +296,7 @@ class FaultPlan:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        return indented_json(self.to_payload()) + "\n"
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultPlan":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 from repro.common.errors import ValidationError
+from repro.common.jsontext import indented_json
 from repro.common.meta import coerce_meta
 from repro.common.schemas import SCHEMA_KEYS
 from repro.common.validation import require_numbers
@@ -67,7 +68,7 @@ def capture_payload(profiler: Profiler, meta: dict | None = None) -> dict:
 
 def to_json(payload: dict) -> str:
     """Byte-stable serialization (sorted keys, trailing newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return indented_json(payload) + "\n"
 
 
 def load_capture(text: str) -> dict:

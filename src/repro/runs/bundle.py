@@ -16,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
+from repro.common.jsontext import indented_json
 from repro.common.meta import coerce_meta
 from repro.common.schemas import SCHEMA_KEYS
 from repro.common.validation import is_number, require_object
@@ -59,10 +60,17 @@ def sha256_text(text: str) -> str:
 
 @dataclass(frozen=True)
 class Artifact:
-    """One content-addressed capture inside a bundle."""
+    """One content-addressed capture inside a bundle.
+
+    The text is encoded once, for its digest and byte count. The bytes are
+    not kept: the store encodes again only the texts it writes, so a
+    bundle never holds every capture twice.
+    """
 
     kind: str
     text: str
+    sha256: str = field(init=False)
+    n_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ARTIFACT_KINDS:
@@ -70,6 +78,9 @@ class Artifact:
                 f"unknown artifact kind {self.kind!r}; known: "
                 f"{', '.join(sorted(ARTIFACT_KINDS))}"
             )
+        data = self.text.encode("utf-8")
+        object.__setattr__(self, "sha256", hashlib.sha256(data).hexdigest())
+        object.__setattr__(self, "n_bytes", len(data))
 
     @property
     def filename(self) -> str:
@@ -78,10 +89,6 @@ class Artifact:
     @property
     def schema(self) -> str | None:
         return ARTIFACT_KINDS[self.kind][1]
-
-    @property
-    def sha256(self) -> str:
-        return sha256_text(self.text)
 
     @property
     def deterministic(self) -> bool:
@@ -93,7 +100,7 @@ class Artifact:
             "kind": self.kind,
             "filename": self.filename,
             "sha256": self.sha256,
-            "n_bytes": len(self.text.encode("utf-8")),
+            "n_bytes": self.n_bytes,
             "artifact_schema": self.schema,
             "deterministic": self.deterministic,
         }
@@ -152,7 +159,7 @@ class RunBundle:
 
 def manifest_to_json(manifest: dict) -> str:
     """Byte-stable serialization (sorted keys, trailing newline)."""
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return indented_json(manifest) + "\n"
 
 
 def load_manifest(text: str) -> dict:

@@ -38,6 +38,7 @@ import json
 from typing import Callable, NamedTuple
 
 from repro.common.errors import ValidationError
+from repro.common.jsontext import indented_json
 from repro.common.meta import coerce_meta
 from repro.common.validation import is_finite, is_number, require_object
 from repro.profiling.capture import validate_capture as _validate_profile
@@ -405,7 +406,7 @@ def compare_runs(store, base_ref: str, target_ref: str, meta=None, **params) -> 
 
 def compare_to_json(report: dict) -> str:
     """Byte-stable serialization (sorted keys, trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return indented_json(report) + "\n"
 
 
 def _cell(value) -> str:

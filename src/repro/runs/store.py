@@ -15,6 +15,7 @@ lexicographic run-id order).
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from repro.common.errors import ValidationError
@@ -60,17 +61,21 @@ class RunStore:
     # -- writing -----------------------------------------------------------
 
     def save(self, bundle: RunBundle) -> str:
-        """Persist a bundle; returns its run id. Idempotent."""
+        """Persist a bundle; returns its run id. Idempotent.
+
+        Every file is written to a temporary name beside it and renamed
+        into place, so a crash never leaves a partial object; an existing
+        object whose size is not the artifact's byte count (truncated by
+        some earlier failure) is rewritten.
+        """
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
         for artifact in bundle.artifacts:
             path = self._object_path(artifact.sha256)
-            if not path.exists():
+            if not (path.is_file() and path.stat().st_size == artifact.n_bytes):
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(artifact.text, encoding="utf-8")
-        manifest_path = self.manifest_dir / f"{bundle.run_id}.json"
-        manifest_path.write_text(
-            manifest_to_json(bundle.manifest()), encoding="utf-8"
-        )
+                _write_atomic(path, artifact.text.encode("utf-8"))
+        manifest = manifest_to_json(bundle.manifest()).encode("utf-8")
+        _write_atomic(self.manifest_dir / f"{bundle.run_id}.json", manifest)
         return bundle.run_id
 
     # -- reading -----------------------------------------------------------
@@ -178,6 +183,19 @@ class RunStore:
                 if not any(shard.iterdir()):
                     shard.rmdir()
         return {"n_removed": n_removed, "n_kept": n_kept, "n_runs": len(self.run_ids())}
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    over ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_run(

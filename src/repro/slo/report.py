@@ -19,10 +19,10 @@ attributed to critical-path components so ``repro diagnose`` can show
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.common.errors import SLOError
+from repro.common.jsontext import indented_json
 from repro.common.meta import coerce_meta
 from repro.slo.events import EventLog
 from repro.slo.guard import Alert, BudgetState, SLOGuard
@@ -80,7 +80,7 @@ class SLOReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        return indented_json(self.to_payload()) + "\n"
 
     def render(self) -> str:
         """Human-readable table."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.errors import SLOError
+from repro.common.jsontext import indented_json
 from repro.common.validation import is_finite
 
 SLO_SCHEMA = "repro-slo/v1"
@@ -127,7 +128,7 @@ class SLOSpec:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        return indented_json(self.to_payload()) + "\n"
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SLOSpec":

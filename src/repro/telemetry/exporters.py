@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+from repro.common.jsontext import indented_json
 from repro.common.meta import coerce_meta
 from repro.common.validation import is_number
 from repro.telemetry.metrics import MetricSnapshot
@@ -114,7 +115,7 @@ def to_json(
         "run": dict(run or {}),
         "metrics": snapshots_to_payload(snapshots),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return indented_json(payload)
 
 
 def from_json_payload(text: str) -> dict:

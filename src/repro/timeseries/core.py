@@ -129,13 +129,6 @@ class TimeSeriesSampler:
             return
         self.markers.append(Marker(kind, t_s, label))
 
-    def high_water(self, name: str) -> float:
-        """A series' high-water mark (0.0 when the series was never fed)."""
-        buf = self.series.get(name)
-        if buf is None or buf.n_samples == 0:
-            return 0.0
-        return buf.high_water
-
     def n_points(self) -> int:
         """Stored (compressed) points across every series."""
         return sum(len(self.series[name]) for name in sorted(self.series))
@@ -157,9 +150,6 @@ class NullSampler:
 
     def mark(self, kind: str, t_s: float, label: str = "") -> None:
         pass
-
-    def high_water(self, name: str) -> float:
-        return 0.0
 
     def n_points(self) -> int:
         return 0

@@ -1,8 +1,8 @@
 """The batched seeding replays against their reference, ``stream_for``.
 
-``keyed_uniforms`` and ``seeded_pcg64_states`` replay numpy's
-``SeedSequence`` and PCG64 seeding in array form. Every property here
-compares them bit for bit with one ``stream_for(...)`` per value (its
+``keyed_uniforms``, ``seeded_pcg64_states`` and ``seed_rows`` replay
+numpy's ``SeedSequence`` and PCG64 seeding in array form. Every property
+here compares them bit for bit with one ``stream_for(...)`` per value (its
 first ``random()``, or its seeded ``bit_generator.state``), so a numpy
 change to either stream fails these tests rather than drifting the fault
 draws or the SHA trial curves silently.
@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import rng
-from repro.common.rng import keyed_uniforms, seeded_pcg64_states, stream_for
+from repro.common.rng import (
+    first_uniforms,
+    keyed_uniforms,
+    pcg64_states,
+    seed_rows,
+    seeded_pcg64_states,
+    stream_for,
+)
 
 seeds = st.one_of(
     st.sampled_from([0, 1, 2**32 - 1, 2**32]),
@@ -121,3 +128,69 @@ def test_a_loaded_state_continues_the_stream():
                          "has_uint32": 0, "uinteger": 0}
         ref = stream_for(7, "loss-curve", label)
         assert gen.standard_normal(9).tolist() == ref.standard_normal(9).tolist()
+
+
+int_labels = st.one_of(
+    st.integers(0, 64), st.integers(0, 5000), st.integers(2**20, 2**40)
+)
+
+
+@given(seed=seeds, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_seed_rows_equal_stream_for(seed, data):
+    # Blocks of any head and width, so one pass holds rows of different
+    # entropy lengths, some shorter than the pool's four words.
+    shapes = data.draw(st.lists(
+        st.tuples(st.lists(labels, max_size=5).map(tuple),
+                  st.integers(0, 4), st.integers(0, 4)),
+        max_size=5,
+    ))
+    blocks = [
+        (head, np.array(
+            data.draw(st.lists(st.lists(int_labels, min_size=k, max_size=k),
+                               min_size=m, max_size=m)),
+            dtype=np.int64,
+        ).reshape(m, k))
+        for head, k, m in shapes
+    ]
+    seeded = seed_rows(seed, blocks)
+    keys = [(*head, *row) for head, rows in blocks for row in rows.tolist()]
+    ref = [stream_for(seed, *key) for key in keys]
+    states, incs = pcg64_states(seeded)
+    assert list(zip(states, incs)) == [
+        (g.bit_generator.state["state"]["state"], g.bit_generator.state["state"]["inc"])
+        for g in ref
+    ]
+    assert first_uniforms(seeded).tolist() == [float(g.random()) for g in ref]
+
+
+def test_seed_rows_keeps_block_order_across_lengths():
+    # A short block first and a long one last: the replay lays rows out
+    # longest first, and must hand them back in the caller's order.
+    blocks = [
+        (("faults", "train", "sync"), np.array([[3, 0]])),
+        (("faults", "train", "crash"), np.array([[3, r, 0, 0] for r in range(3)])),
+        (("faults", "train", "cold-fail"), np.array([[3, 7, 0, 0, 1]])),
+    ]
+    got = first_uniforms(seed_rows(5, blocks)).tolist()
+    ref = [
+        float(stream_for(5, *head, *row).random())
+        for head, rows in blocks for row in rows.tolist()
+    ]
+    assert got == ref
+
+
+def test_seed_rows_shares_one_rows_array_between_heads():
+    rows = np.array([[1, 2], [3, 4]])
+    blocks = [(("a",), rows), (("b", "c", "d", "e"), rows), (("a",), rows)]
+    got = first_uniforms(seed_rows(2**40, blocks)).tolist()
+    assert got == [
+        float(stream_for(2**40, *head, *row).random())
+        for head, _ in blocks for row in rows.tolist()
+    ]
+
+
+@pytest.mark.parametrize("rows", [[[3, -1]], [[1.5, 2.0]]])
+def test_seed_rows_rejects_non_int_or_negative_labels(rows):
+    with pytest.raises(ValueError, match="non-negative ints"):
+        seed_rows(0, [(("faults",), np.array(rows))])

@@ -253,8 +253,10 @@ class TestCaptures:
         assert live.breakdown.peaks["concurrency"] > 0
         assert live.breakdown.peaks["warm_pool"] > 0
         if ins.sampler is not None:
-            # One source: the gauges equal the sampler's high-water marks.
+            # One source: the gauges equal the capture's high-water marks.
+            peaks = {entry["name"]: entry["high_water"]
+                     for entry in ins.payloads["timeseries"]["series"]}
             assert live.breakdown.peaks == {
-                "concurrency": ins.sampler.high_water("platform.inflight"),
-                "warm_pool": ins.sampler.high_water("platform.warm_pool"),
+                "concurrency": peaks["platform.inflight"],
+                "warm_pool": peaks["platform.warm_pool"],
             }

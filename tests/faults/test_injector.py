@@ -62,8 +62,10 @@ class TestDeterminism:
             for r in range(n)
         ]
         assert 0 < faulty.sum() < n
-        kept = {site[2] for site in batched._drawn if site[0] == "crash"}
+        kept = set(batched._rows["crash"][1])
         assert kept == set(np.flatnonzero(faulty).tolist())
+        cold = set(batched._rows["cold-fail"][1])
+        assert cold == {r for r in kept if r >= n_warm}
 
     def test_same_seed_same_draws(self):
         a = FaultInjector(_crashy(), seed=7)

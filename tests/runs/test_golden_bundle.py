@@ -16,8 +16,11 @@ went: adding back each ``epoch_done`` row's ``queue_wait_s`` and the
 telemetry pins were re-recorded once more when the breakdown's peaks
 became platform gauges: dropping the ``repro_faas_warm_pool_peak`` family
 and adding back ``run.peaks`` (``concurrency`` and ``warm_pool``, the two
-peak gauges' values) gives the earlier bytes. Any change to a capture's
-rendering, its row order or a float's last digit moves a hash.
+peak gauges' values) gives the earlier bytes. The faulted run also pins
+its fault report, the capture a change in the order of the fault draws
+would move first; it was recorded before a gang's fault sites came to be
+seeded in array passes. Any change to a capture's rendering, its row
+order or a float's last digit moves a hash.
 """
 
 import contextlib
@@ -44,6 +47,7 @@ BUNDLE_PINS = {
         "telemetry": "7018b626ae3eb97cff09e2cd88f419acc723f72d2cd9ecb3ea3b00da1a3af15f",
         "timeseries": "9f7218a911552167b9e1c84fed8f552870038f969af70a7419becc31d387fe30",
         "trace": "26f470ca3a72f075baf2c8cb397376c9e8b1d91c02351ffa0a99e151c6b2e08d",
+        "faults": "c7e62b8a9a6c3f4b8fe9dd47d35d1f305fc5c56f07fea6e5c3d8afd1573881d6",
     },
 }
 
@@ -61,6 +65,7 @@ def test_bundle_capture_bytes(case, tmp_path):
     manifest = store.load(run_id)
     digests = {
         kind: hashlib.sha256(store.read_artifact(manifest, kind).encode()).hexdigest()
-        for kind in sorted(BUNDLE_KINDS)
+        for kind in sorted(BUNDLE_PINS[case])
     }
     assert digests == BUNDLE_PINS[case]
+    assert BUNDLE_KINDS <= digests.keys()

@@ -86,6 +86,49 @@ class TestIntegrity:
         with pytest.raises(ValidationError, match="missing from the store"):
             store.read_artifact(manifest, "trace")
 
+    def test_saving_again_repairs_a_truncated_object(self, store):
+        text = '{"traceEvents": [' + "1, " * 400 + "2]}\n"
+        manifest = store.load(store.save(_bundle(text=text)))
+        entry = next(e for e in manifest["artifacts"] if e["kind"] == "trace")
+        path = store._object_path(entry["sha256"])
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ValidationError, match="corrupt"):
+            store.read_artifact(manifest, "trace")
+        store.save(_bundle(text=text))
+        assert store.read_artifact(manifest, "trace") == text
+
+    def test_save_leaves_no_temporary_files(self, store):
+        store.save(_bundle())
+        store.save(_bundle())
+        names = [p.name for p in store.root.rglob("*") if p.is_file()]
+        assert not [n for n in names if n.startswith(".") or n.endswith(".tmp")]
+        assert len(names) == 3  # two objects and one manifest
+
+    def test_a_failed_write_leaves_the_object_absent(self, store, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.runs.store.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.save(_bundle())
+        assert not [p for p in store.root.rglob("*") if p.is_file()]
+
+    def test_cli_save_repairs_a_truncated_trace(self, tmp_path):
+        argv = ["train", "lr-higgs", "--budget", "2.0", "--seed", "0",
+                "--save-run", str(tmp_path / "s")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        store = RunStore(tmp_path / "s")
+        (run_id,) = store.run_ids()
+        manifest = store.load(run_id)
+        entry = next(e for e in manifest["artifacts"] if e["kind"] == "trace")
+        path = store._object_path(entry["sha256"])
+        path.write_bytes(path.read_bytes()[:1000])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert store.run_ids() == [run_id]
+        assert len(store.read_artifact(manifest, "trace").encode()) == entry["n_bytes"]
+
 
 class TestMaintenance:
     def test_export(self, store, tmp_path):

@@ -4,6 +4,7 @@ from repro.timeseries import (
     NullSampler,
     SeriesBuffer,
     TimeSeriesSampler,
+    capture_payload,
     get_sampler,
     set_sampler,
 )
@@ -64,10 +65,15 @@ class TestTimeSeriesSampler:
         assert s.series["a"].values == [2.0]  # coerced to float
 
     def test_high_water_defaults_to_zero(self):
+        # The capture carries each series' peak: 0.0 for a series with no
+        # points, the largest sample otherwise, negative ones included.
         s = TimeSeriesSampler()
-        assert s.high_water("missing") == 0.0
+        s.series["missing"] = SeriesBuffer("missing")
         s.sample("a", 0.0, -3.0)
-        assert s.high_water("a") == -3.0
+        series = capture_payload(s)["series"]
+        assert {e["name"]: e["high_water"] for e in series} == {
+            "a": -3.0, "missing": 0.0,
+        }
 
     def test_marker_cap(self):
         s = TimeSeriesSampler(max_markers=2)

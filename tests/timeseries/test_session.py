@@ -12,6 +12,7 @@ from repro.slo.events import EventBus, get_event_bus, set_event_bus
 from repro.timeseries import (
     NullSampler,
     TimeSeriesSampler,
+    capture_payload,
     get_sampler,
     load_capture,
     set_sampler,
@@ -84,18 +85,26 @@ class TestBusMarkers:
 
 
 class TestPeaksSummary:
-    """The high-water marks of the platform series; the breakdown's peaks
-    come from the platform gauges, which equal them on a sampled run
-    (``tests/diagnostics/test_breakdown.py``)."""
+    """The high-water marks of the platform series, as the capture carries
+    them; the breakdown's peaks come from the platform gauges, which equal
+    them on a sampled run (``tests/diagnostics/test_breakdown.py``)."""
 
     def test_high_water_marks(self):
         s = TimeSeriesSampler()
         s.sample("platform.inflight", 0.0, 10.0)
         s.sample("platform.inflight", 1.0, 300.0)
         s.sample("platform.warm_pool", 1.0, 42.0)
-        assert s.high_water("platform.inflight") == 300.0
-        assert s.high_water("platform.warm_pool") == 42.0
+        assert _peaks(capture_payload(s)) == {
+            "platform.inflight": 300.0, "platform.warm_pool": 42.0,
+        }
 
     def test_empty_sampler_yields_zeros(self):
-        s = TimeSeriesSampler()
-        assert s.high_water("platform.inflight") == s.high_water("platform.warm_pool") == 0.0
+        with Instruments(kinds={"timeseries"}) as ins:
+            pass  # nothing ran: no series, and every total is zero
+        payload = ins.payloads["timeseries"]
+        assert _peaks(payload) == {}
+        assert set(payload["totals"].values()) == {0}
+
+
+def _peaks(payload: dict) -> dict[str, float]:
+    return {entry["name"]: entry["high_water"] for entry in payload["series"]}
